@@ -6,7 +6,7 @@ GO ?= go
 NCLINT := bin/nclint
 NCLINT_SRCS := $(shell find cmd/nclint internal/analysis -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test test-race test-chaos test-soak test-e2e test-rolling vet lint bench bench-hotpath bench-guard cover check
+.PHONY: build test test-race test-chaos test-soak test-e2e test-rolling vet lint bench bench-hotpath bench-guard bench-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,7 @@ vet:
 
 # bench runs the data-plane micro-benchmarks that gate hot-path changes.
 bench:
-	$(GO) test -run 'XXX' -bench 'BenchmarkAddMulSlice|BenchmarkDotProduct|BenchmarkRecode|BenchmarkVNFPipeline|BenchmarkRecoderPacketProcessing|BenchmarkDecoderBatch|BenchmarkEncodeCodedInto|BenchmarkXorWords|BenchmarkCombineWords|BenchmarkPackBytes|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchmem \
+	$(GO) test -run 'XXX' -bench 'BenchmarkAddMulSlice|BenchmarkDotProduct|BenchmarkRecode|BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkRecoderPacketProcessing|BenchmarkDecoderBatch|BenchmarkEncodeCodedInto|BenchmarkXorWords|BenchmarkCombineWords|BenchmarkPackBytes|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchmem \
 		./internal/gf/ ./internal/rlnc/ ./internal/dataplane/
 	$(GO) test -run 'XXX' -bench 'BenchmarkInverse|BenchmarkMulInto|BenchmarkRREF' -benchmem ./internal/matrix/ ./internal/bitmat/
 
@@ -85,7 +85,9 @@ bench-hotpath:
 	$(GO) test -run 'XXX' -bench 'BenchmarkAddMulSlice' -benchmem ./internal/gf/
 
 # bench-guard reruns the guarded hot-path benchmarks — the telemetry-
-# instrumented VNF pipeline, the GF(2) word-XOR kernels, the packed GF(2)
+# instrumented VNF pipeline, the relay in steady state (fresh generations
+# past the buffer capacity, which the pipeline benchmark's 64-generation
+# ring never reaches), the GF(2) word-XOR kernels, the packed GF(2)
 # batch decode, the lock-free forwarding-table read, and the many-session
 # pipeline over the bounded store — and fails if the best of three runs
 # regresses more than 10% against the benchguard-baseline lines in
@@ -95,15 +97,35 @@ bench-hotpath:
 # on a shared host are far noisier than pure-CPU kernels.
 bench-guard:
 	$(GO) build -o bin/benchguard ./cmd/benchguard
-	{ $(GO) test -run 'XXX' -bench 'BenchmarkVNFPipeline|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchtime 200ms -count 3 ./internal/dataplane/ && \
+	{ $(GO) test -run 'XXX' -bench 'BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchtime 200ms -count 3 ./internal/dataplane/ && \
 	  $(GO) test -run 'XXX' -bench 'BenchmarkXorWords' -benchtime 200ms -count 3 ./internal/gf/ && \
 	  $(GO) test -run 'XXX' -bench 'BenchmarkDecoderBatchGF2' -benchtime 200ms -count 3 ./internal/rlnc/ ; } \
 		| ./bin/benchguard -baseline bench_results.txt \
-			-only '^Benchmark(VNFPipeline|TableRead|ManySessionPipeline|XorWords|DecoderBatchGF2)'
+			-only '^Benchmark(VNFPipeline|RelaySteadyState|TableRead|ManySessionPipeline|XorWords|DecoderBatchGF2)'
 	{ $(GO) test -run 'XXX' -bench 'BenchmarkUDPSendBatch|BenchmarkRegistryReverse' -benchtime 200ms -count 3 ./internal/emunet/ && \
 	  $(GO) test -run 'XXX' -bench 'BenchmarkUDPPipeline' -benchtime 200ms -count 3 ./internal/dataplane/ ; } \
 		| ./bin/benchguard -baseline bench_results.txt -tolerance 0.35 \
 			-only '^Benchmark(UDPSendBatch|UDPPipeline|RegistryReverse)'
+
+# bench-e2e runs the whole-system benchmark BENCHMARK.json declares: every
+# workload through benchmark/run.sh (closed-loop, byte-verified, untraced),
+# one run per seed, appended to BENCH_E2E_OUT; then, when BENCH_E2E_BASE
+# names a runs file — typically the same target run in a checkout of the
+# parent commit — the two are held against the declared bounds with -compare.
+#   make bench-e2e BENCH_E2E_SEEDS="1 2 3" BENCH_E2E_BASE=/tmp/parent.jsonl
+# CI runs it at BENCH_E2E_SECONDS=2 as a smoke of all four deployments.
+BENCH_E2E_SECONDS ?= 20
+BENCH_E2E_SEEDS ?= 1
+BENCH_E2E_OUT ?= benchmark/out/e2e.jsonl
+BENCH_E2E_BASE ?=
+bench-e2e:
+	rm -f $(BENCH_E2E_OUT)
+	for s in $(BENCH_E2E_SEEDS); do \
+		for w in inproc-k4 inproc-k64 inproc-tenants512 procs-k16; do \
+			bash benchmark/run.sh --workload $$w --seed $$s --seconds $(BENCH_E2E_SECONDS) --trace 0 --out $(BENCH_E2E_OUT) || exit 1; \
+		done; \
+	done
+	if [ -n "$(BENCH_E2E_BASE)" ]; then bash benchmark/run.sh -compare $(BENCH_E2E_BASE) $(BENCH_E2E_OUT); fi
 
 # cover enforces the coverage floors: telemetry >= 90%, the GF kernel and
 # bit-matrix packages >= 85%, each new concurrency/lifecycle analyzer

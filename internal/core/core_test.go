@@ -261,6 +261,13 @@ func TestServiceSessionStoreKnob(t *testing.T) {
 			tracked += n
 			bytesHeld += b
 		}
+		// The receiving endpoints share the registry and account their
+		// decoder state on the same gauge (the index is unconditional).
+		for _, ep := range svc.endpoints {
+			n, b := ep.VNF().SessionStoreStats()
+			tracked += n
+			bytesHeld += b
+		}
 		if reg.Gauge(dataplane.MetricSessionBytes, 1).Value() == bytesHeld || time.Now().After(deadline) {
 			break
 		}

@@ -1,10 +1,8 @@
 package dataplane
 
 import (
-	"container/list"
 	"sync"
 
-	"ncfn/internal/buffer"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/rlnc"
 	"ncfn/internal/telemetry"
@@ -12,8 +10,8 @@ import (
 
 // SessionStoreConfig bounds the per-VNF coding state under massive
 // multi-tenancy. With thousands of concurrent sessions, per-generation
-// decoder and recoder state is the dominant memory consumer; the store
-// tracks every live (session, generation) in LRU order and evicts stale
+// decoder and recoder state is the dominant memory consumer; the generation
+// index keeps every live (session, generation) in LRU order and evicts stale
 // generations when any configured bound is exceeded. A zero value in any
 // field disables that bound.
 type SessionStoreConfig struct {
@@ -29,354 +27,378 @@ type SessionStoreConfig struct {
 	MaxBytes int64
 }
 
-// enabled reports whether any bound is configured.
-func (c SessionStoreConfig) enabled() bool {
-	return c.MaxGenerations > 0 || c.TTLNanos > 0 || c.MaxBytes > 0
-}
-
-// WithSessionStore bounds the VNF's per-session coding state. Without this
-// option the VNF keeps its historical behavior: decoder state pruned only by
-// the reordering window, recoder state only by generation-buffer FIFO
-// capacity, and no memory accounting.
+// WithSessionStore adds LRU/TTL/byte-cap eviction to the VNF's generation
+// index. Without it the index still owns every live generation — FIFO
+// retirement of recoder generations at the buffer capacity, codec recycling
+// and memory accounting are unconditional — and decoder state is pruned only
+// by the reordering window.
 func WithSessionStore(cfg SessionStoreConfig) VNFOption {
-	return func(v *VNF) {
-		if cfg.enabled() {
-			v.store = &sessionStore{
-				cfg:     cfg,
-				entries: make(map[buffer.GenKey]*genEntry),
-				lru:     list.New(),
-			}
-		}
-	}
+	return func(v *VNF) { v.store.cfg = cfg }
 }
 
-// genEntry is one live (session, generation) coding state tracked by the
-// store.
-type genEntry struct {
-	key    buffer.GenKey
-	st     *sessionState
-	bytes  int64
+// genLink says where a generation record stands with the index.
+type genLink uint8
+
+const (
+	// genUnlinked: fresh, pooled as a session's spare, or released by its
+	// owner.
+	genUnlinked genLink = iota
+	// genLinked: live and owned by its session.
+	genLinked
+	// genRetired / genEvicted: unlinked by FIFO retirement from another
+	// session, or by LRU/TTL/byte-cap eviction, and queued for teardown.
+	// Until enforceStore has run that teardown the record belongs to the
+	// queue, not to its session; eviction tombstones, retirement does not.
+	genRetired
+	genEvicted
+)
+
+// genState is the one record a VNF keeps per live generation. A record
+// belongs to one sessionState for life — it is recycled only into later
+// generations of the same session — so the session's mu guards its coding
+// half and sessionStore.mu its index half.
+type genState struct {
+	st *sessionState
+
+	// Guarded by st.mu.
+	gen      ncproto.GenerationID
+	rec      *rlnc.Recoder // recoder role
+	dec      *rlnc.Decoder // decoder role
+	received int           // packets received (recoder role)
+	emitted  []int         // packets sent per hop-group index (recoder role)
+	started  int64         // clock ns at creation, for the decode-latency histogram
+
+	// Guarded by sessionStore.mu.
+	link   genLink
 	lastNs int64
-	elem   *list.Element
+	links  [2]struct{ prev, next *genState } // indexed by genList.i: fifoLinks, lruLinks
+	pend   *genState                         // next record awaiting teardown
 }
 
-// sessionStore is the VNF's bounded index of live generation state. It is
-// deliberately decoupled from the per-session locks: touch/remove take only
-// store.mu (callers already hold their session's st.mu), while eviction
-// enforcement collects victims under store.mu, releases it, and then
-// applies each eviction under that victim's st.mu. Enforcement therefore
-// runs only from call sites that hold no session lock (the shard worker
-// loop between runs, and SweepSessions).
+// onFIFO reports whether the record's generation counts against the buffer
+// capacity: recoder generations do, a sink's decoders finish on their own.
+func (g *genState) onFIFO() bool { return g.st.cfg.Role == RoleRecoder }
+
+// The two lists a record can be on, as indexes into genState.links.
+const (
+	fifoLinks = iota
+	lruLinks
+)
+
+// genList is an intrusive doubly linked list of generation records, so
+// linking, unlinking and popping the oldest neither allocate nor search.
+type genList struct {
+	head, tail *genState
+	n          int
+	i          int // which genState.links slot this list threads through
+}
+
+func (l *genList) pushBack(g *genState) {
+	ln := &g.links[l.i]
+	ln.prev, ln.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.links[l.i].next = g
+	} else {
+		l.head = g
+	}
+	l.tail = g
+	l.n++
+}
+
+func (l *genList) remove(g *genState) {
+	ln := &g.links[l.i]
+	if ln.prev != nil {
+		ln.prev.links[l.i].next = ln.next
+	} else {
+		l.head = ln.next
+	}
+	if ln.next != nil {
+		ln.next.links[l.i].prev = ln.prev
+	} else {
+		l.tail = ln.prev
+	}
+	ln.prev, ln.next = nil, nil
+	l.n--
+}
+
+// sessionStore is the VNF's generation index: the one owner of which
+// generations are live. Each session finds its own records through its gens
+// map; the index threads every record on an LRU list (touch order) and every
+// recoder record on a FIFO list (first-arrival order, the paper's buffer),
+// and accounts the bytes they and the sessions' pooled spares retain.
+//
+// It is deliberately decoupled from the per-session locks: admit, touch and
+// remove take only store.mu (callers already hold their session's st.mu).
+// Whatever has to reach into another session — a FIFO victim of a different
+// session, every LRU/TTL/byte-cap eviction — is unlinked and accounted at
+// once but queued, and enforceStore applies the teardown under the victim's
+// st.mu from call sites that hold no session lock (the shard worker loop
+// between runs, the synchronous packet path's tail, and SweepSessions).
 //
 // The declared acquisition order below is the package contract nclint's
 // lockorder analyzer enforces: a shard's pauseMu is outermost, a session's
 // mu next, and store.mu innermost — never take an earlier lock while
-// holding a later one.
+// holding a later one. These are all the locks the packet path takes.
 //
 //nc:lockorder vnfShard.pauseMu -> sessionState.mu -> sessionStore.mu
 type sessionStore struct {
-	cfg SessionStoreConfig
+	cfg      SessionStoreConfig
+	capacity int // FIFO capacity in recoder generations (WithBufferCapacity)
+	tel      *vnfTelemetry
 
-	mu      sync.Mutex
-	entries map[buffer.GenKey]*genEntry
-	lru     *list.List // front = least recently touched
-	bytes   int64
-	victims []*genEntry // enforcement scratch, reused under mu
+	mu    sync.Mutex
+	fifo  genList // recoder records, oldest first arrival at the head
+	lru   genList // every live record, least recently touched at the head
+	bytes int64   // live records plus pooled spares
+	// pendHead/pendTail chain the unlinked records awaiting teardown.
+	pendHead, pendTail *genState
+	// pubBytes/pubLive are what the gauges were last told; publish adds the
+	// difference (the gauges may be shared by every VNF of a registry, so
+	// they are moved by deltas, never set).
+	pubBytes, pubLive int64
 }
 
-// touch marks (key → st) live with the given footprint estimate, inserting
-// or refreshing its LRU position. Callers hold st.mu.
-func (s *sessionStore) touch(st *sessionState, key buffer.GenKey, bytes int64, nowNs int64, tel *vnfTelemetry) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		e = &genEntry{key: key, st: st, bytes: bytes, lastNs: nowNs}
-		e.elem = s.lru.PushBack(e)
-		s.entries[key] = e
-		s.bytes += bytes
-		s.mu.Unlock()
-		tel.sessBytes.Add(0, bytes)
-		tel.liveGens.Add(0, 1)
-		return
-	}
-	if e.st != st {
-		// The session was reconfigured (revived) while an old entry for the
-		// same generation still existed; track the new state object.
-		e.st = st
-	}
-	if delta := bytes - e.bytes; delta != 0 {
-		e.bytes = bytes
-		s.bytes += delta
-		s.lru.MoveToBack(e.elem)
-		e.lastNs = nowNs
-		s.mu.Unlock()
-		tel.sessBytes.Add(0, delta)
-		return
-	}
-	e.lastNs = nowNs
-	s.lru.MoveToBack(e.elem)
+// publish moves the session-bytes and live-generations gauges by whatever
+// the accounting changed since the last call, and unlocks.
+func (s *sessionStore) publish() {
+	db, dn := s.bytes-s.pubBytes, int64(s.lru.n)-s.pubLive
+	s.pubBytes, s.pubLive = s.bytes, int64(s.lru.n)
 	s.mu.Unlock()
-}
-
-// remove forgets a generation (delivered, pruned, or dropped by the caller)
-// and returns whether it was tracked. Callers hold st.mu or no session lock.
-func (s *sessionStore) remove(key buffer.GenKey, tel *vnfTelemetry) bool {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		return false
+	if db != 0 {
+		s.tel.sessBytes.Add(0, db)
 	}
-	s.lru.Remove(e.elem)
-	delete(s.entries, key)
-	s.bytes -= e.bytes
-	s.mu.Unlock()
-	tel.sessBytes.Add(0, -e.bytes)
-	tel.liveGens.Add(0, -1)
-	return true
-}
-
-// removeSession forgets every generation of one session (EndSession or a
-// reconfiguration replacing the session state).
-func (s *sessionStore) removeSession(id ncproto.SessionID, tel *vnfTelemetry) {
-	s.mu.Lock()
-	var freed int64
-	var n int64
-	for key, e := range s.entries {
-		if key.Session != id {
-			continue
-		}
-		s.lru.Remove(e.elem)
-		delete(s.entries, key)
-		s.bytes -= e.bytes
-		freed += e.bytes
-		n++
-	}
-	s.mu.Unlock()
-	if n > 0 {
-		tel.sessBytes.Add(0, -freed)
-		tel.liveGens.Add(0, -n)
+	if dn != 0 {
+		s.tel.liveGens.Add(0, dn)
 	}
 }
 
-// adjust accounts bytes that are retained outside live generations (the
-// per-session codec free lists kept for arena reuse), so the
-// dataplane_session_bytes gauge reflects everything the store holds onto.
-func (s *sessionStore) adjust(delta int64, tel *vnfTelemetry) {
+// admit links a record for a new generation of st and returns it; the caller
+// holds st.mu and initialises the coding half. A recoder generation arriving
+// at FIFO capacity first retires the oldest one. If that victim is st's own
+// it is recycled in place: the returned record is the victim, relinked at
+// the back and still carrying its old generation for the caller to reset
+// (inPlace). A victim of another session goes to the teardown queue, and the
+// new generation takes st's spare or a fresh record.
+func (s *sessionStore) admit(st *sessionState, nowNs int64) (g *genState, inPlace bool) {
 	s.mu.Lock()
-	s.bytes += delta
-	s.mu.Unlock()
-	tel.sessBytes.Add(0, delta)
-}
-
-// collect pops eviction victims under store.mu: expired generations first
-// (TTL), then LRU order while over the generation or byte caps. Victims are
-// unlinked from the index immediately — their bytes leave the accounting
-// here — and the caller applies the state teardown lock-free of store.mu.
-func (s *sessionStore) collect(nowNs int64) []*genEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.victims = s.victims[:0]
-	if s.cfg.TTLNanos > 0 {
-		for {
-			front := s.lru.Front()
-			if front == nil {
-				break
-			}
-			e := front.Value.(*genEntry)
-			if nowNs-e.lastNs < s.cfg.TTLNanos {
-				break
-			}
-			s.lru.Remove(front)
-			delete(s.entries, e.key)
-			s.bytes -= e.bytes
-			s.victims = append(s.victims, e)
+	if st.cfg.Role == RoleRecoder && s.fifo.n >= s.capacity {
+		if old := s.fifo.head; old.st == st {
+			s.fifo.remove(old)
+			s.lru.remove(old)
+			g, inPlace = old, true
+		} else {
+			s.retire(old, genRetired)
 		}
 	}
-	for (s.cfg.MaxGenerations > 0 && len(s.entries) > s.cfg.MaxGenerations) ||
-		(s.cfg.MaxBytes > 0 && s.bytes > s.cfg.MaxBytes) {
-		front := s.lru.Front()
-		if front == nil {
+	if g == nil {
+		if g = st.spare; g != nil {
+			st.spare = nil
+			s.bytes -= st.stateBytes
+		} else {
+			g = &genState{st: st}
+		}
+		s.bytes += st.stateBytes
+	}
+	g.link, g.lastNs = genLinked, nowNs
+	s.lru.pushBack(g)
+	if g.onFIFO() {
+		s.fifo.pushBack(g)
+	}
+	s.publish()
+	return g, inPlace
+}
+
+// touch refreshes a record's LRU position and reports its link: anything
+// but genLinked means another goroutine unlinked it since the caller's map
+// lookup and its teardown is queued. Callers hold g.st.mu.
+func (s *sessionStore) touch(g *genState, nowNs int64) genLink {
+	s.mu.Lock()
+	link := g.link
+	if link == genLinked {
+		g.lastNs = nowNs
+		s.lru.remove(g)
+		s.lru.pushBack(g)
+	}
+	s.mu.Unlock()
+	return link
+}
+
+// unlink takes a live record off the lists and the accounting. Callers hold
+// s.mu.
+func (s *sessionStore) unlink(g *genState, link genLink) {
+	s.lru.remove(g)
+	if g.onFIFO() {
+		s.fifo.remove(g)
+	}
+	s.bytes -= g.st.stateBytes
+	g.link = link
+}
+
+// retire unlinks a live record and queues it for teardown. Callers hold s.mu.
+func (s *sessionStore) retire(g *genState, link genLink) {
+	s.unlink(g, link)
+	g.pend = nil
+	if s.pendTail != nil {
+		s.pendTail.pend = g
+	} else {
+		s.pendHead = g
+	}
+	s.pendTail = g
+}
+
+// remove unlinks a record its session is done with (delivered, pruned) and
+// reports whether the session still owned it: false means it was retired or
+// evicted first and the queued teardown will dispose of it. Callers hold
+// g.st.mu.
+func (s *sessionStore) remove(g *genState) bool {
+	s.mu.Lock()
+	owned := g.link == genLinked
+	if owned {
+		s.unlink(g, genUnlinked)
+	}
+	s.publish()
+	return owned
+}
+
+// removeSession unlinks every record st still owns and its pooled spare
+// (EndSession, or a Configure replacing the state): a walk of the session's
+// own records, not of the index. Callers hold st.mu.
+func (s *sessionStore) removeSession(st *sessionState) {
+	s.mu.Lock()
+	for _, g := range st.gens {
+		if g.link == genLinked {
+			s.unlink(g, genUnlinked)
+		}
+	}
+	if st.spare != nil {
+		s.bytes -= st.stateBytes
+	}
+	s.publish()
+}
+
+// collect evicts what the configured bounds no longer allow — generations
+// past their TTL, then the least recently touched while over the generation
+// or byte caps; list order is touch order, so both are runs from the head —
+// and hands the caller the whole teardown queue.
+func (s *sessionStore) collect(nowNs int64) *genState {
+	s.mu.Lock()
+	c := s.cfg
+	for g := s.lru.head; g != nil; g = s.lru.head {
+		expired := c.TTLNanos > 0 && nowNs-g.lastNs >= c.TTLNanos
+		over := (c.MaxGenerations > 0 && s.lru.n > c.MaxGenerations) ||
+			(c.MaxBytes > 0 && s.bytes > c.MaxBytes)
+		if !expired && !over {
 			break
 		}
-		e := front.Value.(*genEntry)
-		s.lru.Remove(front)
-		delete(s.entries, e.key)
-		s.bytes -= e.bytes
-		s.victims = append(s.victims, e)
+		s.retire(g, genEvicted)
 	}
-	if len(s.victims) == 0 {
-		return nil
-	}
-	out := make([]*genEntry, len(s.victims))
-	copy(out, s.victims)
-	return out
+	head := s.pendHead
+	s.pendHead, s.pendTail = nil, nil
+	s.publish()
+	return head
 }
 
-// overLimit is the cheap pre-check the packet path uses to decide whether
-// enforcement is worth running: one mutex acquisition, no allocation.
-func (s *sessionStore) overLimit(nowNs int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.MaxGenerations > 0 && len(s.entries) > s.cfg.MaxGenerations {
-		return true
-	}
-	if s.cfg.MaxBytes > 0 && s.bytes > s.cfg.MaxBytes {
-		return true
-	}
-	if s.cfg.TTLNanos > 0 {
-		if front := s.lru.Front(); front != nil {
-			if e := front.Value.(*genEntry); nowNs-e.lastNs >= s.cfg.TTLNanos {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// enforceStore evicts stale generations until the store is within bounds.
-// It must be called with no session mutex held: each victim's teardown
-// takes that session's st.mu. Returns the number of generations evicted.
+// enforceStore evicts stale generations until the index is within bounds and
+// tears down every queued record. It must be called with no session mutex
+// held: each teardown takes that session's st.mu. Returns the number of
+// generations evicted (FIFO retirements are not evictions).
 func (v *VNF) enforceStore() int {
-	if v.store == nil {
-		return 0
+	evicted := 0
+	for g := v.store.collect(v.clock.Now().UnixNano()); g != nil; {
+		// The queue owns g until finishRetired pools it, after which its
+		// session may relink it: read the chain first.
+		next := g.pend
+		if v.finishRetired(g) {
+			evicted++
+		}
+		g = next
 	}
-	nowNs := v.clock.Now().UnixNano()
-	if !v.store.overLimit(nowNs) {
-		return 0
-	}
-	victims := v.store.collect(nowNs)
-	for _, e := range victims {
-		v.evictGeneration(e)
-	}
-	return len(victims)
+	return evicted
 }
 
-// SweepSessions runs session-store eviction immediately and returns how many
-// generations were evicted. The packet path enforces the store continuously;
-// this entry point lets an idle VNF (no traffic to piggyback on) and the
-// deterministic churn harness expire TTLs on demand.
+// SweepSessions runs index eviction immediately and returns how many
+// generations were evicted. The packet path enforces the bounds
+// continuously; this entry point lets an idle VNF (no traffic to piggyback
+// on) and the deterministic churn harness expire TTLs on demand.
 func (v *VNF) SweepSessions() int { return v.enforceStore() }
 
-// SessionStoreStats reports the store's live accounting: tracked generations
-// and estimated retained bytes (live coding state plus pooled free-list
-// arenas). Both are zero when no store is configured.
+// SessionStoreStats reports the index's live accounting: tracked generations
+// and estimated retained bytes (live coding state plus pooled spares).
 func (v *VNF) SessionStoreStats() (generations int, bytes int64) {
-	if v.store == nil {
-		return 0, 0
-	}
 	v.store.mu.Lock()
 	defer v.store.mu.Unlock()
-	return len(v.store.entries), v.store.bytes
+	return v.store.lru.n, v.store.bytes
 }
 
-// evictGeneration tears down one victim generation: drop its coding state
-// (recycling the codec arenas into the session's free lists), tombstone the
-// generation so late packets count as evicted drops instead of resurrecting
-// state, and record the eviction.
-func (v *VNF) evictGeneration(e *genEntry) {
-	st, gen := e.st, e.key.Generation
+// finishRetired tears down one queued record under its session's mu: forget
+// it (unless a late packet already started a fresh record under the same
+// generation), recycle it as the session's spare, and — for an eviction —
+// tombstone the generation so late packets count as evicted drops instead of
+// resurrecting state, and record the eviction. Reports whether it was one.
+func (v *VNF) finishRetired(g *genState) (evicted bool) {
+	st := g.st
+	evicted = g.link == genEvicted
 	st.mu.Lock()
-	if dec, ok := st.decoders[gen]; ok {
-		delete(st.decoders, gen)
-		delete(st.started, gen)
-		st.cacheDecoder(v, dec)
+	gen := g.gen
+	if st.gens[gen] == g {
+		delete(st.gens, gen)
 	}
-	if rec, ok := st.recoders[gen]; ok {
-		delete(st.recoders, gen)
-		delete(st.emitted, gen)
-		delete(st.received, gen)
-		st.cacheRecoder(v, rec)
-	}
-	if st.evicted == nil {
-		st.evicted = make(map[ncproto.GenerationID]bool)
-	}
-	st.evicted[gen] = true
-	// Tombstones only need to cover the reordering window: prune entries far
-	// behind the newest generation this session has seen (same policy as the
-	// delivered set, so a very late packet past the window is indistinguishable
-	// from a new generation — accepted bound, documented in DESIGN.md).
-	const window = 4096
-	if len(st.evicted) > 2*window {
-		maxGen := st.maxGen
-		for gid := range st.evicted {
-			if gid+window < maxGen {
-				delete(st.evicted, gid)
+	if evicted {
+		if st.evicted == nil {
+			st.evicted = make(map[ncproto.GenerationID]bool)
+		}
+		st.evicted[gen] = true
+		// Tombstones only need to cover the reordering window: prune entries
+		// far behind the newest generation this session has seen (same policy
+		// as the delivered set, so a very late packet past the window is
+		// indistinguishable from a new generation — accepted bound,
+		// documented in DESIGN.md).
+		if len(st.evicted) > 2*reorderWindow {
+			for gid := range st.evicted {
+				if gid+reorderWindow < st.maxGen {
+					delete(st.evicted, gid)
+				}
 			}
 		}
 	}
+	v.store.pool(g)
 	st.mu.Unlock()
-
-	v.buf.Drop(e.key)
-	v.tel.evicted.Inc(0)
-	v.tel.sessBytes.Add(0, -e.bytes)
-	v.tel.liveGens.Add(0, -1)
-	v.tel.rec.Record(v.clock.Now().UnixNano(), telemetry.EventGenerationEvict, v.node,
-		uint64(e.key.Session), uint64(gen), e.bytes)
+	if evicted {
+		v.tel.evicted.Inc(0)
+		v.tel.rec.Record(v.clock.Now().UnixNano(), telemetry.EventGenerationEvict, v.node,
+			uint64(st.cfg.ID), uint64(gen), st.stateBytes)
+	}
+	return evicted
 }
 
-// freeListCap bounds how many finished codecs a session retains for arena
-// reuse. One of each kind covers the steady state (sessions usually have one
-// generation in flight) without letting thousands of idle sessions pin
-// unbounded spare arenas.
-const freeListCap = 1
+// releaseGen forgets a generation its session is done with and recycles the
+// record. Callers hold st.mu.
+func (v *VNF) releaseGen(st *sessionState, g *genState) {
+	delete(st.gens, g.gen)
+	if v.store.remove(g) {
+		v.store.pool(g)
+	}
+}
 
-// cacheDecoder resets a finished decoder and retains it for the session's
-// next generation, or lets it go to GC if the free list is full, the session
-// is closed, or no store is configured. Retained arenas are accounted on the
-// session-bytes gauge. Callers hold st.mu.
-func (st *sessionState) cacheDecoder(v *VNF, dec *rlnc.Decoder) {
-	if v.store == nil || st.closed || len(st.freeDec) >= freeListCap {
+// pool keeps an unlinked record — codec arena, counters slice and all — as
+// the session's spare for its next generation, or lets it go to GC if the
+// session already has one or is closed. One spare covers the steady state
+// (a sink finishes one generation as the next starts; a relay at capacity
+// recycles in place) without letting thousands of idle sessions pin
+// unbounded arenas. The spare stays on the index's byte accounting, so the
+// dataplane_session_bytes gauge reflects everything the VNF holds onto.
+// Decoders are reset here; a recoder is reset (and reseeded) at reuse, when
+// the session's next seed is drawn. Callers hold g.st.mu.
+func (s *sessionStore) pool(g *genState) {
+	st := g.st
+	if st.closed || st.spare != nil {
 		return
 	}
-	dec.Reset()
-	st.freeDec = append(st.freeDec, dec)
-	v.store.adjust(st.stateBytes, &v.tel)
-}
-
-// takeDecoder pops a recycled decoder, or returns nil if none is pooled.
-// Callers hold st.mu.
-func (st *sessionState) takeDecoder(v *VNF) *rlnc.Decoder {
-	n := len(st.freeDec)
-	if n == 0 {
-		return nil
+	if g.dec != nil {
+		g.dec.Reset()
 	}
-	dec := st.freeDec[n-1]
-	st.freeDec = st.freeDec[:n-1]
-	v.store.adjust(-st.stateBytes, &v.tel)
-	return dec
-}
-
-// cacheRecoder is cacheDecoder's recoder twin. The reset (and RNG reseed)
-// happens at reuse time, when the session's next seed is drawn. Callers hold
-// st.mu.
-func (st *sessionState) cacheRecoder(v *VNF, rec *rlnc.Recoder) {
-	if v.store == nil || st.closed || len(st.freeRec) >= freeListCap {
-		return
-	}
-	st.freeRec = append(st.freeRec, rec)
-	v.store.adjust(st.stateBytes, &v.tel)
-}
-
-// takeRecoder pops a recycled recoder reset with the given seed — bit-
-// identical to rlnc.NewRecoder(params, seed), so recycling never changes
-// emitted packets. Returns nil if none is pooled. Callers hold st.mu.
-func (st *sessionState) takeRecoder(v *VNF, seed int64) *rlnc.Recoder {
-	n := len(st.freeRec)
-	if n == 0 {
-		return nil
-	}
-	rec := st.freeRec[n-1]
-	st.freeRec = st.freeRec[:n-1]
-	rec.Reset(seed)
-	v.store.adjust(-st.stateBytes, &v.tel)
-	return rec
-}
-
-// releaseFreeLists drops a session's pooled codecs and returns the bytes to
-// subtract from the store's accounting. Callers hold st.mu.
-func (st *sessionState) releaseFreeLists() int64 {
-	freed := int64(len(st.freeDec)+len(st.freeRec)) * st.stateBytes
-	st.freeDec, st.freeRec = nil, nil
-	return freed
+	st.spare = g
+	s.mu.Lock()
+	s.bytes += st.stateBytes
+	s.publish()
 }

@@ -32,7 +32,8 @@ func codedWire(t testing.TB, params rlnc.Params, sess ncproto.SessionID, gen ncp
 }
 
 // storeVNF builds an unstarted VNF (serial InjectPacket driving) with a
-// session store, shared registry, and virtual clock.
+// session store (none for the zero config), shared registry, and virtual
+// clock.
 func storeVNF(t testing.TB, cfg SessionStoreConfig, opts ...VNFOption) (*VNF, *telemetry.Registry, *simclock.Virtual) {
 	t.Helper()
 	n := emunet.NewNetwork(emunet.AllowDefault())
@@ -293,46 +294,54 @@ func TestSessionStoreDecoderReuseDecodesIdentically(t *testing.T) {
 	}
 }
 
-// TestSessionStoreRecoderReuseEmitsIdentically pins free-list correctness on
-// the recode path differentially: the same packet trace through a VNF with
-// the session store (recoders recycled through the free list as the
-// generation buffer rolls over) and one without must emit byte-identical
-// packets — recycling never changes the coding stream.
+// TestSessionStoreRecoderReuseEmitsIdentically pins that the session store
+// is only a policy on the one generation index: the same packet trace
+// through a VNF with the store and one without must emit byte-identical
+// packets at every buffer capacity, as FIFO rollover recycles live recoder
+// records mid-trace. (The differential against the seed's Track + Contains
+// bookkeeping, on random multi-session traces, is
+// internal/buffer.TestRelayMatchesReferenceBookkeeping.)
 func TestSessionStoreRecoderReuseEmitsIdentically(t *testing.T) {
 	params := smallParams()
-	trace := func(withStore bool) ([]string, [][]byte) {
+	trace := func(capacity int, withStore bool) ([]string, [][]byte) {
 		conn := newCaptureConn("relay")
-		opts := []VNFOption{WithSeed(21), WithBufferCapacity(2)}
+		opts := []VNFOption{WithSeed(21), WithBufferCapacity(capacity)}
 		if withStore {
 			opts = append(opts, WithSessionStore(SessionStoreConfig{MaxGenerations: 1024}))
 		}
 		v := NewVNF(conn, opts...)
 		defer v.Close()
-		if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: RoleRecoder, Redundancy: 1}); err != nil {
-			t.Fatal(err)
+		for s := 1; s <= 2; s++ {
+			id := ncproto.SessionID(s)
+			if err := v.Configure(SessionConfig{ID: id, Params: params, Role: RoleRecoder, Redundancy: 1}); err != nil {
+				t.Fatal(err)
+			}
+			v.Table().Set(id, []HopGroup{{Addrs: []string{"sink"}}})
 		}
-		v.Table().Set(1, []HopGroup{{Addrs: []string{"sink"}}})
 		k := params.GenerationBlocks
-		// Capacity-2 buffer with 6 generations: FIFO rollover retires live
-		// recoders mid-trace, exercising cacheRecoder/takeRecoder repeatedly.
-		for g := 0; g < 6; g++ {
-			for _, w := range codedWire(t, params, 1, ncproto.GenerationID(g), int64(700+g), k+1) {
+		// 12 generations over two sessions against capacities 2, 3 and 8:
+		// rollover retires live recoders in place and across sessions.
+		for g := 0; g < 12; g++ {
+			id := ncproto.SessionID(1 + g%3%2)
+			for _, w := range codedWire(t, params, id, ncproto.GenerationID(g), int64(700+g), k+1) {
 				v.InjectPacket(w)
 			}
 		}
 		return conn.dsts, conn.pkts
 	}
-	plainDst, plainPkt := trace(false)
-	storeDst, storePkt := trace(true)
-	if len(plainDst) == 0 {
-		t.Fatal("trace produced no emissions")
-	}
-	if len(plainDst) != len(storeDst) {
-		t.Fatalf("emission count differs: plain %d, store %d", len(plainDst), len(storeDst))
-	}
-	for i := range plainDst {
-		if plainDst[i] != storeDst[i] || !bytes.Equal(plainPkt[i], storePkt[i]) {
-			t.Fatalf("emission %d differs between plain and store-recycled runs", i)
+	for _, capacity := range []int{2, 3, 8} {
+		plainDst, plainPkt := trace(capacity, false)
+		storeDst, storePkt := trace(capacity, true)
+		if len(plainDst) == 0 {
+			t.Fatal("trace produced no emissions")
+		}
+		if len(plainDst) != len(storeDst) {
+			t.Fatalf("capacity %d: emission count differs: plain %d, store %d", capacity, len(plainDst), len(storeDst))
+		}
+		for i := range plainDst {
+			if plainDst[i] != storeDst[i] || !bytes.Equal(plainPkt[i], storePkt[i]) {
+				t.Fatalf("capacity %d: emission %d differs between plain and store runs", capacity, i)
+			}
 		}
 	}
 }
@@ -399,61 +408,81 @@ func FuzzSessionLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 4, 5, 0, 0, 3, 4})
 	f.Add(bytes.Repeat([]byte{2, 3, 4}, 40))
 
+	// The invariants belong to the index, not to the store option: every
+	// input runs against a bounded store and against the defaults.
+	bounded := SessionStoreConfig{
+		MaxGenerations: 6,
+		TTLNanos:       (2 * time.Second).Nanoseconds(),
+		MaxBytes:       12 * int64(params.StateBytes()),
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		v, reg, clk := storeVNF(t, SessionStoreConfig{
-			MaxGenerations: 6,
-			TTLNanos:       (2 * time.Second).Nanoseconds(),
-			MaxBytes:       12 * int64(params.StateBytes()),
-		})
-		for s := 0; s < nSessions; s++ {
-			if err := v.Configure(SessionConfig{ID: ncproto.SessionID(s + 1), Params: params, Role: RoleDecoder}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pktIdx := make([]int, nSessions*nGens)
-		for i, op := range ops {
-			s := i % nSessions
-			g := int(op>>4) % nGens
-			switch op % 6 {
-			case 0, 1, 2: // inject the next packet of (s, g) — may be late for an evicted gen
-				ring := rings[s][g]
-				idx := pktIdx[s*nGens+g] % len(ring)
-				pktIdx[s*nGens+g]++
-				v.InjectPacket(ring[idx])
-			case 3:
-				clk.Advance(time.Second)
-			case 4:
-				v.SweepSessions()
-			case 5: // end, and on odd rounds revive
-				id := ncproto.SessionID(s + 1)
-				v.EndSession(id)
-				if op&0x40 != 0 {
-					if err := v.Configure(SessionConfig{ID: id, Params: params, Role: RoleDecoder}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			n, b := v.SessionStoreStats()
-			if n < 0 || b < 0 {
-				t.Fatalf("op %d: negative accounting: %d generations / %d bytes", i, n, b)
-			}
-			if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != b {
-				t.Fatalf("op %d: gauge (%d) diverged from store accounting (%d)", i, got, b)
-			}
-			if got := reg.Gauge(MetricLiveGenerations, 1).Value(); got != int64(n) {
-				t.Fatalf("op %d: live-generations gauge (%d) diverged from store (%d)", i, got, n)
-			}
-		}
-		for s := 0; s < nSessions; s++ {
-			v.EndSession(ncproto.SessionID(s + 1))
-		}
-		if n, b := v.SessionStoreStats(); n != 0 || b != 0 {
-			t.Fatalf("after teardown: %d generations / %d bytes, want 0 / 0", n, b)
-		}
-		if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != 0 {
-			t.Fatalf("gauge = %d after teardown, want 0", got)
+		for _, cfg := range []SessionStoreConfig{bounded, {}} {
+			sessionLifecycle(t, cfg, rings, ops)
 		}
 	})
+}
+
+func sessionLifecycle(t *testing.T, cfg SessionStoreConfig, rings [][][][]byte, ops []byte) {
+	params := smallParams()
+	nSessions, nGens := len(rings), len(rings[0])
+	v, reg, clk := storeVNF(t, cfg)
+	for s := 0; s < nSessions; s++ {
+		if err := v.Configure(SessionConfig{ID: ncproto.SessionID(s + 1), Params: params, Role: RoleDecoder}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pktIdx := make([]int, nSessions*nGens)
+	for i, op := range ops {
+		s := i % nSessions
+		g := int(op>>4) % nGens
+		switch op % 6 {
+		case 0, 1, 2: // inject the next packet of (s, g) — may be late for an evicted gen
+			ring := rings[s][g]
+			idx := pktIdx[s*nGens+g] % len(ring)
+			pktIdx[s*nGens+g]++
+			v.InjectPacket(ring[idx])
+		case 3:
+			clk.Advance(time.Second)
+		case 4:
+			v.SweepSessions()
+		case 5: // end, and on odd rounds revive
+			id := ncproto.SessionID(s + 1)
+			v.EndSession(id)
+			if op&0x40 != 0 {
+				if err := v.Configure(SessionConfig{ID: id, Params: params, Role: RoleDecoder}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n, b := v.SessionStoreStats()
+		if n < 0 || b < 0 {
+			t.Fatalf("op %d: negative accounting: %d generations / %d bytes", i, n, b)
+		}
+		if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != b {
+			t.Fatalf("op %d: gauge (%d) diverged from store accounting (%d)", i, got, b)
+		}
+		if got := reg.Gauge(MetricLiveGenerations, 1).Value(); got != int64(n) {
+			t.Fatalf("op %d: live-generations gauge (%d) diverged from store (%d)", i, got, n)
+		}
+		live := 0
+		for s := 0; s < nSessions; s++ {
+			if st, ok := v.SessionStatsFor(ncproto.SessionID(s + 1)); ok {
+				live += st.GenerationsActive
+			}
+		}
+		if live != n {
+			t.Fatalf("op %d: sessions hold %d live generations, index tracks %d", i, live, n)
+		}
+	}
+	for s := 0; s < nSessions; s++ {
+		v.EndSession(ncproto.SessionID(s + 1))
+	}
+	if n, b := v.SessionStoreStats(); n != 0 || b != 0 {
+		t.Fatalf("after teardown: %d generations / %d bytes, want 0 / 0", n, b)
+	}
+	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != 0 {
+		t.Fatalf("gauge = %d after teardown, want 0", got)
+	}
 }
 
 // BenchmarkManySessionPipeline measures the serial packet path with the

@@ -31,11 +31,17 @@ const (
 	MetricDependentGF2   = "dataplane_dependent_gf2_packets"
 	MetricDependentGF256 = "dataplane_dependent_gf256_packets"
 
-	// Session-store accounting (WithSessionStore). SessionBytes gauges the
+	// MetricDeliveryOverflow counts decoded generations whose bytes were
+	// thrown away because the application was not draining Deliveries().
+	// They are also counted in MetricGenerationsDone: the decode happened.
+	MetricDeliveryOverflow = "dataplane_delivery_overflow"
+
+	// Generation-index accounting (always on). SessionBytes gauges the
 	// estimated coding-state bytes retained across live generations and
-	// pooled free-list arenas; LiveGenerations gauges tracked (session,
+	// pooled spare records; LiveGenerations gauges tracked (session,
 	// generation) states; GenerationsEvicted counts LRU/TTL/byte-cap
-	// evictions; EvictedDrops counts late packets that arrived for an
+	// evictions (WithSessionStore; FIFO retirement at the buffer capacity is
+	// not an eviction); EvictedDrops counts late packets that arrived for an
 	// already-evicted generation (dropped, never resurrected).
 	MetricSessionBytes       = "dataplane_session_bytes"
 	MetricLiveGenerations    = "dataplane_live_generations"
@@ -74,6 +80,7 @@ type vnfTelemetry struct {
 	forwarded *telemetry.Counter
 	depGF2    *telemetry.Counter
 	depGF256  *telemetry.Counter
+	overflow  *telemetry.Counter // decoded generations dropped at a full Deliveries channel
 
 	// batch observes the run length of each shard drain; decode observes
 	// per-generation decode latency (decoder creation to delivery) in
@@ -87,9 +94,8 @@ type vnfTelemetry struct {
 	// shard worker after every drain; Value() sums to the total backlog.
 	queueDepth *telemetry.Gauge
 
-	// Session-store instruments. The gauges are single-cell: they are only
-	// written under store.mu (or from eviction, which is serialized per
-	// victim), so striping would buy nothing.
+	// Generation-index instruments. The gauges are single-cell: the index
+	// moves them once per accounting change, so striping would buy nothing.
 	sessBytes    *telemetry.Gauge
 	liveGens     *telemetry.Gauge
 	evicted      *telemetry.Counter
@@ -119,6 +125,7 @@ func newVNFTelemetry(reg *telemetry.Registry, workers int) vnfTelemetry {
 		forwarded:  reg.Counter(MetricForwarded, cells),
 		depGF2:     reg.Counter(MetricDependentGF2, cells),
 		depGF256:   reg.Counter(MetricDependentGF256, cells),
+		overflow:   reg.Counter(MetricDeliveryOverflow, cells),
 		batch:      reg.Histogram(MetricBatchPackets),
 		decodeNs:   reg.Histogram(MetricDecodeLatencyNs),
 		tableSwap:  reg.Histogram(MetricTableSwapNs),

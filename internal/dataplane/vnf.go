@@ -92,7 +92,6 @@ type Stats struct {
 type VNF struct {
 	conn  emunet.PacketConn
 	table *ForwardingTable
-	buf   *buffer.Buffer
 	seed  int64
 
 	// codingBytesPerSec, when positive, models coding CPU cost (see
@@ -104,9 +103,11 @@ type VNF struct {
 	mu       sync.RWMutex
 	sessions map[ncproto.SessionID]*sessionState
 
-	// store, when configured (WithSessionStore), bounds live generation
-	// state with LRU/TTL/byte-cap eviction and accounts retained memory.
-	store *sessionStore
+	// store is the generation index: the one owner of which generations are
+	// live. It retires recoder generations FIFO at the buffer capacity,
+	// recycles their records and accounts retained memory; WithSessionStore
+	// adds LRU/TTL/byte-cap eviction on top.
+	store sessionStore
 
 	// pauseSwap selects the legacy pause-swap-resume table update
 	// (WithPauseTableSwap); the default is the RCU path, which publishes a
@@ -201,46 +202,49 @@ type sessionState struct {
 	done    atomic.Uint64
 
 	mu sync.Mutex
-	// emitted counts packets sent per generation per hop-group index
-	// (recoder role).
-	emitted map[ncproto.GenerationID][]int
-	// received counts packets received per generation (recoder role).
-	received map[ncproto.GenerationID]int
-	recoders map[ncproto.GenerationID]*rlnc.Recoder
-	decoders map[ncproto.GenerationID]*rlnc.Decoder
+	// gens holds the session's live generations, one record each (codec,
+	// pacing counters, index links — see genState): the packet path's single
+	// per-generation lookup.
+	gens map[ncproto.GenerationID]*genState
 	// delivered marks generations already handed to the application.
 	delivered map[ncproto.GenerationID]bool
-	// started stamps when each generation's decoder was created (clock
-	// nanoseconds), feeding the decode-latency histogram at delivery.
-	started map[ncproto.GenerationID]int64
 	nextSeed  int64
 	// custom is the pluggable packet module for RoleCustom sessions.
 	custom Function
 
-	// Session-store state (nil/zero unless WithSessionStore is configured).
-	// evicted tombstones generations whose coding state was evicted: late
-	// packets for them are counted as drops and never resurrect state.
-	// maxGen tracks the newest generation seen, bounding the tombstone set
-	// to the reordering window. closed marks a session removed by
-	// EndSession (or replaced by Configure) so racing packet processing
-	// stops tracking it. freeDec/freeRec pool finished codecs for arena
-	// reuse across generations; stateBytes is the per-generation footprint
+	// evicted tombstones generations whose coding state the session store
+	// evicted: late packets for them are counted as drops and never
+	// resurrect state. maxGen tracks the newest generation seen, bounding
+	// the tombstone set to the reordering window. closed marks a session
+	// removed by EndSession (or replaced by Configure) so racing packet
+	// processing stops using it. spare is one unlinked record kept for the
+	// next generation (see sessionStore.pool); stateBytes is the per-generation footprint
 	// estimate (rlnc.Params.StateBytes).
 	evicted    map[ncproto.GenerationID]bool
 	maxGen     ncproto.GenerationID
 	closed     bool
 	stateBytes int64
-	freeDec    []*rlnc.Decoder
-	freeRec    []*rlnc.Recoder
+	spare      *genState
 }
+
+// reorderWindow is how far behind a session's newest generation its
+// delivered marks, tombstones and stale decoders are kept.
+const reorderWindow = 4096
 
 // Option configures a VNF.
 type VNFOption func(*VNF)
 
 // WithBufferCapacity overrides the generation buffer capacity (Fig. 5's
-// sweep parameter); the default is buffer.DefaultCapacity (1024).
+// sweep parameter): how many recoder generations the VNF keeps live, across
+// all sessions, before the oldest by first arrival is retired. The default —
+// also selected by a non-positive value — is buffer.DefaultCapacity (1024).
 func WithBufferCapacity(generations int) VNFOption {
-	return func(v *VNF) { v.buf = buffer.New(generations) }
+	return func(v *VNF) {
+		if generations <= 0 {
+			generations = buffer.DefaultCapacity
+		}
+		v.store.capacity = generations
+	}
 }
 
 // WithSeed fixes the VNF's coding randomness for reproducible tests.
@@ -319,7 +323,7 @@ func NewVNF(conn emunet.PacketConn, opts ...VNFOption) *VNF {
 	v := &VNF{
 		conn:       conn,
 		table:      NewForwardingTable(),
-		buf:        buffer.New(0),
+		store:      sessionStore{capacity: buffer.DefaultCapacity, fifo: genList{i: fifoLinks}, lru: genList{i: lruLinks}},
 		seed:       1,
 		sessions:   make(map[ncproto.SessionID]*sessionState),
 		deliveries: make(chan Delivery, 1024),
@@ -347,6 +351,7 @@ func NewVNF(conn emunet.PacketConn, opts ...VNFOption) *VNF {
 	}
 	v.node = conn.LocalAddr()
 	v.tel = newVNFTelemetry(v.reg, v.workers)
+	v.store.tel = &v.tel
 	return v
 }
 
@@ -403,12 +408,8 @@ func (v *VNF) Configure(cfg SessionConfig) error {
 	old := v.sessions[cfg.ID]
 	v.sessions[cfg.ID] = &sessionState{
 		cfg:        cfg,
-		emitted:    make(map[ncproto.GenerationID][]int),
-		received:   make(map[ncproto.GenerationID]int),
-		recoders:   make(map[ncproto.GenerationID]*rlnc.Recoder),
-		decoders:   make(map[ncproto.GenerationID]*rlnc.Decoder),
+		gens:       make(map[ncproto.GenerationID]*genState),
 		delivered:  make(map[ncproto.GenerationID]bool),
-		started:    make(map[ncproto.GenerationID]int64),
 		nextSeed:   v.seed,
 		stateBytes: int64(cfg.Params.StateBytes()),
 	}
@@ -416,8 +417,7 @@ func (v *VNF) Configure(cfg SessionConfig) error {
 	if old != nil {
 		// Reconfiguring an existing session (a revive) replaces its state
 		// wholesale; release everything the old state pinned.
-		v.retireSessionState(cfg.ID, old)
-		v.buf.DropSession(cfg.ID)
+		v.retireSessionState(old)
 	}
 	return nil
 }
@@ -430,28 +430,21 @@ func (v *VNF) EndSession(id ncproto.SessionID) {
 	delete(v.sessions, id)
 	v.mu.Unlock()
 	if st != nil {
-		v.retireSessionState(id, st)
+		v.retireSessionState(st)
 	}
-	v.buf.DropSession(id)
 	v.table.Delete(id)
 }
 
-// retireSessionState releases the session-store accounting a removed (or
-// replaced) sessionState holds: its live generation entries and its pooled
-// free-list arenas. The closed mark stops a racing packet-processing hold of
-// the old state from re-tracking it afterwards.
-func (v *VNF) retireSessionState(id ncproto.SessionID, st *sessionState) {
-	if v.store == nil {
-		return
-	}
+// retireSessionState drops everything a removed (or replaced) sessionState
+// holds in the generation index: its live records and its pooled spare. The
+// closed mark stops a shard that still holds the old state from recoding or
+// decoding into it afterwards.
+func (v *VNF) retireSessionState(st *sessionState) {
 	st.mu.Lock()
 	st.closed = true
-	freed := st.releaseFreeLists()
+	v.store.removeSession(st)
+	st.gens, st.spare = nil, nil
 	st.mu.Unlock()
-	if freed != 0 {
-		v.store.adjust(-freed, &v.tel)
-	}
-	v.store.removeSession(id, &v.tel)
 }
 
 // Start launches the pipeline: one receive goroutine plus the shard
@@ -520,7 +513,7 @@ func (v *VNF) SessionStatsFor(id ncproto.SessionID) (SessionStats, bool) {
 		return SessionStats{}, false
 	}
 	st.mu.Lock()
-	active := len(st.recoders) + len(st.decoders)
+	active := len(st.gens)
 	st.mu.Unlock()
 	return SessionStats{
 		PacketsIn:         st.pktsIn.Load(),
@@ -724,12 +717,10 @@ func (v *VNF) worker(sh *vnfShard) {
 			buffer.PutPacket(sh.jobs[i].pkt)
 			sh.jobs[i] = pktJob{}
 		}
-		if v.store != nil {
-			// Session-store eviction runs here, between runs, when this
-			// goroutine holds no session or shard lock: victims' st.mu can
-			// be taken freely.
-			v.enforceStore()
-		}
+		// Index eviction and queued teardowns run here, between runs, when
+		// this goroutine holds no session or shard lock: victims' st.mu can
+		// be taken freely.
+		v.enforceStore()
 	}
 }
 
@@ -820,9 +811,7 @@ func (v *VNF) handlePacket(pkt []byte, _ string) {
 	}
 	sh.epoch.Add(1)
 	sh.pauseMu.Unlock()
-	if v.store != nil {
-		v.enforceStore()
-	}
+	v.enforceStore()
 }
 
 // InjectPacket processes one datagram synchronously on the caller's
@@ -902,10 +891,69 @@ func (v *VNF) sendCoded(sh *vnfShard, dst string, wire []byte) bool {
 	return v.conn.Send(dst, wire) == nil
 }
 
+// liveGen resolves gen's live record, refreshing its place in the index. It
+// reports evicted for a tombstoned generation — or one an eviction has
+// already unlinked and queued for teardown — and a nil record for a
+// generation that has none, including one FIFO retirement has queued: its
+// late packet starts a fresh record. Callers hold st.mu.
+func (v *VNF) liveGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) (g *genState, evicted bool) {
+	if st.evicted[gen] {
+		return nil, true
+	}
+	if gen > st.maxGen {
+		st.maxGen = gen
+	}
+	if g = st.gens[gen]; g == nil {
+		return nil, false
+	}
+	switch v.store.touch(g, nowNs) {
+	case genLinked:
+		return g, false
+	case genEvicted:
+		return nil, true
+	}
+	return nil, false
+}
+
+// admitGen starts gen's record: linked into the index (retiring the oldest
+// recoder generation at capacity) with a codec that is fresh, the session's
+// reset spare, or — recycled in place — the retired generation's own.
+// Callers hold st.mu.
+func (v *VNF) admitGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) (*genState, error) {
+	g, inPlace := v.store.admit(st, nowNs)
+	if inPlace {
+		delete(st.gens, g.gen)
+	}
+	var err error
+	switch {
+	case st.cfg.Role == RoleDecoder:
+		if g.dec == nil {
+			g.dec, err = rlnc.NewDecoder(st.cfg.Params)
+		}
+	case g.rec == nil:
+		g.rec, err = rlnc.NewRecoder(st.cfg.Params, st.nextSeed)
+	default:
+		// Reset is pinned bit-identical to NewRecoder(params, seed), so
+		// recycling never changes emitted packets.
+		g.rec.Reset(st.nextSeed)
+	}
+	if err != nil {
+		v.store.remove(g)
+		return nil, err
+	}
+	if g.rec != nil {
+		st.nextSeed++
+	}
+	g.gen, g.received, g.started = gen, 0, nowNs
+	clear(g.emitted)
+	st.gens[gen] = g
+	return g, nil
+}
+
 // recode implements the pipelined intermediate VNF of Sec. III-B2.
 func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
-	key := buffer.GenKey{Session: p.Session, Generation: p.Generation}
 	cb := rlnc.CodedBlock{Coeffs: p.Coeffs, Payload: p.Payload}
+	nowNs := v.clock.Now().UnixNano()
 
 	st.mu.Lock()
 	if st.closed {
@@ -913,7 +961,8 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 		v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
 		return
 	}
-	if st.evicted[p.Generation] {
+	g, evicted := v.liveGen(st, p.Generation, nowNs)
+	if evicted {
 		// Late packet for an evicted generation: count it and drop it; the
 		// state machine never resurrects evicted coding state.
 		st.mu.Unlock()
@@ -921,11 +970,7 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 		v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
 		return
 	}
-	if p.Generation > st.maxGen {
-		st.maxGen = p.Generation
-	}
-	rec, ok := st.recoders[p.Generation]
-	if !ok {
+	if g == nil {
 		if v.draining.Load() {
 			// Drain admission gate: recoding this packet would create
 			// coding state for a new generation. Refuse it so the drain
@@ -934,19 +979,14 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 			v.refuseDrainAdmission(sh.idx+1, p.Session, p.Generation, 1)
 			return
 		}
-		rec = st.takeRecoder(v, st.nextSeed)
-		if rec == nil {
-			var err error
-			rec, err = rlnc.NewRecoder(st.cfg.Params, st.nextSeed)
-			if err != nil {
-				st.mu.Unlock()
-				v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
-				return
-			}
+		var err error
+		if g, err = v.admitGen(st, p.Generation, nowNs); err != nil {
+			st.mu.Unlock()
+			v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
+			return
 		}
-		st.nextSeed++
-		st.recoders[p.Generation] = rec
 	}
+	rec := g.rec
 	uselessBefore := rec.Useless()
 	if err := rec.Add(cb); err != nil {
 		st.mu.Unlock()
@@ -958,30 +998,9 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 		// it consumed upstream capacity without adding information.
 		v.tel.dependent(st.cfg.Params.Field).Inc(sh.idx + 1)
 	}
-	// Track the generation in the shared buffer: it provides per-generation
-	// counting and FIFO capacity management, while the coded state itself
-	// lives in the recoder's rank-limited basis (no payload retained
-	// twice). When the buffer evicts a generation we drop the recoder state
-	// too.
-	count := v.buf.Track(key)
-	for gid := range st.recoders {
-		gk := buffer.GenKey{Session: p.Session, Generation: gid}
-		if !v.buf.Contains(gk) {
-			st.cacheRecoder(v, st.recoders[gid])
-			delete(st.recoders, gid)
-			delete(st.emitted, gid)
-			delete(st.received, gid)
-			if v.store != nil {
-				v.store.remove(gk, &v.tel)
-			}
-		}
-	}
-	if v.store != nil {
-		v.store.touch(st, key, st.stateBytes, v.clock.Now().UnixNano(), &v.tel)
-	}
 
-	st.received[p.Generation]++
-	n := st.received[p.Generation]
+	g.received++
+	n := g.received
 	k := st.cfg.Params.GenerationBlocks
 	inPerGen := st.cfg.InPerGen
 	if inPerGen <= 0 {
@@ -995,11 +1014,12 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 		st.mu.Unlock()
 		return
 	}
-	counters := st.emitted[p.Generation]
-	if len(counters) != len(groups) {
-		// Table changed shape (controller update); restart pacing state.
-		counters = make([]int, len(groups))
+	if len(g.emitted) != len(groups) {
+		// First packet of a fresh record, or the table changed shape
+		// (controller update): restart pacing state.
+		g.emitted = make([]int, len(groups))
 	}
+	counters := g.emitted
 
 	// Pipelined per-hop emission: packets are emitted immediately as
 	// arrivals come in, paced so a full generation's worth of arrivals
@@ -1040,7 +1060,7 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 					sh.emCB = append(sh.emCB, rlnc.CodedBlock{})
 				}
 				out := &sh.emCB[nem]
-				if count == 1 && !firstUsed {
+				if n == 1 && !firstUsed {
 					// First packet of its generation: forward as-is
 					// (Sec. III-B2).
 					firstUsed = true
@@ -1055,7 +1075,6 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 			counters[gi] = target
 		}
 	}
-	st.emitted[p.Generation] = counters
 	// The recoder's work meter covers both the raw-row insert (one payload
 	// copy, coefficient-gated) and the fused gather behind each emission.
 	work := rec.TakeWork()
@@ -1091,6 +1110,7 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 	if len(batch) == 0 {
 		return
 	}
+	nowNs := v.clock.Now().UnixNano()
 	st.mu.Lock()
 	if st.delivered[gen] {
 		st.mu.Unlock()
@@ -1101,7 +1121,8 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 		v.dropPkt(cell, sess, gen, len(batch))
 		return
 	}
-	if st.evicted[gen] {
+	g, evicted := v.liveGen(st, gen, nowNs)
+	if evicted {
 		// Late packets for an evicted generation: counted as drops, never
 		// resurrected.
 		st.mu.Unlock()
@@ -1109,11 +1130,7 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 		v.dropPkt(cell, sess, gen, len(batch))
 		return
 	}
-	if gen > st.maxGen {
-		st.maxGen = gen
-	}
-	dec, ok := st.decoders[gen]
-	if !ok {
+	if g == nil {
 		if v.draining.Load() {
 			// Drain admission gate (see recode): no new per-generation
 			// decoder state while draining.
@@ -1121,23 +1138,14 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 			v.refuseDrainAdmission(cell, sess, gen, len(batch))
 			return
 		}
-		dec = st.takeDecoder(v)
-		if dec == nil {
-			var err error
-			dec, err = rlnc.NewDecoder(st.cfg.Params)
-			if err != nil {
-				st.mu.Unlock()
-				v.dropPkt(cell, sess, gen, len(batch))
-				return
-			}
+		var err error
+		if g, err = v.admitGen(st, gen, nowNs); err != nil {
+			st.mu.Unlock()
+			v.dropPkt(cell, sess, gen, len(batch))
+			return
 		}
-		st.decoders[gen] = dec
-		st.started[gen] = v.clock.Now().UnixNano()
 	}
-	if v.store != nil {
-		v.store.touch(st, buffer.GenKey{Session: sess, Generation: gen},
-			st.stateBytes, v.clock.Now().UnixNano(), &v.tel)
-	}
+	dec := g.dec
 	innovative, err := dec.AddBatch(batch)
 	if err != nil {
 		st.mu.Unlock()
@@ -1148,76 +1156,61 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 		v.tel.dependent(st.cfg.Params.Field).Add(cell, uint64(dep))
 	}
 	if innovative > 0 {
-		v.tel.rec.Record(v.clock.Now().UnixNano(), telemetry.EventRankAdvance, v.node,
+		v.tel.rec.Record(nowNs, telemetry.EventRankAdvance, v.node,
 			uint64(sess), uint64(gen), int64(dec.Rank()))
 	}
-	if !dec.Complete() {
-		work := dec.TakeWork()
-		st.mu.Unlock()
-		v.chargeCodingCost(int(work))
-		return
+	complete := dec.Complete()
+	var data []byte
+	if complete {
+		data, err = dec.Generation()
 	}
-	data, err := dec.Generation()
-	if err != nil {
-		work := dec.TakeWork()
+	work := dec.TakeWork() // on completion, includes the blocked inverse + multiply
+	if !complete || err != nil {
 		st.mu.Unlock()
 		v.chargeCodingCost(int(work))
 		return
 	}
 	st.delivered[gen] = true
-	delete(st.decoders, gen)
-	st.cacheDecoder(v, dec)
-	if v.store != nil {
-		v.store.remove(buffer.GenKey{Session: sess, Generation: gen}, &v.tel)
-	}
-	startNs, timed := st.started[gen]
-	delete(st.started, gen)
+	startNs := g.started
+	v.releaseGen(st, g)
 	// Prune stale decoder state: generations far behind the newest one
 	// will never complete (their packets are gone), and the delivered set
 	// only needs to cover the reordering window.
-	const window = 4096
-	if len(st.delivered) > 2*window || len(st.decoders) > 2*window {
+	if len(st.delivered) > 2*reorderWindow || len(st.gens) > 2*reorderWindow {
 		for gid := range st.delivered {
-			if gid+window < gen {
+			if gid+reorderWindow < gen {
 				delete(st.delivered, gid)
 			}
 		}
-		for gid := range st.decoders {
-			if gid+window < gen {
-				delete(st.decoders, gid)
-				if v.store != nil {
-					v.store.remove(buffer.GenKey{Session: sess, Generation: gid}, &v.tel)
-				}
-			}
-		}
-		for gid := range st.started {
-			if gid+window < gen {
-				delete(st.started, gid)
+		for gid, old := range st.gens {
+			if gid+reorderWindow < gen {
+				v.releaseGen(st, old)
 			}
 		}
 		for gid := range st.evicted {
-			if gid+window < gen {
+			if gid+reorderWindow < gen {
 				delete(st.evicted, gid)
 			}
 		}
 	}
-	work := dec.TakeWork() // includes the blocked inverse + multiply
 	st.mu.Unlock()
 	v.chargeCodingCost(int(work))
 
-	nowNs := v.clock.Now().UnixNano()
-	var latency int64
-	if timed {
-		latency = nowNs - startNs
-		v.tel.decodeNs.Observe(latency)
-	}
-	v.tel.rec.Record(nowNs, telemetry.EventGenerationDecode, v.node,
+	doneNs := v.clock.Now().UnixNano()
+	latency := doneNs - startNs
+	v.tel.decodeNs.Observe(latency)
+	v.tel.rec.Record(doneNs, telemetry.EventGenerationDecode, v.node,
 		uint64(sess), uint64(gen), latency)
 	v.tel.gens.Inc(cell)
 	st.done.Add(1)
 	select {
 	case v.deliveries <- Delivery{Session: sess, Generation: gen, Data: data}:
 	default:
-		// Application not draining; drop oldest behavior is up to it.
+		// The application is not draining Deliveries: the decoded bytes are
+		// thrown away. The generation stays marked delivered (a resend would
+		// meet the same full channel), so say so where an operator looks.
+		v.tel.overflow.Inc(cell)
+		v.tel.rec.Record(doneNs, telemetry.EventPacketDrop, v.node,
+			uint64(sess), uint64(gen), int64(len(data)))
 	}
 }

@@ -17,8 +17,10 @@ type EventType uint8
 // fault-injection history.
 const (
 	EventNone EventType = iota
-	// EventPacketDrop: a malformed, unknown-session, or undecodable packet
-	// was dropped. Value is unused.
+	// EventPacketDrop: malformed, unknown-session, or undecodable packets
+	// were dropped (Value is how many), or a decoded generation was thrown
+	// away because the application was not draining deliveries (Value is
+	// its size in bytes).
 	EventPacketDrop
 	// EventRankAdvance: a decoder gained innovative packets. Value is the
 	// new rank.
