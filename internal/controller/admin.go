@@ -226,9 +226,16 @@ func handleRestart(cfg AdminConfig, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := cfg.Daemon.startDrain(deadline, cfg.Restart); err != nil {
+	// An idle daemon quiesces at once, and the hook replaces the process:
+	// hold it until the answer is on the wire, or the caller reads EOF.
+	answered := make(chan struct{})
+	defer close(answered)
+	if err := cfg.Daemon.startDrain(deadline, func() { <-answered; cfg.Restart() }); err != nil {
 		http.Error(w, err.Error(), lifecycleStatus(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, statusOf(cfg.Daemon))
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
 }

@@ -353,6 +353,33 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, generation); allocs > codec {
 		t.Fatalf("sink allocated %.2f times per generation, want at most the codec's own %.2f", allocs, codec)
 	}
+
+	// A window of generations in flight finishes in bursts: every member's
+	// first packets arrive, then every member's last. Reuse must not depend
+	// on completions and admissions taking turns.
+	const window = finishedSpares
+	burst := func() {
+		for _, part := range [][][]byte{pkts[:1], pkts[1:]} {
+			for i := 0; i < window; i++ {
+				for _, w := range part {
+					readdress(w, 1, gen+ncproto.GenerationID(i))
+					sink.handlePacket(w, "src")
+				}
+			}
+		}
+		gen += window
+		for i := 0; i < window; i++ {
+			<-sink.Deliveries()
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(50, burst); allocs > window*codec {
+		t.Fatalf("sink allocated %.2f times per burst of %d generations, want at most the codec's own %.2f",
+			allocs, window, window*codec)
+	}
+	if n, b := sink.SessionStoreStats(); n != 0 || b != window*int64(params.StateBytes()) {
+		t.Fatalf("idle sink holds %d generations / %d bytes, want 0 / %d pooled spares", n, b, window)
+	}
 }
 
 // BenchmarkRelaySteadyState times a relay where it actually runs: fresh

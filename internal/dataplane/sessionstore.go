@@ -178,7 +178,7 @@ func (s *sessionStore) publish() {
 // it is recycled in place: the returned record is the victim, relinked at
 // the back and still carrying its old generation for the caller to reset
 // (inPlace). A victim of another session goes to the teardown queue, and the
-// new generation takes st's spare or a fresh record.
+// new generation takes one of st's spares or a fresh record.
 func (s *sessionStore) admit(st *sessionState, nowNs int64) (g *genState, inPlace bool) {
 	s.mu.Lock()
 	if st.cfg.Role == RoleRecoder && s.fifo.n >= s.capacity {
@@ -191,8 +191,9 @@ func (s *sessionStore) admit(st *sessionState, nowNs int64) (g *genState, inPlac
 		}
 	}
 	if g == nil {
-		if g = st.spare; g != nil {
-			st.spare = nil
+		if n := len(st.spares); n > 0 {
+			g, st.spares[n-1] = st.spares[n-1], nil
+			st.spares = st.spares[:n-1]
 			s.bytes -= st.stateBytes
 		} else {
 			g = &genState{st: st}
@@ -260,7 +261,7 @@ func (s *sessionStore) remove(g *genState) bool {
 	return owned
 }
 
-// removeSession unlinks every record st still owns and its pooled spare
+// removeSession unlinks every record st still owns and its pooled spares
 // (EndSession, or a Configure replacing the state): a walk of the session's
 // own records, not of the index. Callers hold st.mu.
 func (s *sessionStore) removeSession(st *sessionState) {
@@ -270,9 +271,7 @@ func (s *sessionStore) removeSession(st *sessionState) {
 			s.unlink(g, genUnlinked)
 		}
 	}
-	if st.spare != nil {
-		s.bytes -= st.stateBytes
-	}
+	s.bytes -= int64(len(st.spares)) * st.stateBytes
 	s.publish()
 }
 
@@ -332,7 +331,7 @@ func (v *VNF) SessionStoreStats() (generations int, bytes int64) {
 
 // finishRetired tears down one queued record under its session's mu: forget
 // it (unless a late packet already started a fresh record under the same
-// generation), recycle it as the session's spare, and — for an eviction —
+// generation), recycle it as one of the session's spares, and — for an eviction —
 // tombstone the generation so late packets count as evicted drops instead of
 // resurrecting state, and record the eviction. Reports whether it was one.
 func (v *VNF) finishRetired(g *genState) (evicted bool) {
@@ -361,7 +360,7 @@ func (v *VNF) finishRetired(g *genState) (evicted bool) {
 			}
 		}
 	}
-	v.store.pool(g)
+	v.store.pool(g, 1)
 	st.mu.Unlock()
 	if evicted {
 		v.tel.evicted.Inc(0)
@@ -371,33 +370,45 @@ func (v *VNF) finishRetired(g *genState) (evicted bool) {
 	return evicted
 }
 
-// releaseGen forgets a generation its session is done with and recycles the
+// releaseGen forgets a generation its session is done with — a sink's
+// delivered generation, whose successor is about to arrive — and recycles the
 // record. Callers hold st.mu.
 func (v *VNF) releaseGen(st *sessionState, g *genState) {
 	delete(st.gens, g.gen)
 	if v.store.remove(g) {
-		v.store.pool(g)
+		v.store.pool(g, finishedSpares)
 	}
 }
 
-// pool keeps an unlinked record — codec arena, counters slice and all — as
-// the session's spare for its next generation, or lets it go to GC if the
-// session already has one or is closed. One spare covers the steady state
-// (a sink finishes one generation as the next starts; a relay at capacity
-// recycles in place) without letting thousands of idle sessions pin
-// unbounded arenas. The spare stays on the index's byte accounting, so the
-// dataplane_session_bytes gauge reflects everything the VNF holds onto.
-// Decoders are reset here; a recoder is reset (and reseeded) at reuse, when
-// the session's next seed is drawn. Callers hold g.st.mu.
-func (s *sessionStore) pool(g *genState) {
+// finishedSpares is how many finished records a sink session keeps for its
+// next generations. A window of in-flight generations finishes in bursts —
+// the last packets of several arrive back to back, their successors' first
+// packets later — so one spare would go to the first of a burst and the rest
+// to GC, and whether a generation's decoder is reused or allocated would
+// depend on how completions and admissions interleave. Eight covers the
+// windows the sources run; a deeper window reuses what it can and allocates
+// the rest.
+const finishedSpares = 8
+
+// pool keeps an unlinked record — codec arena, counters slice and all — as a
+// spare for one of the session's next generations, or lets it go to GC if the
+// session is closed or already has limit of them. Retirement and eviction pass
+// a limit of one: a relay at capacity recycles its records in place, and an
+// eviction is there to give memory back. The bound is per session and small,
+// so thousands of idle sessions cannot pin unbounded arenas. Spares stay on
+// the index's byte accounting, so the dataplane_session_bytes gauge reflects
+// everything the VNF holds onto. Decoders are reset here; a recoder is reset
+// (and reseeded) at reuse, when the session's next seed is drawn. Callers hold
+// g.st.mu.
+func (s *sessionStore) pool(g *genState, limit int) {
 	st := g.st
-	if st.closed || st.spare != nil {
+	if st.closed || len(st.spares) >= limit {
 		return
 	}
 	if g.dec != nil {
 		g.dec.Reset()
 	}
-	st.spare = g
+	st.spares = append(st.spares, g)
 	s.mu.Lock()
 	s.bytes += st.stateBytes
 	s.publish()

@@ -217,14 +217,14 @@ type sessionState struct {
 	// resurrect state. maxGen tracks the newest generation seen, bounding
 	// the tombstone set to the reordering window. closed marks a session
 	// removed by EndSession (or replaced by Configure) so racing packet
-	// processing stops using it. spare is one unlinked record kept for the
-	// next generation (see sessionStore.pool); stateBytes is the per-generation footprint
-	// estimate (rlnc.Params.StateBytes).
+	// processing stops using it. spares are unlinked records kept for the
+	// next generations (see sessionStore.pool); stateBytes is the
+	// per-generation footprint estimate (rlnc.Params.StateBytes).
 	evicted    map[ncproto.GenerationID]bool
 	maxGen     ncproto.GenerationID
 	closed     bool
 	stateBytes int64
-	spare      *genState
+	spares     []*genState
 }
 
 // reorderWindow is how far behind a session's newest generation its
@@ -436,14 +436,14 @@ func (v *VNF) EndSession(id ncproto.SessionID) {
 }
 
 // retireSessionState drops everything a removed (or replaced) sessionState
-// holds in the generation index: its live records and its pooled spare. The
+// holds in the generation index: its live records and its pooled spares. The
 // closed mark stops a shard that still holds the old state from recoding or
 // decoding into it afterwards.
 func (v *VNF) retireSessionState(st *sessionState) {
 	st.mu.Lock()
 	st.closed = true
 	v.store.removeSession(st)
-	st.gens, st.spare = nil, nil
+	st.gens, st.spares = nil, nil
 	st.mu.Unlock()
 }
 
