@@ -6,7 +6,7 @@ GO ?= go
 NCLINT := bin/nclint
 NCLINT_SRCS := $(shell find cmd/nclint internal/analysis -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test test-race test-chaos test-soak test-e2e test-rolling vet lint bench bench-hotpath bench-guard bench-e2e cover check
+.PHONY: build test test-portable test-race test-chaos test-soak test-e2e test-rolling vet lint bench bench-hotpath bench-guard bench-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,13 @@ lint: vet $(NCLINT)
 # only the test target runs.
 test: $(NCLINT)
 	$(GO) test ./...
+
+# test-portable runs the codec packages as a 386 build — natively on an
+# amd64 host — which is the only place internal/gf/kernel_other.go (the table
+# loops with no vector body) executes. arm64 and the rest get no closer here
+# than the build-only cross-compile job.
+test-portable:
+	GOARCH=386 $(GO) test ./internal/gf ./internal/rlnc ./internal/matrix ./internal/bitmat
 
 test-race:
 	$(GO) test -race ./...
@@ -70,19 +77,21 @@ test-rolling:
 test-soak:
 	$(GO) test -count=1 -race -v -run 'TestSessionChurnSoak' ./internal/chaostest/
 
+# vet includes asmdecl: the frame sizes and argument offsets of
+# internal/gf/kernel_amd64.s against the Go declarations beside it.
 vet:
 	$(GO) vet ./...
 
 # bench runs the data-plane micro-benchmarks that gate hot-path changes.
 bench:
-	$(GO) test -run 'XXX' -bench 'BenchmarkAddMulSlice|BenchmarkDotProduct|BenchmarkRecode|BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkRecoderPacketProcessing|BenchmarkDecoderBatch|BenchmarkEncodeCodedInto|BenchmarkXorWords|BenchmarkCombineWords|BenchmarkPackBytes|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchmem \
+	$(GO) test -run 'XXX' -bench 'BenchmarkKernel|BenchmarkAddMulSlices|BenchmarkCombineSlices|BenchmarkDotProduct|BenchmarkRecode|BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkRecoderPacketProcessing|BenchmarkDecoderBatch|BenchmarkEncodeCodedInto|BenchmarkXorWords|BenchmarkCombineWords|BenchmarkPackBytes|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchmem \
 		./internal/gf/ ./internal/rlnc/ ./internal/dataplane/
 	$(GO) test -run 'XXX' -bench 'BenchmarkInverse|BenchmarkMulInto|BenchmarkRREF' -benchmem ./internal/matrix/ ./internal/bitmat/
 
 # bench-hotpath is the quick subset: GF kernels and the VNF pipeline.
 bench-hotpath:
 	$(GO) test -run 'XXX' -bench 'BenchmarkVNFPipeline' -benchmem ./internal/dataplane/
-	$(GO) test -run 'XXX' -bench 'BenchmarkAddMulSlice' -benchmem ./internal/gf/
+	$(GO) test -run 'XXX' -bench 'BenchmarkKernel|BenchmarkCombineSlices' -benchmem ./internal/gf/
 
 # bench-guard reruns the guarded hot-path benchmarks — the telemetry-
 # instrumented VNF pipeline, the relay in steady state (fresh generations
@@ -151,4 +160,4 @@ cover:
 		-filefloor ncfn/internal/controller/deployfile.go=80 \
 		-filefloor ncfn/internal/controller/admin.go=80
 
-check: build lint test test-race
+check: build lint test test-portable test-race

@@ -40,8 +40,7 @@ func (c *nullConn) Close() error {
 
 // TestSourceEmissionAllocsConstant is the send-side alloc regression test:
 // with CodedInto and the reusable wire buffer, per-generation allocations
-// must not scale with the number of packets emitted (only the
-// per-generation encoder allocates).
+// must not scale with the number of packets emitted.
 func TestSourceEmissionAllocsConstant(t *testing.T) {
 	measure := func(redundancy int) float64 {
 		src, err := NewSource(newNullConn(), SourceConfig{
@@ -66,6 +65,37 @@ func TestSourceEmissionAllocsConstant(t *testing.T) {
 	heavy := measure(16) // 20 packets per generation
 	if heavy > lean+1 {
 		t.Fatalf("emission allocations scale with packet count: %.1f allocs at redundancy 16 vs %.1f at 0", heavy, lean)
+	}
+}
+
+// TestSourceSteadyStateAllocs pins the source's codec reuse: one encoder,
+// reset per generation, emitting into one coded block — so neither sending
+// nor re-sending a generation allocates (no per-generation source blocks, no
+// per-packet coefficient vectors or payload copies), systematic or not.
+func TestSourceSteadyStateAllocs(t *testing.T) {
+	for _, systematic := range []bool{false, true} {
+		src, err := NewSource(newNullConn(), SourceConfig{
+			Session: 1, Params: smallParams(), Seed: 3, Redundancy: 2, Systematic: systematic,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		src.SetHops([]HopGroup{{Addrs: []string{"sink"}}})
+		data := randomBytes(4, smallParams().GenerationBytes())
+		generation := func() {
+			gid, err := src.SendGeneration(data, false)
+			if err == nil {
+				err = src.ResendGeneration(gid, data, 2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		generation() // size the scratch
+		if allocs := testing.AllocsPerRun(50, generation); allocs != 0 {
+			t.Fatalf("systematic=%v: source allocated %.1f times per generation sent and re-sent, want 0", systematic, allocs)
+		}
 	}
 }
 

@@ -49,10 +49,13 @@ type Source struct {
 	mu      sync.Mutex
 	nextGen ncproto.GenerationID
 
-	// emitMu guards the emission scratch: one reusable coded block, one
+	// emitMu guards the emission scratch: one encoder reset per generation,
+	// the generation's view of the hop groups, one reusable coded block, one
 	// wire buffer, and the tx coalescer — so the steady-state send path
-	// allocates only its per-generation encoder.
+	// allocates nothing.
 	emitMu sync.Mutex
+	enc    *rlnc.Encoder
+	hops   []HopGroup
 	emCB   rlnc.CodedBlock
 	wire   []byte
 	// txc, when non-nil (SourceConfig.TxBatch over a BatchPacketConn),
@@ -69,7 +72,8 @@ type Source struct {
 // NewSource builds a Source over conn. Call Close to release the receive
 // goroutine that collects generation ACKs.
 func NewSource(conn emunet.PacketConn, cfg SourceConfig) (*Source, error) {
-	if err := cfg.Params.Validate(); err != nil {
+	enc, err := rlnc.NewEncoder(cfg.Params, nil, 0)
+	if err != nil {
 		return nil, fmt.Errorf("dataplane: source: %w", err)
 	}
 	if cfg.Clock == nil {
@@ -78,6 +82,7 @@ func NewSource(conn emunet.PacketConn, cfg SourceConfig) (*Source, error) {
 	s := &Source{
 		conn:  conn,
 		cfg:   cfg,
+		enc:   enc,
 		table: NewForwardingTable(),
 		acks:  make(chan AckFrom, 4096),
 		done:  make(chan struct{}),
@@ -202,29 +207,34 @@ func (s *Source) SendGeneration(data []byte, last bool) (ncproto.GenerationID, e
 // fresh random combinations (the reliability path when a generation times
 // out without an ACK).
 func (s *Source) ResendGeneration(gid ncproto.GenerationID, data []byte, extra int) error {
-	enc, err := rlnc.NewEncoder(s.cfg.Params, data, s.cfg.Seed+int64(gid)+77)
-	if err != nil {
-		return err
-	}
-	groups := s.table.Groups(s.cfg.Session)
-	if len(groups) == 0 {
-		return fmt.Errorf("dataplane: source has no next hops")
-	}
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	for _, h := range groups {
+	if err := s.beginGeneration(data, s.cfg.Seed+int64(gid)+77); err != nil {
+		return err
+	}
+	for _, h := range s.hops {
 		dst := h.Pick(s.cfg.Session, gid)
 		if dst == "" {
 			continue
 		}
 		for i := 0; i < extra; i++ {
-			enc.CodedInto(&s.emCB)
+			s.enc.CodedInto(&s.emCB)
 			if err := s.emit(gid, s.emCB, false, false, dst); err != nil {
 				return err
 			}
 		}
 	}
 	return s.flushEmit()
+}
+
+// beginGeneration loads data into the encoder and the session's current hop
+// groups into s.hops (callers hold emitMu).
+func (s *Source) beginGeneration(data []byte, seed int64) error {
+	s.hops = s.table.AppendGroups(s.hops[:0], s.cfg.Session)
+	if len(s.hops) == 0 {
+		return fmt.Errorf("dataplane: source has no next hops")
+	}
+	return s.enc.Reset(data, seed)
 }
 
 // flushEmit drains the tx coalescer at a generation boundary (callers hold
@@ -245,44 +255,27 @@ func (s *Source) flushEmit() error {
 // link's capacity); a group with PerGen == 0 receives the full default
 // budget of generation size + redundancy.
 func (s *Source) sendGenerationAs(gid ncproto.GenerationID, data []byte, last bool) error {
-	enc, err := rlnc.NewEncoder(s.cfg.Params, data, s.cfg.Seed+int64(gid))
-	if err != nil {
-		return err
-	}
-	groups := s.table.Groups(s.cfg.Session)
-	if len(groups) == 0 {
-		return fmt.Errorf("dataplane: source has no next hops")
-	}
-	k := s.cfg.Params.GenerationBlocks
-	def := k + s.cfg.Redundancy
-	emittedTotal := 0
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	for _, h := range groups {
+	if err := s.beginGeneration(data, s.cfg.Seed+int64(gid)); err != nil {
+		return err
+	}
+	def := s.cfg.Params.GenerationBlocks + s.cfg.Redundancy
+	for _, h := range s.hops {
 		dst := h.Pick(s.cfg.Session, gid)
 		if dst == "" {
 			continue
 		}
 		quota := h.quota(def)
 		for i := 0; i < quota; i++ {
-			cb := s.emCB
-			systematic := false
-			if s.cfg.Systematic && emittedTotal < k {
-				var ok bool
-				cb, ok = enc.Systematic()
-				systematic = ok
-				if !ok {
-					enc.CodedInto(&s.emCB)
-					cb = s.emCB
-				}
-			} else {
-				// Allocation-free emission: encode into the reusable block
-				// (conn.Send copies the wire bytes before returning).
-				enc.CodedInto(&s.emCB)
-				cb = s.emCB
+			// Allocation-free emission: encode into the reusable block
+			// (conn.Send copies the wire bytes before returning). The first
+			// k emissions of a systematic source are the source blocks.
+			systematic := s.cfg.Systematic && s.enc.SystematicInto(&s.emCB)
+			if !systematic {
+				s.enc.CodedInto(&s.emCB)
 			}
-			emittedTotal++
-			if err := s.emit(gid, cb, systematic, last, dst); err != nil {
+			if err := s.emit(gid, s.emCB, systematic, last, dst); err != nil {
 				return err
 			}
 		}

@@ -1,222 +1,57 @@
 package gf
 
-import "encoding/binary"
-
-// le shortens the word-at-a-time loads of the wide kernels.
-var le = binary.LittleEndian
-
-// This file provides the fused multi-row kernels the batched decode pipeline
-// is built on. The single-row kernels (AddMulSlice, MulSlice) stream two rows
-// of memory per combination: the source is re-read and the destination
-// re-written for every (coefficient, row) pair. The fused variants amortize
-// that traffic:
-//
-//   - AddMulSlices applies ONE source row to N destination rows with N
-//     coefficients in a single pass: the source is processed in L1-resident
-//     strips, so each strip is read once and reused for all N destinations
-//     ((N+1) rows of traffic instead of 2N).
-//   - CombineSlices accumulates N source rows into ONE destination: the
-//     destination strip stays cache-resident while every source streams
-//     through it once (again (N+1) rows of traffic instead of 2N).
-//   - MulSliceInto is the overwrite counterpart of AddMulSlice (dst = c*src
-//     with no read-modify-write of dst), used to start an accumulation
-//     without zeroing the destination first.
-//
-// All fused kernels reuse the calibrated table/wide dispatch of AddMulSlice.
-
-// fusedStrip is the column-block length of the fused kernels: small enough
-// that one source strip plus the active lookup tables stay L1-resident while
-// destination rows stream through, large enough to amortize the per-call
-// dispatch.
-const fusedStrip = 1024
+// This file provides the fused multi-row operations the batched decode
+// pipeline and the emission paths are built on: one call for a whole
+// (coefficients, rows) combination, so the per-row dispatch — skip a zero
+// coefficient, XOR for one, copy or scale to start an accumulation — is
+// written once. Rows are block-sized (at most an MTU), so source and
+// destination stay L1-resident across the rows of a call without blocking
+// the columns into strips.
 
 // AddMulSlices computes dsts[j][i] += cs[j] * src[i] for every destination
-// row j and column i — one source row applied to N destination rows in a
-// single strip-blocked pass. len(dsts) must equal len(cs) and every
-// destination must have the source's length. Rows with a zero coefficient
-// are skipped; no destination may alias src.
+// row j and column i — one source row applied to N destination rows.
+// len(dsts) must equal len(cs) and every destination must have the source's
+// length. Rows with a zero coefficient are skipped; no destination may alias
+// src.
 //
 //nc:hotpath
 func AddMulSlices(dsts [][]byte, src []byte, cs []byte) {
 	if len(dsts) != len(cs) {
 		panic("gf: AddMulSlices rows/coeffs mismatch")
 	}
-	for _, d := range dsts {
-		if len(d) != len(src) {
-			panic("gf: AddMulSlices length mismatch")
-		}
-	}
-	if len(src) == 0 {
-		return
-	}
-	wide := false
-	if len(src) >= kernelDispatchMin {
-		calibrateOnce.Do(calibrateKernel)
-		wide = wideKernel.Load()
-	}
-	for off := 0; off < len(src); off += fusedStrip {
-		end := off + fusedStrip
-		if end > len(src) {
-			end = len(src)
-		}
-		s := src[off:end]
-		for j, d := range dsts {
-			switch c := cs[j]; c {
-			case 0:
-			case 1:
-				xorSlice(d[off:end], s)
-			default:
-				if wide {
-					addMulSliceWide(d[off:end], s, c)
-				} else {
-					addMulSliceTable(d[off:end], s, c)
-				}
-			}
-		}
+	for j, d := range dsts {
+		AddMulSlice(d, src, cs[j])
 	}
 }
 
 // CombineSlices sets dst[i] = sum_j cs[j] * srcs[j][i] — N source rows
-// gathered into one destination in a single strip-blocked pass (the emission
-// kernel of the recoder: one fresh coded block from the whole stored span).
-// dst is overwritten; it must not alias any source. len(srcs) must equal
-// len(cs) and every source must have dst's length.
+// gathered into one destination (the emission kernel of the recoder: one
+// fresh coded block from the whole stored span). dst is overwritten; it must
+// not alias any source. len(srcs) must equal len(cs) and every source must
+// have dst's length.
 //
 //nc:hotpath
 func CombineSlices(dst []byte, srcs [][]byte, cs []byte) {
 	if len(srcs) != len(cs) {
 		panic("gf: CombineSlices rows/coeffs mismatch")
 	}
-	for _, s := range srcs {
+	started := false
+	for j, s := range srcs {
 		if len(s) != len(dst) {
 			panic("gf: CombineSlices length mismatch")
 		}
-	}
-	if len(dst) == 0 {
-		return
-	}
-	wide := false
-	if len(dst) >= kernelDispatchMin {
-		calibrateOnce.Do(calibrateKernel)
-		wide = wideKernel.Load()
-	}
-	for off := 0; off < len(dst); off += fusedStrip {
-		end := off + fusedStrip
-		if end > len(dst) {
-			end = len(dst)
-		}
-		d := dst[off:end]
-		started := false
-		for j, s := range srcs {
-			c := cs[j]
-			if c == 0 {
-				continue
-			}
-			ss := s[off:end]
-			switch {
-			case !started && c == 1:
-				copy(d, ss)
-			case !started:
-				if wide {
-					mulSliceWide(d, ss, c)
-				} else {
-					mulSliceTable(d, ss, c)
-				}
-			case c == 1:
-				xorSlice(d, ss)
-			default:
-				if wide {
-					addMulSliceWide(d, ss, c)
-				} else {
-					addMulSliceTable(d, ss, c)
-				}
-			}
+		switch c := cs[j]; {
+		case c == 0:
+		case started:
+			AddMulSlice(dst, s, c)
+		default:
+			MulSlice(dst, s, c)
 			started = true
 		}
-		if !started {
-			for i := range d {
-				d[i] = 0
-			}
-		}
 	}
-}
-
-// MulSliceInto sets dst[i] = c * src[i] — the overwrite counterpart of
-// AddMulSlice, with the same calibrated table/wide kernel dispatch. dst and
-// src must have the same length; they may alias only if identical slices.
-//
-//nc:hotpath
-func MulSliceInto(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf: MulSliceInto length mismatch")
-	}
-	switch c {
-	case 0:
+	if !started {
 		for i := range dst {
 			dst[i] = 0
 		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	if len(dst) >= kernelDispatchMin {
-		calibrateOnce.Do(calibrateKernel)
-		if wideKernel.Load() {
-			mulSliceWide(dst, src, c)
-			return
-		}
-	}
-	mulSliceTable(dst, src, c)
-}
-
-// mulSliceTable is the full-table overwrite kernel: one indexed load per
-// byte, eight bytes per iteration.
-//
-//nc:hotpath
-func mulSliceTable(dst, src []byte, c byte) {
-	row := &_tables.mul[c]
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		d[0] = row[s[0]]
-		d[1] = row[s[1]]
-		d[2] = row[s[2]]
-		d[3] = row[s[3]]
-		d[4] = row[s[4]]
-		d[5] = row[s[5]]
-		d[6] = row[s[6]]
-		d[7] = row[s[7]]
-	}
-	for ; i < n; i++ {
-		dst[i] = row[src[i]]
-	}
-}
-
-// mulSliceWide is the 64-bit-wide split nibble-table overwrite kernel.
-//
-//nc:hotpath
-func mulSliceWide(dst, src []byte, c byte) {
-	lo := &_tables.mulLo[c]
-	hi := &_tables.mulHi[c]
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := le.Uint64(src[i:])
-		r := uint64(lo[s&15] ^ hi[(s>>4)&15])
-		r |= uint64(lo[(s>>8)&15]^hi[(s>>12)&15]) << 8
-		r |= uint64(lo[(s>>16)&15]^hi[(s>>20)&15]) << 16
-		r |= uint64(lo[(s>>24)&15]^hi[(s>>28)&15]) << 24
-		r |= uint64(lo[(s>>32)&15]^hi[(s>>36)&15]) << 32
-		r |= uint64(lo[(s>>40)&15]^hi[(s>>44)&15]) << 40
-		r |= uint64(lo[(s>>48)&15]^hi[(s>>52)&15]) << 48
-		r |= uint64(lo[(s>>56)&15]^hi[(s>>60)&15]) << 56
-		le.PutUint64(dst[i:], r)
-	}
-	for ; i < n; i++ {
-		b := src[i]
-		dst[i] = lo[b&15] ^ hi[b>>4]
 	}
 }

@@ -16,10 +16,10 @@ package gf
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 )
+
+// le shortens the word-at-a-time loads of the portable loops.
+var le = binary.LittleEndian
 
 // Poly is the primitive polynomial used to construct the field,
 // x^8 + x^4 + x^3 + x^2 + 1.
@@ -44,9 +44,7 @@ type tables struct {
 	// mulLo[c][n] = c * n and mulHi[c][n] = c * (n << 4). Because field
 	// multiplication is linear over GF(2), c*b = mulLo[c][b&0xF] ^
 	// mulHi[c][b>>4]. Each multiplier needs just 32 bytes of table (two
-	// cache lines), the pure-Go analogue of the 16-entry shuffle tables
-	// SIMD RLNC kernels use; the wide kernel composes the two lookups a
-	// 64-bit word at a time.
+	// cache lines): the 16-entry shuffle tables of the vector kernel.
 	mulLo [Order][16]byte
 	mulHi [Order][16]byte
 }
@@ -136,8 +134,12 @@ func Log(a byte) int {
 	return int(_tables.log[a])
 }
 
-// MulSlice sets dst[i] = c * src[i] for every i. dst and src must have the
-// same length; dst and src may alias.
+// MulSlice sets dst[i] = c * src[i] for every i — the overwrite counterpart
+// of AddMulSlice, used to scale a row in place and to start an accumulation
+// without zeroing the destination first. dst and src must have the same
+// length; they may alias only if identical slices.
+//
+//nc:hotpath
 func MulSlice(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
 		panic("gf: MulSlice length mismatch")
@@ -147,14 +149,10 @@ func MulSlice(dst, src []byte, c byte) {
 		for i := range dst {
 			dst[i] = 0
 		}
-		return
 	case 1:
 		copy(dst, src)
-		return
-	}
-	row := &_tables.mul[c]
-	for i, s := range src {
-		dst[i] = row[s]
+	default:
+		mulKernel(dst, src, c)
 	}
 }
 
@@ -162,10 +160,10 @@ func MulSlice(dst, src []byte, c byte) {
 // equivalent of an AXPY kernel). dst and src must have the same length and
 // must not alias unless they are identical slices with c == 0 or c == 1.
 //
-// Two kernels back this entry point: the 64 KiB full-table kernel
-// (AddMulSliceTable) and the split nibble-table wide kernel
-// (AddMulSliceWide). A one-time micro-calibration on first use picks the
-// faster one for this machine; SetWideKernel overrides the choice.
+// Each of the three row operations (this one, MulSlice, XorSlice) has one
+// kernel: a vector body where the platform has one, chosen at package init
+// (kernel_amd64.go), and the table loops below for rows shorter than a
+// vector and everywhere else (kernel_other.go).
 //
 //nc:hotpath
 func AddMulSlice(dst, src []byte, c byte) {
@@ -174,40 +172,25 @@ func AddMulSlice(dst, src []byte, c byte) {
 	}
 	switch c {
 	case 0:
-		return
 	case 1:
-		// Addition is XOR; process a machine word at a time. This is the
-		// systematic-packet fast path on every recoder and decoder.
-		xorSlice(dst, src)
-		return
+		// Addition is XOR: the systematic-packet fast path on every recoder
+		// and decoder.
+		xorKernel(dst, src)
+	default:
+		addMulKernel(dst, src, c)
 	}
-	if len(dst) >= kernelDispatchMin {
-		calibrateOnce.Do(calibrateKernel)
-		if wideKernel.Load() {
-			addMulSliceWide(dst, src, c)
-			return
-		}
-	}
-	addMulSliceTable(dst, src, c)
 }
 
-// AddMulSliceTable is the full-table kernel behind AddMulSlice: one 64 KiB
-// product table, one indexed load per byte. Exposed for benchmarking the
-// kernel dispatch.
-func AddMulSliceTable(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf: AddMulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		xorSlice(dst, src)
-		return
-	}
-	addMulSliceTable(dst, src, c)
-}
+// WideKernelSelected reports false: the start-up race between a "wide" and
+// a table kernel is gone (one kernel per operation, chosen by CPUID). The
+// function survives because the whole-system benchmark records it.
+func WideKernelSelected() bool { return false }
 
+// addMulSliceTable is the portable dst[i] ^= c*src[i] loop: one 64 KiB
+// product table, one indexed load per byte. It takes the rows too short for
+// the vector kernel, is the whole kernel where there is no vector body, and
+// is the oracle the kernel tests compare against.
+//
 //nc:hotpath
 func addMulSliceTable(dst, src []byte, c byte) {
 	row := &_tables.mul[c]
@@ -231,113 +214,40 @@ func addMulSliceTable(dst, src []byte, c byte) {
 	}
 }
 
-// AddMulSliceWide is the 64-bit-wide split nibble-table kernel behind
-// AddMulSlice: the multiplier's two 16-entry tables (32 bytes, two cache
-// lines) are composed word-at-a-time, so the whole working set of the
-// multiply stays cache-resident no matter how many distinct coefficients a
-// recode mixes. Exposed for benchmarking the kernel dispatch.
-func AddMulSliceWide(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf: AddMulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		xorSlice(dst, src)
-		return
-	}
-	addMulSliceWide(dst, src, c)
-}
-
+// mulSliceTable is the portable dst[i] = c*src[i] loop.
+//
 //nc:hotpath
-func addMulSliceWide(dst, src []byte, c byte) {
-	lo := &_tables.mulLo[c]
-	hi := &_tables.mulHi[c]
+func mulSliceTable(dst, src []byte, c byte) {
+	row := &_tables.mul[c]
 	n := len(src)
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		s := binary.LittleEndian.Uint64(src[i:])
-		r := uint64(lo[s&15] ^ hi[(s>>4)&15])
-		r |= uint64(lo[(s>>8)&15]^hi[(s>>12)&15]) << 8
-		r |= uint64(lo[(s>>16)&15]^hi[(s>>20)&15]) << 16
-		r |= uint64(lo[(s>>24)&15]^hi[(s>>28)&15]) << 24
-		r |= uint64(lo[(s>>32)&15]^hi[(s>>36)&15]) << 32
-		r |= uint64(lo[(s>>40)&15]^hi[(s>>44)&15]) << 40
-		r |= uint64(lo[(s>>48)&15]^hi[(s>>52)&15]) << 48
-		r |= uint64(lo[(s>>56)&15]^hi[(s>>60)&15]) << 56
-		d := binary.LittleEndian.Uint64(dst[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^r)
+		d := dst[i : i+8 : i+8]
+		s := src[i : i+8 : i+8]
+		d[0] = row[s[0]]
+		d[1] = row[s[1]]
+		d[2] = row[s[2]]
+		d[3] = row[s[3]]
+		d[4] = row[s[4]]
+		d[5] = row[s[5]]
+		d[6] = row[s[6]]
+		d[7] = row[s[7]]
 	}
 	for ; i < n; i++ {
-		b := src[i]
-		dst[i] ^= lo[b&15] ^ hi[b>>4]
+		dst[i] = row[src[i]]
 	}
 }
 
-// kernelDispatchMin is the slice length below which AddMulSlice always uses
-// the table kernel: tiny slices (coefficient vectors) are dominated by call
-// overhead, not kernel choice.
-const kernelDispatchMin = 64
-
-var (
-	calibrateOnce sync.Once
-	wideKernel    atomic.Bool
-)
-
-// calibrateKernel times both kernels on an MTU-sized block and selects the
-// faster one. Ties go to the table kernel. The measurement costs a few
-// microseconds and runs once per process.
-func calibrateKernel() {
-	const reps = 64
-	src := make([]byte, 1460)
-	dst := make([]byte, 1460)
-	for i := range src {
-		src[i] = byte(i*31 + 7)
-	}
-	time.Sleep(0) // yield once so the timing slice starts fresh
-	run := func(f func(dst, src []byte, c byte)) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 3; trial++ {
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				f(dst, src, byte(i%254)+2)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	table := run(addMulSliceTable)
-	wide := run(addMulSliceWide)
-	wideKernel.Store(wide < table)
-}
-
-// SetWideKernel forces AddMulSlice's kernel choice (true selects the split
-// nibble-table wide kernel, false the 64 KiB table kernel), overriding the
-// automatic calibration. Both kernels produce identical results; this only
-// affects speed. Intended for benchmarks and tests.
-func SetWideKernel(enabled bool) {
-	calibrateOnce.Do(func() {}) // disarm auto-calibration
-	wideKernel.Store(enabled)
-}
-
-// WideKernelSelected reports whether AddMulSlice currently dispatches large
-// slices to the wide kernel.
-func WideKernelSelected() bool {
-	calibrateOnce.Do(calibrateKernel)
-	return wideKernel.Load()
-}
-
-// xorSlice computes dst[i] ^= src[i] eight bytes at a time.
+// xorSlice is the portable dst[i] ^= src[i] loop, eight bytes at a time.
+//
+//nc:hotpath
 func xorSlice(dst, src []byte) {
 	n := len(src)
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
+		d := le.Uint64(dst[i:])
+		s := le.Uint64(src[i:])
+		le.PutUint64(dst[i:], d^s)
 	}
 	for ; i < n; i++ {
 		dst[i] ^= src[i]

@@ -1,11 +1,5 @@
 package gf
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
 // This file provides the word-wide GF(2) execution path. Over the binary
 // field every coefficient is one bit and addmul degenerates to a conditional
 // XOR — no tables at all — so the natural unit of work is the 64-bit machine
@@ -15,11 +9,10 @@ import (
 // 64 coefficients per word, so eliminating a row at generation size k costs
 // k/64 word ops instead of k byte ops.
 //
-// The layout mirrors the GF(2^8) kernels: two kernel variants behind a
-// one-time micro-calibration (XorWords), fused multi-row variants
-// (XorWordsMulti, CombineWords) that strip-block to keep the active rows
-// L1-resident, and pack/unpack helpers that bridge the byte payloads on the
-// wire to the packed words the codec state holds.
+// The layout mirrors the GF(2^8) kernels: one row kernel (XorWords), fused
+// multi-row variants (XorWordsMulti, CombineWords) that strip-block to keep
+// the active rows L1-resident, and pack/unpack helpers that bridge the byte
+// payloads on the wire to the packed words the codec state holds.
 
 // WordBits is the number of GF(2) coefficients (or payload bits) per packed
 // word.
@@ -124,50 +117,35 @@ func SetBit(bits []uint64, i int) {
 	bits[i/WordBits] |= 1 << (i % WordBits)
 }
 
-// XorSlice computes dst[i] ^= src[i] over byte slices, eight bytes at a
-// time — GF(2) addition on unpacked payloads (and the c==1 fast path of the
-// GF(2^8) kernels). dst and src must have the same length.
+// XorSlice computes dst[i] ^= src[i] over byte slices — GF(2) addition on
+// unpacked payloads, through the same kernel as the c==1 path of
+// AddMulSlice. dst and src must have the same length.
 //
 //nc:hotpath
 func XorSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf: XorSlice length mismatch")
 	}
-	xorSlice(dst, src)
+	xorKernel(dst, src)
 }
 
 // XorWords computes dst[i] ^= src[i] over packed words — the GF(2) row
 // operation. src may be shorter than dst (only the overlap is combined),
 // which lets a short packed row fold into a longer scratch row.
 //
-// Two kernels back this entry point: a 4x-unrolled variant and a plain
-// loop. A one-time micro-calibration on first use picks the faster one for
-// this machine; SetUnrolledXor overrides the choice.
-//
 //nc:hotpath
 func XorWords(dst, src []uint64) {
 	if len(src) > len(dst) {
 		panic("gf: XorWords source longer than destination")
 	}
-	if len(src) >= xorDispatchMinWords {
-		xorCalibrateOnce.Do(calibrateXorKernel)
-		if xorUnrolled.Load() {
-			xorWordsUnroll(dst, src)
-			return
-		}
-	}
-	xorWordsLoop(dst, src)
+	xorWords(dst, src)
 }
 
+// xorWords is XorWords without the length check, four words per iteration:
+// BenchmarkXorWords has it at 1.7x a plain range loop on an MTU-sized row.
+//
 //nc:hotpath
-func xorWordsLoop(dst, src []uint64) {
-	for i, s := range src {
-		dst[i] ^= s
-	}
-}
-
-//nc:hotpath
-func xorWordsUnroll(dst, src []uint64) {
+func xorWords(dst, src []uint64) {
 	n := len(src)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -195,64 +173,9 @@ func AddMulWords(dst, src []uint64, c byte) {
 	XorWords(dst, src)
 }
 
-// xorDispatchMinWords is the row length (in words) below which XorWords
-// always uses the plain loop: tiny rows (packed coefficient bitmaps) are
-// dominated by call overhead, not kernel choice.
-const xorDispatchMinWords = 8
-
-var (
-	xorCalibrateOnce sync.Once
-	xorUnrolled      atomic.Bool
-)
-
-// calibrateXorKernel times both XOR kernels on an MTU-sized packed row and
-// selects the faster one. Ties go to the plain loop. The measurement costs a
-// few microseconds and runs once per process.
-func calibrateXorKernel() {
-	const reps = 64
-	src := make([]uint64, WordsForBytes(1460))
-	dst := make([]uint64, WordsForBytes(1460))
-	for i := range src {
-		src[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
-	}
-	time.Sleep(0) // yield once so the timing slice starts fresh
-	run := func(f func(dst, src []uint64)) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 3; trial++ {
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				f(dst, src)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	loop := run(xorWordsLoop)
-	unroll := run(xorWordsUnroll)
-	xorUnrolled.Store(unroll < loop)
-}
-
-// SetUnrolledXor forces XorWords's kernel choice (true selects the
-// 4x-unrolled kernel, false the plain loop), overriding the automatic
-// calibration. Both kernels produce identical results; this only affects
-// speed. Intended for benchmarks and tests.
-func SetUnrolledXor(enabled bool) {
-	xorCalibrateOnce.Do(func() {}) // disarm auto-calibration
-	xorUnrolled.Store(enabled)
-}
-
-// UnrolledXorSelected reports whether XorWords currently dispatches long
-// rows to the unrolled kernel.
-func UnrolledXorSelected() bool {
-	xorCalibrateOnce.Do(calibrateXorKernel)
-	return xorUnrolled.Load()
-}
-
 // fusedStripWords is the column-block length (in words) of the fused packed
-// kernels: 1 KiB strips, matching fusedStrip of the byte kernels.
-const fusedStripWords = fusedStrip / 8
+// kernels: 1 KiB strips.
+const fusedStripWords = 1024 / 8
 
 // XorWordsMulti XORs ONE packed source row into every destination row with
 // an odd coefficient, in a single strip-blocked pass — the packed analogue
@@ -270,11 +193,6 @@ func XorWordsMulti(dsts [][]uint64, src []uint64, cs []byte) {
 			panic("gf: XorWordsMulti length mismatch")
 		}
 	}
-	unroll := false
-	if len(src) >= xorDispatchMinWords {
-		xorCalibrateOnce.Do(calibrateXorKernel)
-		unroll = xorUnrolled.Load()
-	}
 	for off := 0; off < len(src); off += fusedStripWords {
 		end := off + fusedStripWords
 		if end > len(src) {
@@ -285,11 +203,7 @@ func XorWordsMulti(dsts [][]uint64, src []uint64, cs []byte) {
 			if cs[j]&1 == 0 {
 				continue
 			}
-			if unroll {
-				xorWordsUnroll(d[off:end:end], s)
-			} else {
-				xorWordsLoop(d[off:end:end], s)
-			}
+			xorWords(d[off:end:end], s)
 		}
 	}
 }
@@ -311,11 +225,6 @@ func CombineWords(dst []uint64, srcs [][]uint64, cs []byte) {
 			panic("gf: CombineWords length mismatch")
 		}
 	}
-	unroll := false
-	if len(dst) >= xorDispatchMinWords {
-		xorCalibrateOnce.Do(calibrateXorKernel)
-		unroll = xorUnrolled.Load()
-	}
 	for off := 0; off < len(dst); off += fusedStripWords {
 		end := off + fusedStripWords
 		if end > len(dst) {
@@ -333,11 +242,7 @@ func CombineWords(dst []uint64, srcs [][]uint64, cs []byte) {
 				started = true
 				continue
 			}
-			if unroll {
-				xorWordsUnroll(d, ss)
-			} else {
-				xorWordsLoop(d, ss)
-			}
+			xorWords(d, ss)
 		}
 		if !started {
 			for i := range d {

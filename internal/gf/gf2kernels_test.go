@@ -105,24 +105,21 @@ func TestSetBit(t *testing.T) {
 	}
 }
 
-func TestXorWordsBothKernels(t *testing.T) {
+func TestXorWordsMatchesWordwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 3, 4, 7, 8, 183, 184} {
 		src := make([]uint64, n)
+		got := make([]uint64, n)
+		want := make([]uint64, n)
 		for i := range src {
 			src[i] = rng.Uint64()
+			got[i] = rng.Uint64()
+			want[i] = got[i] ^ src[i]
 		}
-		a := make([]uint64, n)
-		b := make([]uint64, n)
-		for i := range a {
-			a[i] = rng.Uint64()
-			b[i] = a[i]
-		}
-		xorWordsLoop(a, src)
-		xorWordsUnroll(b, src)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d word %d: kernels diverge", n, i)
+		XorWords(got, src)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d word %d: XorWords differs from a word-by-word XOR", n, i)
 			}
 		}
 	}
@@ -152,19 +149,6 @@ func TestXorSliceLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	XorSlice(make([]byte, 1), make([]byte, 2))
-}
-
-func TestSetUnrolledXorOverride(t *testing.T) {
-	prev := UnrolledXorSelected()
-	defer SetUnrolledXor(prev)
-	SetUnrolledXor(true)
-	if !UnrolledXorSelected() {
-		t.Fatal("SetUnrolledXor(true) not observed")
-	}
-	SetUnrolledXor(false)
-	if UnrolledXorSelected() {
-		t.Fatal("SetUnrolledXor(false) not observed")
-	}
 }
 
 func TestAddMulWords(t *testing.T) {
@@ -308,9 +292,8 @@ func TestCombineWordsZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkXorWords is the GF(2) kernel benchmark mirrored on
-// BenchmarkAddMulSlice: one MTU-sized packed row per op, both kernel
-// variants pinned explicitly. Guarded by benchguard baselines.
+// BenchmarkXorWords is the GF(2) kernel benchmark: one MTU-sized packed row
+// per op. Guarded by benchguard baselines.
 func BenchmarkXorWords(b *testing.B) {
 	words := WordsForBytes(1460)
 	dst := make([]uint64, words)
@@ -318,18 +301,11 @@ func BenchmarkXorWords(b *testing.B) {
 	for i := range src {
 		src[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
 	}
-	b.Run("loop", func(b *testing.B) {
+	b.Run("words", func(b *testing.B) {
 		b.SetBytes(1460)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			xorWordsLoop(dst, src)
-		}
-	})
-	b.Run("unroll", func(b *testing.B) {
-		b.SetBytes(1460)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			xorWordsUnroll(dst, src)
+			XorWords(dst, src)
 		}
 	})
 	b.Run("bytes", func(b *testing.B) {

@@ -2,7 +2,6 @@ package gf
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -305,18 +304,6 @@ func BenchmarkMul(b *testing.B) {
 	_ = acc
 }
 
-func BenchmarkAddMulSlice1460(b *testing.B) {
-	// 1460 bytes is the paper's block size.
-	src := make([]byte, 1460)
-	dst := make([]byte, 1460)
-	rand.New(rand.NewSource(2)).Read(src)
-	b.SetBytes(1460)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(dst, src, byte(i%255)+1)
-	}
-}
-
 func TestXorSliceMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -336,53 +323,24 @@ func TestXorSliceMatchesBytewise(t *testing.T) {
 	}
 }
 
-func BenchmarkAddMulSliceXOR1460(b *testing.B) {
-	src := make([]byte, 1460)
-	dst := make([]byte, 1460)
-	rand.New(rand.NewSource(3)).Read(src)
-	b.SetBytes(1460)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(dst, src, 1)
-	}
-}
-
-func TestAddMulSliceWideMatchesTable(t *testing.T) {
-	// The wide nibble-table kernel and the 64 KiB table kernel must agree
-	// for every multiplier, across lengths covering the word loop, the
-	// byte tail, and the empty slice.
-	rng := rand.New(rand.NewSource(77))
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 100, 1460} {
-		src := make([]byte, n)
-		base := make([]byte, n)
+func TestAddMulSliceDispatchBothKernels(t *testing.T) {
+	// The public entry point must give the table loop's result whichever
+	// body runs: below one vector, exactly one, and a block with a tail.
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 31, 32, 1460} {
+		src, base := make([]byte, n), make([]byte, n)
 		rng.Read(src)
 		rng.Read(base)
-		for c := 0; c < 256; c++ {
-			dt := append([]byte(nil), base...)
-			dw := append([]byte(nil), base...)
-			AddMulSliceTable(dt, src, byte(c))
-			AddMulSliceWide(dw, src, byte(c))
-			if !bytes.Equal(dt, dw) {
-				t.Fatalf("n=%d c=%d: kernels disagree", n, c)
+		for _, c := range []byte{0, 1, 0x5B} {
+			want := append([]byte(nil), base...)
+			for i := range want {
+				want[i] ^= Mul(c, src[i])
 			}
-		}
-	}
-}
-
-func TestAddMulSliceDispatchBothKernels(t *testing.T) {
-	// Whatever calibration picked, forcing either kernel through the
-	// public dispatch must give identical results.
-	defer SetWideKernel(WideKernelSelected())
-	src := make([]byte, 1460)
-	rand.New(rand.NewSource(9)).Read(src)
-	want := make([]byte, 1460)
-	AddMulSliceTable(want, src, 0x5B)
-	for _, wide := range []bool{false, true} {
-		SetWideKernel(wide)
-		dst := make([]byte, 1460)
-		AddMulSlice(dst, src, 0x5B)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("wide=%v: dispatch result differs from table kernel", wide)
+			dst := append([]byte(nil), base...)
+			AddMulSlice(dst, src, c)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("n=%d c=%d: AddMulSlice differs from bytewise Mul", n, c)
+			}
 		}
 	}
 }
@@ -394,39 +352,13 @@ func TestAddMulSliceZeroAlloc(t *testing.T) {
 	dst := make([]byte, 1460)
 	rand.New(rand.NewSource(10)).Read(src)
 	for name, f := range map[string]func(){
-		"dispatch": func() { AddMulSlice(dst, src, 0xA7) },
-		"table":    func() { AddMulSliceTable(dst, src, 0xA7) },
-		"wide":     func() { AddMulSliceWide(dst, src, 0xA7) },
-		"xor":      func() { AddMulSlice(dst, src, 1) },
+		"addmul": func() { AddMulSlice(dst, src, 0xA7) },
+		"mul":    func() { MulSlice(dst, src, 0xA7) },
+		"xor":    func() { AddMulSlice(dst, src, 1) },
+		"table":  func() { addMulSliceTable(dst, src, 0xA7) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s kernel: %v allocs per run, want 0", name, allocs)
 		}
-	}
-}
-
-func BenchmarkAddMulSliceTable1460(b *testing.B) {
-	src := make([]byte, 1460)
-	dst := make([]byte, 1460)
-	rand.New(rand.NewSource(4)).Read(src)
-	b.SetBytes(1460)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSliceTable(dst, src, byte(i%255)+1)
-	}
-}
-
-func BenchmarkAddMulSliceWide(b *testing.B) {
-	for _, n := range []int{64, 1460} {
-		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
-			src := make([]byte, n)
-			dst := make([]byte, n)
-			rand.New(rand.NewSource(5)).Read(src)
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				AddMulSliceWide(dst, src, byte(i%255)+1)
-			}
-		})
 	}
 }

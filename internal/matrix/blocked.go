@@ -7,10 +7,10 @@ import (
 )
 
 // This file holds the blocked variants of the elimination and multiply
-// routines. "Blocked" here means built on the strip-blocked fused kernels in
+// routines. "Blocked" here means built on the fused multi-row kernels in
 // internal/gf: each pivot (or product) row is applied to every affected row
-// in one AddMulSlices pass, so the hot row is read once per L1-resident strip
-// instead of once per destination row. For the k x (k + blockSize) systems
+// in one AddMulSlices pass, so the hot row stays L1-resident across its
+// destination rows. For the k x (k + blockSize) systems
 // the batched decoder solves, this roughly halves memory traffic versus the
 // row-at-a-time RREF/Mul above.
 
@@ -88,7 +88,7 @@ func (m *Matrix) InverseBlocked() (*Matrix, error) {
 
 // MulInto computes out = m * o into a caller-provided matrix using the fused
 // one-row-to-N-rows kernel: for every inner index k, source row o[k] is
-// applied to all output rows in one strip-blocked pass. out must be
+// applied to all output rows in one fused pass. out must be
 // m.Rows() x o.Cols() and must not share storage with m or o; its previous
 // contents are overwritten.
 func (m *Matrix) MulInto(out, o *Matrix) error {

@@ -20,8 +20,8 @@ import (
 //   - At full rank, the k x k raw coefficient matrix is inverted once with
 //     the blocked Gauss-Jordan (matrix.InverseBlocked) and the source blocks
 //     are recovered in one fused matrix-matrix multiply
-//     (inverse x raw payloads, matrix.MulInto), whose strip-blocked kernels
-//     stream (N+1)/2 rows of memory per combination instead of N.
+//     (inverse x raw payloads, matrix.MulInto), whose fused kernels stream
+//     (N+1)/2 rows of memory per combination instead of N.
 //
 // The same rawSpan core backs the Recoder: a recoder never needs reduced
 // payload rows at all — any random combination of the RAW innovative rows

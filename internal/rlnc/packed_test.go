@@ -43,12 +43,13 @@ func byteDecoder(t *testing.T, p Params, batched bool) *Decoder {
 
 // byteRecoder returns a GF(2) recoder pinned to the byte-wise span.
 func byteRecoder(p Params, seed int64) *Recoder {
-	return &Recoder{
+	r := &Recoder{
 		params:  p,
 		span:    newRawSpan(p.GenerationBlocks, p.BlockSize),
-		rng:     rand.New(rand.NewSource(seed)),
 		weights: make([]byte, p.GenerationBlocks),
 	}
+	r.rng.seed(seed)
+	return r
 }
 
 // gf2Stream encodes a generation over GF(2) and returns a corrupted arrival

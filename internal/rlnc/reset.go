@@ -60,7 +60,7 @@ func (d *Decoder) Reset() {
 // recoder reset with seed s behaves bit-identically to NewRecoder(params, s):
 // same innovation gating, same emitted combinations.
 func (r *Recoder) Reset(seed int64) {
-	r.rng.Seed(seed)
+	r.rng.seed(seed)
 	if r.pspan != nil {
 		r.pspan.reset()
 	}

@@ -2,6 +2,7 @@ package rlnc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -133,6 +134,61 @@ func TestRecoderResetEquivalence(t *testing.T) {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("emission %d differs between reset and fresh recoders", i)
 				}
+			}
+		})
+	}
+}
+
+// TestEncoderResetEquivalence pins that Reset(data, seed) is bit-identical to
+// NewEncoder(params, data, seed): same systematic blocks, same coded stream —
+// after a longer generation dirtied the arena (a short one must come out
+// zero-padded), the generator advanced, and part of the systematic phase was
+// consumed. This is what lets a source keep one encoder for its session.
+func TestEncoderResetEquivalence(t *testing.T) {
+	for _, params := range resetParamsSet() {
+		t.Run(fmt.Sprintf("field=%v", params.field()), func(t *testing.T) {
+			const seed = 19
+			emit := func(e *Encoder) [][]byte {
+				var out [][]byte
+				for i := 0; i < 2*params.GenerationBlocks+3; i++ {
+					cb, ok := e.Systematic()
+					if !ok {
+						cb = e.Coded()
+					}
+					out = append(out, append(append([]byte(nil), cb.Coeffs...), cb.Payload...))
+				}
+				return out
+			}
+			for _, n := range []int{params.GenerationBytes(), params.GenerationBytes() - params.BlockSize - 5, 0} {
+				data := genData(41, n)
+				reused, err := NewEncoder(params, genData(40, params.GenerationBytes()), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				emit(reused)
+				if err := reused.Reset(data, seed); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewEncoder(params, data, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := emit(reused), emit(fresh)
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%d data bytes: emission %d differs between reset and fresh encoders", n, i)
+					}
+				}
+				if got, want := reused.TakeWork(), fresh.TakeWork(); got != want {
+					t.Fatalf("%d data bytes: reset encoder metered %d work bytes, fresh %d", n, got, want)
+				}
+			}
+			enc, err := NewEncoder(params, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Reset(make([]byte, params.GenerationBytes()+1), 0); !errors.Is(err, ErrParams) {
+				t.Fatalf("Reset with oversized data: err = %v, want ErrParams", err)
 			}
 		})
 	}

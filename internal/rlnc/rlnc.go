@@ -16,9 +16,9 @@
 package rlnc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"ncfn/internal/gf"
 )
@@ -107,13 +107,14 @@ func (c CodedBlock) Clone() CodedBlock {
 // It is not safe for concurrent use.
 type Encoder struct {
 	params Params
-	blocks [][]byte
-	rng    *rand.Rand
+	blocks [][]byte // views of arena, one per source block
+	arena  []byte
+	rng    prng
 	next   int    // next systematic block index
 	work   uint64 // payload-equivalent kernel traffic, in bytes
 
-	// GF(2) packed fast path: the source blocks packed into words once at
-	// construction, plus the emission gather scratch. nil under GF(2^8).
+	// GF(2) packed fast path: the source blocks packed into words at every
+	// Reset, plus the emission gather scratch. nil under GF(2^8).
 	pblocks  [][]uint64
 	pscratch []uint64
 }
@@ -126,33 +127,41 @@ func NewEncoder(params Params, data []byte, seed int64) (*Encoder, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(data) > params.GenerationBytes() {
-		return nil, fmt.Errorf("%w: %d bytes exceed generation capacity %d", ErrParams, len(data), params.GenerationBytes())
-	}
-	blocks := make([][]byte, params.GenerationBlocks)
-	for i := range blocks {
-		blocks[i] = make([]byte, params.BlockSize)
-		lo := i * params.BlockSize
-		if lo < len(data) {
-			copy(blocks[i], data[lo:])
-		}
-	}
+	k, bs := params.GenerationBlocks, params.BlockSize
 	e := &Encoder{
 		params: params,
-		blocks: blocks,
-		rng:    rand.New(rand.NewSource(seed)),
+		blocks: make([][]byte, k),
+		arena:  make([]byte, k*bs),
+	}
+	for i := range e.blocks {
+		e.blocks[i] = e.arena[i*bs : (i+1)*bs : (i+1)*bs]
 	}
 	if params.field() == gf.GF2 {
-		pwords := gf.WordsForBytes(params.BlockSize)
-		arena := make([]uint64, params.GenerationBlocks*pwords)
-		e.pblocks = make([][]uint64, params.GenerationBlocks)
+		pwords := gf.WordsForBytes(bs)
+		parena := make([]uint64, k*pwords)
+		e.pblocks = make([][]uint64, k)
 		for i := range e.pblocks {
-			e.pblocks[i] = arena[i*pwords : (i+1)*pwords : (i+1)*pwords]
-			gf.PackBytes(e.pblocks[i], blocks[i])
+			e.pblocks[i] = parena[i*pwords : (i+1)*pwords : (i+1)*pwords]
 		}
 		e.pscratch = make([]uint64, pwords)
 	}
-	return e, nil
+	return e, e.Reset(data, seed)
+}
+
+// Reset loads a new generation into the encoder, keeping its allocations: a
+// reset encoder behaves bit-identically to NewEncoder(params, data, seed).
+// The data is copied; the caller may reuse it once Reset returns.
+func (e *Encoder) Reset(data []byte, seed int64) error {
+	if len(data) > len(e.arena) {
+		return fmt.Errorf("%w: %d bytes exceed generation capacity %d", ErrParams, len(data), len(e.arena))
+	}
+	clear(e.arena[copy(e.arena, data):])
+	for i := range e.pblocks {
+		gf.PackBytes(e.pblocks[i], e.blocks[i])
+	}
+	e.rng.seed(seed)
+	e.next, e.work = 0, 0
+	return nil
 }
 
 // Params returns the coding parameters.
@@ -163,15 +172,27 @@ func (e *Encoder) Params() Params { return e.params }
 // Systematic transmission lets the first packet of a generation be forwarded
 // without coding, as the data plane does for the first arrival (Sec. III-B).
 func (e *Encoder) Systematic() (CodedBlock, bool) {
+	var cb CodedBlock
+	ok := e.SystematicInto(&cb)
+	return cb, ok
+}
+
+// SystematicInto is Systematic writing into cb, reusing cb's backing arrays
+// when they have capacity, as CodedInto does.
+//
+//nc:hotpath
+func (e *Encoder) SystematicInto(cb *CodedBlock) bool {
 	if e.next >= e.params.GenerationBlocks {
-		return CodedBlock{}, false
+		return false
 	}
-	coeffs := make([]byte, e.params.GenerationBlocks)
-	coeffs[e.next] = 1
-	cb := CodedBlock{Coeffs: coeffs, Payload: append([]byte(nil), e.blocks[e.next]...)}
+	cb.Coeffs = resizeBuf(cb.Coeffs, e.params.GenerationBlocks)
+	cb.Payload = resizeBuf(cb.Payload, e.params.BlockSize)
+	clear(cb.Coeffs)
+	cb.Coeffs[e.next] = 1
+	copy(cb.Payload, e.blocks[e.next])
 	e.next++
 	e.work += uint64(e.params.BlockSize)
-	return cb, true
+	return true
 }
 
 // Coded returns a fresh random linear combination of the generation.
@@ -184,7 +205,7 @@ func (e *Encoder) Coded() CodedBlock {
 // CodedInto writes a fresh random combination of the generation into cb,
 // reusing cb's backing arrays when they have capacity — the data plane's
 // allocation-free emission path. The payload is produced by one fused gather
-// over the source blocks (gf.CombineSlices), so the destination strip stays
+// over the source blocks (gf.CombineSlices), so the destination stays
 // cache-resident while every source row streams through it once.
 //
 //nc:hotpath
@@ -192,7 +213,7 @@ func (e *Encoder) CodedInto(cb *CodedBlock) {
 	k := e.params.GenerationBlocks
 	cb.Coeffs = resizeBuf(cb.Coeffs, k)
 	cb.Payload = resizeBuf(cb.Payload, e.params.BlockSize)
-	drawCoeffs(e.rng, e.params.field(), cb.Coeffs)
+	drawCoeffs(&e.rng, e.params.field(), cb.Coeffs)
 	if e.pblocks != nil {
 		// GF(2) packed path: fused word gather, then unpack to the wire.
 		gf.CombineWords(e.pscratch, e.pblocks, cb.Coeffs)
@@ -205,28 +226,61 @@ func (e *Encoder) CodedInto(cb *CodedBlock) {
 	e.work += uint64(k+1) * uint64(e.params.BlockSize) / 2
 }
 
-// drawCoeffs fills coeffs with random field coefficients, redrawing the
-// whole vector if every entry came up zero: an all-zero vector carries no
-// information, and under GF(2) a single draw goes all-zero with probability
-// 2^-k — at small generation sizes that is real transmission waste, not a
-// corner case. The redraw loop is bounded by maxCoeffRedraws, after which
-// one random entry is forced to 1.
+// prng is the coefficient generator: splitmix64, eight bytes of state held
+// by value in its owner, seeded in O(1). A relay seeds one per generation
+// per hop, so seeding has to cost nothing next to the generation's packets.
+type prng struct{ state uint64 }
+
+// mix64 is splitmix64's output function, a bijection on 64-bit words.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// seed starts the stream for seed. The seed is mixed first: callers hand out
+// consecutive seeds (Seed+gid at a source, nextSeed++ at a relay), and
+// without it stream s+1 would be stream s shifted by one word.
+func (p *prng) seed(seed int64) { p.state = mix64(uint64(seed)) }
+
+func (p *prng) next() uint64 {
+	p.state += 0x9E3779B97F4A7C15
+	return mix64(p.state)
+}
+
+// drawCoeffs fills coeffs with random field coefficients, eight per
+// generator word, redrawing the whole vector if every entry came up zero:
+// an all-zero vector carries no information, and under GF(2) a single draw
+// goes all-zero with probability 2^-k — at small generation sizes that is
+// real transmission waste, not a corner case. The redraw loop is bounded by
+// maxCoeffRedraws, after which one random entry is forced to 1.
 //
 //nc:hotpath
-func drawCoeffs(rng *rand.Rand, field gf.Field, coeffs []byte) {
+func drawCoeffs(rng *prng, field gf.Field, coeffs []byte) {
+	mask := ^uint64(0)
+	if field == gf.GF2 {
+		mask = 0x0101010101010101 // ClampCoeff on all eight bytes
+	}
 	for attempt := 0; ; attempt++ {
-		allZero := true
-		for i := range coeffs {
-			coeffs[i] = field.ClampCoeff(byte(rng.Intn(256)))
-			if coeffs[i] != 0 {
-				allZero = false
+		var any uint64
+		c := coeffs
+		for ; len(c) >= 8; c = c[8:] {
+			w := rng.next() & mask
+			binary.LittleEndian.PutUint64(c, w)
+			any |= w
+		}
+		if len(c) > 0 {
+			w := rng.next() & mask
+			for i := range c {
+				c[i] = byte(w >> (8 * i))
+				any |= uint64(c[i])
 			}
 		}
-		if !allZero {
+		if any != 0 {
 			return
 		}
 		if attempt == maxCoeffRedraws {
-			coeffs[rng.Intn(len(coeffs))] = 1
+			coeffs[rng.next()%uint64(len(coeffs))] = 1
 			return
 		}
 	}
@@ -529,7 +583,7 @@ type Recoder struct {
 	params  Params
 	span    *rawSpan    // byte span (GF(2^8))
 	pspan   *packedSpan // packed span (GF(2))
-	rng     *rand.Rand
+	rng     prng
 	weights []byte   // emission draw scratch
 	emitC   []uint64 // packed coefficient gather scratch (GF(2))
 	emitP   []uint64 // packed payload gather scratch (GF(2))
@@ -542,9 +596,9 @@ func NewRecoder(params Params, seed int64) (*Recoder, error) {
 	}
 	r := &Recoder{
 		params:  params,
-		rng:     rand.New(rand.NewSource(seed)),
 		weights: make([]byte, params.GenerationBlocks),
 	}
+	r.rng.seed(seed)
 	if params.field() == gf.GF2 {
 		r.pspan = newPackedSpan(params.GenerationBlocks, params.BlockSize)
 		r.emitC = make([]uint64, r.pspan.cwords)
@@ -633,7 +687,7 @@ func (r *Recoder) RecodeInto(cb *CodedBlock) bool {
 	// fallback (forward stored row 0) was a guaranteed duplicate — useless
 	// to every downstream decoder that already has the row.
 	w := r.weights[:n]
-	drawCoeffs(r.rng, r.params.field(), w)
+	drawCoeffs(&r.rng, r.params.field(), w)
 	if r.pspan != nil {
 		// GF(2) packed path: word gathers over the packed span, unpacked to
 		// the wire representation.

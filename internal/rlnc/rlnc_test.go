@@ -3,6 +3,7 @@ package rlnc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -680,5 +681,71 @@ func BenchmarkRecodeInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.RecodeInto(&cb)
+	}
+}
+
+// TestSeedIndependence pins what seeding owes its callers, who hand out
+// consecutive seeds (Seed+gid at a source, nextSeed++ at a relay): over 2^16
+// consecutive seeds the first coefficient vectors collide no more often than
+// random ones would, a million coefficients drawn 16 per seed are uniform,
+// and so is the difference between the vectors of adjacent seeds — which a
+// generator that took seed s+1 to be stream s one step on would fail.
+func TestSeedIndependence(t *testing.T) {
+	const seeds = 1 << 16
+	// chi2 returns the chi-squared statistic of counts against a uniform
+	// expectation; with d = len(counts)-1 degrees of freedom it has mean d
+	// and deviation sqrt(2d), and the bound below is five deviations out.
+	chi2OK := func(counts []int) (float64, bool) {
+		total := 0
+		for _, c := range counts {
+			total += c
+		}
+		want := float64(total) / float64(len(counts))
+		var x float64
+		for _, c := range counts {
+			x += (float64(c) - want) * (float64(c) - want) / want
+		}
+		d := float64(len(counts) - 1)
+		return x, x < d+5*math.Sqrt(2*d)+5
+	}
+	for _, tc := range []struct {
+		field     gf.Field
+		k         int // vector length for the collision count: 32 bits of vector in GF(2^8), 64 in GF(2)
+		maxRepeat int // expected repeats: 2^16 choose 2 / 2^32 = 0.5, and 2^-33
+	}{{gf.GF256, 4, 6}, {gf.GF2, 64, 0}} {
+		t.Run(tc.field.String(), func(t *testing.T) {
+			vector := func(seed int64, n int) []byte {
+				var rng prng
+				rng.seed(seed)
+				v := make([]byte, n)
+				drawCoeffs(&rng, tc.field, v)
+				return v
+			}
+			seen := make(map[string]bool, seeds)
+			repeats := 0
+			values := make([]int, tc.field.Size())
+			diffs := make([]int, tc.field.Size())
+			for s := int64(1000); s < 1000+seeds; s++ {
+				here, next := vector(s, 16), vector(s+1, 16)
+				for i, c := range here {
+					values[c]++
+					diffs[c^next[i]]++
+				}
+				first := string(vector(s, tc.k))
+				if seen[first] {
+					repeats++
+				}
+				seen[first] = true
+			}
+			if repeats > tc.maxRepeat {
+				t.Errorf("%d of %d consecutive seeds repeat an earlier first vector, want at most %d", repeats, seeds, tc.maxRepeat)
+			}
+			if x, ok := chi2OK(values); !ok {
+				t.Errorf("coefficients drawn across consecutive seeds are not uniform: chi2 = %.1f on %d values", x, len(values))
+			}
+			if x, ok := chi2OK(diffs); !ok {
+				t.Errorf("vectors of adjacent seeds are correlated: chi2 of their differences = %.1f on %d values", x, len(diffs))
+			}
+		})
 	}
 }
