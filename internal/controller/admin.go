@@ -13,6 +13,7 @@ import (
 
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
+	"ncfn/internal/ncproto"
 	"ncfn/internal/telemetry"
 )
 
@@ -55,7 +56,7 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		raw, err := cfg.Registry.Snapshot().MarshalIndent()
+		raw, err := json.MarshalIndent(statsOf(cfg), "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -75,6 +76,44 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// statsDoc is the /stats document: the registry's telemetry snapshot and,
+// beside it, what each session configured on the daemon's VNF would answer
+// to "why is this relay holding that many generations" — its live set and the
+// retirement watermark it has learned. Readers of the snapshot alone
+// (procnet.Stats, the benchmark) ignore the extra key.
+type statsDoc struct {
+	telemetry.Snapshot
+	Sessions map[ncproto.SessionID]sessionDoc `json:"sessions,omitempty"`
+}
+
+// sessionDoc is one session's dataplane.SessionStats on the wire.
+type sessionDoc struct {
+	Role              string               `json:"role"`
+	PacketsIn         uint64               `json:"packetsIn"`
+	PacketsOut        uint64               `json:"packetsOut"`
+	GenerationsDone   uint64               `json:"generationsDone"`
+	GenerationsActive int                  `json:"generationsActive"`
+	DoneBelow         ncproto.GenerationID `json:"doneBelow"`
+}
+
+func statsOf(cfg AdminConfig) statsDoc {
+	doc := statsDoc{Snapshot: cfg.Registry.Snapshot()}
+	if cfg.Daemon == nil {
+		return doc
+	}
+	v := cfg.Daemon.VNF()
+	doc.Sessions = make(map[ncproto.SessionID]sessionDoc)
+	for _, id := range v.SessionIDs() {
+		if st, ok := v.SessionStatsFor(id); ok {
+			doc.Sessions[id] = sessionDoc{
+				Role: st.Role.String(), PacketsIn: st.PacketsIn, PacketsOut: st.PacketsOut,
+				GenerationsDone: st.GenerationsDone, GenerationsActive: st.GenerationsActive, DoneBelow: st.DoneBelow,
+			}
+		}
+	}
+	return doc
 }
 
 // ServeAdmin serves the admin endpoint on ln until the listener closes.

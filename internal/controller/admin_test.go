@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
+	"ncfn/internal/ncproto"
 	"ncfn/internal/telemetry"
 )
 
@@ -61,6 +63,40 @@ func TestAdminStats(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["dataplane_drain_state"]; !ok {
 		t.Fatalf("drain gauge missing from stats: %v", snap.Gauges)
+	}
+}
+
+// TestAdminStatsSessions pins the operator's answer to "why is this relay
+// holding that many generations": /stats carries each session's live set and
+// the retirement watermark it has learned, beside a snapshot that older
+// readers still parse.
+func TestAdminStatsSessions(t *testing.T) {
+	d, srv := adminServer(t, nil)
+	cfg := dataplane.SessionConfig{ID: 7, Params: smallParams(), Role: dataplane.RoleRecoder}
+	mustApply(t, d, &Message{Signal: NCSettings, Settings: &cfg})
+	for _, p := range [][2]ncproto.GenerationID{{3, 0}, {4, 0}, {9, 4}} { // generation, stamped watermark
+		d.VNF().InjectPacket((&ncproto.Packet{
+			Flags: ncproto.DoneFlags(p[0], p[1]), Session: 7, Generation: p[0],
+			Coeffs: []byte{1, 0, 0, 0}, Payload: make([]byte, cfg.Params.BlockSize),
+		}).Encode(nil))
+	}
+	_, body := do(t, http.MethodGet, srv.URL+"/stats", "")
+	var doc struct {
+		telemetry.Snapshot
+		Sessions map[string]struct {
+			Role              string `json:"role"`
+			GenerationsActive int    `json:"generationsActive"`
+			DoneBelow         uint32 `json:"doneBelow"`
+		} `json:"sessions"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("stats: %v\n%s", err, body)
+	}
+	if got := doc.Sessions["7"]; got.Role != "recoder" || got.DoneBelow != 4 || got.GenerationsActive != 2 {
+		t.Fatalf("session 7 = %+v, want a recoder with watermark 4 holding generations 4 and 9", got)
+	}
+	if doc.Counters[dataplane.MetricRxPackets] != 3 {
+		t.Fatalf("snapshot half of /stats lost its counters: %v", doc.Counters)
 	}
 }
 

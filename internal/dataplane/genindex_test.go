@@ -380,6 +380,33 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if n, b := sink.SessionStoreStats(); n != 0 || b != window*int64(params.StateBytes()) {
 		t.Fatalf("idle sink holds %d generations / %d bytes, want 0 / %d pooled spares", n, b, window)
 	}
+
+	// A relay that follows the watermark gives up in-place FIFO recycling for
+	// release, pool and re-admit. Worst case for the pool: the watermark
+	// crosses a whole window at once, so its first packet releases eight
+	// records before any of the next eight generations is admitted.
+	stamped := newSteadyRelay(t, params)
+	window8 := func() {
+		base := stamped.gen
+		for i := 0; i < window; i++ {
+			for _, p := range stamped.pkts {
+				readdress(p, 1, stamped.gen)
+				p[1] = ncproto.DoneFlags(stamped.gen, base)
+				stamped.v.handlePacket(p, "src")
+			}
+			stamped.gen++
+		}
+	}
+	window8() // leaves the 1032 unstamped generations behind
+	if allocs := testing.AllocsPerRun(100, window8); allocs != 0 {
+		t.Fatalf("relay following the watermark allocated %.2f times per window of %d generations, want 0", allocs, window)
+	}
+	if n, b := stamped.v.SessionStoreStats(); n != window || b != window*int64(params.StateBytes()) {
+		t.Fatalf("relay following the watermark holds %d generations / %d bytes, want the window %d and no idle spares", n, b, window)
+	}
+	if got := stamped.v.Telemetry().Counter(MetricGenerationsEvicted, 1).Value(); got != 0 {
+		t.Fatalf("watermark retirement counted %d evictions", got)
+	}
 }
 
 // BenchmarkRelaySteadyState times a relay where it actually runs: fresh

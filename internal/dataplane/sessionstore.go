@@ -247,20 +247,6 @@ func (s *sessionStore) retire(g *genState, link genLink) {
 	s.pendTail = g
 }
 
-// remove unlinks a record its session is done with (delivered, pruned) and
-// reports whether the session still owned it: false means it was retired or
-// evicted first and the queued teardown will dispose of it. Callers hold
-// g.st.mu.
-func (s *sessionStore) remove(g *genState) bool {
-	s.mu.Lock()
-	owned := g.link == genLinked
-	if owned {
-		s.unlink(g, genUnlinked)
-	}
-	s.publish()
-	return owned
-}
-
 // removeSession unlinks every record st still owns and its pooled spares
 // (EndSession, or a Configure replacing the state): a walk of the session's
 // own records, not of the index. Callers hold st.mu.
@@ -360,7 +346,9 @@ func (v *VNF) finishRetired(g *genState) (evicted bool) {
 			}
 		}
 	}
+	v.store.mu.Lock()
 	v.store.pool(g, 1)
+	v.store.publish()
 	st.mu.Unlock()
 	if evicted {
 		v.tel.evicted.Inc(0)
@@ -368,16 +356,6 @@ func (v *VNF) finishRetired(g *genState) (evicted bool) {
 			uint64(st.cfg.ID), uint64(gen), st.stateBytes)
 	}
 	return evicted
-}
-
-// releaseGen forgets a generation its session is done with — a sink's
-// delivered generation, whose successor is about to arrive — and recycles the
-// record. Callers hold st.mu.
-func (v *VNF) releaseGen(st *sessionState, g *genState) {
-	delete(st.gens, g.gen)
-	if v.store.remove(g) {
-		v.store.pool(g, finishedSpares)
-	}
 }
 
 // finishedSpares is how many finished records a sink session keeps for its
@@ -399,7 +377,7 @@ const finishedSpares = 8
 // the index's byte accounting, so the dataplane_session_bytes gauge reflects
 // everything the VNF holds onto. Decoders are reset here; a recoder is reset
 // (and reseeded) at reuse, when the session's next seed is drawn. Callers hold
-// g.st.mu.
+// g.st.mu and s.mu.
 func (s *sessionStore) pool(g *genState, limit int) {
 	st := g.st
 	if st.closed || len(st.spares) >= limit {
@@ -409,7 +387,22 @@ func (s *sessionStore) pool(g *genState, limit int) {
 		g.dec.Reset()
 	}
 	st.spares = append(st.spares, g)
-	s.mu.Lock()
 	s.bytes += st.stateBytes
+}
+
+// release forgets a generation its session is done with — delivered at a
+// sink, below the watermark at a relay — and pools the record among the
+// session's finishedSpares in one locked step, as in-place FIFO recycling
+// took one. It reports whether the session still owned the record; if not, it
+// was retired or evicted and the queued teardown has it. Callers hold g.st.mu.
+func (s *sessionStore) release(g *genState) bool {
+	delete(g.st.gens, g.gen)
+	s.mu.Lock()
+	owned := g.link == genLinked
+	if owned {
+		s.unlink(g, genUnlinked)
+		s.pool(g, finishedSpares)
+	}
 	s.publish()
+	return owned
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ncfn/internal/buffer"
@@ -63,6 +64,12 @@ type Source struct {
 	// every generation boundary.
 	txc *txCoalescer
 
+	// frontiers holds what each receiver has acknowledged, learned from the
+	// ACKs themselves and touched only by recvLoop; doneBelow, their minimum,
+	// is the retirement watermark emit stamps on every data packet.
+	frontiers map[string][]genSpan
+	doneBelow atomic.Uint32
+
 	acks      chan AckFrom
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -80,13 +87,14 @@ func NewSource(conn emunet.PacketConn, cfg SourceConfig) (*Source, error) {
 		cfg.Clock = simclock.Real{}
 	}
 	s := &Source{
-		conn:  conn,
-		cfg:   cfg,
-		enc:   enc,
-		table: NewForwardingTable(),
-		acks:  make(chan AckFrom, 4096),
-		done:  make(chan struct{}),
-		txc:   newTxCoalescer(conn, cfg.TxBatch),
+		conn:      conn,
+		cfg:       cfg,
+		enc:       enc,
+		table:     NewForwardingTable(),
+		frontiers: make(map[string][]genSpan),
+		acks:      make(chan AckFrom, 4096),
+		done:      make(chan struct{}),
+		txc:       newTxCoalescer(conn, cfg.TxBatch),
 	}
 	s.wg.Add(1)
 	go s.recvLoop()
@@ -106,8 +114,75 @@ type AckFrom struct {
 }
 
 // Acks returns the channel of generation acknowledgements flowing back
-// from receivers.
+// from receivers. The channel is lossy: an ACK that arrives while it is full
+// is not queued, so a reader that must not miss one has to keep up or repair
+// by timeout. The retirement watermark does not depend on it being read.
 func (s *Source) Acks() <-chan AckFrom { return s.acks }
+
+// maxReceivers caps the receivers a source tracks and maxAckedRuns the runs it
+// remembers for each, so no ACK stream can grow either. An ACK past a cap is
+// not tracked: the watermark stops short of it and relays retire FIFO again.
+const maxReceivers, maxAckedRuns = 64, 16
+
+// genSpan is the run of generations [lo, hi).
+type genSpan struct{ lo, hi ncproto.GenerationID }
+
+// ackRun adds generation g to a, what one receiver has acknowledged: sorted,
+// disjoint, non-adjacent runs of which the first starts at generation 0. So
+// a[0].hi is the receiver's next unacknowledged generation and the rest are
+// the few — or, behind one lost generation, the very many — ahead of it.
+func ackRun(a []genSpan, g ncproto.GenerationID) []genSpan {
+	i := 0
+	for i < len(a) && a[i].hi < g {
+		i++
+	}
+	switch {
+	case i == len(a) || g+1 < a[i].lo: // a run of its own
+		if len(a) < maxAckedRuns {
+			a = append(a, genSpan{})
+			copy(a[i+1:], a[i:])
+			a[i] = genSpan{g, g + 1}
+		}
+	case g+1 == a[i].lo:
+		a[i].lo = g
+	case g == a[i].hi:
+		if a[i].hi++; i+1 < len(a) && a[i+1].lo == a[i].hi {
+			a[i].hi = a[i+1].hi
+			a = append(a[:i+1], a[i+2:]...)
+		}
+	}
+	return a
+}
+
+// noteAck feeds one ACK to its receiver's runs and raises the watermark to
+// the minimum over all receivers. A receiver first heard from starts at the
+// current watermark: what is below is already declared finished, and relays
+// serve it there by forwarding. An ACK for a generation never sent is ignored,
+// so the watermark cannot pass what was sent. Called only by recvLoop.
+func (s *Source) noteAck(from string, g ncproto.GenerationID) {
+	s.mu.Lock()
+	low := s.nextGen
+	s.mu.Unlock()
+	a, known := s.frontiers[from]
+	if g >= low || !known && len(s.frontiers) >= maxReceivers {
+		return
+	}
+	if !known {
+		a = append(make([]genSpan, 0, maxAckedRuns), genSpan{0, ncproto.GenerationID(s.doneBelow.Load())})
+	}
+	next := a[0].hi
+	a = ackRun(a, g)
+	s.frontiers[from] = a
+	if a[0].hi == next {
+		return
+	}
+	for _, r := range s.frontiers {
+		low = min(low, r[0].hi)
+	}
+	if uint32(low) > s.doneBelow.Load() {
+		s.doneBelow.Store(uint32(low))
+	}
+}
 
 // Addr returns the source's network address.
 func (s *Source) Addr() string { return s.conn.LocalAddr() }
@@ -134,6 +209,8 @@ func (s *Source) recvLoop() {
 		ack, err := ncproto.DecodeAck(pkt)
 		buffer.PutPacket(pkt) // the ACK is fully parsed; recycle the datagram
 		if err == nil {
+			// Before the lossy send: a slow Acks() reader must not stall it.
+			s.noteAck(src, ack.Generation)
 			select {
 			case s.acks <- AckFrom{Ack: ack, From: src}:
 			default:
@@ -288,7 +365,7 @@ func (s *Source) sendGenerationAs(gid ncproto.GenerationID, data []byte, last bo
 // emit sends one coded block to one destination, encoding into the source's
 // reusable wire buffer (callers hold emitMu).
 func (s *Source) emit(gid ncproto.GenerationID, cb rlnc.CodedBlock, systematic, last bool, dst string) error {
-	var flags byte
+	flags := ncproto.DoneFlags(gid, ncproto.GenerationID(s.doneBelow.Load()))
 	if systematic {
 		flags |= ncproto.FlagSystematic
 	}

@@ -48,6 +48,12 @@ const (
 	MetricGenerationsEvicted = "dataplane_generations_evicted"
 	MetricEvictedDrops       = "dataplane_evicted_packet_drops"
 
+	// GenerationsRetired counts records a relay released as the session's
+	// watermark rose past them (FIFO retirement and eviction count elsewhere);
+	// LateForwarded counts arrivals below it, forwarded without coding state.
+	MetricGenerationsRetired = "dataplane_generations_retired"
+	MetricLateForwarded      = "dataplane_late_forwarded_packets"
+
 	// MetricTableSwaps counts forwarding-table updates in either swap mode.
 	// Under the default RCU path the pause histogram (MetricTableSwapNs)
 	// stays empty while this counter advances — the observable guarantee
@@ -101,6 +107,8 @@ type vnfTelemetry struct {
 	evicted      *telemetry.Counter
 	evictedDrops *telemetry.Counter
 	tableSwaps   *telemetry.Counter
+	retired      *telemetry.Counter // released by the watermark
+	lateForwards *telemetry.Counter // arrivals below it
 
 	// Drain instruments. The gauges are single-cell: drainState is written
 	// only on state transitions and drainPending only by the quiescence
@@ -136,6 +144,8 @@ func newVNFTelemetry(reg *telemetry.Registry, workers int) vnfTelemetry {
 		evicted:      reg.Counter(MetricGenerationsEvicted, 1),
 		evictedDrops: reg.Counter(MetricEvictedDrops, cells),
 		tableSwaps:   reg.Counter(MetricTableSwaps, 1),
+		retired:      reg.Counter(MetricGenerationsRetired, cells),
+		lateForwards: reg.Counter(MetricLateForwarded, cells),
 
 		drainState:   reg.Gauge(MetricDrainState, 1),
 		drainPending: reg.Gauge(MetricDrainPending, 1),

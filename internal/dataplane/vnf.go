@@ -225,10 +225,16 @@ type sessionState struct {
 	closed     bool
 	stateBytes int64
 	spares     []*genState
+	// doneBelow is the retirement watermark a recoder session has learned
+	// from the stamps on its arrivals: it holds no record below it, stamps it
+	// on what it emits and forwards arrivals below it. It only rises; 0: none.
+	doneBelow ncproto.GenerationID
 }
 
 // reorderWindow is how far behind a session's newest generation its
-// delivered marks, tombstones and stale decoders are kept.
+// delivered marks, eviction tombstones and stale decoders are kept. Of the
+// three, the watermark covers the tombstones at relays: those below doneBelow
+// go as it rises (an arrival there is forwarded before any lookup).
 const reorderWindow = 4096
 
 // Option configures a VNF.
@@ -500,7 +506,10 @@ type SessionStats struct {
 	GenerationsDone uint64
 	// GenerationsActive counts generations with live coding state.
 	GenerationsActive int
-	Role              Role
+	// DoneBelow is the retirement watermark a recoder session has learned: a
+	// relay stuck at the buffer capacity shows one that stopped moving, or 0.
+	DoneBelow ncproto.GenerationID
+	Role      Role
 }
 
 // SessionStatsFor returns per-session counters, or false if the session is
@@ -513,13 +522,14 @@ func (v *VNF) SessionStatsFor(id ncproto.SessionID) (SessionStats, bool) {
 		return SessionStats{}, false
 	}
 	st.mu.Lock()
-	active := len(st.gens)
+	active, doneBelow := len(st.gens), st.doneBelow
 	st.mu.Unlock()
 	return SessionStats{
 		PacketsIn:         st.pktsIn.Load(),
 		PacketsOut:        st.pktsOut.Load(),
 		GenerationsDone:   st.done.Load(),
 		GenerationsActive: active,
+		DoneBelow:         doneBelow,
 		Role:              st.cfg.Role,
 	}, true
 }
@@ -853,7 +863,7 @@ func (v *VNF) processWith(sh *vnfShard, st *sessionState, pkt []byte, hdr ncprot
 	case RoleForwarder:
 		v.forward(sh, p)
 	case RoleRecoder:
-		v.recode(sh, st, p)
+		v.recode(sh, st, p, hdr.DoneBelow())
 	case RoleDecoder:
 		sh.batch = append(sh.batch[:0], rlnc.CodedBlock{Coeffs: p.Coeffs, Payload: p.Payload})
 		v.decodeBatch(sh.idx+1, st, p.Session, p.Generation, sh.batch)
@@ -924,6 +934,7 @@ func (v *VNF) admitGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) 
 	if inPlace {
 		delete(st.gens, g.gen)
 	}
+	g.gen, g.received, g.started = gen, 0, nowNs
 	var err error
 	switch {
 	case st.cfg.Role == RoleDecoder:
@@ -938,20 +949,52 @@ func (v *VNF) admitGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) 
 		g.rec.Reset(st.nextSeed)
 	}
 	if err != nil {
-		v.store.remove(g)
+		v.store.release(g) // pooled without a codec; the next admission builds one
 		return nil, err
 	}
 	if g.rec != nil {
 		st.nextSeed++
 	}
-	g.gen, g.received, g.started = gen, 0, nowNs
 	clear(g.emitted)
 	st.gens[gen] = g
 	return g, nil
 }
 
-// recode implements the pipelined intermediate VNF of Sec. III-B2.
-func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
+// releaseBelow releases every live record of st below floor (pooled, not
+// freed) with the tombstones and delivered marks down there, and returns how
+// many records the session still owned. It walks the ids up from doneBelow,
+// under which a relay holds nothing, unless the live set is the shorter walk:
+// a watermark mostly rises by one, a forged one by 2^32. Callers hold st.mu.
+func (v *VNF) releaseBelow(st *sessionState, floor ncproto.GenerationID) (n uint64) {
+	if uint64(floor-st.doneBelow) <= uint64(len(st.gens)) {
+		for gen := st.doneBelow; gen < floor; gen++ {
+			if g := st.gens[gen]; g != nil && v.store.release(g) {
+				n++
+			}
+		}
+	} else {
+		for gen, g := range st.gens {
+			if gen < floor && v.store.release(g) {
+				n++
+			}
+		}
+	}
+	for gen := range st.evicted {
+		if gen < floor {
+			delete(st.evicted, gen)
+		}
+	}
+	for gen := range st.delivered {
+		if gen < floor {
+			delete(st.delivered, gen)
+		}
+	}
+	return n
+}
+
+// recode implements the pipelined intermediate VNF of Sec. III-B2. done is
+// the retirement watermark stamped on the arrival, zero for none.
+func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncproto.GenerationID) {
 	cb := rlnc.CodedBlock{Coeffs: p.Coeffs, Payload: p.Payload}
 	nowNs := v.clock.Now().UnixNano()
 
@@ -959,6 +1002,20 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 	if st.closed {
 		st.mu.Unlock()
 		v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
+		return
+	}
+	if done > st.doneBelow {
+		v.tel.retired.Add(sh.idx+1, v.releaseBelow(st, done))
+		st.doneBelow = done
+	}
+	doneBelow := st.doneBelow
+	if p.Generation < doneBelow {
+		// Every receiver the source knows has this generation: no state for
+		// it. One it has not heard from, or the victim of a forged stamp, may
+		// still need the packet: forwarded, never dropped.
+		st.mu.Unlock()
+		v.tel.lateForwards.Inc(sh.idx + 1)
+		v.forward(sh, p)
 		return
 	}
 	g, evicted := v.liveGen(st, p.Generation, nowNs)
@@ -1085,6 +1142,7 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet) {
 	}
 	for i := 0; i < nem; i++ {
 		outPkt := ncproto.Packet{
+			Flags:      ncproto.DoneFlags(p.Generation, doneBelow),
 			Session:    p.Session,
 			Generation: p.Generation,
 			Coeffs:     sh.emCB[i].Coeffs,
@@ -1172,26 +1230,12 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 	}
 	st.delivered[gen] = true
 	startNs := g.started
-	v.releaseGen(st, g)
+	v.store.release(g)
 	// Prune stale decoder state: generations far behind the newest one
 	// will never complete (their packets are gone), and the delivered set
 	// only needs to cover the reordering window.
-	if len(st.delivered) > 2*reorderWindow || len(st.gens) > 2*reorderWindow {
-		for gid := range st.delivered {
-			if gid+reorderWindow < gen {
-				delete(st.delivered, gid)
-			}
-		}
-		for gid, old := range st.gens {
-			if gid+reorderWindow < gen {
-				v.releaseGen(st, old)
-			}
-		}
-		for gid := range st.evicted {
-			if gid+reorderWindow < gen {
-				delete(st.evicted, gid)
-			}
-		}
+	if (len(st.delivered) > 2*reorderWindow || len(st.gens) > 2*reorderWindow) && gen > reorderWindow {
+		v.releaseBelow(st, gen-reorderWindow)
 	}
 	st.mu.Unlock()
 	v.chargeCodingCost(int(work))

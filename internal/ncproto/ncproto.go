@@ -43,7 +43,23 @@ const (
 	// FlagControl marks in-band control packets (e.g. generation ACKs
 	// flowing back from receivers to the source).
 	FlagControl = 1 << 2
+	// Bits 3–7 carry the session's retirement watermark (see DoneFlags).
+	doneShift = 3
 )
+
+// DoneFlags returns the flag bits that stamp a data packet of generation gen
+// with the watermark done — every generation below done is finished — as the
+// distance f = gen-done+1 in bits 3–7, at no wire bytes. It returns 0, no
+// stamp and the byte every packet carried before, for a zero watermark (true
+// of every packet, so not worth a changed byte), for one past gen (a resend
+// of a finished generation) and for one more than 30 generations behind: a
+// window that deep keeps the relays' FIFO retirement.
+func DoneFlags(gen, done GenerationID) byte {
+	if done == 0 || done > gen || gen-done > 30 {
+		return 0
+	}
+	return byte(gen-done+1) << doneShift
+}
 
 // Errors returned by Decode.
 var (
@@ -149,6 +165,16 @@ func (h Header) EndOfSession() bool { return h.Flags&FlagEndOfSession != 0 }
 
 // Control reports whether the packet is in-band control traffic.
 func (h Header) Control() bool { return h.Flags&FlagControl != 0 }
+
+// DoneBelow reads the stamp DoneFlags wrote: every generation below the one
+// returned is finished. Zero — also for a stamp reaching below generation 0 —
+// means the packet says nothing.
+func (h Header) DoneBelow() GenerationID {
+	if f := GenerationID(h.Flags >> doneShift); f != 0 && f-1 <= h.Generation {
+		return h.Generation - (f - 1)
+	}
+	return 0
+}
 
 // PeekHeader parses the fixed header of an NC packet without allocating.
 // It returns the bare sentinel errors (ErrTooShort, ErrBadMagic) unwrapped

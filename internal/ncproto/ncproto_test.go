@@ -253,3 +253,42 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestDoneFlags pins the watermark stamp: it lives in flag bits 3–7 only,
+// round-trips through Header.DoneBelow for every distance it can say, and is
+// absent — a zero byte, every packet on the wire before it existed — for a
+// zero watermark, a watermark past the packet's generation and one more than
+// 30 generations behind.
+func TestDoneFlags(t *testing.T) {
+	const low = FlagSystematic | FlagEndOfSession | FlagControl
+	for _, gen := range []GenerationID{0, 1, 29, 30, 31, 1000, 1<<32 - 1} {
+		for dist := GenerationID(0); dist <= 40 && dist <= gen; dist++ {
+			done := gen - dist
+			f := DoneFlags(gen, done)
+			if f&low != 0 {
+				t.Fatalf("DoneFlags(%d, %d) = %#x touches the three defined flag bits", gen, done, f)
+			}
+			want := done
+			if dist > 30 {
+				want = 0
+			}
+			if done == 0 && f != 0 {
+				t.Fatalf("DoneFlags(%d, 0) = %#x, want 0: a zero watermark must not change the flag byte", gen, f)
+			}
+			if got := (Header{Flags: f | low, Generation: gen}).DoneBelow(); got != want {
+				t.Fatalf("gen %d done %d: stamp %#x reads back %d, want %d", gen, done, f, got, want)
+			}
+		}
+		if f := DoneFlags(gen, gen+1); gen+1 != 0 && f != 0 {
+			t.Fatalf("DoneFlags(%d, %d) = %#x, want 0 for a watermark past the generation", gen, gen+1, f)
+		}
+	}
+	// A forged stamp reaching below generation 0 says nothing.
+	if got := (Header{Flags: 31 << 3, Generation: 5}).DoneBelow(); got != 0 {
+		t.Fatalf("stamp reaching below generation 0 reads %d, want 0", got)
+	}
+	// The header did not grow: 12 + 8 + 20 + 1460 is still one MTU.
+	if FixedHeaderLen != 8 || HeaderLen(4)+8+20+1460 != 1500 {
+		t.Fatal("the watermark must cost no wire bytes")
+	}
+}
