@@ -78,7 +78,8 @@ test-soak:
 	$(GO) test -count=1 -race -v -run 'TestSessionChurnSoak' ./internal/chaostest/
 
 # vet includes asmdecl: the frame sizes and argument offsets of
-# internal/gf/kernel_amd64.s against the Go declarations beside it.
+# internal/gf/kernel_amd64.s and kernel_gfni_amd64.s against the Go
+# declarations beside them.
 vet:
 	$(GO) vet ./...
 

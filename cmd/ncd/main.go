@@ -34,6 +34,7 @@ import (
 	"ncfn/internal/controller"
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
+	"ncfn/internal/gf"
 	"ncfn/internal/telemetry"
 )
 
@@ -89,7 +90,7 @@ func run(args []string) error {
 		return fmt.Errorf("control listen: %w", err)
 	}
 	defer ln.Close()
-	log.Printf("ncd %s: data %s control %s", *name, conn.UDPAddr(), ln.Addr())
+	log.Printf("ncd %s: data %s control %s gf kernel %s", *name, conn.UDPAddr(), ln.Addr(), gf.KernelName())
 
 	adminBound := ""
 	if *adminAddr != "" {

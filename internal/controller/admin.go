@@ -13,6 +13,7 @@ import (
 
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
+	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/telemetry"
 )
@@ -81,10 +82,13 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 // statsDoc is the /stats document: the registry's telemetry snapshot and,
 // beside it, what each session configured on the daemon's VNF would answer
 // to "why is this relay holding that many generations" — its live set and the
-// retirement watermark it has learned. Readers of the snapshot alone
-// (procnet.Stats, the benchmark) ignore the extra key.
+// retirement watermark it has learned — and which GF(2^8) kernel this
+// process multiplies with, the first thing to compare when two relays differ
+// severalfold in CPU per megabyte. Readers of the snapshot alone
+// (procnet.Stats, the benchmark) ignore the extra keys.
 type statsDoc struct {
 	telemetry.Snapshot
+	GFKernel string                           `json:"gfKernel"`
 	Sessions map[ncproto.SessionID]sessionDoc `json:"sessions,omitempty"`
 }
 
@@ -99,7 +103,7 @@ type sessionDoc struct {
 }
 
 func statsOf(cfg AdminConfig) statsDoc {
-	doc := statsDoc{Snapshot: cfg.Registry.Snapshot()}
+	doc := statsDoc{Snapshot: cfg.Registry.Snapshot(), GFKernel: gf.KernelName()}
 	if cfg.Daemon == nil {
 		return doc
 	}

@@ -11,6 +11,7 @@ import (
 
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
+	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/telemetry"
 )
@@ -83,6 +84,7 @@ func TestAdminStatsSessions(t *testing.T) {
 	_, body := do(t, http.MethodGet, srv.URL+"/stats", "")
 	var doc struct {
 		telemetry.Snapshot
+		GFKernel string `json:"gfKernel"`
 		Sessions map[string]struct {
 			Role              string `json:"role"`
 			GenerationsActive int    `json:"generationsActive"`
@@ -94,6 +96,9 @@ func TestAdminStatsSessions(t *testing.T) {
 	}
 	if got := doc.Sessions["7"]; got.Role != "recoder" || got.DoneBelow != 4 || got.GenerationsActive != 2 {
 		t.Fatalf("session 7 = %+v, want a recoder with watermark 4 holding generations 4 and 9", got)
+	}
+	if doc.GFKernel != gf.KernelName() {
+		t.Fatalf("/stats names the GF kernel %q, the process runs %q", doc.GFKernel, gf.KernelName())
 	}
 	if doc.Counters[dataplane.MetricRxPackets] != 3 {
 		t.Fatalf("snapshot half of /stats lost its counters: %v", doc.Counters)

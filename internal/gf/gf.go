@@ -160,10 +160,10 @@ func MulSlice(dst, src []byte, c byte) {
 // equivalent of an AXPY kernel). dst and src must have the same length and
 // must not alias unless they are identical slices with c == 0 or c == 1.
 //
-// Each of the three row operations (this one, MulSlice, XorSlice) has one
-// kernel: a vector body where the platform has one, chosen at package init
-// (kernel_amd64.go), and the table loops below for rows shorter than a
-// vector and everywhere else (kernel_other.go).
+// Each row operation (this one, MulSlice, XorSlice, CombineSlices) has one
+// kernel per CPU class: the best vector body the CPU has, chosen at package
+// init (kernel_amd64.go), and the table loops below for rows shorter than
+// the AVX2 body takes and everywhere else (kernel_other.go).
 //
 //nc:hotpath
 func AddMulSlice(dst, src []byte, c byte) {
@@ -179,6 +179,25 @@ func AddMulSlice(dst, src []byte, c byte) {
 	default:
 		addMulKernel(dst, src, c)
 	}
+}
+
+// tier names the body the row kernels run in: the best the CPU has, found
+// once at package init (detectTier, kernel_amd64.go) and fixed from then on.
+type tier int
+
+const (
+	tierTable tier = iota // the portable loops below
+	tierAVX2              // split-nibble VPSHUFB, 32 bytes per step
+	tierGFNI              // VGF2P8AFFINEQB on ZMM, 64 bytes per instruction
+)
+
+var kernelTier = detectTier()
+
+// KernelName says which body this process multiplies with — "gfni-avx512",
+// "avx2" or "table" — so that two nodes whose coding cost differs severalfold
+// can be told apart from their own output.
+func KernelName() string {
+	return [...]string{"table", "avx2", "gfni-avx512"}[kernelTier]
 }
 
 // WideKernelSelected reports false: the start-up race between a "wide" and

@@ -8,11 +8,12 @@ import (
 
 // This file holds the blocked variants of the elimination and multiply
 // routines. "Blocked" here means built on the fused multi-row kernels in
-// internal/gf: each pivot (or product) row is applied to every affected row
-// in one AddMulSlices pass, so the hot row stays L1-resident across its
-// destination rows. For the k x (k + blockSize) systems
-// the batched decoder solves, this roughly halves memory traffic versus the
-// row-at-a-time RREF/Mul above.
+// internal/gf: elimination applies each pivot row to every affected row in
+// one AddMulSlices pass, so the pivot row stays L1-resident across its
+// destination rows, and the multiply gathers each output row from all its
+// source rows in one CombineSlices pass, so the output row stays in
+// registers and is stored once — against one load and one store per source
+// row in the row-at-a-time Mul above.
 
 // RREFBlocked reduces the matrix to reduced row-echelon form in place using
 // the fused multi-row elimination kernel and returns its rank. It computes
@@ -86,11 +87,12 @@ func (m *Matrix) InverseBlocked() (*Matrix, error) {
 	return inv, nil
 }
 
-// MulInto computes out = m * o into a caller-provided matrix using the fused
-// one-row-to-N-rows kernel: for every inner index k, source row o[k] is
-// applied to all output rows in one fused pass. out must be
-// m.Rows() x o.Cols() and must not share storage with m or o; its previous
-// contents are overwritten.
+// MulInto computes out = m * o into a caller-provided matrix, one fused
+// gather per output row: out[i] = sum_j m[i][j] * o[j]. Each output row is
+// written once and never read — the scatter form (apply o[j] to every
+// output row, for each j) loads and stores every output row m.Cols() times.
+// out must be m.Rows() x o.Cols() and must not share storage with m or o;
+// its previous contents are overwritten.
 func (m *Matrix) MulInto(out, o *Matrix) error {
 	if m.cols != o.rows {
 		return fmt.Errorf("matrix: cannot multiply %dx%d by %dx%d", m.rows, m.cols, o.rows, o.cols)
@@ -98,18 +100,8 @@ func (m *Matrix) MulInto(out, o *Matrix) error {
 	if out.rows != m.rows || out.cols != o.cols {
 		return fmt.Errorf("matrix: MulInto output is %dx%d, want %dx%d", out.rows, out.cols, m.rows, o.cols)
 	}
-	for i := range out.data {
-		row := out.data[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	cs := make([]byte, m.rows)
-	for k := 0; k < m.cols; k++ {
-		for i := 0; i < m.rows; i++ {
-			cs[i] = m.data[i][k]
-		}
-		gf.AddMulSlices(out.data, o.data[k], cs)
+	for i, row := range out.data {
+		gf.CombineSlices(row, o.data, m.data[i])
 	}
 	return nil
 }

@@ -89,10 +89,15 @@ func TestInverseBlockedSingular(t *testing.T) {
 func TestMulIntoMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cases := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 4, 5}, {16, 16, 16}, {64, 64, 100}, {8, 64, 1460},
+		{1, 1, 1}, {3, 4, 5}, {16, 16, 16}, {64, 64, 100}, {8, 64, 1460}, {5, 65, 257},
 	}
 	for _, tc := range cases {
 		a := randMatrix(rng, tc.m, tc.k)
+		// The gather has no per-coefficient cases of its own, the loop it
+		// replaces had three: an all-zero row of m must still overwrite its
+		// output row, and zeros and ones must mix with the rest.
+		clear(a.Row(0))
+		a.Row(tc.m - 1)[0], a.Row(tc.m - 1)[tc.k-1] = 0, 1
 		b := randMatrix(rng, tc.k, tc.n)
 		want, err := a.Mul(b)
 		if err != nil {

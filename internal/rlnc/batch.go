@@ -19,9 +19,9 @@ import (
 //     generation completes. Per-packet back-substitution disappears.
 //   - At full rank, the k x k raw coefficient matrix is inverted once with
 //     the blocked Gauss-Jordan (matrix.InverseBlocked) and the source blocks
-//     are recovered in one fused matrix-matrix multiply
-//     (inverse x raw payloads, matrix.MulInto), whose fused kernels stream
-//     (N+1)/2 rows of memory per combination instead of N.
+//     are recovered in one matrix-matrix multiply (inverse x raw payloads,
+//     matrix.MulInto): k fused gathers, each reading the k raw rows and
+//     storing one decoded row once.
 //
 // The same rawSpan core backs the Recoder: a recoder never needs reduced
 // payload rows at all — any random combination of the RAW innovative rows
@@ -53,21 +53,35 @@ type rawSpan struct {
 	arenaC, arenaP, arenaR []byte
 }
 
+// rowStride is the distance between payload rows in an arena: the block size
+// rounded up to the 64 bytes of a cache line and of the widest vector load,
+// so that no load of a row, which starts on a line, is split across two
+// (1460 -> 1472; 256 and 1024 stay).
+func rowStride(blockSize int) int { return (blockSize + 63) &^ 63 }
+
+// payloadRows allocates k rows of blockSize bytes, rowStride apart.
+func payloadRows(k, blockSize int) (rows [][]byte, arena []byte) {
+	stride := rowStride(blockSize)
+	rows, arena = make([][]byte, k), make([]byte, k*stride)
+	for i := range rows {
+		rows[i] = arena[i*stride : i*stride+blockSize : i*stride+blockSize]
+	}
+	return rows, arena
+}
+
 func newRawSpan(k, blockSize int) *rawSpan {
 	s := &rawSpan{
 		k:         k,
 		blockSize: blockSize,
 		rawC:      make([][]byte, k),
-		rawP:      make([][]byte, k),
 		red:       make([][]byte, k),
 		pivots:    make([]bool, k),
 		arenaC:    make([]byte, k*k),
-		arenaP:    make([]byte, k*blockSize),
 		arenaR:    make([]byte, (k+1)*k),
 	}
+	s.rawP, s.arenaP = payloadRows(k, blockSize)
 	for i := 0; i < k; i++ {
 		s.rawC[i] = s.arenaC[i*k : (i+1)*k : (i+1)*k]
-		s.rawP[i] = s.arenaP[i*blockSize : (i+1)*blockSize : (i+1)*blockSize]
 	}
 	s.scratch = s.arenaR[:k:k]
 	s.nextRed = 1
@@ -127,19 +141,22 @@ func (s *rawSpan) insert(coeffs, payload []byte) bool {
 type deferred struct {
 	span    *rawSpan
 	decoded [][]byte
+	arenaD  []byte
 	solved  bool
 	work    uint64
+
+	// The span's raw coefficient and payload rows and the decoded rows as
+	// matrices: the same arenas every generation, so wrapped once.
+	c, p, out *matrix.Matrix
 }
 
 func newDeferred(k, blockSize int) *deferred {
-	d := &deferred{
-		span:    newRawSpan(k, blockSize),
-		decoded: make([][]byte, k),
-	}
-	arena := make([]byte, k*blockSize)
-	for i := 0; i < k; i++ {
-		d.decoded[i] = arena[i*blockSize : (i+1)*blockSize : (i+1)*blockSize]
-	}
+	d := &deferred{span: newRawSpan(k, blockSize)}
+	d.decoded, d.arenaD = payloadRows(k, blockSize)
+	// Rows of equal length by construction: FromRows cannot fail.
+	d.c, _ = matrix.FromRows(d.span.rawC)
+	d.p, _ = matrix.FromRows(d.span.rawP)
+	d.out, _ = matrix.FromRows(d.decoded)
 	return d
 }
 
@@ -153,30 +170,18 @@ func (d *deferred) finalize() error {
 	if s.n < s.k {
 		return fmt.Errorf("rlnc: generation incomplete (rank %d/%d)", s.n, s.k)
 	}
-	C, err := matrix.FromRows(s.rawC)
-	if err != nil {
-		return err
-	}
-	inv, err := C.InverseBlocked()
+	inv, err := d.c.InverseBlocked()
 	if err != nil {
 		// Cannot happen: every stored row passed the innovation gate.
 		return fmt.Errorf("rlnc: raw span not invertible: %w", err)
 	}
-	P, err := matrix.FromRows(s.rawP)
-	if err != nil {
-		return err
-	}
-	D, err := matrix.FromRows(d.decoded)
-	if err != nil {
-		return err
-	}
-	if err := inv.MulInto(D, P); err != nil {
+	if err := inv.MulInto(d.out, d.p); err != nil {
 		return err
 	}
 	k := uint64(s.k)
-	// Work model: the blocked Gauss-Jordan on [C|I] streams about (k+1) rows
-	// of 2k bytes per pivot; the fused multiply streams (k+1)/2 rows of
-	// blockSize bytes per inner index.
+	// Work model (memory traffic, not compute): the blocked Gauss-Jordan on
+	// [C|I] streams about (k+1) rows of 2k bytes per pivot; the multiply is
+	// billed (k+1)/2 rows of blockSize bytes per output row.
 	d.work += 2*k*k*k + k*(k+1)/2*uint64(s.blockSize)
 	d.solved = true
 	return nil

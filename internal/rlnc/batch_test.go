@@ -370,3 +370,63 @@ func BenchmarkEncodeCodedInto(b *testing.B) {
 		enc.CodedInto(&cb)
 	}
 }
+
+// TestStateBytesMatchesArenas holds the estimate to what the deferred
+// engines allocate — payload rows at their padded stride included — so the
+// dataplane_session_bytes gauge cannot drift from the arenas it stands for:
+// a decoder retains exactly StateBytes, a recoder that less the decoded
+// arena.
+func TestStateBytesMatchesArenas(t *testing.T) {
+	for _, p := range []Params{{GenerationBlocks: 4, BlockSize: 1460}, {GenerationBlocks: 64, BlockSize: 1460},
+		{GenerationBlocks: 4, BlockSize: 256}, {GenerationBlocks: 16, BlockSize: 1024}, {GenerationBlocks: 2, BlockSize: 8}} {
+		spanBytes := func(s *rawSpan) int { return cap(s.arenaC) + cap(s.arenaP) + cap(s.arenaR) }
+		def := newDeferred(p.GenerationBlocks, p.BlockSize)
+		if got := spanBytes(def.span) + cap(def.arenaD); got != p.StateBytes() {
+			t.Errorf("%+v: a decoder's arenas hold %d bytes, StateBytes says %d", p, got, p.StateBytes())
+		}
+		rec, err := NewRecoder(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := spanBytes(rec.span), p.StateBytes()-cap(def.arenaD); got != want {
+			t.Errorf("%+v: a recoder's arenas hold %d bytes, StateBytes less the %d of a decoded arena says %d",
+				p, got, cap(def.arenaD), want)
+		}
+		stride := rowStride(p.BlockSize)
+		if stride%64 != 0 || stride < p.BlockSize || stride >= p.BlockSize+64 {
+			t.Errorf("%+v: row stride %d is not the block size rounded up to 64", p, stride)
+		}
+		for i, row := range def.span.rawP {
+			row[0] = byte(i + 1) // found again in the arena: that is where the row is
+			if def.span.arenaP[i*stride] != byte(i+1) || len(row) != p.BlockSize || cap(row) != p.BlockSize {
+				t.Errorf("%+v: payload row %d is not the %d bytes at %d x the stride", p, i, p.BlockSize, i)
+			}
+		}
+	}
+}
+
+// TestDeferredDecodeAllocsPerGeneration pins what a recycled decoder still
+// allocates per generation: the eight of InverseBlocked (augmented matrix,
+// inverse, elimination scratch) and Generation's result — none for the
+// multiply or for wrapping the arenas.
+func TestDeferredDecodeAllocsPerGeneration(t *testing.T) {
+	p := Params{GenerationBlocks: 16, BlockSize: 256}
+	enc, _ := NewEncoder(p, randomData(30, p.GenerationBytes()), 30)
+	batch := make([]CodedBlock, p.GenerationBlocks+2)
+	for i := range batch {
+		batch[i] = enc.Coded()
+	}
+	d, _ := NewDecoder(p)
+	allocs := testing.AllocsPerRun(20, func() {
+		d.Reset()
+		if _, err := d.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Generation(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 9 {
+		t.Fatalf("a deferred decode allocated %.1f times per generation, want at most 9", allocs)
+	}
+}

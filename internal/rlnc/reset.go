@@ -30,8 +30,8 @@ func (p Params) StateBytes() int {
 		return 8*((2*k+1)*cw+k*pw) + k*bs
 	}
 	// rawSpan arenas (k*k raw coeffs, (k+1)*k reduction rows, k payload
-	// rows) plus the decoded byte arena.
-	return (2*k+1)*k + 2*k*bs
+	// rows at their padded stride) plus the decoded byte arena.
+	return (2*k+1)*k + 2*k*rowStride(bs)
 }
 
 // Reset returns the decoder to its freshly-constructed state for a new
