@@ -308,9 +308,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 
 	// The sink's floor is what the codec itself allocates per generation on
-	// a reused decoder: the Data slice Generation returns plus, until the
-	// decode engines are consolidated (ROADMAP item B), the deferred
-	// solver's scratch. The VNF must add nothing on top of it.
+	// a reused decoder: the Data slice Generation returns. The VNF must add
+	// nothing on top of it.
 	params := smallParams()
 	pkts := codedWire(t, params, 1, 0, 6, params.GenerationBlocks)
 	dec, err := rlnc.NewDecoder(params)

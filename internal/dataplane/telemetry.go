@@ -19,7 +19,6 @@ const (
 	MetricForwarded       = "dataplane_forwarded_packets"
 	MetricBatchPackets    = "dataplane_batch_packets"
 	MetricDecodeLatencyNs = "dataplane_decode_latency_ns"
-	MetricTableSwapNs     = "dataplane_table_swap_ns"
 	MetricShardQueueDepth = "dataplane_shard_queue_depth"
 	FlightRecorderName    = "dataplane_flight"
 
@@ -54,10 +53,8 @@ const (
 	MetricGenerationsRetired = "dataplane_generations_retired"
 	MetricLateForwarded      = "dataplane_late_forwarded_packets"
 
-	// MetricTableSwaps counts forwarding-table updates in either swap mode.
-	// Under the default RCU path the pause histogram (MetricTableSwapNs)
-	// stays empty while this counter advances — the observable guarantee
-	// that table pushes no longer stall shards.
+	// MetricTableSwaps counts forwarding-table updates (RCU publishes; no
+	// shard stops for one).
 	MetricTableSwaps = "dataplane_table_swaps"
 
 	// Drain lifecycle (see drain.go). DrainState gauges the state machine
@@ -90,11 +87,9 @@ type vnfTelemetry struct {
 
 	// batch observes the run length of each shard drain; decode observes
 	// per-generation decode latency (decoder creation to delivery) in
-	// nanoseconds; tableSwap observes the paused duration of each
-	// forwarding-table swap.
-	batch     *telemetry.Histogram
-	decodeNs  *telemetry.Histogram
-	tableSwap *telemetry.Histogram
+	// nanoseconds.
+	batch    *telemetry.Histogram
+	decodeNs *telemetry.Histogram
 
 	// queueDepth holds each shard's residual channel depth, sampled by the
 	// shard worker after every drain; Value() sums to the total backlog.
@@ -136,7 +131,6 @@ func newVNFTelemetry(reg *telemetry.Registry, workers int) vnfTelemetry {
 		overflow:   reg.Counter(MetricDeliveryOverflow, cells),
 		batch:      reg.Histogram(MetricBatchPackets),
 		decodeNs:   reg.Histogram(MetricDecodeLatencyNs),
-		tableSwap:  reg.Histogram(MetricTableSwapNs),
 		queueDepth: reg.Gauge(MetricShardQueueDepth, workers),
 
 		sessBytes:    reg.Gauge(MetricSessionBytes, 1),

@@ -147,39 +147,6 @@ func TestVNFDropRecorded(t *testing.T) {
 	}
 }
 
-// TestVNFTableSwapEvents pins pause/resume tracing in the legacy pause-swap
-// mode (WithPauseTableSwap): every table update must record one pause and
-// one resume event and observe the swap duration. The default RCU mode is
-// pinned to record neither by TestUpdateTableRCUNoPauseEvents.
-func TestVNFTableSwapEvents(t *testing.T) {
-	n := emunet.NewNetwork(emunet.AllowDefault())
-	defer n.Close()
-	reg := telemetry.NewRegistry()
-	v := NewVNF(n.Host("v"), WithTelemetry(reg), WithPauseTableSwap())
-	v.Start()
-	defer v.Close()
-
-	v.UpdateTable(map[ncproto.SessionID][]HopGroup{1: {{Addrs: []string{"x"}}}})
-	v.UpdateTable(map[ncproto.SessionID][]HopGroup{1: {{Addrs: []string{"y"}}}})
-
-	rec := reg.Recorder(FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	pauses := rec.EventsOf(telemetry.EventPause)
-	resumes := rec.EventsOf(telemetry.EventResume)
-	if len(pauses) != 2 || len(resumes) != 2 {
-		t.Fatalf("pause/resume events = %d/%d, want 2/2", len(pauses), len(resumes))
-	}
-	if got := reg.Histogram(MetricTableSwapNs).Count(); got != 2 {
-		t.Fatalf("table-swap observations = %d, want 2", got)
-	}
-	// Resume events carry the swap duration; it must be non-negative and
-	// match the histogram's accounting.
-	for _, e := range resumes {
-		if e.Value < 0 {
-			t.Fatalf("resume event duration = %d", e.Value)
-		}
-	}
-}
-
 // TestVNFQueueDepthGauge pins that shard workers publish queue depths: the
 // gauge exists and reports a non-negative backlog after traffic.
 func TestVNFQueueDepthGauge(t *testing.T) {

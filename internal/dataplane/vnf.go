@@ -109,11 +109,6 @@ type VNF struct {
 	// adds LRU/TTL/byte-cap eviction on top.
 	store sessionStore
 
-	// pauseSwap selects the legacy pause-swap-resume table update
-	// (WithPauseTableSwap); the default is the RCU path, which publishes a
-	// new snapshot and waits out a grace period without stopping any shard.
-	pauseSwap bool
-
 	workers int
 	txDepth int
 	shards  []*vnfShard
@@ -265,17 +260,6 @@ func WithWorkers(n int) VNFOption {
 	return func(v *VNF) { v.workers = n }
 }
 
-// WithPauseTableSwap selects the legacy pause-swap-resume forwarding-table
-// update: every shard's pauseMu is held for the duration of the swap and
-// pause/resume events land in the flight recorder. The default is the RCU
-// path — a copy-on-write snapshot publish plus an epoch grace period — which
-// never stops packet processing. The pause mode survives as the semantic
-// reference: the differential test pins both modes to identical forwarding
-// decisions and decode verdicts.
-func WithPauseTableSwap() VNFOption {
-	return func(v *VNF) { v.pauseSwap = true }
-}
-
 // WithTxCoalesce batches outgoing coded packets: each shard accumulates
 // up to depth packets per destination and flushes them through the conn's
 // SendBatch (sendmmsg on linux), amortizing the per-packet syscall. A
@@ -293,11 +277,11 @@ func WithTxCoalesce(depth int) VNFOption {
 
 // WithCodingCost models the CPU cost of GF(2^8) coding at the given
 // effective rate (bytes of generation data combined per second). The data
-// plane charges the actual kernel traffic its codecs report (TakeWork):
-// incremental elimination costs O(rank) row operations per packet while the
-// deferred batch path costs one copy per packet plus a single blocked
-// inverse + fused multiply per generation — so large generations throttle a
-// VNF's packet rate exactly as far as their real row traffic demands, the
+// plane charges the actual kernel traffic its codecs report (TakeWork): a
+// decoder's elimination costs one row operation per nonzero coefficient per
+// packet, a recoder's gate one copy and an emission one gather over the
+// stored rows — so large generations throttle a VNF's packet rate exactly
+// as far as their real row traffic demands, the
 // "encoding and decoding complexity is high" effect behind Fig. 4's
 // throughput plunge. Zero (the default) disables the model; the experiment
 // harness calibrates it to the paper's VM class.
@@ -562,26 +546,13 @@ func (v *VNF) SessionConfigFor(id ncproto.SessionID) (SessionConfig, bool) {
 // UpdateTable atomically replaces forwarding entries (nil hop lists delete
 // their session).
 //
-// In the default RCU mode the new entries are published as one immutable
-// snapshot — packet processing never stops — and UpdateTable then waits out
-// an epoch grace period: when it returns, every shard has finished any
-// processing that could still have been reading the previous snapshot, and
-// every packet processed after the return sees the new table. No pause
-// event is recorded and the table-swap pause histogram stays empty.
-//
-// Under WithPauseTableSwap it mirrors the daemon's SIGUSR1 pause → reload →
-// resume cycle: all shards are pause-locked for the swap and the pause
-// duration is observed. It returns once processing has resumed.
+// The new entries are published as one immutable snapshot — packet
+// processing never stops — and UpdateTable then waits out an epoch grace
+// period: when it returns, every shard has finished any processing that
+// could still have been reading the previous snapshot, and every packet
+// processed after the return sees the new table.
 func (v *VNF) UpdateTable(entries map[ncproto.SessionID][]HopGroup) {
 	defer v.tel.tableSwaps.Inc(0)
-	if v.pauseSwap {
-		v.pauseAll()
-		defer v.resumeAll()
-		start := v.pauseEvent()
-		defer v.resumeEvent(start)
-		v.table.ApplyBatch(entries)
-		return
-	}
 	v.table.ApplyBatch(entries)
 	v.synchronize()
 }
@@ -604,40 +575,15 @@ func (v *VNF) synchronize() {
 	}
 }
 
-// pauseEvent records a pause marker once every shard is held and returns
-// the pause start time.
-func (v *VNF) pauseEvent() int64 {
-	start := v.clock.Now().UnixNano()
-	v.tel.rec.Record(start, telemetry.EventPause, v.node, 0, 0, 0)
-	return start
-}
-
-// resumeEvent records the matching resume marker (Value carries the paused
-// duration in nanoseconds) and feeds the table-swap histogram.
-func (v *VNF) resumeEvent(start int64) {
-	now := v.clock.Now().UnixNano()
-	v.tel.tableSwap.Observe(now - start)
-	v.tel.rec.Record(now, telemetry.EventResume, v.node, 0, 0, now-start)
-}
-
 // ReloadTableFile loads a table file pushed by the controller and swaps it
 // in — the full NC_FORWARD_TAB handling path whose latency Table III
-// reports. The swap follows the VNF's table-update mode: RCU publish +
-// grace period by default, pause-swap-resume under WithPauseTableSwap.
+// reports. The swap is UpdateTable's: RCU publish + grace period.
 func (v *VNF) ReloadTableFile(path string) error {
 	t, err := LoadTable(path)
 	if err != nil {
 		return err
 	}
 	defer v.tel.tableSwaps.Inc(0)
-	if v.pauseSwap {
-		v.pauseAll()
-		defer v.resumeAll()
-		start := v.pauseEvent()
-		defer v.resumeEvent(start)
-		v.table.ReplaceAll(t.Snapshot())
-		return nil
-	}
 	v.table.ReplaceAll(t.Snapshot())
 	v.synchronize()
 	return nil
@@ -677,10 +623,10 @@ func (v *VNF) run() {
 }
 
 // drainBatch bounds how many queued datagrams a shard worker dequeues per
-// lock acquisition. Under load the queue runs deep, so decoder packets for
-// the same generation arrive at the coding layer as one batch and deferred
-// elimination materializes; when traffic is light the worker degenerates to
-// one packet per wakeup and adds no latency.
+// lock acquisition. Under load the queue runs deep, so packets for the same
+// generation arrive at the coding layer as one batch under one session-lock
+// hold; when traffic is light the worker degenerates to one packet per
+// wakeup and adds no latency.
 const drainBatch = 32
 
 // worker drains one shard's queue in runs of up to drainBatch datagrams.
@@ -1159,11 +1105,8 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncp
 
 // decodeBatch implements the receiver-side function for a run of packets
 // belonging to one generation. A single-element batch reproduces the old
-// per-packet decode exactly; deeper batches amortize lock traffic and let
-// the deferred-elimination engine (Decoder.AddBatch) skip per-packet
-// back-substitution. Coding CPU is charged from the decoder's own work
-// meter, so the end-of-generation blocked inverse + fused multiply is paid
-// when it actually runs.
+// per-packet decode exactly; deeper batches amortize lock traffic over one
+// Decoder.AddBatch. Coding CPU is charged from the decoder's own work meter.
 func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, gen ncproto.GenerationID, batch []rlnc.CodedBlock) {
 	if len(batch) == 0 {
 		return
@@ -1222,7 +1165,7 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 	if complete {
 		data, err = dec.Generation()
 	}
-	work := dec.TakeWork() // on completion, includes the blocked inverse + multiply
+	work := dec.TakeWork()
 	if !complete || err != nil {
 		st.mu.Unlock()
 		v.chargeCodingCost(int(work))

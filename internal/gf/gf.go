@@ -160,7 +160,7 @@ func MulSlice(dst, src []byte, c byte) {
 // equivalent of an AXPY kernel). dst and src must have the same length and
 // must not alias unless they are identical slices with c == 0 or c == 1.
 //
-// Each row operation (this one, MulSlice, XorSlice, CombineSlices) has one
+// Each row operation (this one, MulSlice, CombineSlices) has one
 // kernel per CPU class: the best vector body the CPU has, chosen at package
 // init (kernel_amd64.go), and the table loops below for rows shorter than
 // the AVX2 body takes and everywhere else (kernel_other.go).
@@ -271,39 +271,4 @@ func xorSlice(dst, src []byte) {
 	for ; i < n; i++ {
 		dst[i] ^= src[i]
 	}
-}
-
-// DotProduct returns the inner product of two coefficient vectors,
-// sum_i a[i]*b[i], in GF(2^8). The vectors must have equal length.
-//
-// The inner loop goes through the log/exp tables rather than the 64 KiB
-// product table: with both operands varying per element, product-table
-// lookups touch a different 256-byte row every iteration (a random walk over
-// the full 64 KiB), while log (256 B), log, exp (510 B) stay L1-resident no
-// matter what the data looks like.
-func DotProduct(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic("gf: DotProduct length mismatch")
-	}
-	log := &_tables.log
-	exp := &_tables.exp
-	var acc byte
-	for i, av := range a {
-		bv := b[i]
-		if av == 0 || bv == 0 {
-			continue
-		}
-		acc ^= exp[int(log[av])+int(log[bv])]
-	}
-	return acc
-}
-
-// dotProductTable is the product-table reference implementation, kept for
-// the differential test and the BenchmarkDotProduct comparison.
-func dotProductTable(a, b []byte) byte {
-	var acc byte
-	for i := range a {
-		acc ^= _tables.mul[a[i]][b[i]]
-	}
-	return acc
 }

@@ -9,10 +9,10 @@ package gf
 // 64 coefficients per word, so eliminating a row at generation size k costs
 // k/64 word ops instead of k byte ops.
 //
-// The layout mirrors the GF(2^8) kernels: one row kernel (XorWords), fused
-// multi-row variants (XorWordsMulti, CombineWords) that strip-block to keep
-// the active rows L1-resident, and pack/unpack helpers that bridge the byte
-// payloads on the wire to the packed words the codec state holds.
+// The layout mirrors the GF(2^8) kernels: one row kernel (XorWords), a fused
+// gather (CombineWords) that strip-blocks to keep the active rows
+// L1-resident, and pack/unpack helpers that bridge the byte payloads on the
+// wire to the packed words the codec state holds.
 
 // WordBits is the number of GF(2) coefficients (or payload bits) per packed
 // word.
@@ -110,25 +110,6 @@ func Bit(bits []uint64, i int) byte {
 	return byte(bits[i/WordBits]>>(i%WordBits)) & 1
 }
 
-// SetBit sets coefficient i of a packed coefficient bitmap to 1.
-//
-//nc:hotpath
-func SetBit(bits []uint64, i int) {
-	bits[i/WordBits] |= 1 << (i % WordBits)
-}
-
-// XorSlice computes dst[i] ^= src[i] over byte slices — GF(2) addition on
-// unpacked payloads, through the same kernel as the c==1 path of
-// AddMulSlice. dst and src must have the same length.
-//
-//nc:hotpath
-func XorSlice(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("gf: XorSlice length mismatch")
-	}
-	xorKernel(dst, src)
-}
-
 // XorWords computes dst[i] ^= src[i] over packed words — the GF(2) row
 // operation. src may be shorter than dst (only the overlap is combined),
 // which lets a short packed row fold into a longer scratch row.
@@ -161,52 +142,9 @@ func xorWords(dst, src []uint64) {
 	}
 }
 
-// AddMulWords computes dst += c*src over packed GF(2) rows: a conditional
-// XOR, since the only nonzero coefficient is 1. It mirrors AddMulSlice for
-// the packed representation.
-//
-//nc:hotpath
-func AddMulWords(dst, src []uint64, c byte) {
-	if c&1 == 0 {
-		return
-	}
-	XorWords(dst, src)
-}
-
 // fusedStripWords is the column-block length (in words) of the fused packed
-// kernels: 1 KiB strips.
+// gather: 1 KiB strips.
 const fusedStripWords = 1024 / 8
-
-// XorWordsMulti XORs ONE packed source row into every destination row with
-// an odd coefficient, in a single strip-blocked pass — the packed analogue
-// of AddMulSlices. len(dsts) must equal len(cs) and every destination must
-// have the source's length. Rows with an even (zero in GF(2)) coefficient
-// are skipped; no destination may alias src.
-//
-//nc:hotpath
-func XorWordsMulti(dsts [][]uint64, src []uint64, cs []byte) {
-	if len(dsts) != len(cs) {
-		panic("gf: XorWordsMulti rows/coeffs mismatch")
-	}
-	for _, d := range dsts {
-		if len(d) != len(src) {
-			panic("gf: XorWordsMulti length mismatch")
-		}
-	}
-	for off := 0; off < len(src); off += fusedStripWords {
-		end := off + fusedStripWords
-		if end > len(src) {
-			end = len(src)
-		}
-		s := src[off:end]
-		for j, d := range dsts {
-			if cs[j]&1 == 0 {
-				continue
-			}
-			xorWords(d[off:end:end], s)
-		}
-	}
-}
 
 // CombineWords sets dst = XOR of every source row with an odd coefficient —
 // N packed rows gathered into one destination in a single strip-blocked

@@ -46,7 +46,7 @@ func TestPackBytesMatchesXorSemantics(t *testing.T) {
 		PackBytes(wa, a)
 		PackBytes(wb, b)
 		XorWords(wa, wb)
-		XorSlice(a, b)
+		AddMulSlice(a, b, 1)
 		want := make([]uint64, WordsForBytes(n))
 		PackBytes(want, a)
 		for i := range wa {
@@ -95,16 +95,6 @@ func TestPackBitsClearsStaleWords(t *testing.T) {
 	}
 }
 
-func TestSetBit(t *testing.T) {
-	bits := make([]uint64, 2)
-	SetBit(bits, 0)
-	SetBit(bits, 63)
-	SetBit(bits, 64)
-	if bits[0] != 1|1<<63 || bits[1] != 1 {
-		t.Fatalf("SetBit wrong words: %#x %#x", bits[0], bits[1])
-	}
-}
-
 func TestXorWordsMatchesWordwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 3, 4, 7, 8, 183, 184} {
@@ -142,66 +132,6 @@ func TestXorWordsSourceTooLongPanics(t *testing.T) {
 	XorWords(make([]uint64, 1), make([]uint64, 2))
 }
 
-func TestXorSliceLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	XorSlice(make([]byte, 1), make([]byte, 2))
-}
-
-func TestAddMulWords(t *testing.T) {
-	dst := []uint64{1, 2}
-	src := []uint64{4, 8}
-	AddMulWords(dst, src, 0)
-	if dst[0] != 1 || dst[1] != 2 {
-		t.Fatalf("c=0 must be a no-op: %v", dst)
-	}
-	AddMulWords(dst, src, 1)
-	if dst[0] != 5 || dst[1] != 10 {
-		t.Fatalf("c=1 must XOR: %v", dst)
-	}
-	AddMulWords(dst, src, 2) // even byte: zero in GF(2)
-	if dst[0] != 5 || dst[1] != 10 {
-		t.Fatalf("even c must be a no-op: %v", dst)
-	}
-}
-
-func TestXorWordsMultiMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, words := range []int{1, 8, 183, fusedStripWords + 5} {
-		const rows = 9
-		src := make([]uint64, words)
-		for i := range src {
-			src[i] = rng.Uint64()
-		}
-		dsts := make([][]uint64, rows)
-		want := make([][]uint64, rows)
-		cs := make([]byte, rows)
-		for j := range dsts {
-			dsts[j] = make([]uint64, words)
-			want[j] = make([]uint64, words)
-			for i := range dsts[j] {
-				dsts[j][i] = rng.Uint64()
-				want[j][i] = dsts[j][i]
-			}
-			cs[j] = byte(rng.Intn(4)) // includes even values (zero in GF(2))
-		}
-		XorWordsMulti(dsts, src, cs)
-		for j := range want {
-			AddMulWords(want[j], src, cs[j])
-		}
-		for j := range dsts {
-			for i := range dsts[j] {
-				if dsts[j][i] != want[j][i] {
-					t.Fatalf("words=%d row %d word %d: fused diverges", words, j, i)
-				}
-			}
-		}
-	}
-}
-
 func TestCombineWordsMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, words := range []int{1, 8, 183, fusedStripWords + 5} {
@@ -222,7 +152,9 @@ func TestCombineWordsMatchesLoop(t *testing.T) {
 		CombineWords(dst, srcs, cs)
 		want := make([]uint64, words)
 		for j := range srcs {
-			AddMulWords(want, srcs[j], cs[j])
+			if cs[j]&1 == 1 {
+				XorWords(want, srcs[j])
+			}
 		}
 		for i := range dst {
 			if dst[i] != want[i] {
@@ -250,8 +182,6 @@ func TestPackedKernelPanics(t *testing.T) {
 		{"UnpackBytesShortSrc", func() { UnpackBytes(make([]byte, 9), make([]uint64, 1)) }},
 		{"PackBitsShortDst", func() { PackBits(make([]uint64, 1), make([]byte, 65)) }},
 		{"UnpackBitsShortSrc", func() { UnpackBits(make([]byte, 65), make([]uint64, 1)) }},
-		{"MultiRowsMismatch", func() { XorWordsMulti(make([][]uint64, 2), make([]uint64, 1), make([]byte, 1)) }},
-		{"MultiLenMismatch", func() { XorWordsMulti([][]uint64{make([]uint64, 2)}, make([]uint64, 1), make([]byte, 1)) }},
 		{"CombineRowsMismatch", func() { CombineWords(make([]uint64, 1), make([][]uint64, 2), make([]byte, 1)) }},
 		{"CombineLenMismatch", func() { CombineWords(make([]uint64, 1), [][]uint64{make([]uint64, 2)}, make([]byte, 1)) }},
 	}
@@ -315,7 +245,7 @@ func BenchmarkXorWords(b *testing.B) {
 		b.SetBytes(1460)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			XorSlice(db, sb)
+			AddMulSlice(db, sb, 1)
 		}
 	})
 }

@@ -254,24 +254,6 @@ func TestAddMulSliceLengthMismatchPanics(t *testing.T) {
 	AddMulSlice(make([]byte, 4), make([]byte, 5), 3)
 }
 
-func TestDotProduct(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{4, 5, 6}
-	want := Mul(1, 4) ^ Mul(2, 5) ^ Mul(3, 6)
-	if got := DotProduct(a, b); got != want {
-		t.Fatalf("DotProduct = %d, want %d", got, want)
-	}
-}
-
-func TestDotProductMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	DotProduct([]byte{1}, []byte{1, 2})
-}
-
 func TestFieldString(t *testing.T) {
 	if GF256.String() != "GF(2^8)" || GF2.String() != "GF(2)" {
 		t.Fatalf("unexpected names: %s %s", GF256, GF2)

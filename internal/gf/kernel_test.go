@@ -105,7 +105,8 @@ func kernelTestLengths() []int {
 // alignment only as addresses: every multiplier at every length at a few
 // alignments, and, at every length for a few multipliers, every (dst, src)
 // misalignment pair from a 32-byte boundary plus each operand's upper 32
-// offsets from a 64-byte one against a few of the other's.
+// offsets from a 64-byte one against a few of the other's. Under -race both
+// sweeps take every kernelSweepStep-th value (race_on_test.go says why).
 func TestKernelMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	lengths := kernelTestLengths()
@@ -116,7 +117,7 @@ func TestKernelMatchesTable(t *testing.T) {
 	for _, op := range kernelOps {
 		t.Run(op.name+"/multipliers", func(t *testing.T) {
 			eachTier(t, func() {
-				for c := 0; c < 256; c++ {
+				for c := 0; c < 256; c += kernelSweepStep {
 					for _, n := range lengths {
 						for _, off := range [][2]int{{0, 0}, {1, 3}, {17, 0}, {31, 31}, {63, 33}} {
 							arena.check(t, op, byte(c), dstData[:n], srcData[:n], off[0], off[1])
@@ -129,12 +130,12 @@ func TestKernelMatchesTable(t *testing.T) {
 			eachTier(t, func() {
 				for _, c := range []byte{0, 1, 2, 0x1D, 0x80, 0xFF} {
 					for _, n := range lengths {
-						for dstOff := 0; dstOff < 32; dstOff++ {
-							for srcOff := 0; srcOff < 32; srcOff++ {
+						for dstOff := 0; dstOff < 32; dstOff += kernelSweepStep {
+							for srcOff := 0; srcOff < 32; srcOff += kernelSweepStep {
 								arena.check(t, op, c, dstData[:n], srcData[:n], dstOff, srcOff)
 							}
 						}
-						for upper := 32; upper < 64; upper++ {
+						for upper := 32; upper < 64; upper += kernelSweepStep {
 							for _, other := range few {
 								arena.check(t, op, c, dstData[:n], srcData[:n], upper, other)
 								arena.check(t, op, c, dstData[:n], srcData[:n], other, upper)

@@ -1,10 +1,8 @@
 package rlnc
 
 import (
-	"fmt"
 	"math/bits"
 
-	"ncfn/internal/bitmat"
 	"ncfn/internal/gf"
 )
 
@@ -14,10 +12,10 @@ import (
 // coefficients) and payloads as []uint64 words: every row operation of the
 // elimination moves 64 coded bits per ALU op instead of 8 through a lookup
 // table. Each engine here is the packed twin of a byte engine in rlnc.go /
-// batch.go — packedBasis of basis, packedSpan of rawSpan, packedDeferred of
-// deferred — with identical insert/accept semantics, so the byte-wise path
-// stays available as the differential reference (the packed differential
-// tier asserts bit-identical decode and recode output).
+// batch.go — packedBasis of basis, packedSpan of rawSpan — with identical
+// insert/accept semantics, so the byte-wise path stays available as the
+// differential reference (the packed differential tier asserts bit-identical
+// decode and recode output).
 //
 // Work metering: the byte engines count payload-equivalent kernel traffic in
 // bytes, where one byte equals one table-lookup ALU op. A packed XOR moves 8
@@ -165,9 +163,8 @@ func (pb *packedBasis) block(i int) []byte {
 }
 
 // packedSpan is the bit-packed twin of rawSpan: up to k raw rows stored as
-// packed words, gated by a coefficient-only bitmap RREF. It backs both the
-// packed deferred decoder and the packed recoder. insert performs no heap
-// allocation.
+// packed words, gated by a coefficient-only bitmap RREF — the GF(2)
+// recoder's storage. insert performs no heap allocation.
 type packedSpan struct {
 	k, blockSize   int
 	cwords, pwords int
@@ -253,69 +250,4 @@ func (s *packedSpan) insert(coeffs, payload []byte) bool {
 	s.n++
 	s.work += uint64(s.blockSize) >> gf2WorkShift // the raw payload pack
 	return true
-}
-
-// packedDeferred is the bit-packed twin of deferred: a packedSpan plus the
-// end-of-generation solve — one bitwise inverse of the k x k coefficient
-// bitmap (bitmat.Inverse) and one fused packed gather per source block
-// (gf.CombineWords), unpacked straight into the decoded byte arena.
-type packedDeferred struct {
-	span    *packedSpan
-	decoded [][]byte
-	gatherW []uint64 // packed gather scratch, pwords long
-	invRow  []byte   // unpacked inverse-row scratch, k long
-	solved  bool
-	work    uint64
-}
-
-func newPackedDeferred(k, blockSize int) *packedDeferred {
-	d := &packedDeferred{
-		span:    newPackedSpan(k, blockSize),
-		decoded: make([][]byte, k),
-		invRow:  make([]byte, k),
-	}
-	d.gatherW = make([]uint64, d.span.pwords)
-	arena := make([]byte, k*blockSize)
-	for i := 0; i < k; i++ {
-		d.decoded[i] = arena[i*blockSize : (i+1)*blockSize : (i+1)*blockSize]
-	}
-	return d
-}
-
-// finalize recovers the source blocks: decoded = C^-1 * P over GF(2), where
-// C is the raw coefficient bitmap and P the packed raw payloads. Runs once;
-// later calls are free.
-func (d *packedDeferred) finalize() error {
-	if d.solved {
-		return nil
-	}
-	s := d.span
-	if s.n < s.k {
-		return fmt.Errorf("rlnc: generation incomplete (rank %d/%d)", s.n, s.k)
-	}
-	C, err := bitmat.FromRows(s.rawC[:s.k], s.k)
-	if err != nil {
-		return err
-	}
-	inv, err := C.Inverse()
-	if err != nil {
-		// Cannot happen: every stored row passed the innovation gate.
-		return fmt.Errorf("rlnc: packed raw span not invertible: %w", err)
-	}
-	for i := 0; i < s.k; i++ {
-		gf.UnpackBits(d.invRow, inv.Row(i))
-		gf.CombineWords(d.gatherW, s.rawP[:s.k], d.invRow)
-		gf.UnpackBytes(d.decoded[i], d.gatherW)
-	}
-	k := uint64(s.k)
-	// Same traffic model as the byte engine, shifted to the packed cost.
-	d.work += (2*k*k*k + k*(k+1)/2*uint64(s.blockSize)) >> gf2WorkShift
-	d.solved = true
-	return nil
-}
-
-func (d *packedDeferred) takeWork() uint64 {
-	w := d.work + d.span.work
-	d.work, d.span.work = 0, 0
-	return w
 }

@@ -13,10 +13,10 @@ import (
 // packed engine must be bit-identical to its byte-wise twin under loss,
 // duplication, and reordering, at generation sizes deliberately straddling
 // the 64-bit word boundary (k = 64 packs exactly one coefficient word;
-// k = 65 spills into a second). The byte engines are reached by pre-seeding
-// a Decoder's unexported engine field (tests share the package) or by
+// k = 65 spills into a second). The byte engines are reached by swapping a
+// Decoder's unexported engine field (tests share the package) or by
 // hand-building a Recoder around a byte rawSpan — the public constructors
-// auto-select the packed path for GF(2) params.
+// build the packed path for GF(2) params.
 
 // packedDiffSizes straddle the coefficient-word boundary.
 var packedDiffSizes = []int{1, 7, 64, 65}
@@ -25,19 +25,14 @@ func gf2Params(k, blockSize int) Params {
 	return Params{GenerationBlocks: k, BlockSize: blockSize, Field: gf.GF2}
 }
 
-// byteDecoder returns a GF(2) decoder pinned to the byte-wise engine:
-// incremental (basis) or deferred (rawSpan) depending on batched.
-func byteDecoder(t *testing.T, p Params, batched bool) *Decoder {
+// byteDecoder returns a GF(2) decoder running the byte-wise basis.
+func byteDecoder(t testing.TB, p Params) *Decoder {
 	t.Helper()
 	d, err := NewDecoder(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched {
-		d.def = newDeferred(p.GenerationBlocks, p.BlockSize)
-	} else {
-		d.b = newBasis(p.GenerationBlocks, p.BlockSize)
-	}
+	d.b, d.pb = newBasis(p.GenerationBlocks, p.BlockSize), nil
 	return d
 }
 
@@ -69,94 +64,57 @@ func gf2Stream(t *testing.T, p Params, seed int64, lossPct, dupPct int) (src []b
 	return src, corruptStream(rng, coded, lossPct, dupPct)
 }
 
-// TestPackedDecoderMatchesByteReference drives the packed incremental and
-// packed deferred engines in lockstep with their byte-wise references on the
-// same corrupted GF(2) stream: every innovation verdict, every rank and
-// useless step, and the final decoded bytes must agree across all four.
+// TestPackedDecoderMatchesByteReference drives the packed basis in lockstep
+// with the byte basis on the same corrupted GF(2) stream: every innovation
+// verdict, every rank and useless step, and the final decoded bytes must
+// agree.
 func TestPackedDecoderMatchesByteReference(t *testing.T) {
 	for _, k := range packedDiffSizes {
 		for _, tc := range []struct {
 			name            string
 			lossPct, dupPct int
-			batch           int
 		}{
-			{"clean", 0, 0, 1},
-			{"loss", 25, 0, 3},
-			{"dup", 0, 35, 2},
-			{"loss+dup", 20, 25, 5},
+			{"clean", 0, 0},
+			{"loss", 25, 0},
+			{"dup", 0, 35},
+			{"loss+dup", 20, 25},
 		} {
 			t.Run("k="+strconv.Itoa(k)+"/"+tc.name, func(t *testing.T) {
 				p := gf2Params(k, 96+k%8) // odd block sizes exercise word tails
-				_, stream := gf2Stream(t, p, int64(1000+k), tc.lossPct, tc.dupPct)
+				src, stream := gf2Stream(t, p, int64(1000+k), tc.lossPct, tc.dupPct)
 
-				packedInc, _ := NewDecoder(p)
-				packedDef, _ := NewDecoder(p)
-				byteInc := byteDecoder(t, p, false)
-				byteDef := byteDecoder(t, p, true)
-				// Select the packed engines through the public API.
-				if _, err := packedInc.Add(stream[0].Clone()); err != nil {
-					t.Fatal(err)
+				packed, _ := NewDecoder(p)
+				ref := byteDecoder(t, p)
+				if packed.pb == nil || packed.b != nil {
+					t.Fatal("NewDecoder did not build the packed basis for GF(2)")
 				}
-				if _, err := byteInc.Add(stream[0].Clone()); err != nil {
-					t.Fatal(err)
-				}
-				if packedInc.pb == nil || byteInc.b == nil {
-					t.Fatal("engine selection wrong: want packed basis vs byte basis")
-				}
-				for off := 1; off < len(stream); off++ {
-					pi, err := packedInc.Add(stream[off].Clone())
+				for off := range stream {
+					pi, err := packed.Add(stream[off].Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
-					bi, err := byteInc.Add(stream[off].Clone())
+					bi, err := ref.Add(stream[off].Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
 					if pi != bi {
 						t.Fatalf("packet %d: innovation verdict diverged (packed %v, byte %v)", off, pi, bi)
 					}
-				}
-				for off := 0; off < len(stream); off += tc.batch {
-					end := off + tc.batch
-					if end > len(stream) {
-						end = len(stream)
-					}
-					pn, err := packedDef.AddBatch(stream[off:end])
-					if err != nil {
-						t.Fatal(err)
-					}
-					bn, err := byteDef.AddBatch(stream[off:end])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if pn != bn {
-						t.Fatalf("batch at %d: innovative count diverged (packed %d, byte %d)", off, pn, bn)
+					if packed.Rank() != ref.Rank() || packed.Useless() != ref.Useless() {
+						t.Fatalf("packet %d: rank/useless diverged: packed %d/%d, byte %d/%d",
+							off, packed.Rank(), packed.Useless(), ref.Rank(), ref.Useless())
 					}
 				}
-				if packedDef.pdef == nil || byteDef.def == nil {
-					t.Fatal("engine selection wrong: want packed deferred vs byte deferred")
+				if !packed.Complete() {
+					t.Fatalf("stream did not complete the generation (rank %d/%d)", packed.Rank(), k)
 				}
-				decoders := []*Decoder{packedInc, byteInc, packedDef, byteDef}
-				for i, d := range decoders[1:] {
-					if d.Rank() != decoders[0].Rank() || d.Useless() != decoders[0].Useless() {
-						t.Fatalf("decoder %d: rank/useless diverged: %d/%d vs %d/%d",
-							i+1, d.Rank(), d.Useless(), decoders[0].Rank(), decoders[0].Useless())
-					}
-				}
-				if !packedInc.Complete() {
-					t.Fatalf("stream did not complete the generation (rank %d/%d)", packedInc.Rank(), k)
-				}
-				want, err := packedInc.Generation()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, d := range decoders[1:] {
+				for _, d := range []*Decoder{packed, ref} {
 					got, err := d.Generation()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("decoder %d: decoded bytes diverged", i+1)
+					if !bytes.Equal(got, src) {
+						t.Fatal("decoded bytes differ from the source")
 					}
 				}
 			})
@@ -293,8 +251,8 @@ func TestGF2DrawsNeverAllZero(t *testing.T) {
 	}
 }
 
-// TestPackedDecoderDelegation: each packed engine accepts the other entry
-// point once selected, mirroring TestDecoderModeDelegation.
+// TestPackedDecoderDelegation: Add and AddBatch are one insert, so a packed
+// decoder fed through them in either order decodes the source.
 func TestPackedDecoderDelegation(t *testing.T) {
 	p := gf2Params(7, 64)
 	src := randomData(6, p.GenerationBytes())
@@ -303,7 +261,6 @@ func TestPackedDecoderDelegation(t *testing.T) {
 	for i := range coded {
 		coded[i] = enc.Coded()
 	}
-	// Packed basis selected by Add, then fed through AddBatch.
 	d1, _ := NewDecoder(p)
 	if _, err := d1.Add(coded[0]); err != nil {
 		t.Fatal(err)
@@ -311,10 +268,6 @@ func TestPackedDecoderDelegation(t *testing.T) {
 	if _, err := d1.AddBatch(coded[1:]); err != nil {
 		t.Fatal(err)
 	}
-	if d1.pb == nil || d1.pdef != nil {
-		t.Fatal("AddBatch after Add must fold into the packed basis")
-	}
-	// Packed deferred selected by AddBatch, then fed through Add.
 	d2, _ := NewDecoder(p)
 	if _, err := d2.AddBatch(coded[:2]); err != nil {
 		t.Fatal(err)
@@ -323,9 +276,6 @@ func TestPackedDecoderDelegation(t *testing.T) {
 		if _, err := d2.Add(cb); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if d2.pdef == nil || d2.pb != nil {
-		t.Fatal("Add after AddBatch must fold into the packed deferred span")
 	}
 	for _, d := range []*Decoder{d1, d2} {
 		if !d.Complete() {
@@ -385,10 +335,7 @@ func TestPackedDecoderAddZeroAlloc(t *testing.T) {
 		blocks[i] = enc.Coded()
 	}
 	d, _ := NewDecoder(p)
-	if _, err := d.Add(blocks[0]); err != nil { // create the packed basis
-		t.Fatal(err)
-	}
-	i := 1
+	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.Add(blocks[i%len(blocks)]); err != nil {
 			t.Fatal(err)
@@ -408,9 +355,6 @@ func TestPackedDecoderAddBatchZeroAlloc(t *testing.T) {
 		batch[i] = enc.Coded()
 	}
 	d, _ := NewDecoder(p)
-	if _, err := d.AddBatch(batch[:1]); err != nil { // create the packed deferred engine
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.AddBatch(batch); err != nil {
 			t.Fatal(err)
@@ -457,53 +401,22 @@ func TestPackedRecoderRecodeIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkDecoderBatchGF2 is the acceptance benchmark of the GF(2) fast
-// path: a full generation decoded through AddBatch at the Fig 4 sweep
-// sizes, packed engine vs the byte-wise GF(2) reference. Compare
-// throughput against BenchmarkDecoderBatch/deferred (the GF(2^8) batched
-// engine) at the same k. Guarded by a benchguard baseline at k=64.
+// BenchmarkDecoderBatchGF2 is BenchmarkDecoderBatch over GF(2): the packed
+// basis against the byte basis on the same rows (the reference), in both row
+// shapes. The packed rows are guarded by benchguard baselines.
 func BenchmarkDecoderBatchGF2(b *testing.B) {
-	for _, k := range []int{16, 64} {
-		p := gf2Params(k, 1460)
-		enc, err := NewEncoder(p, randomData(21, p.GenerationBytes()), 21)
-		if err != nil {
-			b.Fatal(err)
+	for _, shape := range benchRowShapes {
+		for _, k := range []int{16, 64} {
+			p := gf2Params(k, 1460)
+			// Extra blocks absorb dependent GF(2) combinations.
+			blocks := benchRows(b, p, shape, 2*k+16)
+			name := shape + "/k=" + strconv.Itoa(k)
+			b.Run("packed/"+name, func(b *testing.B) {
+				d, _ := NewDecoder(p)
+				benchDecode(b, d, blocks)
+			})
+			b.Run("reference/"+name, func(b *testing.B) { benchDecode(b, byteDecoder(b, p), blocks) })
 		}
-		// Extra blocks absorb dependent GF(2) combinations.
-		blocks := make([]CodedBlock, 2*k+16)
-		for i := range blocks {
-			blocks[i] = enc.Coded()
-		}
-		run := func(b *testing.B, packed bool) {
-			b.SetBytes(int64(p.GenerationBytes()))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d, err := NewDecoder(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !packed {
-					d.def = newDeferred(k, p.BlockSize)
-				}
-				for off := 0; off < len(blocks) && !d.Complete(); off += 8 {
-					end := off + 8
-					if end > len(blocks) {
-						end = len(blocks)
-					}
-					if _, err := d.AddBatch(blocks[off:end]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !d.Complete() {
-					b.Fatal("generation incomplete")
-				}
-				if _, err := d.Block(0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.Run("packed/k="+strconv.Itoa(k), func(b *testing.B) { run(b, true) })
-		b.Run("reference/k="+strconv.Itoa(k), func(b *testing.B) { run(b, false) })
 	}
 }
 

@@ -10,49 +10,37 @@ import "ncfn/internal/gf"
 // recycling a finished generation's arenas instead of allocating new ones
 // keeps the steady-state allocation rate independent of generation turnover.
 
-// StateBytes estimates the bytes of coding state one generation retains at
-// this VNF: the engine arenas a decoder (or recoder) of these parameters
-// allocates — coefficient rows, reduction rows, payload rows, and the
-// decoded-output arena. The estimate is deterministic (it depends only on
-// the parameters, not on how many packets arrived), sized for the deferred
-// engines the batched data plane selects, and field-aware: GF(2) packs
-// coefficients 8 per byte and both coefficient and payload rows into
-// uint64 words. The session store multiplies it by live generations to feed
-// the dataplane_session_bytes gauge, so it intentionally over-counts a
-// low-rank generation rather than under-counting a full one.
+// StateBytes is the bytes of coding state one generation retains at a VNF:
+// the larger of what a decoder and a recoder of these parameters allocate,
+// arena for arena (TestStateBytesMatchesArenas). It depends only on the
+// parameters, not on how many packets arrived. The session store multiplies
+// it by live generations to feed the dataplane_session_bytes gauge, so it
+// over-counts the smaller role and a low-rank generation rather than
+// under-counting a full one.
 func (p Params) StateBytes() int {
 	k, bs := p.GenerationBlocks, p.BlockSize
 	if p.field() == gf.GF2 {
-		cw := gf.WordsForBits(k)
-		pw := gf.WordsForBytes(bs)
-		// packedSpan arenas (k raw coeff + k raw payload + k+1 reduction
-		// rows, 8 bytes per word) plus the decoded byte arena.
-		return 8*((2*k+1)*cw+k*pw) + k*bs
+		cw, pw := gf.WordsForBits(k), gf.WordsForBytes(bs)
+		// packedBasis: k+1 coefficient and payload rows of 8-byte words plus
+		// the unpacked output; packedSpan: k raw coefficient and payload rows
+		// plus k+1 reduction rows.
+		return max(8*(k+1)*(cw+pw)+k*bs, 8*((2*k+1)*cw+k*pw))
 	}
-	// rawSpan arenas (k*k raw coeffs, (k+1)*k reduction rows, k payload
-	// rows at their padded stride) plus the decoded byte arena.
-	return (2*k+1)*k + 2*k*rowStride(bs)
+	// basis: k+1 coefficient and payload rows; rawSpan: k*k raw coefficients,
+	// (k+1)*k reduction rows, k payload rows. Payload rows sit at their
+	// padded stride in both.
+	return max((k+1)*(k+rowStride(bs)), (2*k+1)*k+k*rowStride(bs))
 }
 
 // Reset returns the decoder to its freshly-constructed state for a new
-// generation, reusing every engine arena already allocated. A reset decoder
-// accepts the same call sequence as a new one and decodes identical bytes;
-// the only difference from NewDecoder is that whichever engines the previous
-// generation instantiated stay selected, so a decoder recycled across
-// generations keeps its allocation-free steady state.
+// generation, reusing the engine's arenas: a reset decoder accepts the same
+// call sequence as a new one and decodes identical bytes.
 func (d *Decoder) Reset() {
-	if d.b != nil {
-		d.b.reset()
-	}
-	if d.def != nil {
-		d.def.reset()
-	}
 	if d.pb != nil {
 		d.pb.reset()
+		return
 	}
-	if d.pdef != nil {
-		d.pdef.reset()
-	}
+	d.b.reset()
 }
 
 // Reset returns the recoder to its freshly-constructed state for a new
@@ -90,12 +78,6 @@ func (s *rawSpan) reset() {
 	s.nextRed = 1
 }
 
-func (d *deferred) reset() {
-	d.span.reset()
-	d.solved = false
-	d.work = 0
-}
-
 func (pb *packedBasis) reset() {
 	for i := range pb.pivots {
 		pb.pivots[i] = false
@@ -116,10 +98,4 @@ func (s *packedSpan) reset() {
 	s.n, s.useless, s.work = 0, 0, 0
 	s.scratch = s.arenaR[:s.cwords:s.cwords]
 	s.nextRed = 1
-}
-
-func (d *packedDeferred) reset() {
-	d.span.reset()
-	d.solved = false
-	d.work = 0
 }

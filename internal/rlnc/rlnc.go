@@ -295,8 +295,8 @@ func (e *Encoder) TakeWork() uint64 {
 	return w
 }
 
-// basis is the shared progressive-Gaussian-elimination core behind Decoder
-// and Recoder: a reduced row-echelon system of at most k rows, stored in a
+// basis is the Decoder's progressive-Gaussian-elimination engine over
+// GF(2^8): a reduced row-echelon system of at most k rows, stored in a
 // preallocated arena so that inserting a block performs zero heap
 // allocations. The arena holds k+1 rows: up to k pivot rows plus one
 // scratch row the next arrival is reduced in; an innovative insert promotes
@@ -327,22 +327,27 @@ func newBasis(k, blockSize int) *basis {
 		payload:   make([][]byte, k),
 		pivots:    make([]bool, k),
 		arenaC:    make([]byte, (k+1)*k),
-		arenaP:    make([]byte, (k+1)*blockSize),
+		arenaP:    make([]byte, (k+1)*rowStride(blockSize)),
 	}
 	b.scratchC, b.scratchP = b.arenaRow(0)
 	b.nextRow = 1
 	return b
 }
 
+// arenaRow returns the i-th coefficient row and the i-th payload row, which
+// starts on a cache line like a rawSpan's (rowStride).
 func (b *basis) arenaRow(i int) (coeffs, payload []byte) {
+	off := i * rowStride(b.blockSize)
 	return b.arenaC[i*b.k : (i+1)*b.k : (i+1)*b.k],
-		b.arenaP[i*b.blockSize : (i+1)*b.blockSize : (i+1)*b.blockSize]
+		b.arenaP[off : off+b.blockSize : off+b.blockSize]
 }
 
 // insert reduces one coded block against the stored pivot rows and, if it
 // is innovative, stores it and back-substitutes to keep the system in
 // reduced form. It reports whether the rank increased. insert performs no
 // heap allocation.
+//
+//nc:hotpath
 func (b *basis) insert(coeffs, payload []byte) bool {
 	cs, ps := b.scratchC, b.scratchP
 	copy(cs, coeffs)
@@ -402,33 +407,24 @@ func (b *basis) insert(coeffs, payload []byte) bool {
 	return true
 }
 
-// Decoder recovers a generation from coded blocks. It runs one of two
-// engines, selected lazily by the first call:
+// Decoder recovers a generation from coded blocks by progressive Gaussian
+// elimination: every arriving block is reduced against the rows collected so
+// far and, if innovative, back-substituted into them, so the source blocks
+// stand decoded the moment the rank reaches k and the cost is spread across
+// arrivals. A zero coefficient costs nothing, which is what the systematic,
+// subset-recoded traffic of the data plane is mostly made of (DESIGN.md §5
+// has the measurements against the batched inverse this replaced).
 //
-//   - Add (incremental): every arriving block is reduced against the rows
-//     collected so far via progressive Gaussian elimination, spreading decode
-//     cost across arrivals — lowest per-generation latency jitter.
-//   - AddBatch (deferred): arriving rows are rank-gated on coefficients only
-//     and stored raw; one blocked inverse + fused multiply recovers the
-//     generation at full rank — far less total work for large generations.
-//
-// Either engine accepts both calls once selected (the other call delegates),
-// and both decode to identical bytes. All row storage is preallocated when
-// the engine is created; steady-state Add/AddBatch performs no heap
-// allocations. It is not safe for concurrent use.
-//
-// Under Params.Field == gf.GF2 the decoder picks the bit-packed twins of
-// both engines (packedBasis / packedDeferred): coefficients become bitmaps,
-// payloads become []uint64, and every elimination row-op is a word-wide XOR.
-// The byte engines remain reachable for GF(2) inputs (tests pre-seed them)
-// and decode bit-identical output — they are the differential reference for
-// the packed path.
+// The engine is fixed at construction by Params.Field: basis for GF(2^8),
+// packedBasis — coefficients as bitmaps, payloads as []uint64, every row-op
+// a word-wide XOR — for GF(2). All row storage is preallocated; Add, AddBatch
+// and Reset perform no heap allocation. The byte basis decodes GF(2) inputs
+// to the same bytes (tests pre-seed it as the packed path's reference). It
+// is not safe for concurrent use.
 type Decoder struct {
 	params Params
-	b      *basis          // incremental engine, created by a first Add
-	def    *deferred       // batched engine, created by a first AddBatch
-	pb     *packedBasis    // packed incremental engine (GF(2))
-	pdef   *packedDeferred // packed batched engine (GF(2))
+	b      *basis       // GF(2^8)
+	pb     *packedBasis // GF(2); exactly one of the two is set
 }
 
 // NewDecoder builds a decoder for one generation.
@@ -436,7 +432,13 @@ func NewDecoder(params Params) (*Decoder, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Decoder{params: params}, nil
+	d := &Decoder{params: params}
+	if params.field() == gf.GF2 {
+		d.pb = newPackedBasis(params.GenerationBlocks, params.BlockSize)
+	} else {
+		d.b = newBasis(params.GenerationBlocks, params.BlockSize)
+	}
+	return d, nil
 }
 
 // Params returns the coding parameters.
@@ -444,34 +446,20 @@ func (d *Decoder) Params() Params { return d.params }
 
 // Rank returns the number of linearly independent blocks received so far.
 func (d *Decoder) Rank() int {
-	switch {
-	case d.b != nil:
-		return d.b.rank
-	case d.def != nil:
-		return d.def.span.n
-	case d.pb != nil:
+	if d.pb != nil {
 		return d.pb.rank
-	case d.pdef != nil:
-		return d.pdef.span.n
 	}
-	return 0
+	return d.b.rank
 }
 
 // Useless returns the number of received blocks that were not innovative
 // (linearly dependent on earlier ones). With GF(2^8) coefficients this stays
 // near zero; it grows under GF(2), which the field-size ablation measures.
 func (d *Decoder) Useless() int {
-	switch {
-	case d.b != nil:
-		return d.b.useless
-	case d.def != nil:
-		return d.def.span.useless
-	case d.pb != nil:
+	if d.pb != nil {
 		return d.pb.useless
-	case d.pdef != nil:
-		return d.pdef.span.useless
 	}
-	return 0
+	return d.b.useless
 }
 
 // Complete reports whether the full generation can be recovered.
@@ -479,25 +467,23 @@ func (d *Decoder) Complete() bool { return d.Rank() == d.params.GenerationBlocks
 
 // TakeWork returns the coding work performed since the last call, measured
 // in bytes of equivalent single-row kernel traffic, and resets the counter.
-// For the deferred engine this includes the end-of-generation inverse and
-// multiply once they have run.
 func (d *Decoder) TakeWork() uint64 {
-	var w uint64
-	if d.b != nil {
-		w += d.b.work
-		d.b.work = 0
-	}
-	if d.def != nil {
-		w += d.def.takeWork()
-	}
 	if d.pb != nil {
-		w += d.pb.work
+		w := d.pb.work
 		d.pb.work = 0
+		return w
 	}
-	if d.pdef != nil {
-		w += d.pdef.takeWork()
-	}
+	w := d.b.work
+	d.b.work = 0
 	return w
+}
+
+// insert hands one checked block to the engine.
+func (d *Decoder) insert(cb CodedBlock) bool {
+	if d.pb != nil {
+		return d.pb.insert(cb.Coeffs, cb.Payload)
+	}
+	return d.b.insert(cb.Coeffs, cb.Payload)
 }
 
 // Add consumes one coded block and reports whether it was innovative
@@ -506,22 +492,25 @@ func (d *Decoder) Add(cb CodedBlock) (bool, error) {
 	if err := d.params.checkBlock(cb); err != nil {
 		return false, err
 	}
-	switch {
-	case d.def != nil:
-		return d.def.span.insert(cb.Coeffs, cb.Payload), nil
-	case d.pdef != nil:
-		return d.pdef.span.insert(cb.Coeffs, cb.Payload), nil
-	case d.b != nil:
-		return d.b.insert(cb.Coeffs, cb.Payload), nil
-	case d.pb != nil:
-		return d.pb.insert(cb.Coeffs, cb.Payload), nil
+	return d.insert(cb), nil
+}
+
+// AddBatch consumes a run of coded blocks — what a shard worker drained for
+// one generation — and returns how many were innovative. Every block is
+// checked before the first is consumed, so a bad batch changes nothing.
+func (d *Decoder) AddBatch(blocks []CodedBlock) (int, error) {
+	for i := range blocks {
+		if err := d.params.checkBlock(blocks[i]); err != nil {
+			return 0, err
+		}
 	}
-	if d.params.field() == gf.GF2 {
-		d.pb = newPackedBasis(d.params.GenerationBlocks, d.params.BlockSize)
-		return d.pb.insert(cb.Coeffs, cb.Payload), nil
+	innovative := 0
+	for i := range blocks {
+		if d.insert(blocks[i]) {
+			innovative++
+		}
 	}
-	d.b = newBasis(d.params.GenerationBlocks, d.params.BlockSize)
-	return d.b.insert(cb.Coeffs, cb.Payload), nil
+	return innovative, nil
 }
 
 // Block returns source block i once the generation is complete.
@@ -532,18 +521,7 @@ func (d *Decoder) Block(i int) ([]byte, error) {
 	if i < 0 || i >= d.params.GenerationBlocks {
 		return nil, fmt.Errorf("%w: block index %d", ErrParams, i)
 	}
-	switch {
-	case d.def != nil:
-		if err := d.def.finalize(); err != nil {
-			return nil, err
-		}
-		return d.def.decoded[i], nil
-	case d.pdef != nil:
-		if err := d.pdef.finalize(); err != nil {
-			return nil, err
-		}
-		return d.pdef.decoded[i], nil
-	case d.pb != nil:
+	if d.pb != nil {
 		return d.pb.block(i), nil
 	}
 	return d.b.payload[i], nil

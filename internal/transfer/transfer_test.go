@@ -203,8 +203,17 @@ func TestTCPTransferUnderLossRetransmits(t *testing.T) {
 	}
 }
 
+// TestTCPLossyIsSlowerThanClean asserts what makes the lossy run slower, in
+// counters that machine load cannot invert: the clean link drops nothing;
+// the seeded 5 % link drops segments, and a dropped segment comes back only
+// through the RTO branch, so the sender reports retransmissions and cannot
+// finish in less than one RTO. The two goodputs are not compared: both are
+// wall clock, and under load the emulated link delivers out of order, the
+// go-back-N sink discards, and the clean run times out as often as the
+// lossy one (44-58 against 51-65 timeouts over ten runs each).
 func TestTCPLossyIsSlowerThanClean(t *testing.T) {
-	run := func(loss float64) float64 {
+	const rto = 50 * time.Millisecond
+	run := func(loss float64) (TCPStats, emunet.Stats) {
 		n := emunet.NewNetwork()
 		defer n.Close()
 		cfg := emunet.LinkConfig{RateBps: 20e6, QueuePackets: 256}
@@ -215,18 +224,29 @@ func TestTCPLossyIsSlowerThanClean(t *testing.T) {
 		n.SetLink("dst", "src", emunet.LinkConfig{})
 		sink := NewTCPSink(n.Host("dst"))
 		defer sink.Close()
-		stats, err := TCPSend(n.Host("src"), "dst", randomBytes(7, 200_000), TCPConfig{
-			MSS: 1000, RTO: 50 * time.Millisecond, Deadline: 60 * time.Second,
+		data := randomBytes(7, 200_000)
+		stats, err := TCPSend(n.Host("src"), "dst", data, TCPConfig{
+			MSS: 1000, RTO: rto, Deadline: 60 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.GoodputMbps
+		if !bytes.Equal(sink.Data(), data) {
+			t.Fatalf("loss %.2f: sink holds %d bytes that are not the %d sent", loss, sink.Bytes(), len(data))
+		}
+		link, _ := n.LinkStats("src", "dst")
+		return stats, link
 	}
-	clean := run(0)
-	lossy := run(0.05)
-	if lossy >= clean {
-		t.Fatalf("lossy TCP (%.1f Mbps) not slower than clean (%.1f Mbps)", lossy, clean)
+	if _, link := run(0); link.Dropped != 0 {
+		t.Fatalf("clean link dropped %d segments, want 0", link.Dropped)
+	}
+	stats, link := run(0.05)
+	if link.Dropped == 0 {
+		t.Fatal("the seeded 5% loss dropped nothing")
+	}
+	if stats.Retransmits == 0 || stats.Elapsed < rto {
+		t.Fatalf("%d segments dropped, yet %d retransmissions in %v: a drop is recovered only by a %v timeout",
+			link.Dropped, stats.Retransmits, stats.Elapsed, rto)
 	}
 }
 
