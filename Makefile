@@ -85,7 +85,7 @@ vet:
 
 # bench runs the data-plane micro-benchmarks that gate hot-path changes.
 bench:
-	$(GO) test -run 'XXX' -bench 'BenchmarkKernel|BenchmarkCombineSlices|BenchmarkRecode|BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkRecoderPacketProcessing|BenchmarkDecoderBatch|BenchmarkEncodeCodedInto|BenchmarkXorWords|BenchmarkCombineWords|BenchmarkPackBytes|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchmem \
+	$(GO) test -run 'XXX' -bench 'BenchmarkKernel|BenchmarkCombineSlices|BenchmarkRecode|BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkRecoderPacketProcessing|BenchmarkDecoderBatch|BenchmarkEncodeCodedInto|BenchmarkXorWords|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchmem \
 		./internal/gf/ ./internal/rlnc/ ./internal/dataplane/
 
 # bench-hotpath is the quick subset: GF kernels and the VNF pipeline.
@@ -96,9 +96,8 @@ bench-hotpath:
 # bench-guard reruns the guarded hot-path benchmarks — the telemetry-
 # instrumented VNF pipeline, the relay in steady state (fresh generations
 # past the buffer capacity, which the pipeline benchmark's 64-generation
-# ring never reaches), the GF(2) word-XOR kernels, the packed GF(2)
-# batch decode, the lock-free forwarding-table read, and the many-session
-# pipeline over the bounded store — and fails if the best of three runs
+# ring never reaches), the lock-free forwarding-table read, and the
+# many-session pipeline over the bounded store — and fails if the best of three runs
 # regresses more than 10% against the benchguard-baseline lines in
 # bench_results.txt. The real-socket benchmarks (batched UDP send, the
 # loopback source->relay->receiver pipeline, the registry reverse lookup)
@@ -106,11 +105,9 @@ bench-hotpath:
 # on a shared host are far noisier than pure-CPU kernels.
 bench-guard:
 	$(GO) build -o bin/benchguard ./cmd/benchguard
-	{ $(GO) test -run 'XXX' -bench 'BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchtime 200ms -count 3 ./internal/dataplane/ && \
-	  $(GO) test -run 'XXX' -bench 'BenchmarkXorWords' -benchtime 200ms -count 3 ./internal/gf/ && \
-	  $(GO) test -run 'XXX' -bench 'BenchmarkDecoderBatchGF2' -benchtime 200ms -count 3 ./internal/rlnc/ ; } \
+	$(GO) test -run 'XXX' -bench 'BenchmarkVNFPipeline|BenchmarkRelaySteadyState|BenchmarkTableRead|BenchmarkManySessionPipeline' -benchtime 200ms -count 3 ./internal/dataplane/ \
 		| ./bin/benchguard -baseline bench_results.txt \
-			-only '^Benchmark(VNFPipeline|RelaySteadyState|TableRead|ManySessionPipeline|XorWords|DecoderBatchGF2)'
+			-only '^Benchmark(VNFPipeline|RelaySteadyState|TableRead|ManySessionPipeline)'
 	{ $(GO) test -run 'XXX' -bench 'BenchmarkUDPSendBatch|BenchmarkRegistryReverse' -benchtime 200ms -count 3 ./internal/emunet/ && \
 	  $(GO) test -run 'XXX' -bench 'BenchmarkUDPPipeline' -benchtime 200ms -count 3 ./internal/dataplane/ ; } \
 		| ./bin/benchguard -baseline bench_results.txt -tolerance 0.35 \

@@ -201,8 +201,8 @@ func KernelName() string {
 }
 
 // WideKernelSelected reports false: the start-up race between a "wide" and
-// a table kernel is gone (one kernel per operation, chosen by CPUID). The
-// function survives because the whole-system benchmark records it.
+// a table kernel is gone (one kernel per operation, chosen by CPUID). Only
+// benchmark/run.go and benchmark/traced.go call it.
 func WideKernelSelected() bool { return false }
 
 // addMulSliceTable is the portable dst[i] ^= c*src[i] loop: one 64 KiB

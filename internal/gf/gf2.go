@@ -1,11 +1,11 @@
 package gf
 
-// This file provides GF(2) (binary field) arithmetic used by the field-size
-// ablation experiments. In GF(2) every coefficient is a single bit, so
-// encoded packets carry 1-bit coefficients, and the probability that a
-// random packet is non-innovative is much higher than over GF(2^8)
-// (Sec. III-B of the paper explains why tiny generations would need a
-// larger field).
+// This file names the coefficient fields of the field-size ablation. In
+// GF(2) every coefficient is a single bit (carried as the byte 0 or 1, which
+// the GF(2^8) kernels handle exactly, since GF(2) is a subfield), and the
+// probability that a random packet is non-innovative is much higher than
+// over GF(2^8) (Sec. III-B of the paper explains why tiny generations would
+// need a larger field).
 
 // Field selects which finite field the RLNC codec draws coefficients from.
 type Field int
@@ -39,13 +39,4 @@ func (f Field) Size() int {
 	default:
 		return 0
 	}
-}
-
-// ClampCoeff restricts a random byte to a valid coefficient for the field.
-// For GF(2^8) it is the identity; for GF(2) it keeps only the low bit.
-func (f Field) ClampCoeff(b byte) byte {
-	if f == GF2 {
-		return b & 1
-	}
-	return b
 }

@@ -269,15 +269,6 @@ func TestFieldSize(t *testing.T) {
 	}
 }
 
-func TestClampCoeff(t *testing.T) {
-	if GF2.ClampCoeff(0xFF) != 1 || GF2.ClampCoeff(0xFE) != 0 {
-		t.Fatal("GF2 clamp incorrect")
-	}
-	if GF256.ClampCoeff(0xAB) != 0xAB {
-		t.Fatal("GF256 clamp must be identity")
-	}
-}
-
 func BenchmarkMul(b *testing.B) {
 	var acc byte
 	for i := 0; i < b.N; i++ {

@@ -64,6 +64,8 @@ func newRawSpan(k, blockSize int) *rawSpan {
 
 // insert rank-gates one coded block on its coefficients alone and, if
 // innovative, stores the raw row. It reports whether the rank increased.
+//
+//nc:hotpath
 func (s *rawSpan) insert(coeffs, payload []byte) bool {
 	if s.n == s.k {
 		s.useless++
@@ -117,12 +119,6 @@ func (r *Recoder) AddBatch(blocks []CodedBlock) (int, error) {
 	for i := range blocks {
 		if err := r.params.checkBlock(blocks[i]); err != nil {
 			return innovative, err
-		}
-		if r.pspan != nil {
-			if r.pspan.insert(blocks[i].Coeffs, blocks[i].Payload) {
-				innovative++
-			}
-			continue
 		}
 		if r.span.insert(blocks[i].Coeffs, blocks[i].Payload) {
 			innovative++

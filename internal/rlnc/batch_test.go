@@ -27,14 +27,13 @@ func corruptStream(rng *rand.Rand, blocks []CodedBlock, lossPct, dupPct int) []C
 }
 
 // TestAddBatchMatchesIncremental holds a relay's gate and a sink's decoder to
-// one verdict: a Recoder (rawSpan / packedSpan: elimination on coefficients
-// only, raw rows kept) and a Decoder (basis / packedBasis: full elimination)
-// fed the same arrivals under loss, duplication and reordering must call the
-// same packets innovative, packet by packet, and the decoder must return the
-// source bytes. A second decoder takes the arrivals through AddBatch, which
-// is the loop over the same insert, and must count and decode the same. The
-// k ∈ {1, 7, 64, 65} cases straddle the packed coefficient word in both
-// fields.
+// one verdict: a Recoder (rawSpan: elimination on coefficients only, raw
+// rows kept) and a Decoder (basis: full elimination) fed the same arrivals
+// under loss, duplication and reordering must call the same packets
+// innovative, packet by packet, and the decoder must return the source
+// bytes. A second decoder takes the arrivals through AddBatch, which is the
+// loop over the same insert, and must count and decode the same. The
+// k ∈ {1, 7, 64, 65} cases straddle a 64-coefficient word in both fields.
 func TestAddBatchMatchesIncremental(t *testing.T) {
 	type diffCase struct {
 		name         string
@@ -54,7 +53,7 @@ func TestAddBatchMatchesIncremental(t *testing.T) {
 		{"large/k=64", 64, 256, 15, 15, 16, 105, gf.GF256},
 		{"gf2/k=8", 8, 32, 10, 25, 4, 106, gf.GF2},
 	}
-	for _, k := range packedDiffSizes {
+	for _, k := range []int{1, 7, 64, 65} {
 		for _, f := range []gf.Field{gf.GF256, gf.GF2} {
 			cases = append(cases, diffCase{fmt.Sprintf("%v/k=%d", f, k), k, 96 + k%8, 20, 25, 5, int64(200 + k), f})
 		}
@@ -140,41 +139,44 @@ func TestAddBatchValidates(t *testing.T) {
 	}
 }
 
-// TestDecoderAddBatchZeroAlloc: absorbing batches allocates nothing.
+// TestDecoderAddBatchZeroAlloc: absorbing batches allocates nothing, in
+// either field.
 func TestDecoderAddBatchZeroAlloc(t *testing.T) {
-	p := testParams()
-	enc, _ := NewEncoder(p, randomData(8, p.GenerationBytes()), 8)
-	batch := make([]CodedBlock, 2)
-	for i := range batch {
-		batch[i] = enc.Coded()
-	}
-	d, _ := NewDecoder(p)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := d.AddBatch(batch); err != nil {
-			t.Fatal(err)
+	for _, p := range []Params{testParams(), gf2Params(65, 1460)} {
+		enc, _ := NewEncoder(p, randomData(8, p.GenerationBytes()), 8)
+		batch := make([]CodedBlock, 2)
+		for i := range batch {
+			batch[i] = enc.Coded()
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AddBatch allocated %.1f times per run, want 0", allocs)
+		d, _ := NewDecoder(p)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := d.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: AddBatch allocated %.1f times per run, want 0", p.field(), allocs)
+		}
 	}
 }
 
 // TestEncoderCodedIntoZeroAlloc: the send side reuses the emission block's
-// backing arrays.
+// backing arrays, in either field.
 func TestEncoderCodedIntoZeroAlloc(t *testing.T) {
-	p := testParams()
-	enc, _ := NewEncoder(p, randomData(9, p.GenerationBytes()), 9)
-	var cb CodedBlock
-	enc.CodedInto(&cb) // size the buffers
-	coeffsPtr, payloadPtr := &cb.Coeffs[0], &cb.Payload[0]
-	allocs := testing.AllocsPerRun(100, func() {
-		enc.CodedInto(&cb)
-	})
-	if allocs != 0 {
-		t.Fatalf("CodedInto allocated %.1f times per run, want 0", allocs)
-	}
-	if &cb.Coeffs[0] != coeffsPtr || &cb.Payload[0] != payloadPtr {
-		t.Fatal("CodedInto did not reuse the emission block's backing arrays")
+	for _, p := range []Params{testParams(), gf2Params(65, 1460)} {
+		enc, _ := NewEncoder(p, randomData(9, p.GenerationBytes()), 9)
+		var cb CodedBlock
+		enc.CodedInto(&cb) // size the buffers
+		coeffsPtr, payloadPtr := &cb.Coeffs[0], &cb.Payload[0]
+		allocs := testing.AllocsPerRun(100, func() {
+			enc.CodedInto(&cb)
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: CodedInto allocated %.1f times per run, want 0", p.field(), allocs)
+		}
+		if &cb.Coeffs[0] != coeffsPtr || &cb.Payload[0] != payloadPtr {
+			t.Fatalf("%v: CodedInto did not reuse the emission block's backing arrays", p.field())
+		}
 	}
 }
 
@@ -318,32 +320,50 @@ func benchDecode(b *testing.B, d *Decoder, blocks []CodedBlock) {
 	}
 }
 
-// BenchmarkDecoderBatch decodes one full GF(2^8) generation at the Fig 4
-// sweep sizes, in both row shapes.
+// benchFields is the field axis of the codec benchmarks: the same engines
+// fed 0/1 coefficients under gf2.
+var benchFields = []struct {
+	name  string
+	field gf.Field
+}{{"gf256", gf.GF256}, {"gf2", gf.GF2}}
+
+// BenchmarkDecoderBatch decodes one full generation at the Fig 4 sweep
+// sizes, in both fields and both row shapes.
 func BenchmarkDecoderBatch(b *testing.B) {
-	for _, shape := range benchRowShapes {
-		for _, k := range []int{4, 16, 64} {
-			p := Params{GenerationBlocks: k, BlockSize: DefaultBlockSize}
-			blocks := benchRows(b, p, shape, k+1)
-			b.Run(fmt.Sprintf("%s/k=%d", shape, k), func(b *testing.B) {
-				d, _ := NewDecoder(p)
-				benchDecode(b, d, blocks)
-			})
+	for _, f := range benchFields {
+		for _, shape := range benchRowShapes {
+			for _, k := range []int{4, 16, 64} {
+				p := Params{GenerationBlocks: k, BlockSize: DefaultBlockSize, Field: f.field}
+				n := k + 1
+				if f.field == gf.GF2 {
+					n = 2*k + 16 // extra rows absorb dependent GF(2) combinations
+				}
+				blocks := benchRows(b, p, shape, n)
+				b.Run(fmt.Sprintf("%s/%s/k=%d", f.name, shape, k), func(b *testing.B) {
+					d, _ := NewDecoder(p)
+					benchDecode(b, d, blocks)
+				})
+			}
 		}
 	}
 }
 
 // BenchmarkEncodeCodedInto measures the allocation-free fused-gather
-// emission path against the allocating Coded.
+// emission path, in both fields.
 func BenchmarkEncodeCodedInto(b *testing.B) {
-	p := DefaultParams()
-	enc, _ := NewEncoder(p, randomData(14, p.GenerationBytes()), 14)
-	var cb CodedBlock
-	b.SetBytes(int64(p.BlockSize))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.CodedInto(&cb)
+	for _, f := range benchFields {
+		for _, k := range []int{4, 16, 64} {
+			p := Params{GenerationBlocks: k, BlockSize: DefaultBlockSize, Field: f.field}
+			enc, _ := NewEncoder(p, randomData(14, p.GenerationBytes()), 14)
+			var cb CodedBlock
+			b.Run(fmt.Sprintf("%s/k=%d", f.name, k), func(b *testing.B) {
+				b.SetBytes(int64(p.BlockSize))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					enc.CodedInto(&cb)
+				}
+			})
+		}
 	}
 }
 
@@ -363,19 +383,10 @@ func TestStateBytesMatchesArenas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var decBytes, recBytes int
-		if p.Field == gf.GF2 {
-			decBytes = 8*(cap(dec.pb.arenaC)+cap(dec.pb.arenaP)) + cap(dec.pb.out)
-			recBytes = 8 * (cap(rec.pspan.arenaC) + cap(rec.pspan.arenaP) + cap(rec.pspan.arenaR))
-		} else {
-			decBytes = cap(dec.b.arenaC) + cap(dec.b.arenaP)
-			recBytes = cap(rec.span.arenaC) + cap(rec.span.arenaP) + cap(rec.span.arenaR)
-		}
+		decBytes := cap(dec.b.arenaC) + cap(dec.b.arenaP)
+		recBytes := cap(rec.span.arenaC) + cap(rec.span.arenaP) + cap(rec.span.arenaR)
 		if got := p.StateBytes(); got != max(decBytes, recBytes) {
 			t.Errorf("%+v: a decoder's arenas hold %d bytes and a recoder's %d, StateBytes says %d", p, decBytes, recBytes, got)
-		}
-		if p.Field == gf.GF2 {
-			continue
 		}
 		stride := rowStride(p.BlockSize)
 		if stride%64 != 0 || stride < p.BlockSize || stride >= p.BlockSize+64 {

@@ -1,7 +1,5 @@
 package rlnc
 
-import "ncfn/internal/gf"
-
 // This file implements generation-state reuse: Reset methods that return a
 // Decoder or Recoder to its freshly-constructed state while keeping every
 // arena allocation, plus the StateBytes footprint model the data plane's
@@ -13,19 +11,12 @@ import "ncfn/internal/gf"
 // StateBytes is the bytes of coding state one generation retains at a VNF:
 // the larger of what a decoder and a recoder of these parameters allocate,
 // arena for arena (TestStateBytesMatchesArenas). It depends only on the
-// parameters, not on how many packets arrived. The session store multiplies
-// it by live generations to feed the dataplane_session_bytes gauge, so it
-// over-counts the smaller role and a low-rank generation rather than
-// under-counting a full one.
+// parameters, not on how many packets arrived, and is the same in both
+// fields. The session store multiplies it by live generations to feed the
+// dataplane_session_bytes gauge, so it over-counts the smaller role and a
+// low-rank generation rather than under-counting a full one.
 func (p Params) StateBytes() int {
 	k, bs := p.GenerationBlocks, p.BlockSize
-	if p.field() == gf.GF2 {
-		cw, pw := gf.WordsForBits(k), gf.WordsForBytes(bs)
-		// packedBasis: k+1 coefficient and payload rows of 8-byte words plus
-		// the unpacked output; packedSpan: k raw coefficient and payload rows
-		// plus k+1 reduction rows.
-		return max(8*(k+1)*(cw+pw)+k*bs, 8*((2*k+1)*cw+k*pw))
-	}
 	// basis: k+1 coefficient and payload rows; rawSpan: k*k raw coefficients,
 	// (k+1)*k reduction rows, k payload rows. Payload rows sit at their
 	// padded stride in both.
@@ -35,13 +26,7 @@ func (p Params) StateBytes() int {
 // Reset returns the decoder to its freshly-constructed state for a new
 // generation, reusing the engine's arenas: a reset decoder accepts the same
 // call sequence as a new one and decodes identical bytes.
-func (d *Decoder) Reset() {
-	if d.pb != nil {
-		d.pb.reset()
-		return
-	}
-	d.b.reset()
-}
+func (d *Decoder) Reset() { d.b.reset() }
 
 // Reset returns the recoder to its freshly-constructed state for a new
 // generation, reusing the span arenas and re-seeding the emission RNG. A
@@ -49,12 +34,7 @@ func (d *Decoder) Reset() {
 // same innovation gating, same emitted combinations.
 func (r *Recoder) Reset(seed int64) {
 	r.rng.seed(seed)
-	if r.pspan != nil {
-		r.pspan.reset()
-	}
-	if r.span != nil {
-		r.span.reset()
-	}
+	r.span.reset()
 }
 
 func (b *basis) reset() {
@@ -75,27 +55,5 @@ func (s *rawSpan) reset() {
 	}
 	s.n, s.useless, s.work = 0, 0, 0
 	s.scratch = s.arenaR[:s.k:s.k]
-	s.nextRed = 1
-}
-
-func (pb *packedBasis) reset() {
-	for i := range pb.pivots {
-		pb.pivots[i] = false
-		pb.rows[i] = nil
-		pb.payload[i] = nil
-		pb.unpacked[i] = false
-	}
-	pb.rank, pb.useless, pb.work = 0, 0, 0
-	pb.scratchC, pb.scratchP = pb.arenaRow(0)
-	pb.nextRow = 1
-}
-
-func (s *packedSpan) reset() {
-	for i := range s.pivots {
-		s.pivots[i] = false
-		s.red[i] = nil
-	}
-	s.n, s.useless, s.work = 0, 0, 0
-	s.scratch = s.arenaR[:s.cwords:s.cwords]
 	s.nextRed = 1
 }

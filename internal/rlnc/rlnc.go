@@ -112,11 +112,6 @@ type Encoder struct {
 	rng    prng
 	next   int    // next systematic block index
 	work   uint64 // payload-equivalent kernel traffic, in bytes
-
-	// GF(2) packed fast path: the source blocks packed into words at every
-	// Reset, plus the emission gather scratch. nil under GF(2^8).
-	pblocks  [][]uint64
-	pscratch []uint64
 }
 
 // NewEncoder builds an encoder for one generation of source data. data must
@@ -136,15 +131,6 @@ func NewEncoder(params Params, data []byte, seed int64) (*Encoder, error) {
 	for i := range e.blocks {
 		e.blocks[i] = e.arena[i*bs : (i+1)*bs : (i+1)*bs]
 	}
-	if params.field() == gf.GF2 {
-		pwords := gf.WordsForBytes(bs)
-		parena := make([]uint64, k*pwords)
-		e.pblocks = make([][]uint64, k)
-		for i := range e.pblocks {
-			e.pblocks[i] = parena[i*pwords : (i+1)*pwords : (i+1)*pwords]
-		}
-		e.pscratch = make([]uint64, pwords)
-	}
 	return e, e.Reset(data, seed)
 }
 
@@ -156,9 +142,6 @@ func (e *Encoder) Reset(data []byte, seed int64) error {
 		return fmt.Errorf("%w: %d bytes exceed generation capacity %d", ErrParams, len(data), len(e.arena))
 	}
 	clear(e.arena[copy(e.arena, data):])
-	for i := range e.pblocks {
-		gf.PackBytes(e.pblocks[i], e.blocks[i])
-	}
 	e.rng.seed(seed)
 	e.next, e.work = 0, 0
 	return nil
@@ -214,13 +197,6 @@ func (e *Encoder) CodedInto(cb *CodedBlock) {
 	cb.Coeffs = resizeBuf(cb.Coeffs, k)
 	cb.Payload = resizeBuf(cb.Payload, e.params.BlockSize)
 	drawCoeffs(&e.rng, e.params.field(), cb.Coeffs)
-	if e.pblocks != nil {
-		// GF(2) packed path: fused word gather, then unpack to the wire.
-		gf.CombineWords(e.pscratch, e.pblocks, cb.Coeffs)
-		gf.UnpackBytes(cb.Payload, e.pscratch)
-		e.work += uint64(k+1) * uint64(e.params.BlockSize) / 2 >> gf2WorkShift
-		return
-	}
 	gf.CombineSlices(cb.Payload, e.blocks, cb.Coeffs)
 	// Fused gather traffic: (k+1)/2 rows of blockSize per emission.
 	e.work += uint64(k+1) * uint64(e.params.BlockSize) / 2
@@ -248,6 +224,12 @@ func (p *prng) next() uint64 {
 	return mix64(p.state)
 }
 
+// maxCoeffRedraws bounds the all-zero redraw loop of coefficient and weight
+// draws. Under GF(2) an all-zero draw has probability 2^-k, so the bound is
+// effectively never hit; it exists to keep the loop provably finite, after
+// which one random entry is forced to 1.
+const maxCoeffRedraws = 8
+
 // drawCoeffs fills coeffs with random field coefficients, eight per
 // generator word, redrawing the whole vector if every entry came up zero:
 // an all-zero vector carries no information, and under GF(2) a single draw
@@ -255,11 +237,16 @@ func (p *prng) next() uint64 {
 // real transmission waste, not a corner case. The redraw loop is bounded by
 // maxCoeffRedraws, after which one random entry is forced to 1.
 //
+// The mask is all the field changes in this package: a GF(2) coefficient is
+// the byte 0 or 1, and the GF(2^8) engines handle such rows exactly (c == 1
+// is the XOR kernel, the inverse of 1 is 1, and a 0/1 matrix has the same
+// rank over GF(2^8) as over GF(2)).
+//
 //nc:hotpath
 func drawCoeffs(rng *prng, field gf.Field, coeffs []byte) {
 	mask := ^uint64(0)
 	if field == gf.GF2 {
-		mask = 0x0101010101010101 // ClampCoeff on all eight bytes
+		mask = 0x0101010101010101 // the low bit of each of the eight bytes
 	}
 	for attempt := 0; ; attempt++ {
 		var any uint64
@@ -415,16 +402,13 @@ func (b *basis) insert(coeffs, payload []byte) bool {
 // subset-recoded traffic of the data plane is mostly made of (DESIGN.md §5
 // has the measurements against the batched inverse this replaced).
 //
-// The engine is fixed at construction by Params.Field: basis for GF(2^8),
-// packedBasis — coefficients as bitmaps, payloads as []uint64, every row-op
-// a word-wide XOR — for GF(2). All row storage is preallocated; Add, AddBatch
-// and Reset perform no heap allocation. The byte basis decodes GF(2) inputs
-// to the same bytes (tests pre-seed it as the packed path's reference). It
-// is not safe for concurrent use.
+// Both fields run the same engine, basis: Params.Field only decides how the
+// coefficients arriving here were drawn (drawCoeffs). All row storage is
+// preallocated; Add, AddBatch and Reset perform no heap allocation. It is
+// not safe for concurrent use.
 type Decoder struct {
 	params Params
-	b      *basis       // GF(2^8)
-	pb     *packedBasis // GF(2); exactly one of the two is set
+	b      *basis
 }
 
 // NewDecoder builds a decoder for one generation.
@@ -432,35 +416,19 @@ func NewDecoder(params Params) (*Decoder, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Decoder{params: params}
-	if params.field() == gf.GF2 {
-		d.pb = newPackedBasis(params.GenerationBlocks, params.BlockSize)
-	} else {
-		d.b = newBasis(params.GenerationBlocks, params.BlockSize)
-	}
-	return d, nil
+	return &Decoder{params: params, b: newBasis(params.GenerationBlocks, params.BlockSize)}, nil
 }
 
 // Params returns the coding parameters.
 func (d *Decoder) Params() Params { return d.params }
 
 // Rank returns the number of linearly independent blocks received so far.
-func (d *Decoder) Rank() int {
-	if d.pb != nil {
-		return d.pb.rank
-	}
-	return d.b.rank
-}
+func (d *Decoder) Rank() int { return d.b.rank }
 
 // Useless returns the number of received blocks that were not innovative
 // (linearly dependent on earlier ones). With GF(2^8) coefficients this stays
 // near zero; it grows under GF(2), which the field-size ablation measures.
-func (d *Decoder) Useless() int {
-	if d.pb != nil {
-		return d.pb.useless
-	}
-	return d.b.useless
-}
+func (d *Decoder) Useless() int { return d.b.useless }
 
 // Complete reports whether the full generation can be recovered.
 func (d *Decoder) Complete() bool { return d.Rank() == d.params.GenerationBlocks }
@@ -468,22 +436,9 @@ func (d *Decoder) Complete() bool { return d.Rank() == d.params.GenerationBlocks
 // TakeWork returns the coding work performed since the last call, measured
 // in bytes of equivalent single-row kernel traffic, and resets the counter.
 func (d *Decoder) TakeWork() uint64 {
-	if d.pb != nil {
-		w := d.pb.work
-		d.pb.work = 0
-		return w
-	}
 	w := d.b.work
 	d.b.work = 0
 	return w
-}
-
-// insert hands one checked block to the engine.
-func (d *Decoder) insert(cb CodedBlock) bool {
-	if d.pb != nil {
-		return d.pb.insert(cb.Coeffs, cb.Payload)
-	}
-	return d.b.insert(cb.Coeffs, cb.Payload)
 }
 
 // Add consumes one coded block and reports whether it was innovative
@@ -492,7 +447,7 @@ func (d *Decoder) Add(cb CodedBlock) (bool, error) {
 	if err := d.params.checkBlock(cb); err != nil {
 		return false, err
 	}
-	return d.insert(cb), nil
+	return d.b.insert(cb.Coeffs, cb.Payload), nil
 }
 
 // AddBatch consumes a run of coded blocks — what a shard worker drained for
@@ -506,7 +461,7 @@ func (d *Decoder) AddBatch(blocks []CodedBlock) (int, error) {
 	}
 	innovative := 0
 	for i := range blocks {
-		if d.insert(blocks[i]) {
+		if d.b.insert(blocks[i].Coeffs, blocks[i].Payload) {
 			innovative++
 		}
 	}
@@ -520,9 +475,6 @@ func (d *Decoder) Block(i int) ([]byte, error) {
 	}
 	if i < 0 || i >= d.params.GenerationBlocks {
 		return nil, fmt.Errorf("%w: block index %d", ErrParams, i)
-	}
-	if d.pb != nil {
-		return d.pb.block(i), nil
 	}
 	return d.b.payload[i], nil
 }
@@ -551,20 +503,14 @@ func (d *Decoder) Generation() ([]byte, error) {
 // as a reduced basis. Per-generation memory is bounded by k rows, absorbing
 // a packet costs one payload copy, and an emission is a single fused gather
 // over the stored span — O(rank) row reads, not O(packets received). Add
-// and RecodeInto perform no heap allocation. It is not safe for concurrent
-// use.
-//
-// Under Params.Field == gf.GF2 the recoder stores its span bit-packed
-// (packedSpan) and emits through the fused word-gather kernel; the byte span
-// remains the differential reference.
+// and RecodeInto perform no heap allocation. Both fields run the same span;
+// under GF(2) the emission weights are drawn from {0, 1}. It is not safe for
+// concurrent use.
 type Recoder struct {
 	params  Params
-	span    *rawSpan    // byte span (GF(2^8))
-	pspan   *packedSpan // packed span (GF(2))
+	span    *rawSpan
 	rng     prng
-	weights []byte   // emission draw scratch
-	emitC   []uint64 // packed coefficient gather scratch (GF(2))
-	emitP   []uint64 // packed payload gather scratch (GF(2))
+	weights []byte // emission draw scratch
 }
 
 // NewRecoder builds a recoder for one generation.
@@ -574,16 +520,10 @@ func NewRecoder(params Params, seed int64) (*Recoder, error) {
 	}
 	r := &Recoder{
 		params:  params,
+		span:    newRawSpan(params.GenerationBlocks, params.BlockSize),
 		weights: make([]byte, params.GenerationBlocks),
 	}
 	r.rng.seed(seed)
-	if params.field() == gf.GF2 {
-		r.pspan = newPackedSpan(params.GenerationBlocks, params.BlockSize)
-		r.emitC = make([]uint64, r.pspan.cwords)
-		r.emitP = make([]uint64, r.pspan.pwords)
-	} else {
-		r.span = newRawSpan(params.GenerationBlocks, params.BlockSize)
-	}
 	return r, nil
 }
 
@@ -593,32 +533,17 @@ func (r *Recoder) Params() Params { return r.params }
 // Stored returns the number of linearly independent blocks buffered for
 // recoding (the recoder's rank; dependent arrivals add no information and
 // are dropped by the coefficient gate).
-func (r *Recoder) Stored() int {
-	if r.pspan != nil {
-		return r.pspan.n
-	}
-	return r.span.n
-}
+func (r *Recoder) Stored() int { return r.span.n }
 
 // Useless returns the number of received blocks the coefficient gate dropped
 // as linearly dependent. The data plane surfaces this per field: dependent
 // arrivals are the transmission overhead small fields trade for cheaper
 // coding (Sec. III-B).
-func (r *Recoder) Useless() int {
-	if r.pspan != nil {
-		return r.pspan.useless
-	}
-	return r.span.useless
-}
+func (r *Recoder) Useless() int { return r.span.useless }
 
 // TakeWork returns the coding work performed since the last call, measured
 // in bytes of equivalent single-row kernel traffic, and resets the counter.
 func (r *Recoder) TakeWork() uint64 {
-	if r.pspan != nil {
-		w := r.pspan.work
-		r.pspan.work = 0
-		return w
-	}
 	w := r.span.work
 	r.span.work = 0
 	return w
@@ -628,10 +553,6 @@ func (r *Recoder) TakeWork() uint64 {
 func (r *Recoder) Add(cb CodedBlock) error {
 	if err := r.params.checkBlock(cb); err != nil {
 		return err
-	}
-	if r.pspan != nil {
-		r.pspan.insert(cb.Coeffs, cb.Payload)
-		return nil
 	}
 	r.span.insert(cb.Coeffs, cb.Payload)
 	return nil
@@ -666,16 +587,6 @@ func (r *Recoder) RecodeInto(cb *CodedBlock) bool {
 	// to every downstream decoder that already has the row.
 	w := r.weights[:n]
 	drawCoeffs(&r.rng, r.params.field(), w)
-	if r.pspan != nil {
-		// GF(2) packed path: word gathers over the packed span, unpacked to
-		// the wire representation.
-		gf.CombineWords(r.emitC, r.pspan.rawC[:n], w)
-		gf.CombineWords(r.emitP, r.pspan.rawP[:n], w)
-		gf.UnpackBits(cb.Coeffs, r.emitC)
-		gf.UnpackBytes(cb.Payload, r.emitP)
-		r.pspan.work += uint64(n+1) * uint64(r.params.BlockSize) / 2 >> gf2WorkShift
-		return true
-	}
 	gf.CombineSlices(cb.Coeffs, r.span.rawC[:n], w)
 	gf.CombineSlices(cb.Payload, r.span.rawP[:n], w)
 	// Fused gather traffic: (n+1)/2 rows of blockSize per emission.

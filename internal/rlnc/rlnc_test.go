@@ -3,6 +3,7 @@ package rlnc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,6 +14,10 @@ import (
 
 func testParams() Params {
 	return Params{GenerationBlocks: 4, BlockSize: 32}
+}
+
+func gf2Params(k, blockSize int) Params {
+	return Params{GenerationBlocks: k, BlockSize: blockSize, Field: gf.GF2}
 }
 
 func randomData(seed int64, n int) []byte {
@@ -392,6 +397,39 @@ func TestGF2MoreUselessThanGF256(t *testing.T) {
 	}
 }
 
+// TestGF2DrawsNeverAllZero: neither the encoder nor the recoder may emit an
+// all-zero coefficient vector, even at k = 1 where GF(2) draws go all-zero
+// with probability 1/2 per attempt.
+func TestGF2DrawsNeverAllZero(t *testing.T) {
+	p := gf2Params(1, 16)
+	enc, err := NewEncoder(p, randomData(4, p.GenerationBytes()), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb CodedBlock
+	for i := 0; i < 500; i++ {
+		enc.CodedInto(&cb)
+		if cb.Coeffs[0] == 0 {
+			t.Fatalf("emission %d: encoder emitted a zero coefficient vector", i)
+		}
+	}
+	rec, err := NewRecoder(p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Add(cb); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if !rec.RecodeInto(&cb) {
+			t.Fatal("RecodeInto returned false")
+		}
+		if cb.Coeffs[0] == 0 {
+			t.Fatalf("emission %d: recoder emitted a zero coefficient vector", i)
+		}
+	}
+}
+
 func TestSplitGenerations(t *testing.T) {
 	p := testParams() // 128 bytes per generation
 	data := randomData(12, 300)
@@ -575,53 +613,61 @@ func TestRecodeIntoEmpty(t *testing.T) {
 	}
 }
 
-// TestRecoderHotPathZeroAlloc pins the recoder's steady-state behavior: once
-// a generation's basis and the caller's emission block exist, neither
-// absorbing a packet (Add) nor emitting one (RecodeInto) may allocate.
+// TestRecoderHotPathZeroAlloc pins the recoder's steady-state behavior, in
+// either field: once a generation's basis and the caller's emission block
+// exist, neither absorbing a packet (Add) nor emitting one (RecodeInto) may
+// allocate.
 func TestRecoderHotPathZeroAlloc(t *testing.T) {
-	p := DefaultParams()
-	enc, err := NewEncoder(p, randomData(13, p.GenerationBytes()), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := NewRecoder(p, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := enc.Coded()
-	var out CodedBlock
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := rec.Add(in); err != nil {
+	for _, p := range []Params{DefaultParams(), gf2Params(65, 1460)} {
+		enc, err := NewEncoder(p, randomData(13, p.GenerationBytes()), 13)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !rec.RecodeInto(&out) {
-			t.Fatal("RecodeInto returned false")
+		rec, err := NewRecoder(p, 14)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("recoder hot path allocated %.1f times per packet, want 0", allocs)
+		in := enc.Coded()
+		var out CodedBlock
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := rec.Add(in); err != nil {
+				t.Fatal(err)
+			}
+			if !rec.RecodeInto(&out) {
+				t.Fatal("RecodeInto returned false")
+			}
+		}); allocs != 0 {
+			t.Fatalf("%v: recoder hot path allocated %.1f times per packet, want 0", p.field(), allocs)
+		}
 	}
 }
 
-// TestDecoderAddZeroAlloc pins the decoder's steady-state behavior: with the
-// basis arena preallocated, absorbing a packet never allocates, innovative
-// or not.
+// TestDecoderAddZeroAlloc pins the decoder's steady-state behavior, in either
+// field: with the basis arena preallocated, absorbing a packet never
+// allocates, innovative or not.
 func TestDecoderAddZeroAlloc(t *testing.T) {
-	p := DefaultParams()
-	enc, err := NewEncoder(p, randomData(15, p.GenerationBytes()), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := enc.Coded()
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := dec.Add(in); err != nil {
+	for _, p := range []Params{DefaultParams(), gf2Params(65, 1460)} {
+		enc, err := NewEncoder(p, randomData(15, p.GenerationBytes()), 15)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Decoder.Add allocated %.1f times per packet, want 0", allocs)
+		dec, err := NewDecoder(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make([]CodedBlock, 2*p.GenerationBlocks)
+		for i := range blocks {
+			blocks[i] = enc.Coded()
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := dec.Add(blocks[i%len(blocks)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); allocs != 0 {
+			t.Fatalf("%v: Decoder.Add allocated %.1f times per packet, want 0", p.field(), allocs)
+		}
 	}
 }
 
@@ -669,18 +715,26 @@ func TestRecoderBoundedUnderSustainedTraffic(t *testing.T) {
 	}
 }
 
+// BenchmarkRecodeInto measures a relay's emission over a full span, in both
+// fields.
 func BenchmarkRecodeInto(b *testing.B) {
-	p := DefaultParams()
-	enc, _ := NewEncoder(p, randomData(3, p.GenerationBytes()), 3)
-	rec, _ := NewRecoder(p, 4)
-	for i := 0; i < p.GenerationBlocks; i++ {
-		rec.Add(enc.Coded())
-	}
-	var cb CodedBlock
-	b.SetBytes(int64(p.BlockSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.RecodeInto(&cb)
+	for _, f := range benchFields {
+		for _, k := range []int{4, 16, 64} {
+			p := Params{GenerationBlocks: k, BlockSize: DefaultBlockSize, Field: f.field}
+			enc, _ := NewEncoder(p, randomData(3, p.GenerationBytes()), 3)
+			rec, _ := NewRecoder(p, 4)
+			for i := 0; i < k; i++ {
+				rec.Add(enc.Coded())
+			}
+			var cb CodedBlock
+			b.Run(fmt.Sprintf("%s/k=%d", f.name, k), func(b *testing.B) {
+				b.SetBytes(int64(p.BlockSize))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rec.RecodeInto(&cb)
+				}
+			})
+		}
 	}
 }
 

@@ -91,77 +91,6 @@ func (g *Graph) MulticastCapacity(src NodeID, dsts []NodeID) float64 {
 	return min
 }
 
-// WidestPath returns the path from src to dst maximizing the bottleneck
-// capacity (ties broken by lower delay), or false if dst is unreachable.
-// This is the routing-only baseline's path selection: relay through data
-// centers but never code.
-func (g *Graph) WidestPath(src, dst NodeID) (Path, bool) {
-	type state struct {
-		width float64
-		delay float64 // tie-break, in seconds
-		prev  NodeID
-		done  bool
-	}
-	states := map[NodeID]*state{src: {width: math.Inf(1)}}
-	for {
-		// Pick the undone node with the largest width.
-		var at NodeID
-		best := -1.0
-		for id, st := range states {
-			if !st.done && st.width > best {
-				best = st.width
-				at = id
-			}
-		}
-		if best < 0 {
-			break
-		}
-		st := states[at]
-		st.done = true
-		if at == dst {
-			break
-		}
-		// Interior relays must be data centers (or the source itself).
-		if at != src {
-			if n, ok := g.nodes[at]; !ok || n.Kind != DataCenter {
-				continue
-			}
-		}
-		for _, l := range g.adj[at] {
-			w := math.Min(st.width, l.CapacityMbps)
-			d := st.delay + l.Delay.Seconds()
-			nb, ok := states[l.To]
-			if !ok {
-				states[l.To] = &state{width: w, delay: d, prev: at}
-				continue
-			}
-			if nb.done {
-				continue
-			}
-			if w > nb.width || (w == nb.width && d < nb.delay) {
-				nb.width, nb.delay, nb.prev = w, d, at
-			}
-		}
-	}
-	if _, ok := states[dst]; !ok {
-		return Path{}, false
-	}
-	// Reconstruct.
-	var rev []NodeID
-	for at := dst; ; {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
-		at = states[at].prev
-	}
-	nodes := make([]NodeID, len(rev))
-	for i := range rev {
-		nodes[i] = rev[len(rev)-1-i]
-	}
-	return Path{Nodes: nodes}, true
-}
-
 // Butterfly builds the paper's evaluation topology (Fig. 6): source V1 in
 // Virginia, relays O1, C1 (Oregon, California), middle relays T (Texas) and
 // V2 (Virginia), and receivers O2 (Oregon) and C2 (California), with the

@@ -313,62 +313,6 @@ func TestMulticastCapacityEmpty(t *testing.T) {
 	}
 }
 
-func TestWidestPathButterfly(t *testing.T) {
-	g, src, dsts := Butterfly()
-	p, ok := g.WidestPath(src, dsts[0])
-	if !ok {
-		t.Fatal("no widest path")
-	}
-	bw, _ := p.Bottleneck(g)
-	if bw != 35 {
-		t.Fatalf("widest path bottleneck = %v, want 35 (%s)", bw, p)
-	}
-	// With equal widths the shorter-delay route must win.
-	if p.String() != "V1->O1->O2" {
-		t.Fatalf("widest path = %s, want V1->O1->O2", p)
-	}
-}
-
-func TestWidestPathPrefersCapacity(t *testing.T) {
-	g := New()
-	g.AddNode("s", Source)
-	g.AddNode("m", DataCenter)
-	g.AddNode("t", Destination)
-	g.AddLink(Link{From: "s", To: "t", CapacityMbps: 5, Delay: ms(1)})
-	g.AddLink(Link{From: "s", To: "m", CapacityMbps: 50, Delay: ms(10)})
-	g.AddLink(Link{From: "m", To: "t", CapacityMbps: 50, Delay: ms(10)})
-	p, ok := g.WidestPath("s", "t")
-	if !ok || p.String() != "s->m->t" {
-		t.Fatalf("widest = %v %v, want s->m->t", p, ok)
-	}
-}
-
-func TestWidestPathUnreachable(t *testing.T) {
-	g := New()
-	g.AddNode("a", Source)
-	g.AddNode("b", Destination)
-	if _, ok := g.WidestPath("a", "b"); ok {
-		t.Fatal("unreachable destination found")
-	}
-}
-
-func TestWidestPathAvoidsNonDCRelay(t *testing.T) {
-	g := New()
-	g.AddNode("s", Source)
-	g.AddNode("r", Destination)
-	g.AddNode("t", Destination)
-	g.AddLink(Link{From: "s", To: "r", CapacityMbps: 100, Delay: ms(1)})
-	g.AddLink(Link{From: "r", To: "t", CapacityMbps: 100, Delay: ms(1)})
-	g.AddLink(Link{From: "s", To: "t", CapacityMbps: 1, Delay: ms(1)})
-	p, ok := g.WidestPath("s", "t")
-	if !ok {
-		t.Fatal("no path")
-	}
-	if p.String() != "s->t" {
-		t.Fatalf("relay through destination used: %s", p)
-	}
-}
-
 func TestButterflyStructure(t *testing.T) {
 	g, src, dsts := Butterfly()
 	if src != "V1" || len(dsts) != 2 {
