@@ -132,10 +132,18 @@ func TestUpdateTableCountsSwaps(t *testing.T) {
 }
 
 // pauseUpdateTable is the reference the RCU table push is held against:
-// every shard stopped for the swap, the way drain stops them.
+// every shard stopped for the swap, the way drain stops them. Locks are
+// taken in shard order, so it cannot deadlock against workers that each
+// hold only their own shard's lock.
 func (v *VNF) pauseUpdateTable(entries map[ncproto.SessionID][]HopGroup) {
-	v.pauseAll()
-	defer v.resumeAll()
+	for _, sh := range v.shards {
+		sh.pauseMu.Lock()
+	}
+	defer func() {
+		for i := len(v.shards) - 1; i >= 0; i-- {
+			v.shards[i].pauseMu.Unlock()
+		}
+	}()
 	v.table.ApplyBatch(entries)
 }
 

@@ -146,9 +146,9 @@ type pktJob struct {
 }
 
 // vnfShard is one worker lane of the data-plane pipeline. Its scratch
-// fields are touched only while pauseMu is held (by the shard's worker, a
-// synchronous handlePacket caller, or a paused table update), so the
-// steady-state packet path reuses them without allocating.
+// fields are touched only while pauseMu is held (by the shard's worker or a
+// synchronous handlePacket caller), so the steady-state packet path reuses
+// them without allocating.
 type vnfShard struct {
 	in chan pktJob
 
@@ -157,9 +157,9 @@ type vnfShard struct {
 	idx int
 
 	// pauseMu serializes this shard's packet processing against
-	// forwarding-table updates in the legacy pause mode (the SIGUSR1
-	// pause/resume cycle of Sec. III-A) and against synchronous
-	// handlePacket callers. Packet processing only ever holds its own
+	// synchronous handlePacket callers and drain's quiescence sweep
+	// (forwarding-table updates take the lock-free RCU path and wait on
+	// epoch instead). Packet processing only ever holds its own
 	// shard's lock, so sessions on other shards keep flowing while one
 	// shard is busy. pauseMu is the outermost lock of the declared
 	// //nc:lockorder chain in sessionstore.go.
@@ -172,14 +172,13 @@ type vnfShard struct {
 	// point no in-flight processing can still be reading the old snapshot.
 	epoch atomic.Uint64
 
-	pkt    ncproto.Packet    // decoded view of the in-flight datagram
-	wire   []byte            // outgoing wire-format scratch
-	hops   []string          // forwarder next-hop scratch
-	groups []HopGroup        // recoder hop-group scratch
-	emDst  []string          // emission destinations, parallel to emCB
-	emCB   []rlnc.CodedBlock // reusable emission blocks
-	jobs   []pktJob          // dequeued run of datagrams (worker batch drain)
-	batch  []rlnc.CodedBlock // decoder-batch views into the run's buffers
+	pkt   ncproto.Packet    // decoded view of the in-flight datagram
+	wire  []byte            // outgoing wire-format scratch
+	hops  []string          // forwarder next-hop scratch
+	emDst []string          // emission destinations, parallel to emCB
+	emCB  []rlnc.CodedBlock // reusable emission blocks
+	jobs  []pktJob          // dequeued run of datagrams (worker batch drain)
+	batch []rlnc.CodedBlock // decoder-batch views into the run's buffers
 
 	// txc, when non-nil (WithTxCoalesce over a BatchPacketConn), collects
 	// this shard's outgoing packets into per-destination rings flushed via
@@ -224,6 +223,10 @@ type sessionState struct {
 	// from the stamps on its arrivals: it holds no record below it, stamps it
 	// on what it emits and forwards arrivals below it. It only rises; 0: none.
 	doneBelow ncproto.GenerationID
+	// hops are the session's forwarding-table groups as of table version
+	// hopsVer (see hopGroups); hopsVer starts at a version no table has.
+	hops    []HopGroup
+	hopsVer uint64
 }
 
 // reorderWindow is how far behind a session's newest generation its
@@ -351,22 +354,6 @@ func (v *VNF) shardFor(s ncproto.SessionID) *vnfShard {
 	return v.shards[int(s)%len(v.shards)]
 }
 
-// pauseAll stops packet processing on every shard (locks are taken in
-// shard order, so concurrent pausers cannot deadlock against workers that
-// each hold only their own shard's lock).
-func (v *VNF) pauseAll() {
-	for _, sh := range v.shards {
-		sh.pauseMu.Lock()
-	}
-}
-
-// resumeAll releases every shard.
-func (v *VNF) resumeAll() {
-	for i := len(v.shards) - 1; i >= 0; i-- {
-		v.shards[i].pauseMu.Unlock()
-	}
-}
-
 // Addr returns the VNF's network address.
 func (v *VNF) Addr() string { return v.conn.LocalAddr() }
 
@@ -402,6 +389,7 @@ func (v *VNF) Configure(cfg SessionConfig) error {
 		delivered:  make(map[ncproto.GenerationID]bool),
 		nextSeed:   v.seed,
 		stateBytes: int64(cfg.Params.StateBytes()),
+		hopsVer:    ^uint64(0),
 	}
 	v.mu.Unlock()
 	if old != nil {
@@ -938,6 +926,19 @@ func (v *VNF) releaseBelow(st *sessionState, floor ncproto.GenerationID) (n uint
 	return n
 }
 
+// hopGroups returns st's next-hop groups, re-read from the forwarding table
+// only when an update has been published since the last read, so the packet
+// path does no table lookup. The groups belong to the table snapshot and are
+// never mutated. Callers hold st.mu.
+func (v *VNF) hopGroups(st *sessionState) []HopGroup {
+	// The version is read first: a snapshot published in between is cached
+	// under the older version and re-read on the next packet.
+	if ver := v.table.Version(); ver != st.hopsVer {
+		st.hops, st.hopsVer = v.table.load()[st.cfg.ID], ver
+	}
+	return st.hops
+}
+
 // recode implements the pipelined intermediate VNF of Sec. III-B2. done is
 // the retirement watermark stamped on the arrival, zero for none.
 func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncproto.GenerationID) {
@@ -1011,8 +1012,7 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncp
 	}
 	def := k + st.cfg.Redundancy
 
-	sh.groups = v.table.AppendGroups(sh.groups[:0], p.Session)
-	groups := sh.groups
+	groups := v.hopGroups(st)
 	if len(groups) == 0 {
 		st.mu.Unlock()
 		return

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ncfn/internal/buffer"
 )
 
 func TestHostRoundTrip(t *testing.T) {
@@ -208,16 +210,7 @@ func TestLinkLossIntegration(t *testing.T) {
 	}
 	// Zero rate and delay: deliveries are synchronous, so the inbox holds
 	// all survivors already.
-	received := 0
-	for {
-		select {
-		case <-b.inbox:
-			received++
-			continue
-		default:
-		}
-		break
-	}
+	received := b.inbox.pending()
 	if received < sent*35/100 || received > sent*65/100 {
 		t.Fatalf("received %d of %d with 50%% loss", received, sent)
 	}
@@ -334,16 +327,19 @@ func TestConcurrentSenders(t *testing.T) {
 		}(src)
 	}
 	wg.Wait()
-	got := 0
-	timeout := time.After(5 * time.Second)
-	for got < senders*per {
-		select {
-		case <-dst.inbox:
-			got++
-		case <-timeout:
-			t.Fatalf("received %d of %d", got, senders*per)
-		}
+	// Default links deliver synchronously: every packet is queued by now.
+	if got := dst.inbox.pending(); got != senders*per {
+		t.Fatalf("received %d of %d", got, senders*per)
 	}
+}
+
+// pending counts the packets b holds that no consumer has taken yet.
+func (b *inbox) pending() int {
+	b.rmu.Lock()
+	defer b.rmu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.batch) - b.next + len(b.q)
 }
 
 func TestUDPRoundTrip(t *testing.T) {
@@ -490,5 +486,124 @@ func TestDuplicationDeliversExtraCopies(t *testing.T) {
 		if err != nil || pkt[0] != 7 {
 			t.Fatalf("copy %d: %v %v", i, pkt, err)
 		}
+	}
+}
+
+// TestInboxSizedByUse pins that a host's receive queue is sized by what it
+// has held, not by its limit: an idle inbox owns no slots, a burst grows it
+// to about the burst, and a full one drops past hostInbox, counting the
+// batch its consumer took last.
+func TestInboxSizedByUse(t *testing.T) {
+	n := NewNetwork(AllowDefault())
+	defer n.Close()
+	a, b := n.Host("a"), n.Host("b")
+	slots := func() int { return cap(b.inbox.q) + cap(b.inbox.batch) }
+	if s := slots(); s != 0 {
+		t.Fatalf("idle inbox holds %d slots", s)
+	}
+	const burst = 10
+	for i := 0; i < burst; i++ {
+		a.Send("b", []byte{byte(i)})
+	}
+	for i := 0; i < burst; i++ {
+		if pkt, _, err := b.Recv(); err != nil || pkt[0] != byte(i) {
+			t.Fatalf("packet %d: %v %v", i, pkt, err)
+		}
+	}
+	if s := slots(); s > 4*burst {
+		t.Fatalf("a %d-packet burst left %d slots", burst, s)
+	}
+	for i := 0; i < hostInbox+10; i++ {
+		a.Send("b", []byte{1})
+	}
+	if got := b.inbox.pending(); got != hostInbox-burst {
+		t.Fatalf("full inbox holds %d, want %d", got, hostInbox-burst)
+	}
+}
+
+// TestRouteNotCachedOnFailure pins that a refused send leaves nothing in the
+// sender's route cache: once SetLink adds the link, the next send goes out.
+func TestRouteNotCachedOnFailure(t *testing.T) {
+	n := NewNetwork()
+	defer n.Close()
+	a, b := n.Host("a"), n.Host("b")
+	if err := a.Send("b", []byte("x")); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("err = %v, want ErrNoRoute", err)
+	}
+	n.SetLink("a", "b", LinkConfig{})
+	if err := a.Send("b", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if pkt, _, _ := b.Recv(); string(pkt) != "y" {
+		t.Fatalf("got %q", pkt)
+	}
+}
+
+// TestHostSendRecvZeroAlloc pins the unconstrained hop's steady state: a
+// resolved route, a pooled copy and an inbox slot already grown, so a
+// Send/Recv pair allocates nothing.
+func TestHostSendRecvZeroAlloc(t *testing.T) {
+	n := NewNetwork(AllowDefault())
+	defer n.Close()
+	a, b := n.Host("a"), n.Host("b")
+	pkt := make([]byte, 1460)
+	hop := func() {
+		if err := a.Send("b", pkt); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buffer.PutPacket(got)
+	}
+	hop()
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+		t.Fatalf("Send+Recv allocates %.1f per packet", allocs)
+	}
+}
+
+// TestInboxConcurrentSendRecv drives one host's inbox from several senders
+// while its consumer drains it, then closes it under a blocked Recv: every
+// packet arrives once, and the blocked Recv returns ErrClosed.
+func TestInboxConcurrentSendRecv(t *testing.T) {
+	n := NewNetwork(AllowDefault())
+	defer n.Close()
+	dst := n.Host("sink")
+	const senders, per = 4, 500
+	got := make(chan int, 1)
+	go func() {
+		seen := make(map[[3]byte]bool, senders*per)
+		for len(seen) < senders*per {
+			pkt, _, err := dst.Recv()
+			if err != nil {
+				break
+			}
+			seen[[3]byte(pkt)] = true
+		}
+		got <- len(seen)
+	}()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(h *Host, s int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Send("sink", []byte{byte(s), byte(i), byte(i >> 8)})
+			}
+		}(n.Host(string(rune('a'+s))), s)
+	}
+	wg.Wait()
+	if g := <-got; g != senders*per {
+		t.Fatalf("received %d distinct of %d", g, senders*per)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := dst.Recv()
+		errc <- err
+	}()
+	dst.Close()
+	if err := <-errc; !errors.Is(err, ErrClosed) {
+		t.Fatalf("blocked Recv after Close: %v, want ErrClosed", err)
 	}
 }

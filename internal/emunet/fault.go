@@ -19,6 +19,7 @@ func (n *Network) PartitionLink(src, dst string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partLinks[[2]string{src, dst}] = true
+	n.faulted.Store(true)
 	n.recordFault(time.Now().UnixNano(), src+"->"+dst, true)
 }
 
@@ -27,6 +28,7 @@ func (n *Network) HealLink(src, dst string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.partLinks, [2]string{src, dst})
+	n.faulted.Store(len(n.partHosts)+len(n.partLinks) > 0)
 	n.recordFault(time.Now().UnixNano(), src+"->"+dst, false)
 }
 
@@ -36,12 +38,6 @@ func (n *Network) PartitionBoth(a, b string) {
 	n.PartitionLink(b, a)
 }
 
-// HealBoth removes both directions of a partition between a and b.
-func (n *Network) HealBoth(a, b string) {
-	n.HealLink(a, b)
-	n.HealLink(b, a)
-}
-
 // PartitionHost isolates a host: every packet it sends, and every packet
 // addressed to it, is dropped until HealHost — the network-level view of a
 // crashed or unreachable VM.
@@ -49,6 +45,7 @@ func (n *Network) PartitionHost(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partHosts[addr] = true
+	n.faulted.Store(true)
 	n.recordFault(time.Now().UnixNano(), addr, true)
 }
 
@@ -57,6 +54,7 @@ func (n *Network) HealHost(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.partHosts, addr)
+	n.faulted.Store(len(n.partHosts)+len(n.partLinks) > 0)
 	n.recordFault(time.Now().UnixNano(), addr, false)
 }
 
@@ -66,10 +64,6 @@ func (n *Network) HealHost(addr string) {
 func (n *Network) Partitioned(src, dst string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.partitionedLocked(src, dst)
-}
-
-func (n *Network) partitionedLocked(src, dst string) bool {
 	return n.partHosts[src] || n.partHosts[dst] || n.partLinks[[2]string{src, dst}]
 }
 
@@ -80,5 +74,6 @@ func (n *Network) HealAll() {
 	defer n.mu.Unlock()
 	clear(n.partHosts)
 	clear(n.partLinks)
+	n.faulted.Store(false)
 	n.recordFault(time.Now().UnixNano(), "all", false)
 }

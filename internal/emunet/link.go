@@ -164,19 +164,28 @@ func (c LinkConfig) queueLimit() int {
 	return DefaultQueuePackets
 }
 
-// admit runs the link's ingress decision for a packet of n bytes at time
-// now. It returns the arrival time at the far end and true, or false if the
-// packet is dropped (queue overflow or loss process).
-func (l *link) admit(now time.Time, n int) (time.Time, bool) {
+// admit runs the link's ingress decision for a packet of n bytes, under one
+// hold of l.mu. It returns how long the packet takes to reach the far end,
+// how many copies arrive (two when duplicated) and true, or false if the
+// packet is dropped (queue overflow or loss process). A packet with a
+// positive wait occupies the queue until the caller releases it. A link
+// with no rate, delay, jitter or reorder hold-back delivers at once and
+// reads no clock.
+func (l *link) admit(n int) (wait time.Duration, copies int, ok bool) {
 	l.mu.Lock()
-	cfg := l.cfg
+	cfg := &l.cfg
+	timed := cfg.RateBps > 0 || cfg.Delay > 0 || cfg.Jitter > 0 || cfg.ReorderProb > 0
 	if l.queued >= cfg.queueLimit() {
 		l.dropped++
 		l.mu.Unlock()
 		l.countDrop()
-		return time.Time{}, false
+		return 0, 0, false
 	}
-	var depart time.Time
+	var now, depart time.Time
+	if timed {
+		now = time.Now()
+		depart = now
+	}
 	if cfg.RateBps > 0 {
 		txDur := time.Duration(float64(n*8) / cfg.RateBps * float64(time.Second))
 		if l.nextTx.Before(now) {
@@ -184,23 +193,15 @@ func (l *link) admit(now time.Time, n int) (time.Time, bool) {
 		}
 		depart = l.nextTx.Add(txDur)
 		l.nextTx = depart
-	} else {
-		depart = now
 	}
-	l.queued++
-	l.mu.Unlock()
-
 	// The loss process applies after serialization (a corrupted packet
-	// still consumed the link). Loss models are internally synchronized.
+	// still consumed the link).
 	if cfg.Loss != nil && cfg.Loss.Drop() {
-		l.mu.Lock()
-		l.queued--
 		l.dropped++
 		l.mu.Unlock()
 		l.countDrop()
-		return time.Time{}, false
+		return 0, 0, false
 	}
-	l.mu.Lock()
 	l.sent++
 	extra := time.Duration(0)
 	if cfg.Jitter > 0 || cfg.DuplicateProb > 0 || cfg.ReorderProb > 0 {
@@ -219,12 +220,21 @@ func (l *link) admit(now time.Time, n int) (time.Time, bool) {
 		extra += hold
 		l.reordered++
 	}
+	copies = 1
+	if cfg.DuplicateProb > 0 && l.jrng.Float64() < cfg.DuplicateProb {
+		copies = 2
+	}
+	if timed {
+		if wait = depart.Add(cfg.Delay + extra).Sub(now); wait > 0 {
+			l.queued++
+		}
+	}
 	l.mu.Unlock()
 	if l.tel != nil {
 		l.tel.sent.Inc(0)
 		l.tel.netSent.Inc(0)
 	}
-	return depart.Add(cfg.Delay + extra), true
+	return wait, copies, true
 }
 
 // countDrop mirrors one drop into the telemetry registry.
@@ -235,21 +245,7 @@ func (l *link) countDrop() {
 	}
 }
 
-// duplicate reports whether the just-admitted packet should also be
-// delivered a second time.
-func (l *link) duplicate() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cfg.DuplicateProb <= 0 {
-		return false
-	}
-	if l.jrng == nil {
-		l.jrng = rand.New(rand.NewSource(int64(l.sent) + 12345))
-	}
-	return l.jrng.Float64() < l.cfg.DuplicateProb
-}
-
-// release is called when a packet departs the queue (delivered).
+// release is called when a delayed packet departs the queue (delivered).
 func (l *link) release() {
 	l.mu.Lock()
 	l.queued--

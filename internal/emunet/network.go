@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ncfn/internal/buffer"
@@ -40,18 +41,25 @@ type PacketConn interface {
 // string addresses; directed links between hosts carry the impairments of
 // their LinkConfig. A link must be configured (SetLink) before traffic can
 // flow between two hosts unless AllowDefault is set.
+//
+// The tables below are written under mu and read by Send only on a host's
+// first packet to each destination: hosts and links, once created, are never
+// replaced, so each host keeps the records it resolved (Host.routes) and the
+// packet path takes no network-wide lock while no partition fault is active.
 type Network struct {
 	mu    sync.Mutex
 	hosts map[string]*Host
 	links map[[2]string]*link
 	// partHosts and partLinks are the active partition faults (fault.go):
-	// isolated hosts and blackholed directed links.
+	// isolated hosts and blackholed directed links. faulted says whether
+	// either holds anything, so Send consults them only while one does.
 	partHosts map[string]bool
 	partLinks map[[2]string]bool
+	faulted   atomic.Bool
 	// allowDefault, when true, lets unconfigured pairs communicate over a
 	// perfect link. Tests use it; experiments configure links explicitly.
 	allowDefault bool
-	closed       bool
+	closed       atomic.Bool
 	wg           sync.WaitGroup
 	timers       map[*time.Timer]struct{}
 	// tel is the attached instrument set (WithTelemetry); nil records
@@ -83,6 +91,9 @@ func NewNetwork(opts ...Option) *Network {
 	return n
 }
 
+// hostInbox bounds a host's pending packets, like a socket receive buffer.
+const hostInbox = 4096
+
 // Host registers (or returns the existing) host with the given address.
 func (n *Network) Host(addr string) *Host {
 	n.mu.Lock()
@@ -90,12 +101,7 @@ func (n *Network) Host(addr string) *Host {
 	if h, ok := n.hosts[addr]; ok {
 		return h
 	}
-	h := &Host{
-		net:   n,
-		addr:  addr,
-		inbox: make(chan datagram, 4096),
-		done:  make(chan struct{}),
-	}
+	h := &Host{net: n, addr: addr, inbox: newInbox(hostInbox)}
 	n.hosts[addr] = h
 	return h
 }
@@ -104,14 +110,19 @@ func (n *Network) Host(addr string) *Host {
 func (n *Network) SetLink(src, dst string, cfg LinkConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	key := [2]string{src, dst}
-	if l, ok := n.links[key]; ok {
+	if l, ok := n.links[[2]string{src, dst}]; ok {
 		l.setConfig(cfg)
 		return
 	}
+	n.newLinkLocked(src, dst, cfg)
+}
+
+// newLinkLocked creates the directed link src->dst. Callers hold mu.
+func (n *Network) newLinkLocked(src, dst string, cfg LinkConfig) *link {
 	l := &link{cfg: cfg}
 	n.instrumentLinkLocked(src, dst, l)
-	n.links[key] = l
+	n.links[[2]string{src, dst}] = l
+	return l
 }
 
 // SetDuplexLink installs the same configuration in both directions. Loss
@@ -149,11 +160,11 @@ func (n *Network) LinkConfigOf(src, dst string) (LinkConfig, bool) {
 // have been reaped.
 func (n *Network) Close() error {
 	n.mu.Lock()
-	if n.closed {
+	if n.closed.Load() {
 		n.mu.Unlock()
 		return nil
 	}
-	n.closed = true
+	n.closed.Store(true)
 	hosts := make([]*Host, 0, len(n.hosts))
 	for _, h := range n.hosts {
 		hosts = append(hosts, h)
@@ -176,19 +187,20 @@ func (n *Network) Close() error {
 	return nil
 }
 
-type datagram struct {
-	src string
-	pkt []byte
-}
-
 // Host is one endpoint of the emulated network.
 type Host struct {
 	net   *Network
 	addr  string
-	inbox chan datagram
+	inbox *inbox
+	// routes caches, per destination this host has sent to, its route.
+	// Reads take no lock; entries are added under the network mutex.
+	routes sync.Map // string -> route
+}
 
-	closeOnce sync.Once
-	done      chan struct{}
+// route is a resolved destination: the peer and the directed link to it.
+type route struct {
+	peer *Host
+	link *link
 }
 
 var _ PacketConn = (*Host)(nil)
@@ -200,41 +212,21 @@ func (h *Host) LocalAddr() string { return h.addr }
 // the buffer immediately.
 func (h *Host) Send(dst string, pkt []byte) error {
 	n := h.net
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if n.closed.Load() {
 		return ErrClosed
 	}
-	peer, ok := n.hosts[dst]
-	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoRoute, dst)
+	r, err := h.route(dst)
+	if err != nil {
+		return err
 	}
-	l, ok := n.links[[2]string{h.addr, dst}]
-	if !ok {
-		if !n.allowDefault {
-			n.mu.Unlock()
-			return fmt.Errorf("%w: no link %s->%s", ErrNoRoute, h.addr, dst)
-		}
-		l = &link{}
-		n.instrumentLinkLocked(h.addr, dst, l)
-		n.links[[2]string{h.addr, dst}] = l
-	}
-	if n.partitionedLocked(h.addr, dst) {
-		n.mu.Unlock()
+	l := r.link
+	if n.faulted.Load() && n.Partitioned(h.addr, dst) {
 		l.drop()
 		return nil // blackholed, like UDP into a partition: no error
 	}
-	n.mu.Unlock()
-
-	now := time.Now()
-	arrival, ok := l.admit(now, len(pkt))
+	wait, copies, ok := l.admit(len(pkt))
 	if !ok {
 		return nil // dropped, like UDP: no error to the sender
-	}
-	copies := 1
-	if l.duplicate() {
-		copies = 2
 	}
 	// Each delivery gets its own pooled copy: the receiver owns the buffer
 	// it is handed (and may recycle it via buffer.PutPacket), so duplicated
@@ -245,16 +237,14 @@ func (h *Host) Send(dst string, pkt []byte) error {
 		copy(b, pkt)
 		bufs[c] = b
 	}
-	wait := arrival.Sub(now)
 	if wait <= 0 {
-		l.release()
 		for c := 0; c < copies; c++ {
-			peer.deliver(datagram{src: h.addr, pkt: bufs[c]})
+			r.peer.deliver(datagram{src: h.addr, pkt: bufs[c]})
 		}
 		return nil
 	}
 	n.mu.Lock()
-	if n.closed {
+	if n.closed.Load() {
 		n.mu.Unlock()
 		l.release()
 		for c := 0; c < copies; c++ {
@@ -268,7 +258,7 @@ func (h *Host) Send(dst string, pkt []byte) error {
 		defer n.wg.Done()
 		l.release()
 		for c := 0; c < copies; c++ {
-			peer.deliver(datagram{src: h.addr, pkt: bufs[c]})
+			r.peer.deliver(datagram{src: h.addr, pkt: bufs[c]})
 		}
 		n.mu.Lock()
 		delete(n.timers, timer)
@@ -279,41 +269,54 @@ func (h *Host) Send(dst string, pkt []byte) error {
 	return nil
 }
 
+// route returns dst's cached route, resolving it on first use.
+func (h *Host) route(dst string) (route, error) {
+	if r, ok := h.routes.Load(dst); ok {
+		return r.(route), nil
+	}
+	return h.resolve(dst)
+}
+
+// resolve looks dst up in the network's tables and caches the result.
+func (h *Host) resolve(dst string) (route, error) {
+	n := h.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	peer, ok := n.hosts[dst]
+	if !ok {
+		return route{}, fmt.Errorf("%w: %q", ErrNoRoute, dst)
+	}
+	l, ok := n.links[[2]string{h.addr, dst}]
+	if !ok {
+		if !n.allowDefault {
+			return route{}, fmt.Errorf("%w: no link %s->%s", ErrNoRoute, h.addr, dst)
+		}
+		l = n.newLinkLocked(h.addr, dst, LinkConfig{})
+	}
+	r := route{peer: peer, link: l}
+	h.routes.Store(dst, r)
+	return r, nil
+}
+
 // deliver places a datagram in the host's inbox, dropping it if the inbox
 // is full (receiver-side buffer overflow) or the host is closed. Dropped
 // datagrams return their buffers to the packet pool.
 func (h *Host) deliver(d datagram) {
-	select {
-	case h.inbox <- d:
-	default:
-		select {
-		case <-h.done:
-		default:
-			// Inbox full: receiver too slow; drop like a kernel socket
-			// buffer.
-		}
+	if !h.inbox.put(d) {
 		buffer.PutPacket(d.pkt)
 	}
 }
 
-// Recv implements PacketConn.
+// Recv implements PacketConn. Packets already queued when the host closes
+// are still returned, then ErrClosed.
 func (h *Host) Recv() ([]byte, string, error) {
-	select {
-	case <-h.done:
-		// Drain packets already queued before reporting closure.
-		select {
-		case d := <-h.inbox:
-			return d.pkt, d.src, nil
-		default:
-			return nil, "", ErrClosed
-		}
-	case d := <-h.inbox:
-		return d.pkt, d.src, nil
-	}
+	var d [1]Datagram
+	_, err := h.inbox.get(d[:])
+	return d[0].Pkt, d[0].Peer, err
 }
 
 // Close implements PacketConn.
 func (h *Host) Close() error {
-	h.closeOnce.Do(func() { close(h.done) })
+	h.inbox.close()
 	return nil
 }

@@ -31,7 +31,7 @@ type UDPConn struct {
 	name     string
 	conn     *net.UDPConn
 	registry *Registry
-	inbox    chan datagram
+	inbox    *inbox
 
 	// tx is the platform batch sender (nil when unavailable or disabled by
 	// WithPortableIO); rxBatch > 1 selects the recvmmsg read loop.
@@ -224,7 +224,7 @@ func ListenUDP(name, addr string, registry *Registry, opts ...UDPOption) (*UDPCo
 		name:     name,
 		conn:     conn,
 		registry: registry,
-		inbox:    make(chan datagram, cfg.inbox),
+		inbox:    newInbox(cfg.inbox),
 		done:     make(chan struct{}),
 		tel:      newUDPTelemetry(cfg.reg),
 	}
@@ -319,12 +319,13 @@ func (u *UDPConn) readLoopPortable() {
 // accounting) when the inbox is full — the userspace twin of a kernel
 // socket-buffer overflow.
 func (u *UDPConn) deliver(pkt []byte, src string) {
-	select {
-	case u.inbox <- datagram{src: src, pkt: pkt}:
+	if u.inbox.put(datagram{src: src, pkt: pkt}) {
 		u.tel.rxPkts.Inc(udpRxCell)
 		return
+	}
+	buffer.PutPacket(pkt)
+	select {
 	case <-u.done:
-		buffer.PutPacket(pkt)
 		return
 	default:
 	}
@@ -333,7 +334,6 @@ func (u *UDPConn) deliver(pkt []byte, src string) {
 	// recorder keeps the when.
 	u.tel.rxDropped.Inc(udpRxCell)
 	u.tel.rec.Record(time.Now().UnixNano(), telemetry.EventPacketDrop, u.name, 0, 0, 1)
-	buffer.PutPacket(pkt)
 }
 
 // LocalAddr implements PacketConn.
@@ -392,42 +392,20 @@ func (u *UDPConn) sendBatchPortable(batch []Datagram) (int, error) {
 }
 
 // RecvBatch implements BatchPacketConn: it blocks for the first datagram,
-// then drains whatever else is already queued, up to len(buf).
+// then fills buf with what else the inbox had taken in the same swap.
 func (u *UDPConn) RecvBatch(buf []Datagram) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	pkt, src, err := u.Recv()
-	if err != nil {
-		return 0, err
-	}
-	buf[0] = Datagram{Peer: src, Pkt: pkt}
-	n := 1
-	for n < len(buf) {
-		select {
-		case d := <-u.inbox:
-			buf[n] = Datagram{Peer: d.src, Pkt: d.pkt}
-			n++
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
+	return u.inbox.get(buf)
 }
 
-// Recv implements PacketConn.
+// Recv implements PacketConn. Packets queued before Close are still
+// returned, then ErrClosed.
 func (u *UDPConn) Recv() ([]byte, string, error) {
-	select {
-	case <-u.done:
-		select {
-		case d := <-u.inbox:
-			return d.pkt, d.src, nil
-		default:
-			return nil, "", ErrClosed
-		}
-	case d := <-u.inbox:
-		return d.pkt, d.src, nil
-	}
+	var d [1]Datagram
+	_, err := u.inbox.get(d[:])
+	return d[0].Pkt, d[0].Peer, err
 }
 
 // Close implements PacketConn. It joins the reader goroutine.
@@ -435,6 +413,7 @@ func (u *UDPConn) Close() error {
 	var err error
 	u.closeOnce.Do(func() {
 		close(u.done)
+		u.inbox.close()
 		err = u.conn.Close()
 		u.readerWG.Wait()
 	})
