@@ -45,7 +45,7 @@ test-race:
 # resilience tests. Same seeds, same fault schedules, every run.
 test-chaos:
 	$(GO) test -count=1 -v -run 'TestGenerateSchedule|TestButterfly|TestSeededChaos' ./internal/chaostest/
-	$(GO) test -count=1 -run 'TestFault|TestPartition|TestBurstLoss|TestCrash|TestRestart|TestFailLaunches|TestSupervisor|TestRetry|TestPush|TestPoolLaunch' \
+	$(GO) test -count=1 -run 'TestFault|TestPartition|TestBurstLoss|TestCrash|TestRestart|TestFailLaunches|TestSupervisor|TestPush|TestPoolLaunch' \
 		./internal/emunet/ ./internal/cloud/ ./internal/controller/
 
 # test-e2e runs the multi-process deployment smoke test: the butterfly as

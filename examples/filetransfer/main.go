@@ -80,12 +80,12 @@ func run(size int) error {
 	defer src.Close()
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"relay"}}})
 
-	recv1, err := dataplane.NewReceiver(recv1Conn, 1, params, "src", nil)
+	recv1, err := dataplane.NewReceiver(recv1Conn, 1, params, "src")
 	if err != nil {
 		return err
 	}
 	defer recv1.Close()
-	recv2, err := dataplane.NewReceiver(recv2Conn, 1, params, "src", nil)
+	recv2, err := dataplane.NewReceiver(recv2Conn, 1, params, "src")
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func streamOnce(redundancy int) (map[string]transfer.StreamStats, error) {
 
 	watchers := make(map[string]*transfer.StreamReceiver, 2)
 	for _, viewer := range []string{"viewer-1", "viewer-2"} {
-		recv, err := dataplane.NewReceiver(n.Host(viewer), 1, params, "", nil)
+		recv, err := dataplane.NewReceiver(n.Host(viewer), 1, params, "")
 		if err != nil {
 			return nil, err
 		}

@@ -45,19 +45,6 @@ func IsBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok
 }
 
-// ObjOf returns the object an identifier expression denotes, or nil when the
-// expression is not a plain (possibly parenthesized) identifier.
-func ObjOf(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
 // IsErrorType reports whether t is the built-in error interface.
 func IsErrorType(t types.Type) bool {
 	named, ok := t.(*types.Named)

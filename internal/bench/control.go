@@ -426,7 +426,7 @@ func timeToDecode(params rlnc.Params, spacing time.Duration, pipelined bool, see
 	n.SetLink("src", "relay", emunet.LinkConfig{})
 	n.SetLink("relay", "dst", emunet.LinkConfig{RateBps: 2e6, QueuePackets: 64})
 
-	dst, err := dataplane.NewReceiver(n.Host("dst"), 1, params, "", nil)
+	dst, err := dataplane.NewReceiver(n.Host("dst"), 1, params, "")
 	if err != nil {
 		return 0, err
 	}

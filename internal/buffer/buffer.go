@@ -1,33 +1,15 @@
 // Package buffer holds what is left of the VNF packet buffer of Sec. III-B
-// once the data plane owns generation state itself: the identity of a
-// buffered generation (GenKey), the paper's buffer capacity (Fig. 5 measures
-// that 1024 generations is sufficient; that is the default), and the packet
-// buffer pool. The FIFO-over-generations eviction the paper describes is a
-// policy of the data plane's generation index
-// (internal/dataplane/sessionstore.go), which keeps one record per live
-// generation so the coding function "can quickly encode the newly received
-// packets with existing packets from the same session and same generation"
-// in O(1) per packet. The seed's standalone FIFO buffer survives as the
-// test-only reference model in reference_test.go.
+// once the data plane owns generation state itself: the paper's buffer
+// capacity (Fig. 5 measures that 1024 generations is sufficient; that is
+// the default) and the packet buffer pool. The FIFO-over-generations
+// eviction the paper describes is a policy of the data plane's generation
+// index (internal/dataplane/sessionstore.go), which keeps one record per
+// live generation so the coding function "can quickly encode the newly
+// received packets with existing packets from the same session and same
+// generation" in O(1) per packet. The seed's standalone FIFO buffer
+// survives as the test-only reference model in reference_test.go.
 package buffer
-
-import (
-	"fmt"
-
-	"ncfn/internal/ncproto"
-)
 
 // DefaultCapacity is the VNF buffer capacity in generations (Fig. 5 shows
 // gains flatten at 1024).
 const DefaultCapacity = 1024
-
-// GenKey identifies one generation of one session.
-type GenKey struct {
-	Session    ncproto.SessionID
-	Generation ncproto.GenerationID
-}
-
-// String renders the key for logs.
-func (k GenKey) String() string {
-	return fmt.Sprintf("s%d/g%d", k.Session, k.Generation)
-}

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"ncfn/internal/ncproto"
@@ -14,6 +15,17 @@ import (
 // does its bookkeeping with Track and a Contains scan over every live
 // generation, exactly as VNF.recode did, and requires byte-identical
 // emissions). Nothing outside tests uses it.
+
+// GenKey identifies one generation of one session.
+type GenKey struct {
+	Session    ncproto.SessionID
+	Generation ncproto.GenerationID
+}
+
+// String renders the key for logs.
+func (k GenKey) String() string {
+	return fmt.Sprintf("s%d/g%d", k.Session, k.Generation)
+}
 
 // Entry holds the buffered coded blocks of one generation.
 type Entry struct {

@@ -158,7 +158,7 @@ func TestSessionChurnSoak(t *testing.T) {
 	}
 	// Check the recorder now, before later phases overwrite the ring.
 	rec := reg.Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	if evs := rec.EventsOf(telemetry.EventGenerationEvict); len(evs) == 0 {
+	if evs := eventsOf(rec, telemetry.EventGenerationEvict); len(evs) == 0 {
 		t.Fatal("no eviction events in the flight recorder")
 	}
 

@@ -110,10 +110,10 @@ func NewButterfly(seed int64) (*Cluster, error) {
 	cl := cloud.New(clk, seed, regions...)
 	cl.AttachTelemetry(reg)
 	c := &Cluster{
-		Net:       emunet.NewNetwork(emunet.AllowDefault(), emunet.WithTelemetry(reg)),
-		Clock:     clk,
-		Cloud:     cl,
-		Reg:       reg,
+		Net:   emunet.NewNetwork(emunet.AllowDefault(), emunet.WithTelemetry(reg)),
+		Clock: clk,
+		Cloud: cl,
+		Reg:   reg,
 		// Field is spelled explicitly (the zero value means GF256 anyway) so
 		// the session configs compare equal to what a deploy file yields —
 		// the reload soak relies on unchanged sessions being left untouched.
@@ -165,7 +165,7 @@ func NewButterfly(seed int64) (*Cluster, error) {
 	c.src = src
 	src.SetHops(c.sourceGroups())
 	for _, s := range sinkNodes {
-		r, err := dataplane.NewReceiver(c.Net.Host(s), Session, c.params, "V1", clk, dataplane.WithSeed(seed))
+		r, err := dataplane.NewReceiver(c.Net.Host(s), Session, c.params, "V1", dataplane.WithSeed(seed))
 		if err != nil {
 			return nil, err
 		}

@@ -75,10 +75,10 @@ func TestRollingRestartUnderTraffic(t *testing.T) {
 	// Every restart really drained: one drain-start and one drain-quiesced
 	// flight event per relay walked (none timed out to a forced close).
 	rec := c.Reg.Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	if evs := rec.EventsOf(telemetry.EventDrainStart); len(evs) != len(relays) {
+	if evs := eventsOf(rec, telemetry.EventDrainStart); len(evs) != len(relays) {
 		t.Fatalf("drain-start events = %d, want %d", len(evs), len(relays))
 	}
-	if evs := rec.EventsOf(telemetry.EventDrainQuiesced); len(evs) != len(relays) {
+	if evs := eventsOf(rec, telemetry.EventDrainQuiesced); len(evs) != len(relays) {
 		t.Fatalf("drain-quiesced events = %d, want %d", len(evs), len(relays))
 	}
 }
@@ -171,7 +171,7 @@ func TestReloadChurnSoak(t *testing.T) {
 
 	// One reload flight event per applied reload.
 	rec := c.Reg.Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	if evs := rec.EventsOf(telemetry.EventReload); len(evs) != reloads {
+	if evs := eventsOf(rec, telemetry.EventReload); len(evs) != reloads {
 		t.Fatalf("reload flight events = %d, want %d", len(evs), reloads)
 	}
 }

@@ -3,9 +3,9 @@ package chaostest
 import (
 	"testing"
 
-	"ncfn/internal/leakcheck"
 	"ncfn/internal/cloud"
 	"ncfn/internal/controller"
+	"ncfn/internal/leakcheck"
 	"ncfn/internal/telemetry"
 )
 
@@ -43,7 +43,7 @@ func TestFlightRecorderMatchesFailoverLog(t *testing.T) {
 
 	rec := c.Reg.Recorder(controller.SupervisorFlightName, telemetry.DefaultRecorderCapacity)
 	var completed []telemetry.Event
-	for _, e := range rec.EventsOf(telemetry.EventFailover) {
+	for _, e := range eventsOf(rec, telemetry.EventFailover) {
 		// Abandoned failovers are traced with a negative value; completed
 		// recoveries carry the duration in nanoseconds.
 		if e.Value >= 0 {
@@ -129,7 +129,18 @@ func TestClusterTelemetrySeesEveryLayer(t *testing.T) {
 	}
 	// Cloud flight recorder saw the injected crash.
 	crashRec := c.Reg.Recorder(cloud.CloudFlightName, telemetry.DefaultRecorderCapacity)
-	if len(crashRec.EventsOf(telemetry.EventFault)) == 0 {
+	if len(eventsOf(crashRec, telemetry.EventFault)) == 0 {
 		t.Fatal("cloud flight recorder has no fault events")
 	}
+}
+
+// eventsOf returns r's retained events of one type, in sequence order.
+func eventsOf(r *telemetry.Recorder, typ telemetry.EventType) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range r.Snapshot() {
+		if ev.Type == typ {
+			out = append(out, ev)
+		}
+	}
+	return out
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -148,18 +147,6 @@ func New(clk simclock.Clock, seed int64, regions ...Region) *Cloud {
 		c.regions[r.ID] = &r
 	}
 	return c
-}
-
-// Regions returns the region IDs, sorted.
-func (c *Cloud) Regions() []topology.NodeID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]topology.NodeID, 0, len(c.regions))
-	for id := range c.regions {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Region returns a region's static description.
@@ -341,20 +328,6 @@ func (c *Cloud) LaunchFailures(region topology.NodeID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.launchFails[region]
-}
-
-// RunningInstances returns the Running instance count per region.
-func (c *Cloud) RunningInstances() map[topology.NodeID]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[topology.NodeID]int)
-	for _, inst := range c.instances {
-		c.refreshLocked(inst)
-		if inst.state == StateRunning {
-			out[inst.Region]++
-		}
-	}
-	return out
 }
 
 // Launches returns how many instances were ever launched in the region.

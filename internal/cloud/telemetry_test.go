@@ -49,7 +49,7 @@ func TestCloudTelemetryAccounting(t *testing.T) {
 	}
 
 	rec := reg.Recorder(CloudFlightName, telemetry.DefaultRecorderCapacity)
-	evs := rec.EventsOf(telemetry.EventFault)
+	evs := eventsOf(rec, telemetry.EventFault)
 	if len(evs) != 2 {
 		t.Fatalf("fault events = %d, want 2 (failed launch + crash)", len(evs))
 	}
@@ -64,4 +64,15 @@ func TestCloudTelemetryAccounting(t *testing.T) {
 	if _, err := c.LaunchInstance("oregon"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// eventsOf returns r's retained events of one type, in sequence order.
+func eventsOf(r *telemetry.Recorder, typ telemetry.EventType) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range r.Snapshot() {
+		if ev.Type == typ {
+			out = append(out, ev)
+		}
+	}
+	return out
 }

@@ -34,9 +34,6 @@ type Config struct {
 	// Rho1 (fraction) and persist Tau1 before the controller reacts.
 	Tau1 time.Duration
 	Rho1 float64
-	// Tau2/Rho2 confirm delay changes (Alg. 2).
-	Tau2 time.Duration
-	Rho2 float64
 	// Retry bounds cloud launch attempts (zero fields take the defaults of
 	// DefaultRetryPolicy).
 	Retry RetryPolicy
@@ -62,24 +59,22 @@ type SignalEvent struct {
 	Detail string
 }
 
-// pendingChange tracks a not-yet-confirmed bandwidth or delay observation.
+// pendingChange tracks a not-yet-confirmed bandwidth observation.
 type pendingChange struct {
 	since time.Time
 	inM   float64
 	outM  float64
-	delay time.Duration
 }
 
 // Controller is the central control plane.
 type Controller struct {
 	cfg Config
 
-	mu           sync.Mutex
-	flows        map[ncproto.SessionID]*sessionFlows
-	pools        map[topology.NodeID]*vnfPool
-	pendingBW    map[topology.NodeID]*pendingChange
-	pendingDelay map[[2]topology.NodeID]*pendingChange
-	events       []SignalEvent
+	mu        sync.Mutex
+	flows     map[ncproto.SessionID]*sessionFlows
+	pools     map[topology.NodeID]*vnfPool
+	pendingBW map[topology.NodeID]*pendingChange
+	events    []SignalEvent
 }
 
 // New builds a controller. The optimize config's DataCenters define the
@@ -94,21 +89,14 @@ func New(cfg Config) *Controller {
 	if cfg.Tau1 <= 0 {
 		cfg.Tau1 = DefaultTau
 	}
-	if cfg.Tau2 <= 0 {
-		cfg.Tau2 = DefaultTau
-	}
 	if cfg.Rho1 <= 0 {
 		cfg.Rho1 = 0.05
 	}
-	if cfg.Rho2 <= 0 {
-		cfg.Rho2 = 0.05
-	}
 	c := &Controller{
-		cfg:          cfg,
-		flows:        make(map[ncproto.SessionID]*sessionFlows),
-		pools:        make(map[topology.NodeID]*vnfPool),
-		pendingBW:    make(map[topology.NodeID]*pendingChange),
-		pendingDelay: make(map[[2]topology.NodeID]*pendingChange),
+		cfg:       cfg,
+		flows:     make(map[ncproto.SessionID]*sessionFlows),
+		pools:     make(map[topology.NodeID]*vnfPool),
+		pendingBW: make(map[topology.NodeID]*pendingChange),
 	}
 	for _, dc := range cfg.Optimize.DataCenters {
 		c.pools[dc.ID] = newVNFPool(dc.ID, cfg.Cloud, cfg.Clock, cfg.Tau, cfg.Retry)
@@ -131,17 +119,6 @@ func (c *Controller) Events() []SignalEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]SignalEvent(nil), c.events...)
-}
-
-// Sessions returns the active session IDs.
-func (c *Controller) Sessions() []ncproto.SessionID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ncproto.SessionID, 0, len(c.flows))
-	for id := range c.flows {
-		out = append(out, id)
-	}
-	return out
 }
 
 // TotalThroughput returns Σ λ_m over active sessions.
@@ -223,17 +200,6 @@ func (c *Controller) LoadPerDC() (in, out map[topology.NodeID]float64) {
 	return load.DCInMbps, load.DCOutMbps
 }
 
-// SessionRate returns λ_m of one session.
-func (c *Controller) SessionRate(id ncproto.SessionID) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.flows[id]
-	if !ok {
-		return 0, false
-	}
-	return f.rate, true
-}
-
 // VNFCounts returns the total (active, idle-within-τ) VNF counts.
 func (c *Controller) VNFCounts() (active, idle int) {
 	c.mu.Lock()
@@ -248,29 +214,6 @@ func (c *Controller) vnfCountsLocked() (active, idle int) {
 		idle += i
 	}
 	return active, idle
-}
-
-// ActiveVNFsPerDC returns the per-data-center active VNF counts.
-func (c *Controller) ActiveVNFsPerDC() map[topology.NodeID]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[topology.NodeID]int, len(c.pools))
-	for dc, p := range c.pools {
-		a, _ := p.counts()
-		out[dc] = a
-	}
-	return out
-}
-
-// Instances returns the active instance IDs in one data center.
-func (c *Controller) Instances(dc topology.NodeID) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pools[dc]
-	if !ok {
-		return nil
-	}
-	return p.instances()
 }
 
 // Tick reaps idle VNFs whose τ deadline has passed. Call it periodically
@@ -544,41 +487,6 @@ func (c *Controller) ObserveBandwidth(dc topology.NodeID, inMbps, outMbps float6
 	c.cfg.Optimize.DataCenters[idx].BinMbps = inMbps
 	c.cfg.Optimize.DataCenters[idx].BoutMbps = outMbps
 	return c.reactToChangeLocked(dropped, fmt.Sprintf("bandwidth change at %s", dc))
-}
-
-// ObserveDelay feeds one link-delay measurement (Alg. 2). Confirmed changes
-// update the graph and trigger a re-solve: increases can invalidate paths
-// (forcing adoption), decreases expand the feasible path set (adopted only
-// if the objective improves).
-func (c *Controller) ObserveDelay(from, to topology.NodeID, d time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	link, ok := c.cfg.Optimize.Graph.Link(from, to)
-	if !ok {
-		return fmt.Errorf("controller: unknown link %s->%s", from, to)
-	}
-	rel := relChange(link.Delay.Seconds(), d.Seconds())
-	key := [2]topology.NodeID{from, to}
-	if rel <= c.cfg.Rho2 {
-		delete(c.pendingDelay, key)
-		return nil
-	}
-	now := c.cfg.Clock.Now()
-	p, ok := c.pendingDelay[key]
-	if !ok {
-		c.pendingDelay[key] = &pendingChange{since: now, delay: d}
-		return nil
-	}
-	p.delay = d
-	if now.Sub(p.since) < c.cfg.Tau2 {
-		return nil
-	}
-	delete(c.pendingDelay, key)
-	increased := d > link.Delay
-	if err := c.cfg.Optimize.Graph.SetDelay(from, to, d); err != nil {
-		return err
-	}
-	return c.reactToChangeLocked(increased, fmt.Sprintf("delay change on %s->%s", from, to))
 }
 
 // reactToChangeLocked re-solves all sessions on the current deployment and

@@ -19,14 +19,11 @@ type Daemon struct {
 	vnf   *dataplane.VNF
 	clock simclock.Clock
 
-	mu          sync.Mutex
-	started     bool
-	stopTimer   <-chan time.Time
-	stopCancel  chan struct{}
-	closed      bool
-	applied     int // control messages applied (for tests/metrics)
-	tableSwaps  int
-	lastApplied Signal
+	mu         sync.Mutex
+	started    bool
+	stopTimer  <-chan time.Time
+	stopCancel chan struct{}
+	closed     bool
 
 	// Lifecycle state (see lifecycle.go): draining marks an in-progress
 	// graceful drain; deployVersion tracks the last versioned deploy file
@@ -49,27 +46,6 @@ func NewDaemon(conn emunet.PacketConn, clk simclock.Clock, opts ...dataplane.VNF
 // VNF exposes the managed coding function.
 func (d *Daemon) VNF() *dataplane.VNF { return d.vnf }
 
-// Applied returns how many control messages were applied.
-func (d *Daemon) Applied() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.applied
-}
-
-// TableSwaps returns how many forwarding-table updates were applied.
-func (d *Daemon) TableSwaps() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tableSwaps
-}
-
-// LastSignal returns the most recently applied signal.
-func (d *Daemon) LastSignal() Signal {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastApplied
-}
-
 // Apply executes one control message. Each apply's latency is observed
 // into the VNF registry's apply-latency histogram, so a daemon snapshot
 // shows how long control pushes take to take effect (Table III's
@@ -90,8 +66,6 @@ func (d *Daemon) Apply(m *Message) error {
 	defer func() {
 		d.vnf.Telemetry().Histogram(MetricApplyNs).Observe(d.clock.Now().Sub(start).Nanoseconds())
 	}()
-	d.applied++
-	d.lastApplied = m.Signal
 	switch m.Signal {
 	case NCSettings:
 		if m.Settings == nil {
@@ -106,7 +80,6 @@ func (d *Daemon) Apply(m *Message) error {
 		}
 		return nil
 	case NCForwardTab:
-		d.tableSwaps++
 		d.vnf.UpdateTable(m.Table)
 		return nil
 	case NCVNFEnd:

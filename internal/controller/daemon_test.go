@@ -36,6 +36,17 @@ func smallParams() rlnc.Params {
 	return rlnc.Params{GenerationBlocks: 4, BlockSize: 64}
 }
 
+// applied counts the control messages the daemon has applied: one
+// apply-latency observation each.
+func applied(d *Daemon) uint64 {
+	return d.VNF().Telemetry().Histogram(MetricApplyNs).Count()
+}
+
+// tableSwaps counts the forwarding-table swaps the daemon's VNF has made.
+func tableSwaps(d *Daemon) uint64 {
+	return d.VNF().Telemetry().Counter(dataplane.MetricTableSwaps, 1).Value()
+}
+
 func TestDaemonSettingsAndStart(t *testing.T) {
 	d, _, _ := testDaemon(t)
 	cfg := dataplane.SessionConfig{ID: 1, Params: smallParams(), Role: dataplane.RoleRecoder}
@@ -45,8 +56,8 @@ func TestDaemonSettingsAndStart(t *testing.T) {
 	if err := d.Apply(&Message{Signal: NCStart}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Applied() != 2 || d.LastSignal() != NCStart {
-		t.Fatalf("applied=%d last=%v", d.Applied(), d.LastSignal())
+	if n := applied(d); n != 2 || !d.started {
+		t.Fatalf("applied=%d started=%v", n, d.started)
 	}
 }
 
@@ -70,10 +81,10 @@ func TestDaemonForwardTab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TableSwaps() != 1 {
-		t.Fatalf("TableSwaps = %d", d.TableSwaps())
+	if n := tableSwaps(d); n != 1 {
+		t.Fatalf("table swaps = %d", n)
 	}
-	if d.VNF().Table().NextHops(1, 0)[0] != "next" {
+	if d.VNF().Table().AppendNextHops(nil, 1, 0)[0] != "next" {
 		t.Fatal("table not applied")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ncfn/internal/cloud"
-	"ncfn/internal/probe"
 	"ncfn/internal/simclock"
 	"ncfn/internal/telemetry"
 	"ncfn/internal/topology"
@@ -114,11 +113,8 @@ func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 	}
 }
 
-// Telemetry returns the registry holding the supervisor's instruments.
-func (s *Supervisor) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }
-
 // Manage registers a VNF for supervision. check is the health probe for the
-// current instance (see PingCheck and InstanceCheck); redeploy must bring a
+// current instance (see InstanceCheck); redeploy must bring a
 // replacement instance into service — reconfigure the VNF and re-push every
 // forwarding table that referenced the old one. region is the cloud region
 // replacements launch in (usually the node itself).
@@ -134,17 +130,6 @@ func (s *Supervisor) Manage(node, region topology.NodeID, instance string,
 		check:    check,
 		redeploy: redeploy,
 	}
-}
-
-// Instance returns the node's currently supervised instance ID.
-func (s *Supervisor) Instance(node topology.NodeID) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.managed[node]
-	if !ok {
-		return "", false
-	}
-	return m.instance, true
 }
 
 // Events returns a copy of the failover log.
@@ -261,42 +246,9 @@ func (s *Supervisor) abandonLocked(m *managedVNF, err error) {
 		string(m.node), 0, 0, -1)
 }
 
-// Run ticks the supervisor every interval until ctx is cancelled — the
-// production loop. Tests drive Tick directly under a virtual clock instead.
-func (s *Supervisor) Run(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.cfg.Clock.After(interval):
-			s.Tick()
-		}
-	}
-}
-
 // ErrUnhealthy is returned by health checks that got an answer indicating a
 // bad state (as opposed to no answer at all).
 var ErrUnhealthy = errors.New("controller: vnf unhealthy")
-
-// PingCheck builds a health check that pings the VNF's data-plane address
-// through the given prober (package probe's ping, Sec. III-A's per-node
-// daemon liveness). A single lost reply within timeout marks the check
-// failed; the supervisor's FailThreshold absorbs isolated losses.
-func PingCheck(p *probe.Prober, target string, timeout time.Duration) func(string) error {
-	return func(string) error {
-		res, err := p.Ping(target, 1, 16, timeout)
-		if err != nil {
-			return fmt.Errorf("%w: ping %s: %v", ErrUnhealthy, target, err)
-		}
-		if res.Received == 0 {
-			return fmt.Errorf("%w: ping %s: no reply", ErrUnhealthy, target)
-		}
-		return nil
-	}
-}
 
 // InstanceCheck builds a health check on the cloud API's instance state —
 // the controller-side view (EC2 DescribeInstances) that catches VM crashes

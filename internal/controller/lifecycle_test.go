@@ -90,7 +90,7 @@ func TestStartDrainClosesWhenQuiesced(t *testing.T) {
 	if err := d.StartDrain(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Draining() || !d.VNF().Draining() {
+	if !d.Draining() || d.VNF().DrainState() == dataplane.DrainStateRunning {
 		t.Fatal("drain did not propagate to daemon and VNF")
 	}
 	// An idle VNF quiesces immediately; the background waiter then closes
@@ -163,7 +163,7 @@ func TestApplyGateWhileDraining(t *testing.T) {
 func TestReloadDiff(t *testing.T) {
 	d, _, _ := testDaemon(t)
 	applyDeploy(t, d, deployV1(), "node")
-	swapsBefore := d.TableSwaps()
+	swapsBefore := tableSwaps(d)
 
 	sum, err := d.Reload(deployV2(), "node")
 	if err != nil {
@@ -177,7 +177,7 @@ func TestReloadDiff(t *testing.T) {
 	if sum.TableEntriesChanged != 2 {
 		t.Fatalf("TableEntriesChanged = %d, want 2", sum.TableEntriesChanged)
 	}
-	if got := d.TableSwaps() - swapsBefore; got != 1 {
+	if got := tableSwaps(d) - swapsBefore; got != 1 {
 		t.Fatalf("reload used %d table swaps, want 1", got)
 	}
 	if d.DeployVersion() != 2 {
@@ -189,10 +189,10 @@ func TestReloadDiff(t *testing.T) {
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
 		t.Fatalf("sessions after reload = %v", ids)
 	}
-	if hops := vnf.Table().NextHops(1, 0); len(hops) != 1 || hops[0] != "b" {
+	if hops := vnf.Table().AppendNextHops(nil, 1, 0); len(hops) != 1 || hops[0] != "b" {
 		t.Fatalf("session 1 next hops = %v", hops)
 	}
-	if hops := vnf.Table().NextHops(2, 0); hops != nil {
+	if hops := vnf.Table().AppendNextHops(nil, 2, 0); hops != nil {
 		t.Fatalf("session 2 kept a table entry: %v", hops)
 	}
 	if cfg, ok := vnf.SessionConfigFor(2); !ok || cfg.Redundancy != 1 {
@@ -200,7 +200,7 @@ func TestReloadDiff(t *testing.T) {
 	}
 
 	rec := vnf.Telemetry().Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	evs := rec.EventsOf(telemetry.EventReload)
+	evs := eventsOf(rec, telemetry.EventReload)
 	if len(evs) != 1 {
 		t.Fatalf("EventReload count = %d", len(evs))
 	}
@@ -214,8 +214,8 @@ func TestReloadUnchangedIsNoop(t *testing.T) {
 	f := deployV1()
 	f.Version = 0 // unversioned files reload freely
 	applyDeploy(t, d, f, "node")
-	appliedBefore := d.Applied()
-	swapsBefore := d.TableSwaps()
+	appliedBefore := applied(d)
+	swapsBefore := tableSwaps(d)
 
 	sum, err := d.Reload(f, "node")
 	if err != nil {
@@ -224,7 +224,7 @@ func TestReloadUnchangedIsNoop(t *testing.T) {
 	if sum.changes() != 0 {
 		t.Fatalf("no-op reload reported changes: %+v", sum)
 	}
-	if d.Applied() != appliedBefore || d.TableSwaps() != swapsBefore {
+	if applied(d) != appliedBefore || tableSwaps(d) != swapsBefore {
 		t.Fatal("no-op reload pushed control messages")
 	}
 }

@@ -131,8 +131,3 @@ func (p *vnfPool) reap() int {
 func (p *vnfPool) counts() (int, int) {
 	return len(p.active), len(p.idle)
 }
-
-// instances returns the active instance IDs.
-func (p *vnfPool) instances() []string {
-	return append([]string(nil), p.active...)
-}

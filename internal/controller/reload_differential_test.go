@@ -133,7 +133,7 @@ func TestReloadDifferentialColdRestart(t *testing.T) {
 	for _, pkt := range trace[:cut] {
 		hot.VNF().InjectPacket(pkt)
 	}
-	swapsBefore := hot.TableSwaps()
+	swapsBefore := tableSwaps(hot)
 	sum, err := hot.Reload(f2, "relay")
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func TestReloadDifferentialColdRestart(t *testing.T) {
 	if sum.SessionsUpdated != 0 || sum.SessionsAdded != 0 || sum.SessionsRemoved != 0 {
 		t.Fatalf("table-only reload touched sessions: %+v", sum)
 	}
-	if sum.TableEntriesChanged != 1 || hot.TableSwaps() != swapsBefore+1 {
-		t.Fatalf("reload swaps: %+v (table swaps %d -> %d)", sum, swapsBefore, hot.TableSwaps())
+	if sum.TableEntriesChanged != 1 || tableSwaps(hot) != swapsBefore+1 {
+		t.Fatalf("reload swaps: %+v (table swaps %d -> %d)", sum, swapsBefore, tableSwaps(hot))
 	}
 	for _, pkt := range trace[cut:] {
 		hot.VNF().InjectPacket(pkt)
@@ -191,7 +191,7 @@ func TestReloadDifferentialColdRestart(t *testing.T) {
 
 	// The hot reload recorded exactly one reload flight event.
 	rec := hotReg.Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	if evs := rec.EventsOf(telemetry.EventReload); len(evs) != 1 {
+	if evs := eventsOf(rec, telemetry.EventReload); len(evs) != 1 {
 		t.Fatalf("reload flight events = %d, want 1", len(evs))
 	}
 }

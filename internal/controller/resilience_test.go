@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"ncfn/internal/leakcheck"
 	"ncfn/internal/cloud"
-	"ncfn/internal/emunet"
-	"ncfn/internal/probe"
+	"ncfn/internal/leakcheck"
 	"ncfn/internal/simclock"
 )
 
@@ -36,81 +34,6 @@ func TestBackoffSchedule(t *testing.T) {
 	// Determinism: no jitter, same inputs, same outputs.
 	if p.Backoff(3) != p.Backoff(3) {
 		t.Error("Backoff is not deterministic")
-	}
-}
-
-func TestRetryDoSucceedsAfterTransientFailures(t *testing.T) {
-	leakcheck.Check(t)
-	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Timeout: time.Second}
-	var calls int
-	err := p.Do(context.Background(), simclock.Real{}, func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do = %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
-	}
-}
-
-func TestRetryDoExhausts(t *testing.T) {
-	leakcheck.Check(t)
-	p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Timeout: time.Second}
-	var calls int
-	err := p.Do(context.Background(), simclock.Real{}, func(context.Context) error {
-		calls++
-		return errors.New("down")
-	})
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("Do = %v, want ErrRetriesExhausted", err)
-	}
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
-	}
-}
-
-func TestRetryDoHonorsParentCancel(t *testing.T) {
-	leakcheck.Check(t)
-	p := RetryPolicy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour, Timeout: time.Second}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- p.Do(ctx, simclock.Real{}, func(context.Context) error {
-			return errors.New("fail")
-		})
-	}()
-	cancel() // aborts the hour-long backoff
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Do = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Do did not return after cancel")
-	}
-}
-
-func TestRetryDoAttemptDeadline(t *testing.T) {
-	leakcheck.Check(t)
-	p := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Timeout: 20 * time.Millisecond}
-	var sawDeadline atomic.Bool
-	err := p.Do(context.Background(), simclock.Real{}, func(ctx context.Context) error {
-		if _, ok := ctx.Deadline(); ok {
-			sawDeadline.Store(true)
-		}
-		<-ctx.Done() // simulate an RPC blocked until the per-attempt timeout
-		return ctx.Err()
-	})
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("Do = %v, want ErrRetriesExhausted", err)
-	}
-	if !sawDeadline.Load() {
-		t.Fatal("attempt context carried no deadline")
 	}
 }
 
@@ -266,8 +189,8 @@ func TestSupervisorRecoversCrashedVNF(t *testing.T) {
 	if ev.OldInstance != inst.ID || ev.NewInstance == inst.ID || ev.NewInstance == "" {
 		t.Fatalf("bad instance swap: old=%s new=%s", ev.OldInstance, ev.NewInstance)
 	}
-	if got, _ := sup.Instance("T"); got != ev.NewInstance {
-		t.Fatalf("Instance = %s, want %s", got, ev.NewInstance)
+	if got := sup.managed["T"].instance; got != ev.NewInstance {
+		t.Fatalf("supervised instance = %s, want %s", got, ev.NewInstance)
 	}
 	if redeploys.Load() != 1 {
 		t.Fatalf("redeploy called %d times, want 1", redeploys.Load())
@@ -362,28 +285,6 @@ func TestSupervisorFailThresholdAbsorbsOneLostProbe(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("check called %d times, want 3", calls)
 	}
-}
-
-func TestPingCheckAgainstResponder(t *testing.T) {
-	leakcheck.Check(t)
-	n := emunet.NewNetwork(emunet.AllowDefault())
-	defer n.Close()
-	vnf := n.Host("vnf")
-	resp := probe.NewResponder(vnf)
-	pr := probe.NewProber(n.Host("ctl"), simclock.Real{})
-	defer pr.Close()
-
-	check := PingCheck(pr, "vnf", 100*time.Millisecond)
-	if err := check("i-whatever"); err != nil {
-		t.Fatalf("check against live responder = %v", err)
-	}
-
-	// Dead VNF: partition it and the check must fail within the timeout.
-	n.PartitionHost("vnf")
-	if err := check("i-whatever"); !errors.Is(err, ErrUnhealthy) {
-		t.Fatalf("check against partitioned responder = %v, want ErrUnhealthy", err)
-	}
-	resp.Close()
 }
 
 func TestInstanceCheckStates(t *testing.T) {

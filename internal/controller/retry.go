@@ -1,12 +1,8 @@
 package controller
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"time"
-
-	"ncfn/internal/simclock"
 )
 
 // RetryPolicy bounds a control-plane RPC: per-attempt timeouts, a capped
@@ -78,37 +74,3 @@ func (p RetryPolicy) Backoff(n int) time.Duration {
 
 // ErrRetriesExhausted wraps the last error after MaxAttempts failures.
 var ErrRetriesExhausted = errors.New("controller: retries exhausted")
-
-// Do runs op under the policy: each attempt gets a context with a Timeout
-// deadline, failures back off exponentially on clk, and the parent context
-// cancels the whole loop. Backoff waits use clk so virtual-clock tests can
-// drive them deterministically; attempt deadlines use the real clock (they
-// bound I/O, not simulation time).
-func (p RetryPolicy) Do(ctx context.Context, clk simclock.Clock, op func(context.Context) error) error {
-	p = p.withDefaults()
-	if clk == nil {
-		clk = simclock.Real{}
-	}
-	var last error
-	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		actx, cancel := context.WithTimeout(ctx, p.Timeout)
-		err := op(actx)
-		cancel()
-		if err == nil {
-			return nil
-		}
-		last = err
-		if attempt == p.MaxAttempts {
-			break
-		}
-		select {
-		case <-clk.After(p.Backoff(attempt)):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, p.MaxAttempts, last)
-}

@@ -57,7 +57,7 @@ func TestServeControlStream(t *testing.T) {
 		Table:  map[ncproto.SessionID][]dataplane.HopGroup{5: {{Addrs: []string{"next-hop"}}}},
 	})
 	sendAndAwait(&Message{Signal: NCStart})
-	if d.VNF().Table().NextHops(5, 0)[0] != "next-hop" {
+	if d.VNF().Table().AppendNextHops(nil, 5, 0)[0] != "next-hop" {
 		t.Fatal("table not applied through the stream")
 	}
 

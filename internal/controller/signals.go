@@ -5,8 +5,9 @@
 // program (2) (package optimize), launches and recycles VNFs (VMs) through
 // the cloud API with the paper's τ-delayed shutdown for reuse, and pushes
 // per-session settings and forwarding tables to daemons running beside each
-// coding function. The controller reacts to bandwidth variation (Alg. 1),
-// delay changes (Alg. 2), and session/receiver churn (Alg. 3).
+// coding function. The controller reacts to bandwidth variation (Alg. 1)
+// and session/receiver churn (Alg. 3); it does not react to delay changes
+// (Alg. 2), which no experiment exercises.
 package controller
 
 import (

@@ -1,12 +1,6 @@
 package controller
 
-import (
-	"context"
-	"net"
-
-	"ncfn/internal/simclock"
-	"ncfn/internal/telemetry"
-)
+import "ncfn/internal/telemetry"
 
 // Control-plane instrument names. The supervisor and push helpers register
 // these in whatever registry the embedding daemon or harness provides, so
@@ -16,7 +10,6 @@ const (
 	MetricFailoversDone      = "controller_failovers_done"
 	MetricFailoversAbandoned = "controller_failovers_abandoned"
 	MetricFailoverNs         = "controller_failover_duration_ns"
-	MetricPushNs             = "controller_push_latency_ns"
 	MetricApplyNs            = "controller_apply_latency_ns"
 	SupervisorFlightName     = "controller_flight"
 )
@@ -38,21 +31,4 @@ func newSupTelemetry(reg *telemetry.Registry) supTelemetry {
 		durations: reg.Histogram(MetricFailoverNs),
 		rec:       reg.Recorder(SupervisorFlightName, telemetry.DefaultRecorderCapacity),
 	}
-}
-
-// TimedPush wraps PushMessages with a latency observation: the full
-// encode→ack round trip lands in reg's push-latency histogram. clk supplies
-// the timestamps (nil uses the real clock) so virtual-clock harnesses stay
-// deterministic.
-func TimedPush(ctx context.Context, conn net.Conn, reg *telemetry.Registry, clk simclock.Clock, msgs ...*Message) error {
-	if reg == nil {
-		return PushMessages(ctx, conn, msgs...)
-	}
-	if clk == nil {
-		clk = simclock.Real{}
-	}
-	start := clk.Now()
-	err := PushMessages(ctx, conn, msgs...)
-	reg.Histogram(MetricPushNs).Observe(clk.Now().Sub(start).Nanoseconds())
-	return err
 }

@@ -2,13 +2,10 @@ package controller
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
 	"ncfn/internal/cloud"
-	"ncfn/internal/dataplane"
-	"ncfn/internal/emunet"
 	"ncfn/internal/simclock"
 	"ncfn/internal/telemetry"
 )
@@ -54,7 +51,7 @@ func TestSupervisorTelemetryCompletedFailover(t *testing.T) {
 		t.Fatalf("duration histogram count=%d sum=%d, want 1/%d", h.Count, h.Sum, wantDur)
 	}
 	rec := reg.Recorder(SupervisorFlightName, telemetry.DefaultRecorderCapacity)
-	evs := rec.EventsOf(telemetry.EventFailover)
+	evs := eventsOf(rec, telemetry.EventFailover)
 	if len(evs) != 1 || evs[0].Value != wantDur || evs[0].Node != "T" {
 		t.Fatalf("recorder failover events = %+v, want value %d at node T", evs, wantDur)
 	}
@@ -102,52 +99,23 @@ func TestSupervisorTelemetryRetriesAndAbandon(t *testing.T) {
 		t.Fatalf("retry counter = %d, want 2", got)
 	}
 	rec := reg.Recorder(SupervisorFlightName, telemetry.DefaultRecorderCapacity)
-	retries := rec.EventsOf(telemetry.EventRetry)
+	retries := eventsOf(rec, telemetry.EventRetry)
 	if len(retries) != 2 {
 		t.Fatalf("retry events = %d, want 2", len(retries))
 	}
-	failovers := rec.EventsOf(telemetry.EventFailover)
+	failovers := eventsOf(rec, telemetry.EventFailover)
 	if len(failovers) != 1 || failovers[0].Value >= 0 {
 		t.Fatalf("abandoned failover events = %+v, want one with negative value", failovers)
 	}
 }
 
-// TestTimedPushObservesLatency pins the push-latency path: a successful
-// TimedPush lands one observation in the registry's histogram, stamped by
-// the supplied clock.
-func TestTimedPushObservesLatency(t *testing.T) {
-	n := emunet.NewNetwork(emunet.AllowDefault())
-	defer n.Close()
-	d := NewDaemon(n.Host("node"), nil)
-	defer d.Close()
-
-	client, server := net.Pipe()
-	defer client.Close()
-	go func() {
-		_ = ServeControlStream(server, d, nil)
-		server.Close()
-	}()
-
-	reg := telemetry.NewRegistry()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	msg := &Message{
-		Signal:   NCSettings,
-		Settings: &dataplane.SessionConfig{ID: 1, Params: smallParams(), Role: dataplane.RoleForwarder},
+// eventsOf returns r's retained events of one type, in sequence order.
+func eventsOf(r *telemetry.Recorder, typ telemetry.EventType) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range r.Snapshot() {
+		if ev.Type == typ {
+			out = append(out, ev)
+		}
 	}
-	if err := TimedPush(ctx, client, reg, nil, msg); err != nil {
-		t.Fatal(err)
-	}
-	h := reg.Snapshot().Histograms[MetricPushNs]
-	if h.Count != 1 {
-		t.Fatalf("push histogram count = %d, want 1", h.Count)
-	}
-	if h.Sum < 0 {
-		t.Fatalf("push latency sum = %d", h.Sum)
-	}
-
-	// Nil registry is the uninstrumented fast path — still pushes.
-	if err := TimedPush(ctx, client, nil, nil, &Message{Signal: NCStart}); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }

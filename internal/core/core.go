@@ -13,7 +13,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,7 +32,6 @@ import (
 var (
 	ErrNotDeployed   = errors.New("core: service not deployed")
 	ErrAlreadyClosed = errors.New("core: service closed")
-	ErrDraining      = errors.New("core: service draining")
 )
 
 // Config describes a Service deployment.
@@ -94,7 +92,6 @@ type Service struct {
 	reg *telemetry.Registry
 
 	mu        sync.Mutex
-	draining  bool
 	sessions  []optimize.Session
 	plan      *optimize.Plan
 	net       *emunet.Network
@@ -145,9 +142,6 @@ func NewService(cfg Config) (*Service, error) {
 func (s *Service) AddSession(sess optimize.Session) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return ErrDraining
-	}
 	if s.plan != nil {
 		return errors.New("core: cannot add sessions after Deploy")
 	}
@@ -186,9 +180,6 @@ func (s *Service) Deploy() error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrAlreadyClosed
-	}
-	if s.draining {
-		return ErrDraining
 	}
 	if s.plan != nil {
 		return errors.New("core: already deployed")
@@ -297,7 +288,7 @@ func (s *Service) Deploy() error {
 				if s.cfg.CodingCostBytesPerSec > 0 {
 					ropts = append(ropts, dataplane.WithCodingCost(s.cfg.CodingCostBytesPerSec))
 				}
-				ep = dataplane.NewMultiReceiver(s.net.Host(string(r)), nil, ropts...)
+				ep = dataplane.NewMultiReceiver(s.net.Host(string(r)), ropts...)
 				s.endpoints[r] = ep
 			}
 			if err := ep.AddSession(sess.ID, s.paramsFor(sess.ID), string(sess.Source)); err != nil {
@@ -367,17 +358,6 @@ func (s *Service) Receiver(id ncproto.SessionID, node topology.NodeID) (*datapla
 	return recv, nil
 }
 
-// Receivers returns all receiver handles of a session.
-func (s *Service) Receivers(id ncproto.SessionID) []*dataplane.Receiver {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*dataplane.Receiver
-	for _, r := range s.receivers[id] {
-		out = append(out, r)
-	}
-	return out
-}
-
 // Send reliably multicasts data on a session, blocking until every
 // receiver has acknowledged every generation (or reliability gives up).
 func (s *Service) Send(id ncproto.SessionID, data []byte, timeout time.Duration) (transfer.MulticastStats, error) {
@@ -404,118 +384,6 @@ func (s *Service) Send(id ncproto.SessionID, data []byte, timeout time.Duration)
 		cfg.AckTimeout = timeout
 	}
 	return transfer.Multicast(src, data, cfg)
-}
-
-// NodeStats pairs a data-center node with its VNF's counters. Because the
-// whole deployment shares one telemetry registry, every relay resolves the
-// same named instruments: each row reports deployment-wide totals, and
-// per-node attribution comes from the flight recorder's node labels in
-// Telemetry().Snapshot().Events.
-type NodeStats struct {
-	Node  topology.NodeID
-	Stats dataplane.Stats
-}
-
-// Report summarizes the deployment's data-plane activity: packet counters
-// plus per-session delivered generations, for operational visibility after
-// (or during) a run.
-type Report struct {
-	Relays   []NodeStats
-	Sessions map[ncproto.SessionID]SessionReport
-}
-
-// SessionReport aggregates one session's receiver-side progress.
-type SessionReport struct {
-	RateMbps    float64
-	Receivers   int
-	Generations int // minimum across receivers (the multicast's progress)
-	Bytes       int // minimum across receivers
-}
-
-// Stats returns the deployment report.
-func (s *Service) Stats() Report {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep := Report{Sessions: make(map[ncproto.SessionID]SessionReport, len(s.sessions))}
-	for node, v := range s.vnfs {
-		rep.Relays = append(rep.Relays, NodeStats{Node: node, Stats: v.Stats()})
-	}
-	sort.Slice(rep.Relays, func(i, j int) bool { return rep.Relays[i].Node < rep.Relays[j].Node })
-	for _, sess := range s.sessions {
-		sr := SessionReport{Receivers: len(s.receivers[sess.ID])}
-		if s.plan != nil {
-			sr.RateMbps = s.plan.Rates[sess.ID]
-		}
-		first := true
-		for _, r := range s.receivers[sess.ID] {
-			g, b := r.Generations(), r.Bytes()
-			if first || g < sr.Generations {
-				sr.Generations = g
-			}
-			if first || b < sr.Bytes {
-				sr.Bytes = b
-			}
-			first = false
-		}
-		rep.Sessions[sess.ID] = sr
-	}
-	return rep
-}
-
-// Drain moves the whole deployment into the draining state: AddSession and
-// Deploy refuse new work, and every deployed VNF stops admitting new coding
-// state while its in-flight generations keep flushing. Drain blocks until
-// all VNFs quiesce (empty shard queues, flushed tx rings) or the shared
-// timeout expires, returning an error naming the nodes still busy. The
-// service stays readable (Stats, Receivers) and closable afterwards; on an
-// undeployed service Drain just gates admission.
-func (s *Service) Drain(timeout time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrAlreadyClosed
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return ErrDraining
-	}
-	s.draining = true
-	nodes := make([]topology.NodeID, 0, len(s.vnfs))
-	vnfs := make(map[topology.NodeID]*dataplane.VNF, len(s.vnfs))
-	for node, v := range s.vnfs {
-		nodes = append(nodes, node)
-		vnfs[node] = v
-	}
-	s.mu.Unlock()
-
-	// Fan the drain out first so every relay refuses new coding state at
-	// once, then wait each out against the shared deadline.
-	for _, v := range vnfs {
-		v.Drain()
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	deadline := time.Now().Add(timeout)
-	var stuck []topology.NodeID
-	for _, node := range nodes {
-		remaining := time.Until(deadline)
-		if remaining < 0 {
-			remaining = 0
-		}
-		if !vnfs[node].WaitQuiesced(remaining) {
-			stuck = append(stuck, node)
-		}
-	}
-	if len(stuck) > 0 {
-		return fmt.Errorf("core: drain timeout after %v: %v not quiesced", timeout, stuck)
-	}
-	return nil
-}
-
-// Draining reports whether Drain has been called on this service.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // Close tears the deployment down: sources, receivers, VNFs, and (when

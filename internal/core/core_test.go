@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -94,64 +93,6 @@ func TestServiceLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestServiceDrain drives the deployment-wide graceful drain: after real
-// traffic, Drain must quiesce every VNF (observable through the drain-state
-// gauge), gate AddSession, refuse a second Drain, and leave the service
-// closable.
-func TestServiceDrain(t *testing.T) {
-	svc := butterflyService(t, 1)
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 16*1024)
-	rand.New(rand.NewSource(11)).Read(data)
-	if _, err := svc.Send(1, data, 500*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if svc.Draining() {
-		t.Fatal("draining before Drain")
-	}
-	if err := svc.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !svc.Draining() {
-		t.Fatal("Draining() false after Drain")
-	}
-	for node, v := range svc.vnfs {
-		if v.DrainState() != dataplane.DrainStateQuiesced {
-			t.Fatalf("VNF %s drain state = %d, want quiesced", node, v.DrainState())
-		}
-	}
-	if err := svc.Drain(time.Second); !errors.Is(err, ErrDraining) {
-		t.Fatalf("second Drain = %v, want ErrDraining", err)
-	}
-	if err := svc.AddSession(optimize.Session{ID: 9}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("AddSession while draining = %v, want ErrDraining", err)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Drain(time.Second); !errors.Is(err, ErrAlreadyClosed) {
-		t.Fatalf("Drain after Close = %v, want ErrAlreadyClosed", err)
-	}
-}
-
-// TestServiceDrainUndeployed pins the admission gate on a service that was
-// never deployed: Drain succeeds immediately (nothing to flush) and both
-// AddSession and Deploy are refused afterwards.
-func TestServiceDrainUndeployed(t *testing.T) {
-	svc := butterflyService(t, 0)
-	if err := svc.Drain(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Deploy(); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Deploy while draining = %v, want ErrDraining", err)
-	}
-	if err := svc.AddSession(optimize.Session{ID: 2}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("AddSession while draining = %v, want ErrDraining", err)
-	}
-}
-
 func TestServiceDeployNoSessions(t *testing.T) {
 	g, _, _ := topology.Butterfly()
 	svc, _ := NewService(Config{Graph: g})
@@ -191,8 +132,8 @@ func TestServiceButterflyDelivery(t *testing.T) {
 			t.Fatalf("%s data mismatch", dst)
 		}
 	}
-	if len(svc.Receivers(1)) != 2 {
-		t.Fatal("Receivers() wrong")
+	if len(svc.receivers[1]) != 2 {
+		t.Fatal("receivers wrong")
 	}
 }
 
@@ -513,42 +454,5 @@ func TestServiceTelemetrySharedRegistry(t *testing.T) {
 	}
 	if snap.Counters[emunet.MetricNetTxPackets] == 0 {
 		t.Fatal("owned network not instrumented")
-	}
-	// The legacy Stats() report and the snapshot read the same storage:
-	// under a shared registry every VNF resolves the same named counters,
-	// so each relay reports the deployment-wide totals.
-	for _, r := range svc.Stats().Relays {
-		if r.Stats.PacketsIn != snap.Counters[dataplane.MetricRxPackets] {
-			t.Fatalf("relay %s PacketsIn %d != snapshot rx %d (paths drifted)",
-				r.Node, r.Stats.PacketsIn, snap.Counters[dataplane.MetricRxPackets])
-		}
-	}
-}
-
-func TestServiceStatsReport(t *testing.T) {
-	svc := butterflyService(t, 1)
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 16*1024)
-	stats, err := svc.Send(1, data, 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := svc.Stats()
-	if len(rep.Relays) != 4 {
-		t.Fatalf("relays = %d, want 4", len(rep.Relays))
-	}
-	for _, r := range rep.Relays {
-		if r.Stats.PacketsIn == 0 {
-			t.Fatalf("relay %s saw no packets", r.Node)
-		}
-	}
-	sr := rep.Sessions[1]
-	if sr.Receivers != 2 || sr.Generations != stats.Generations {
-		t.Fatalf("session report = %+v (sent %d generations)", sr, stats.Generations)
-	}
-	if sr.RateMbps < 69 {
-		t.Fatalf("rate = %v", sr.RateMbps)
 	}
 }

@@ -45,9 +45,6 @@ func (v *VNF) Drain() bool {
 	return true
 }
 
-// Draining reports whether the VNF is draining (or already quiesced).
-func (v *VNF) Draining() bool { return v.draining.Load() }
-
 // DrainState returns the published drain-state gauge value.
 func (v *VNF) DrainState() int64 {
 	if v.quiesced.Load() {
@@ -60,11 +57,12 @@ func (v *VNF) DrainState() int64 {
 }
 
 // Quiesced sweeps the pipeline for residual in-flight work and reports
-// whether a draining VNF has gone quiet. A shard is quiet when its queue is
-// empty, no processing run is in progress, and its coalescer rings hold no
-// unflushed packets; the sweep takes each shard's pauseMu briefly — waiting
-// out any in-progress run — and flushes stragglers itself, so a true result
-// means every packet accepted before the sweep has been pushed to the conn.
+// whether a draining VNF has gone quiet. A shard is quiet when it holds no
+// unprocessed datagram — queued, or dequeued by a worker that has not yet
+// processed it — and its coalescer rings hold no unflushed packets; the
+// sweep takes each shard's pauseMu briefly — waiting out any in-progress
+// run — and flushes stragglers itself, so a true result means every packet
+// accepted before the sweep has been pushed to the conn.
 // Once observed, quiescence latches: the state gauge moves to
 // DrainStateQuiesced and a drain-quiesced flight event records the drain
 // duration. Packets may still arrive after quiescence (the conn stays open
@@ -87,7 +85,7 @@ func (v *VNF) Quiesced() bool {
 			_ = sh.txc.flush()
 			pending += sh.txc.pending()
 		}
-		pending += len(sh.in)
+		pending += int(sh.inflight.Load())
 		sh.pauseMu.Unlock()
 	}
 	v.tel.drainPending.Set(0, int64(pending))
@@ -121,17 +119,6 @@ func (v *VNF) WaitQuiesced(timeout time.Duration) bool {
 		}
 		v.clock.Sleep(drainPollInterval)
 	}
-}
-
-// Shutdown is the ordered close: drain (stop admitting new coding state),
-// wait for shard queues and coalescer rings to flush — up to timeout — and
-// only then close the conn. Unlike a bare Close, no packet accepted before
-// Shutdown is lost in a queue or an unflushed tx ring. It reports whether
-// the pipeline quiesced before the deadline (the VNF is closed either way).
-func (v *VNF) Shutdown(timeout time.Duration) (quiesced bool, err error) {
-	v.Drain()
-	quiesced = v.WaitQuiesced(timeout)
-	return quiesced, v.Close()
 }
 
 // refuseDrainAdmission counts one admission refusal — the packet (or batch)

@@ -26,7 +26,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 	v.Table().Set(1, []HopGroup{{Addrs: []string{"dl-sink"}}})
 
-	if v.DrainState() != DrainStateRunning || v.Draining() {
+	if v.DrainState() != DrainStateRunning || v.draining.Load() {
 		t.Fatalf("fresh VNF not running: state %d", v.DrainState())
 	}
 	if v.WaitQuiesced(time.Millisecond) {
@@ -48,7 +48,7 @@ func TestDrainLifecycle(t *testing.T) {
 	if got := reg.Gauge(MetricDrainState, 1).Value(); got != DrainStateDraining {
 		t.Fatalf("drain gauge %d, want %d", got, DrainStateDraining)
 	}
-	if len(v.tel.rec.EventsOf(telemetry.EventDrainStart)) != 1 {
+	if len(eventsOf(v.tel.rec, telemetry.EventDrainStart)) != 1 {
 		t.Fatal("no drain_start flight event")
 	}
 
@@ -95,7 +95,7 @@ func TestDrainLifecycle(t *testing.T) {
 	if got := reg.Gauge(MetricDrainState, 1).Value(); got != DrainStateQuiesced {
 		t.Fatalf("drain gauge %d, want %d", got, DrainStateQuiesced)
 	}
-	ev := v.tel.rec.EventsOf(telemetry.EventDrainQuiesced)
+	ev := eventsOf(v.tel.rec, telemetry.EventDrainQuiesced)
 	if len(ev) != 1 {
 		t.Fatalf("%d drain_quiesced flight events, want 1", len(ev))
 	}
@@ -103,7 +103,7 @@ func TestDrainLifecycle(t *testing.T) {
 		t.Fatalf("drain_quiesced duration %d < 0", ev[0].Value)
 	}
 	// Quiescence latches.
-	if !v.Quiesced() || len(v.tel.rec.EventsOf(telemetry.EventDrainQuiesced)) != 1 {
+	if !v.Quiesced() || len(eventsOf(v.tel.rec, telemetry.EventDrainQuiesced)) != 1 {
 		t.Fatal("quiescence did not latch")
 	}
 }
@@ -111,8 +111,10 @@ func TestDrainLifecycle(t *testing.T) {
 // TestShutdownFlushesQueuedPackets is the clean-exit regression test over
 // real UDP sockets: packets accepted into a shard queue (the worker is
 // stalled under its pause lock to force a deterministic backlog) must all
-// reach the next hop across Shutdown. A bare Close here would close the
-// socket under the queued sends and lose them.
+// reach the next hop across the shutdown sequence a draining daemon runs —
+// Drain, WaitQuiesced, Close. A bare Close here would close the socket
+// under the queued sends and lose them; so would a quiescence sweep that
+// missed the run a worker had dequeued but not yet processed.
 func TestShutdownFlushesQueuedPackets(t *testing.T) {
 	const pkts = 128
 	registry := emunet.NewRegistry()
@@ -159,8 +161,9 @@ func TestShutdownFlushesQueuedPackets(t *testing.T) {
 	}
 	done := make(chan shutRes, 1)
 	go func() {
-		q, err := relay.Shutdown(10 * time.Second)
-		done <- shutRes{q, err}
+		relay.Drain()
+		q := relay.WaitQuiesced(10 * time.Second)
+		done <- shutRes{q, relay.Close()}
 	}()
 	time.Sleep(10 * time.Millisecond) // let the drain begin against the held lock
 	sh.pauseMu.Unlock()

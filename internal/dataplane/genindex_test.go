@@ -249,7 +249,7 @@ func TestDeliveryOverflowCounted(t *testing.T) {
 		t.Fatalf("deliveries channel holds %d, want full (%d)", got, cap(v.deliveries))
 	}
 	rec := v.Telemetry().Recorder(FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	drops := rec.EventsOf(telemetry.EventPacketDrop)
+	drops := eventsOf(rec, telemetry.EventPacketDrop)
 	if len(drops) != extra {
 		t.Fatalf("flight recorder holds %d drop events, want %d", len(drops), extra)
 	}

@@ -76,12 +76,12 @@ func TestPipelineMultiSessionButterflyRace(t *testing.T) {
 	var receivers []rx
 	for _, s := range sessions {
 		suffix := fmt.Sprintf("-s%d", s)
-		o, err := NewReceiver(n.Host("O2"+suffix), s, params, "", nil)
+		o, err := NewReceiver(n.Host("O2"+suffix), s, params, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { o.Close() })
-		c, err := NewReceiver(n.Host("C2"+suffix), s, params, "", nil)
+		c, err := NewReceiver(n.Host("C2"+suffix), s, params, "")
 		if err != nil {
 			t.Fatal(err)
 		}

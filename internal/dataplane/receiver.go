@@ -3,24 +3,20 @@ package dataplane
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"ncfn/internal/emunet"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/rlnc"
-	"ncfn/internal/simclock"
 )
 
 // MultiReceiver is a receiving endpoint that decodes any number of
 // sessions arriving on one network address — the situation at a node that
 // subscribes to several multicast sessions at once (e.g. a conference
 // participant listening to every other speaker). It reassembles each
-// session's byte stream in generation order, measures per-session goodput,
-// and acknowledges each decoded generation directly back to that session's
-// source (Sec. V-B2).
+// session's byte stream in generation order and acknowledges each decoded
+// generation directly back to that session's source (Sec. V-B2).
 type MultiReceiver struct {
-	vnf   *VNF
-	clock simclock.Clock
+	vnf *VNF
 
 	mu       sync.Mutex
 	sessions map[ncproto.SessionID]*recvSession
@@ -32,23 +28,17 @@ type MultiReceiver struct {
 
 // recvSession is one session's reassembly state.
 type recvSession struct {
-	params     rlnc.Params
-	srcAddr    string
-	got        map[ncproto.GenerationID][]byte
-	bytesDone  int
-	firstReady *time.Time
-	lastReady  *time.Time
+	params    rlnc.Params
+	srcAddr   string
+	got       map[ncproto.GenerationID][]byte
+	bytesDone int
 }
 
 // NewMultiReceiver builds a receiving endpoint on conn. Register sessions
 // with AddSession before (or while) traffic flows.
-func NewMultiReceiver(conn emunet.PacketConn, clk simclock.Clock, opts ...VNFOption) *MultiReceiver {
-	if clk == nil {
-		clk = simclock.Real{}
-	}
+func NewMultiReceiver(conn emunet.PacketConn, opts ...VNFOption) *MultiReceiver {
 	m := &MultiReceiver{
 		vnf:      NewVNF(conn, opts...),
-		clock:    clk,
 		sessions: make(map[ncproto.SessionID]*recvSession),
 		done:     make(chan struct{}),
 	}
@@ -77,9 +67,6 @@ func (m *MultiReceiver) AddSession(id ncproto.SessionID, params rlnc.Params, src
 	return nil
 }
 
-// Addr returns the endpoint's network address.
-func (m *MultiReceiver) Addr() string { return m.vnf.Addr() }
-
 // VNF exposes the underlying decoder VNF (for stats).
 func (m *MultiReceiver) VNF() *VNF { return m.vnf }
 
@@ -91,7 +78,6 @@ func (m *MultiReceiver) collect() {
 		case <-m.done:
 			return
 		case d := <-m.vnf.Deliveries():
-			now := m.clock.Now()
 			m.mu.Lock()
 			rs := m.sessions[d.Session]
 			var srcAddr string
@@ -99,12 +85,6 @@ func (m *MultiReceiver) collect() {
 				if _, dup := rs.got[d.Generation]; !dup {
 					rs.got[d.Generation] = d.Data
 					rs.bytesDone += len(d.Data)
-					if rs.firstReady == nil {
-						t := now
-						rs.firstReady = &t
-					}
-					t := now
-					rs.lastReady = &t
 				}
 				srcAddr = rs.srcAddr
 			}
@@ -202,22 +182,6 @@ func (m *MultiReceiver) MissingBelow(id ncproto.SessionID, n int) []ncproto.Gene
 	return out
 }
 
-// GoodputMbps returns the session's decoded payload throughput between its
-// first and last completed generation.
-func (m *MultiReceiver) GoodputMbps(id ncproto.SessionID) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs := m.sessions[id]
-	if rs == nil || rs.firstReady == nil || rs.lastReady == nil {
-		return 0
-	}
-	dt := rs.lastReady.Sub(*rs.firstReady).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(rs.bytesDone) * 8 / dt / 1e6
-}
-
 // Close stops the endpoint.
 func (m *MultiReceiver) Close() error {
 	var err error
@@ -239,8 +203,8 @@ type Receiver struct {
 
 // NewReceiver builds a receiver for one session on conn. srcAddr, when
 // non-empty, is where generation ACKs are sent.
-func NewReceiver(conn emunet.PacketConn, session ncproto.SessionID, params rlnc.Params, srcAddr string, clk simclock.Clock, opts ...VNFOption) (*Receiver, error) {
-	m := NewMultiReceiver(conn, clk, opts...)
+func NewReceiver(conn emunet.PacketConn, session ncproto.SessionID, params rlnc.Params, srcAddr string, opts ...VNFOption) (*Receiver, error) {
+	m := NewMultiReceiver(conn, opts...)
 	if err := m.AddSession(session, params, srcAddr); err != nil {
 		m.Close()
 		return nil, err
@@ -257,12 +221,6 @@ func (m *MultiReceiver) View(id ncproto.SessionID) (*Receiver, error) {
 	}
 	return &Receiver{m: m, id: id}, nil
 }
-
-// Addr returns the receiver's network address.
-func (r *Receiver) Addr() string { return r.m.Addr() }
-
-// VNF exposes the underlying decoder VNF (for stats).
-func (r *Receiver) VNF() *VNF { return r.m.VNF() }
 
 // Generations returns how many distinct generations have been decoded.
 func (r *Receiver) Generations() int { return r.m.Generations(r.id) }
@@ -284,10 +242,6 @@ func (r *Receiver) GenerationData(g ncproto.GenerationID) ([]byte, bool) {
 func (r *Receiver) MissingBelow(n int) []ncproto.GenerationID {
 	return r.m.MissingBelow(r.id, n)
 }
-
-// GoodputMbps returns decoded payload throughput between the first and
-// last completed generation.
-func (r *Receiver) GoodputMbps() float64 { return r.m.GoodputMbps(r.id) }
 
 // Close stops the receiver (and the shared endpoint, if this receiver is a
 // view over one).

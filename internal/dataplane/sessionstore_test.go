@@ -96,7 +96,7 @@ func TestSessionStoreTTLEviction(t *testing.T) {
 		t.Fatalf("evicted counter = %d, want %d", got, gens)
 	}
 	rec := reg.Recorder(FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	evs := rec.EventsOf(telemetry.EventGenerationEvict)
+	evs := eventsOf(rec, telemetry.EventGenerationEvict)
 	if len(evs) != gens {
 		t.Fatalf("generation-evict events = %d, want %d", len(evs), gens)
 	}

@@ -184,9 +184,6 @@ func (s *Source) noteAck(from string, g ncproto.GenerationID) {
 	}
 }
 
-// Addr returns the source's network address.
-func (s *Source) Addr() string { return s.conn.LocalAddr() }
-
 // Params returns the source's coding parameters.
 func (s *Source) Params() rlnc.Params { return s.cfg.Params }
 

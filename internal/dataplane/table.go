@@ -183,22 +183,6 @@ func (t *ForwardingTable) ApplyBatch(entries map[ncproto.SessionID][]HopGroup) {
 	})
 }
 
-// NextHops returns the instance addresses to forward a packet of (s, g) to:
-// one instance per hop group.
-func (t *ForwardingTable) NextHops(s ncproto.SessionID, g ncproto.GenerationID) []string {
-	groups := t.load()[s]
-	if len(groups) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(groups))
-	for _, h := range groups {
-		if a := h.Pick(s, g); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // AppendNextHops appends the instance addresses for (s, g) to dst and
 // returns it — the allocation-free variant of NextHops for the packet path.
 // The lookup is lock-free: one atomic snapshot load, no reader-writer
@@ -213,34 +197,13 @@ func (t *ForwardingTable) AppendNextHops(dst []string, s ncproto.SessionID, g nc
 }
 
 // AppendGroups appends the session's hop groups to dst and returns it — the
-// allocation-free variant of Groups for the packet path. The appended
+// allocation-free read for the packet path. The appended
 // values share the snapshot's backing arrays, which are immutable once
 // published (writers deep-copy on the way in and publish whole snapshots),
 // so callers may read them freely but must not mutate them; a concurrent
 // table update leaves previously appended groups intact but stale.
 func (t *ForwardingTable) AppendGroups(dst []HopGroup, s ncproto.SessionID) []HopGroup {
 	return append(dst, t.load()[s]...)
-}
-
-// Groups returns a copy of the hop groups for a session.
-func (t *ForwardingTable) Groups(s ncproto.SessionID) []HopGroup {
-	return copyGroups(t.load()[s])
-}
-
-// Sessions returns the sessions with entries, sorted.
-func (t *ForwardingTable) Sessions() []ncproto.SessionID {
-	entries := t.load()
-	out := make([]ncproto.SessionID, 0, len(entries))
-	for s := range entries {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Len returns the number of session entries.
-func (t *ForwardingTable) Len() int {
-	return len(t.load())
 }
 
 // Snapshot returns a deep copy of the table contents.

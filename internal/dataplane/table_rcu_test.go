@@ -260,7 +260,7 @@ func TestTableSwapConcurrentDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		recv, err := NewReceiver(n.Host("recv"), 1, params, "src", nil)
+		recv, err := NewReceiver(n.Host("recv"), 1, params, "src")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,21 +57,21 @@ func TestHopGroupQuota(t *testing.T) {
 func TestForwardingTableSetGet(t *testing.T) {
 	ft := NewForwardingTable()
 	ft.Set(1, []HopGroup{{Addrs: []string{"x"}}, {Addrs: []string{"y", "z"}}})
-	hops := ft.NextHops(1, 5)
+	hops := ft.AppendNextHops(nil, 1, 5)
 	if len(hops) != 2 || hops[0] != "x" {
 		t.Fatalf("NextHops = %v", hops)
 	}
 	if ft.Len() != 1 {
 		t.Fatal("Len wrong")
 	}
-	if got := ft.Sessions(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Sessions = %v", got)
+	if got := ft.Snapshot(); len(got) != 1 || got[1] == nil {
+		t.Fatalf("snapshot = %v", got)
 	}
 }
 
 func TestForwardingTableUnknownSession(t *testing.T) {
 	ft := NewForwardingTable()
-	if hops := ft.NextHops(9, 0); hops != nil {
+	if hops := ft.AppendNextHops(nil, 9, 0); hops != nil {
 		t.Fatalf("unknown session hops = %v", hops)
 	}
 }
@@ -90,7 +90,7 @@ func TestForwardingTableSetCopies(t *testing.T) {
 	hops := []HopGroup{{Addrs: []string{"x"}}}
 	ft.Set(1, hops)
 	hops[0].Addrs[0] = "mutated"
-	if ft.NextHops(1, 0)[0] != "x" {
+	if ft.AppendNextHops(nil, 1, 0)[0] != "x" {
 		t.Fatal("Set did not copy")
 	}
 }
@@ -103,7 +103,7 @@ func TestForwardingTableGroupsCopies(t *testing.T) {
 		t.Fatalf("Groups = %+v", g)
 	}
 	g[0].Addrs[0] = "mutated"
-	if ft.NextHops(1, 0)[0] != "x" {
+	if ft.AppendNextHops(nil, 1, 0)[0] != "x" {
 		t.Fatal("Groups did not copy")
 	}
 }
@@ -168,7 +168,7 @@ func TestLoadTableSkipsCommentsAndBlank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.Len() != 1 || ft.NextHops(4, 0)[0] != "a" {
+	if ft.Len() != 1 || ft.AppendNextHops(nil, 4, 0)[0] != "a" {
 		t.Fatal("comment handling wrong")
 	}
 }

@@ -34,7 +34,7 @@ func telemetryPipeline(t *testing.T, relayRole Role, nGen int) *telemetry.Regist
 	}
 	t.Cleanup(func() { src.Close() })
 
-	recv, err := NewReceiver(n.Host("recv"), 1, params, "src", nil, WithTelemetry(reg))
+	recv, err := NewReceiver(n.Host("recv"), 1, params, "src", WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestVNFTelemetryCountsTraffic(t *testing.T) {
 	}
 
 	rec := reg.Recorder(FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	if len(rec.EventsOf(telemetry.EventRankAdvance)) == 0 {
+	if len(eventsOf(rec, telemetry.EventRankAdvance)) == 0 {
 		t.Fatal("no rank-advance events recorded")
 	}
-	decodes := rec.EventsOf(telemetry.EventGenerationDecode)
+	decodes := eventsOf(rec, telemetry.EventGenerationDecode)
 	if len(decodes) < nGen {
 		t.Fatalf("generation-decode events = %d, want >= %d", len(decodes), nGen)
 	}
@@ -141,7 +141,7 @@ func TestVNFDropRecorded(t *testing.T) {
 		t.Fatal("drop counter never advanced")
 	}
 	rec := reg.Recorder(FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	evs := rec.EventsOf(telemetry.EventPacketDrop)
+	evs := eventsOf(rec, telemetry.EventPacketDrop)
 	if len(evs) == 0 {
 		t.Fatal("no packet-drop events recorded")
 	}
@@ -158,4 +158,15 @@ func TestVNFQueueDepthGauge(t *testing.T) {
 	if _, ok := snap.Gauges[MetricShardQueueDepth]; !ok {
 		t.Fatal("queue depth gauge missing from snapshot")
 	}
+}
+
+// eventsOf returns r's retained events of one type, in sequence order.
+func eventsOf(r *telemetry.Recorder, typ telemetry.EventType) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range r.Snapshot() {
+		if ev.Type == typ {
+			out = append(out, ev)
+		}
+	}
+	return out
 }

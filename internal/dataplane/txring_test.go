@@ -32,9 +32,9 @@ func (r *batchRecorder) SendBatch(batch []emunet.Datagram) (int, error) {
 }
 
 func (r *batchRecorder) RecvBatch(buf []emunet.Datagram) (int, error) { return 0, emunet.ErrClosed }
-func (r *batchRecorder) Recv() ([]byte, string, error)               { return nil, "", emunet.ErrClosed }
-func (r *batchRecorder) LocalAddr() string                           { return "rec" }
-func (r *batchRecorder) Close() error                                { return nil }
+func (r *batchRecorder) Recv() ([]byte, string, error)                { return nil, "", emunet.ErrClosed }
+func (r *batchRecorder) LocalAddr() string                            { return "rec" }
+func (r *batchRecorder) Close() error                                 { return nil }
 
 func TestTxCoalescerDisabled(t *testing.T) {
 	rec := &batchRecorder{}
@@ -148,7 +148,7 @@ func TestUDPPipelineCoalesced(t *testing.T) {
 	defer src.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"cz-relay"}}})
 
-	recv, err := NewReceiver(recvConn, 9, params, "cz-src", nil)
+	recv, err := NewReceiver(recvConn, 9, params, "cz-src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func BenchmarkUDPPipeline(b *testing.B) {
 			}
 			defer src.Close()
 			src.SetHops([]HopGroup{{Addrs: []string{"b-relay"}}})
-			recv, err := NewReceiver(recvConn, 4, params, "", nil)
+			recv, err := NewReceiver(recvConn, 4, params, "")
 			if err != nil {
 				b.Fatal(err)
 			}

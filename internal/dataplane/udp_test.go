@@ -44,7 +44,7 @@ func TestUDPPipeline(t *testing.T) {
 	defer src.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"udp-relay"}}})
 
-	recv, err := NewReceiver(recvConn, 7, params, "udp-src", nil)
+	recv, err := NewReceiver(recvConn, 7, params, "udp-src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestUDPPipeline(t *testing.T) {
 	}
 	// ACKs must have flowed back to the source over UDP too.
 	select {
-	case ack := <-src.Acks():
+	case ack := <-src.acks:
 		if ack.Session != 7 {
 			t.Fatalf("ack for wrong session: %+v", ack)
 		}

@@ -40,8 +40,6 @@ func (r Role) String() string {
 		return "decoder"
 	case RoleForwarder:
 		return "forwarder"
-	case RoleCustom:
-		return "custom"
 	default:
 		return "unknown"
 	}
@@ -69,16 +67,6 @@ type Delivery struct {
 	Session    ncproto.SessionID
 	Generation ncproto.GenerationID
 	Data       []byte
-}
-
-// Stats are cumulative VNF counters.
-type Stats struct {
-	PacketsIn        uint64
-	PacketsOut       uint64
-	PacketsDropped   uint64 // malformed or unknown-session packets
-	GenerationsDone  uint64 // decoder only
-	RecodedEmissions uint64
-	Forwarded        uint64
 }
 
 // VNF is one network coding function instance.
@@ -151,6 +139,12 @@ type pktJob struct {
 // them without allocating.
 type vnfShard struct {
 	in chan pktJob
+	// inflight counts datagrams handed to this shard and not yet processed:
+	// the receive goroutine adds one before queueing, the worker subtracts
+	// a run once it is processed. Unlike len(in) it still counts a run the
+	// worker has dequeued but not yet taken pauseMu for, so drain's sweep
+	// cannot take that run for quiet.
+	inflight atomic.Int64
 
 	// idx is the shard's position; counter writes from this shard land on
 	// telemetry cell idx+1 (cell 0 belongs to the receive goroutine).
@@ -203,8 +197,6 @@ type sessionState struct {
 	// delivered marks generations already handed to the application.
 	delivered map[ncproto.GenerationID]bool
 	nextSeed  int64
-	// custom is the pluggable packet module for RoleCustom sessions.
-	custom Function
 
 	// evicted tombstones generations whose coding state the session store
 	// evicted: late packets for them are counted as drops and never
@@ -254,13 +246,6 @@ func WithBufferCapacity(generations int) VNFOption {
 // WithSeed fixes the VNF's coding randomness for reproducible tests.
 func WithSeed(seed int64) VNFOption {
 	return func(v *VNF) { v.seed = seed }
-}
-
-// WithWorkers sets the number of pipeline shards (worker goroutines)
-// packets are dispatched across by session ID. The default is GOMAXPROCS;
-// one worker reproduces the fully serial data plane.
-func WithWorkers(n int) VNFOption {
-	return func(v *VNF) { v.workers = n }
 }
 
 // WithTxCoalesce batches outgoing coded packets: each shard accumulates
@@ -354,18 +339,11 @@ func (v *VNF) shardFor(s ncproto.SessionID) *vnfShard {
 	return v.shards[int(s)%len(v.shards)]
 }
 
-// Addr returns the VNF's network address.
-func (v *VNF) Addr() string { return v.conn.LocalAddr() }
-
 // Table returns the VNF's forwarding table.
 func (v *VNF) Table() *ForwardingTable { return v.table }
 
 // Deliveries returns the channel of decoded generations (decoder role).
 func (v *VNF) Deliveries() <-chan Delivery { return v.deliveries }
-
-// Acks returns the channel of received generation acknowledgements
-// (sources consume these for reliability and delay measurement).
-func (v *VNF) Acks() <-chan ncproto.Ack { return v.acks }
 
 // Configure installs (or replaces) a session configuration, as NC_SETTINGS
 // does on a freshly started VNF.
@@ -444,19 +422,6 @@ func (v *VNF) Close() error {
 		v.wg.Wait()
 	})
 	return err
-}
-
-// Stats returns a snapshot of the VNF's counters, aggregated across
-// telemetry cells.
-func (v *VNF) Stats() Stats {
-	return Stats{
-		PacketsIn:        v.tel.rx.Value(),
-		PacketsOut:       v.tel.tx.Value(),
-		PacketsDropped:   v.tel.drops.Value(),
-		GenerationsDone:  v.tel.gens.Value(),
-		RecodedEmissions: v.tel.recoded.Value(),
-		Forwarded:        v.tel.forwarded.Value(),
-	}
 }
 
 // dropPkt counts n dropped packets on the given counter cell and leaves a
@@ -606,7 +571,9 @@ func (v *VNF) run() {
 			buffer.PutPacket(pkt)
 			continue
 		}
-		v.shardFor(hdr.Session).in <- pktJob{pkt: pkt, hdr: hdr}
+		sh := v.shardFor(hdr.Session)
+		sh.inflight.Add(1)
+		sh.in <- pktJob{pkt: pkt, hdr: hdr}
 	}
 }
 
@@ -655,6 +622,7 @@ func (v *VNF) worker(sh *vnfShard) {
 			// wakeup, so push out every partially filled ring.
 			sh.txc.flush()
 		}
+		sh.inflight.Add(-int64(len(sh.jobs)))
 		sh.epoch.Add(1) // even: quiescent
 		sh.pauseMu.Unlock()
 		for i := range sh.jobs {
@@ -801,8 +769,6 @@ func (v *VNF) processWith(sh *vnfShard, st *sessionState, pkt []byte, hdr ncprot
 	case RoleDecoder:
 		sh.batch = append(sh.batch[:0], rlnc.CodedBlock{Coeffs: p.Coeffs, Payload: p.Payload})
 		v.decodeBatch(sh.idx+1, st, p.Session, p.Generation, sh.batch)
-	case RoleCustom:
-		v.runCustom(sh, st, p)
 	}
 }
 

@@ -364,7 +364,7 @@ func newButterfly(t *testing.T) *butterfly {
 		b.relays[name] = v
 	}
 	for i, name := range []string{"O2", "C2"} {
-		r, err := NewReceiver(b.net.Host(name), 1, params, "V1", nil)
+		r, err := NewReceiver(b.net.Host(name), 1, params, "V1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestRelayLiveSetTracksWindow(t *testing.T) {
 			inFlight[gid] = &flight{acks: map[string]bool{}, deadline: time.Now().Add(200 * time.Millisecond)}
 		}
 		select {
-		case a := <-b.src.Acks():
+		case a := <-b.src.acks:
 			if f := inFlight[a.Generation]; f != nil {
 				if f.acks[a.From] = true; len(f.acks) == 2 {
 					delete(inFlight, a.Generation)

@@ -143,15 +143,6 @@ func TestUniformLossDropsApproximately(t *testing.T) {
 	}
 }
 
-func TestNoLossNeverDrops(t *testing.T) {
-	var m NoLoss
-	for i := 0; i < 100; i++ {
-		if m.Drop() {
-			t.Fatal("NoLoss dropped")
-		}
-	}
-}
-
 func TestBurstLossStationaryRate(t *testing.T) {
 	// With feedback p_loss = P + 0.25*prev, stationary rate ~ P/(1-0.25).
 	m := NewBurstLoss(0.03, 2)

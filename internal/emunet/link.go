@@ -23,12 +23,6 @@ type LossModel interface {
 	Drop() bool
 }
 
-// NoLoss is a LossModel that never drops.
-type NoLoss struct{}
-
-// Drop implements LossModel.
-func (NoLoss) Drop() bool { return false }
-
 // UniformLoss drops each packet independently with probability P.
 type UniformLoss struct {
 	P   float64

@@ -91,7 +91,7 @@ func TestFaultInjectionTraced(t *testing.T) {
 		t.Fatalf("fault injections = %d, want 2 (one link, one host)", got)
 	}
 	rec := reg.Recorder(NetFlightName, telemetry.DefaultRecorderCapacity)
-	evs := rec.EventsOf(telemetry.EventFault)
+	evs := eventsOf(rec, telemetry.EventFault)
 	if len(evs) != 4 {
 		t.Fatalf("fault events = %d, want 4 (2 injections + 2 heals)", len(evs))
 	}
@@ -126,4 +126,15 @@ func TestTelemetryOptionalByDefault(t *testing.T) {
 	}
 	n.PartitionHost("b")
 	n.HealAll()
+}
+
+// eventsOf returns r's retained events of one type, in sequence order.
+func eventsOf(r *telemetry.Recorder, typ telemetry.EventType) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range r.Snapshot() {
+		if ev.Type == typ {
+			out = append(out, ev)
+		}
+	}
+	return out
 }

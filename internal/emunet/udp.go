@@ -166,16 +166,6 @@ func WithRxBatch(n int) UDPOption {
 	return func(c *udpConfig) { c.rxBatch = n }
 }
 
-// WithUDPInbox overrides the receive inbox capacity in packets (default
-// 4096). Tests use small inboxes to exercise the overflow-drop path.
-func WithUDPInbox(n int) UDPOption {
-	return func(c *udpConfig) {
-		if n > 0 {
-			c.inbox = n
-		}
-	}
-}
-
 // WithPortableIO forces the portable single-packet syscall path even where
 // the batched sendmmsg/recvmmsg path is available. The two paths are
 // byte-identical on the wire (the differential test pins them); this knob

@@ -256,9 +256,7 @@ func NewDeployment(cfg ScenarioConfig) (*Deployment, error) {
 		Clock: clk,
 		Tau:   cfg.Tau,
 		Tau1:  10 * time.Minute,
-		Tau2:  10 * time.Minute,
 		Rho1:  0.05,
-		Rho2:  0.05,
 	})
 	return &Deployment{
 		Controller: ctrl,
@@ -342,69 +340,6 @@ func (d *Deployment) EffectiveThroughput() func(c *controller.Controller) float6
 			return sample.InMbps, sample.OutMbps
 		})
 	}
-}
-
-// DelayEvents builds a delay-variation timeline exercising Alg. 2: all six
-// sessions start at t=0; at minute 9 the delay of every link touching the
-// most-loaded data center quadruples (a backbone routing shift), and the
-// controller's periodic ping probes observe the new delays. The change is
-// confirmed after ρ2/τ2, invalidating paths and forcing re-solves.
-func (d *Deployment) DelayEvents() []Event {
-	min := func(m int) time.Duration { return time.Duration(m) * time.Minute }
-	var events []Event
-	for _, s := range d.Sessions {
-		s := s
-		events = append(events, Event{
-			At:   0,
-			Name: fmt.Sprintf("session %d joins", s.ID),
-			Do:   func(c *controller.Controller) error { return c.AddSession(s) },
-		})
-	}
-	var affected topology.NodeID
-	events = append(events, Event{
-		At:   min(9),
-		Name: "backbone delay shift",
-		Do: func(c *controller.Controller) error {
-			in, out := c.LoadPerDC()
-			affected = d.Regions[0]
-			for _, region := range d.Regions {
-				if in[region]+out[region] > in[affected]+out[affected] {
-					affected = region
-				}
-			}
-			return nil
-		},
-	})
-	// Ping probes every 10 minutes report the (possibly shifted) delays
-	// of every inter-DC link.
-	for m := 10; m <= 40; m += 10 {
-		events = append(events, Event{
-			At:   min(m),
-			Name: fmt.Sprintf("delay probes at minute %d", m),
-			Do: func(c *controller.Controller) error {
-				for _, a := range d.Regions {
-					for _, b := range d.Regions {
-						if a == b {
-							continue
-						}
-						l, ok := d.Graph.Link(a, b)
-						if !ok {
-							continue
-						}
-						observed := l.Delay
-						if b == affected || a == affected {
-							observed = 4 * l.Delay
-						}
-						if err := c.ObserveDelay(a, b, observed); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			},
-		})
-	}
-	return events
 }
 
 // Fig11Events builds the Sec. V-C2 timeline: all six sessions start at

@@ -163,38 +163,3 @@ func TestDeterministicScenario(t *testing.T) {
 		}
 	}
 }
-
-func TestDelayEventsForceRerouting(t *testing.T) {
-	d, err := NewDeployment(ScenarioConfig{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := Run(d.Controller, d.Clock, d.DelayEvents(), RunConfig{
-		Duration: 40 * time.Minute,
-		Interval: 10 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 5 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	// Six sessions stay admitted throughout; the delay shift may reroute
-	// or reduce rates but must never take the system down.
-	for _, s := range samples {
-		if s.Throughput <= 0 {
-			t.Fatalf("zero throughput at %v", s.At)
-		}
-	}
-	// The controller must have reacted to the confirmed delay change with
-	// at least one forwarding-table push after minute 20.
-	reacted := false
-	for _, e := range d.Controller.Events() {
-		if e.Signal == controller.NCForwardTab && e.At.Sub(epoch) >= 20*time.Minute {
-			reacted = true
-		}
-	}
-	if !reacted {
-		t.Fatal("no forwarding-table reaction to the confirmed delay change")
-	}
-}

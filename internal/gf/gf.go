@@ -86,12 +86,6 @@ func buildTables() *tables {
 	return t
 }
 
-// Add returns a + b in GF(2^8). Addition is XOR.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8). Subtraction equals addition (XOR).
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	return _tables.mul[a][b]
@@ -124,14 +118,6 @@ func Exp(n int) byte {
 		panic(fmt.Sprintf("gf: negative exponent %d", n))
 	}
 	return _tables.exp[n%(Order-1)]
-}
-
-// Log returns log_g(a) for nonzero a. It panics if a is zero.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return int(_tables.log[a])
 }
 
 // MulSlice sets dst[i] = c * src[i] for every i — the overwrite counterpart

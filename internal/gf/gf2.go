@@ -28,15 +28,3 @@ func (f Field) String() string {
 		return "GF(?)"
 	}
 }
-
-// Size returns the number of elements in the field.
-func (f Field) Size() int {
-	switch f {
-	case GF256:
-		return 256
-	case GF2:
-		return 2
-	default:
-		return 0
-	}
-}

@@ -242,18 +242,6 @@ func (b *Builder) Var(name string) int {
 	return i
 }
 
-// HasVar reports whether the named variable exists.
-func (b *Builder) HasVar(name string) bool {
-	_, ok := b.index[name]
-	return ok
-}
-
-// NumVars returns the number of variables declared so far.
-func (b *Builder) NumVars() int { return len(b.names) }
-
-// Name returns the name of variable i.
-func (b *Builder) Name(i int) string { return b.names[i] }
-
 // SetObjective adds coeff to the objective coefficient of the variable.
 func (b *Builder) SetObjective(name string, coeff float64) {
 	b.obj[b.Var(name)] += coeff
@@ -270,9 +258,6 @@ func (b *Builder) Constraint(label string, coeffs map[string]float64, rhs float6
 	b.rhs = append(b.rhs, rhs)
 	b.labels = append(b.labels, label)
 }
-
-// NumConstraints returns the number of rows added.
-func (b *Builder) NumConstraints() int { return len(b.rows) }
 
 // Build materializes the dense Problem in canonical form: variables are
 // reordered by name and rows by label. Callers assemble problems by ranging

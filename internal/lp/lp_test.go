@@ -238,14 +238,11 @@ func TestBuilderBasics(t *testing.T) {
 	b.SetObjective("y", 2)
 	b.Constraint("cap", map[string]float64{"x": 1, "y": 1}, 4)
 	b.Constraint("mix", map[string]float64{"x": 1, "y": 3}, 6)
-	if b.NumVars() != 2 || b.NumConstraints() != 2 {
-		t.Fatalf("builder sizes %d, %d", b.NumVars(), b.NumConstraints())
+	if len(b.names) != 2 || len(b.rows) != 2 {
+		t.Fatalf("builder sizes %d, %d", len(b.names), len(b.rows))
 	}
-	if !b.HasVar("x") || b.HasVar("z") {
-		t.Fatal("HasVar wrong")
-	}
-	if b.Name(b.Var("x")) != "x" {
-		t.Fatal("Name round trip failed")
+	if b.names[b.Var("x")] != "x" {
+		t.Fatal("name round trip failed")
 	}
 	s, err := Solve(b.Build())
 	if err != nil {
@@ -269,8 +266,8 @@ func TestBuildCanonicalOrder(t *testing.T) {
 	b.SetObjective("beta", 1)
 	p := b.Build()
 	for i, want := range []string{"alpha", "beta", "gamma"} {
-		if b.Name(i) != want {
-			t.Fatalf("Name(%d) = %q, want %q", i, b.Name(i), want)
+		if b.names[i] != want {
+			t.Fatalf("names[%d] = %q, want %q", i, b.names[i], want)
 		}
 	}
 	if p.B[0] != 3 || p.A[0][2] != 1 {

@@ -1,87 +1,14 @@
-// Package metrics provides the small measurement utilities the experiment
-// harness shares: windowed throughput meters and labeled time series that
-// print in the row/series format of the paper's figures.
+// Package metrics prints and parses the figure tables of the experiment
+// harness: labeled series in the row/series format of the paper's figures.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
-
-	"ncfn/internal/telemetry"
 )
-
-// Meter measures throughput over its lifetime: bytes accumulated between
-// Start and the last Add. Sample storage delegates to a telemetry histogram
-// — the same structure the data plane exports — so the meter's byte count
-// and a registry snapshot of the histogram can never disagree, and the
-// chunk-size distribution comes for free.
-type Meter struct {
-	mu    sync.Mutex
-	start time.Time
-	last  time.Time
-	hist  *telemetry.Histogram
-}
-
-// NewMeter returns a meter starting now (per the supplied timestamp),
-// backed by a private histogram.
-func NewMeter(now time.Time) *Meter {
-	return NewMeterHistogram(now, telemetry.NewHistogram())
-}
-
-// NewMeterHistogram returns a meter recording its samples into h, which may
-// be registered in a telemetry registry so snapshots see the same bytes the
-// meter reports. A nil h gets a private histogram.
-func NewMeterHistogram(now time.Time, h *telemetry.Histogram) *Meter {
-	if h == nil {
-		h = telemetry.NewHistogram()
-	}
-	return &Meter{start: now, last: now, hist: h}
-}
-
-// Add records n bytes observed at time now.
-func (m *Meter) Add(n int, now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.hist.Observe(int64(n))
-	if now.After(m.last) {
-		m.last = now
-	}
-}
-
-// Bytes returns the accumulated byte count.
-func (m *Meter) Bytes() uint64 {
-	return uint64(m.hist.Sum())
-}
-
-// Histogram exposes the meter's sample storage (per-Add chunk sizes).
-func (m *Meter) Histogram() *telemetry.Histogram {
-	return m.hist
-}
-
-// Mbps returns the average rate between the start and the last sample. A
-// meter whose samples all landed at the start instant (last == start) has a
-// zero-length window and reports 0, never +Inf.
-func (m *Meter) Mbps() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dt := m.last.Sub(m.start).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(m.hist.Sum()) * 8 / dt / 1e6
-}
-
-// Elapsed returns the measurement window length.
-func (m *Meter) Elapsed() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last.Sub(m.start)
-}
 
 // Point is one (x, value-per-series) sample of a figure.
 type Point struct {
@@ -181,31 +108,4 @@ func trimFloat(v float64) string {
 		return "0"
 	}
 	return s
-}
-
-// WriteCSV renders the series as a CSV file (header row, one row per
-// sample), for plotting the regenerated figures with external tools.
-func (s *Series) WriteCSV(w io.Writer) error {
-	pts := s.Points()
-	cols := s.Columns()
-	header := append([]string{s.XLabel}, cols...)
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		row := make([]string, 0, len(cols)+1)
-		row = append(row, strconv.FormatFloat(p.X, 'g', -1, 64))
-		for _, c := range cols {
-			v, ok := p.Values[c]
-			if !ok {
-				row = append(row, "")
-				continue
-			}
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

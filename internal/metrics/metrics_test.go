@@ -1,116 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"strings"
-	"sync"
 	"testing"
-	"time"
-
-	"ncfn/internal/telemetry"
 )
-
-var t0 = time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC)
-
-func TestMeterMbps(t *testing.T) {
-	m := NewMeter(t0)
-	m.Add(1_000_000, t0.Add(time.Second)) // 1 MB over 1 s = 8 Mbps
-	if got := m.Mbps(); got < 7.9 || got > 8.1 {
-		t.Fatalf("Mbps = %v, want ~8", got)
-	}
-	if m.Bytes() != 1_000_000 {
-		t.Fatalf("Bytes = %d", m.Bytes())
-	}
-	if m.Elapsed() != time.Second {
-		t.Fatalf("Elapsed = %v", m.Elapsed())
-	}
-}
-
-func TestMeterZeroWindow(t *testing.T) {
-	m := NewMeter(t0)
-	m.Add(100, t0)
-	if m.Mbps() != 0 {
-		t.Fatal("zero window should yield 0 rate")
-	}
-}
-
-// TestMeterSingleBurstFinite pins the last == start fix: a meter whose only
-// samples land at the start instant must report a finite (zero) rate, never
-// +Inf or NaN.
-func TestMeterSingleBurstFinite(t *testing.T) {
-	m := NewMeter(t0)
-	for i := 0; i < 5; i++ {
-		m.Add(1 << 20, t0)
-	}
-	got := m.Mbps()
-	if math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Fatalf("single-burst rate = %v, want finite", got)
-	}
-	if got != 0 {
-		t.Fatalf("single-burst rate = %v, want 0", got)
-	}
-	// Samples past the start instant must still rate normally.
-	m.Add(0, t0.Add(time.Second))
-	if r := m.Mbps(); r <= 0 || math.IsInf(r, 0) {
-		t.Fatalf("rate after window opened = %v", r)
-	}
-}
-
-// TestMeterDelegatesToHistogram pins the shared-storage contract: a meter
-// built over a registry histogram and the registry's snapshot must report
-// the same bytes — the two measurement paths cannot drift.
-func TestMeterDelegatesToHistogram(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := reg.Histogram("bench_chunk_bytes")
-	m := NewMeterHistogram(t0, h)
-	m.Add(1000, t0.Add(time.Second))
-	m.Add(500, t0.Add(2*time.Second))
-
-	if m.Bytes() != 1500 {
-		t.Fatalf("Bytes = %d, want 1500", m.Bytes())
-	}
-	snap := reg.Snapshot().Histograms["bench_chunk_bytes"]
-	if uint64(snap.Sum) != m.Bytes() {
-		t.Fatalf("snapshot sum %d != meter bytes %d", snap.Sum, m.Bytes())
-	}
-	if snap.Count != 2 {
-		t.Fatalf("snapshot count = %d, want 2", snap.Count)
-	}
-	if m.Histogram() != h {
-		t.Fatal("Histogram() must expose the delegated storage")
-	}
-	// A nil histogram gets private storage rather than a panic.
-	if p := NewMeterHistogram(t0, nil); p.Histogram() == nil {
-		t.Fatal("nil histogram not defaulted")
-	}
-}
-
-func TestMeterMonotonicLast(t *testing.T) {
-	m := NewMeter(t0)
-	m.Add(100, t0.Add(2*time.Second))
-	m.Add(100, t0.Add(time.Second)) // out-of-order sample
-	if m.Elapsed() != 2*time.Second {
-		t.Fatalf("Elapsed = %v, want 2s", m.Elapsed())
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	m := NewMeter(t0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.Add(1, t0.Add(time.Second))
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Bytes() != 8000 {
-		t.Fatalf("Bytes = %d, want 8000", m.Bytes())
-	}
-}
 
 func TestSeriesTable(t *testing.T) {
 	s := NewSeries("Fig X", "loss%", "NC0", "NC1")
@@ -183,19 +76,5 @@ func TestTrimFloat(t *testing.T) {
 		if got := trimFloat(in); got != want {
 			t.Errorf("trimFloat(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	s := NewSeries("t", "x", "a", "b")
-	s.Add(1, map[string]float64{"a": 1.5})
-	s.Add(2, map[string]float64{"a": 2, "b": 3})
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "x,a,b\n1,1.5,\n2,2,3\n"
-	if sb.String() != want {
-		t.Fatalf("csv = %q, want %q", sb.String(), want)
 	}
 }

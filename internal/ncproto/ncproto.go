@@ -37,8 +37,10 @@ const (
 	// row). The data plane forwards the first packet of a generation
 	// without recoding; systematic packets make that explicit.
 	FlagSystematic = 1 << 0
-	// FlagEndOfSession marks the final generation of a session so
-	// receivers can tear down decoder state.
+	// FlagEndOfSession marks the final generation of a session. Sources
+	// emit it; no receiver reads it yet. The intended consumer is an
+	// end-of-session that carries the final retirement watermark, which
+	// would let receivers tear down decoder state.
 	FlagEndOfSession = 1 << 1
 	// FlagControl marks in-band control packets (e.g. generation ACKs
 	// flowing back from receivers to the source).
@@ -84,15 +86,6 @@ type Packet struct {
 	// Payload is the coded block.
 	Payload []byte
 }
-
-// Systematic reports whether the packet carries an uncoded source block.
-func (p *Packet) Systematic() bool { return p.Flags&FlagSystematic != 0 }
-
-// EndOfSession reports whether the packet closes its session.
-func (p *Packet) EndOfSession() bool { return p.Flags&FlagEndOfSession != 0 }
-
-// Control reports whether the packet is in-band control traffic.
-func (p *Packet) Control() bool { return p.Flags&FlagControl != 0 }
 
 // WireLen returns the encoded length of the packet.
 func (p *Packet) WireLen() int { return FixedHeaderLen + len(p.Coeffs) + len(p.Payload) }
@@ -157,12 +150,6 @@ type Header struct {
 	Generation GenerationID
 }
 
-// Systematic reports whether the packet carries an uncoded source block.
-func (h Header) Systematic() bool { return h.Flags&FlagSystematic != 0 }
-
-// EndOfSession reports whether the packet closes its session.
-func (h Header) EndOfSession() bool { return h.Flags&FlagEndOfSession != 0 }
-
 // Control reports whether the packet is in-band control traffic.
 func (h Header) Control() bool { return h.Flags&FlagControl != 0 }
 
@@ -191,23 +178,6 @@ func PeekHeader(buf []byte) (Header, error) {
 		Session:    SessionID(binary.BigEndian.Uint16(buf[2:])),
 		Generation: GenerationID(binary.BigEndian.Uint32(buf[4:])),
 	}, nil
-}
-
-// IsNC reports whether buf plausibly starts with an NC header, used by VNFs
-// to separate coded traffic from other datagrams arriving on the same port.
-func IsNC(buf []byte) bool {
-	return len(buf) >= FixedHeaderLen && buf[0] == Magic
-}
-
-// Clone returns a deep copy of the packet.
-func (p *Packet) Clone() *Packet {
-	return &Packet{
-		Flags:      p.Flags,
-		Session:    p.Session,
-		Generation: p.Generation,
-		Coeffs:     append([]byte(nil), p.Coeffs...),
-		Payload:    append([]byte(nil), p.Payload...),
-	}
 }
 
 // Ack is the in-band acknowledgement a receiver returns to the source once

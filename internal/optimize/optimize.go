@@ -30,10 +30,6 @@ import (
 // ErrInfeasible is returned when a session has no feasible path.
 var ErrInfeasible = errors.New("optimize: infeasible")
 
-// ErrRateUnachievable is returned by SolveFixedRate when a session's
-// target rate cannot be met even with unconstrained deployment.
-var ErrRateUnachievable = errors.New("optimize: target rate unachievable")
-
 // DefaultMaxPathHops bounds feasible paths to two coding relays, keeping
 // the LP tractable while covering every route the paper's six-data-center
 // deployment uses.
@@ -113,22 +109,6 @@ func NewLoad() *Load {
 	}
 }
 
-// Add accumulates o into l.
-func (l *Load) Add(o *Load) {
-	if o == nil {
-		return
-	}
-	for k, v := range o.LinkMbps {
-		l.LinkMbps[k] += v
-	}
-	for k, v := range o.DCInMbps {
-		l.DCInMbps[k] += v
-	}
-	for k, v := range o.DCOutMbps {
-		l.DCOutMbps[k] += v
-	}
-}
-
 // PathFlow is one conceptual-flow assignment.
 type PathFlow struct {
 	Session  ncproto.SessionID
@@ -171,31 +151,6 @@ func (p *Plan) TotalRate() float64 {
 		r += v
 	}
 	return r
-}
-
-// LoadOf converts the plan's flows into a Load (for pinning in later
-// incremental solves). Only the given sessions are included; pass nil to
-// include all.
-func (p *Plan) LoadOf(sessions map[ncproto.SessionID]bool, dcs map[topology.NodeID]bool) *Load {
-	load := NewLoad()
-	for sid, flows := range p.LinkFlows {
-		if sessions != nil && !sessions[sid] {
-			continue
-		}
-		for e, mbps := range flows {
-			if mbps <= 0 {
-				continue
-			}
-			load.LinkMbps[e] += mbps
-			if dcs[e[1]] {
-				load.DCInMbps[e[1]] += mbps
-			}
-			if dcs[e[0]] {
-				load.DCOutMbps[e[0]] += mbps
-			}
-		}
-	}
-	return load
 }
 
 // varNames builds the LP variable naming scheme.
@@ -587,44 +542,4 @@ func MinVNFs(dcs []DataCenter, load *Load) map[topology.NodeID]int {
 		out[dc.ID] = int(math.Ceil(need - 1e-9))
 	}
 	return out
-}
-
-// SolveFixedRate implements the paper's fixed-rate mode: "We can set λm to
-// a given multicast rate if the rate is fixed for multicast session m
-// (e.g., in case of live streaming), while focusing on finding the most
-// bandwidth efficient routes of the flow to achieve the end-to-end rate
-// while minimizing coding function deployment cost." Each session's RateCap
-// is its target rate; the returned plan achieves every target exactly (or
-// ErrRateUnachievable reports the shortfall), using as few VNFs as the
-// tradeoff permits.
-func SolveFixedRate(cfg Config, sessions []Session) (*Plan, error) {
-	for i := range sessions {
-		if sessions[i].RateCap <= 0 {
-			return nil, fmt.Errorf("optimize: session %d has no target rate", sessions[i].ID)
-		}
-	}
-	// A large rate weight makes achieving the targets lexicographically
-	// dominate deployment cost, while α still discriminates among
-	// deployments that achieve them.
-	weighted := cfg
-	if weighted.Alpha <= 0 {
-		weighted.Alpha = 1
-	}
-	scale := 0.0
-	for _, s := range sessions {
-		scale += s.RateCap
-	}
-	weighted.Alpha = weighted.Alpha / (1000 * scale)
-	plan, err := Solve(weighted, sessions)
-	if err != nil {
-		return nil, err
-	}
-	plan.Objective = plan.TotalRate() - cfg.Alpha*float64(plan.TotalVNFs())
-	for _, s := range sessions {
-		if plan.Rates[s.ID] < s.RateCap-1e-3 {
-			return plan, fmt.Errorf("%w: session %d achieves %.2f of %.2f Mbps",
-				ErrRateUnachievable, s.ID, plan.Rates[s.ID], s.RateCap)
-		}
-	}
-	return plan, nil
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
-	"ncfn/internal/ncproto"
 	"ncfn/internal/topology"
 )
 
@@ -95,7 +95,7 @@ func TestButterflyConceptualFlowSharing(t *testing.T) {
 	}
 	usingTV2 := 0
 	for _, pf := range plan.PathFlows {
-		if pf.Path.Contains("T", "V2") && pf.RateMbps > 1 {
+		if slices.Contains(pf.Path.Edges(), [2]topology.NodeID{"T", "V2"}) && pf.RateMbps > 1 {
 			usingTV2++
 		}
 	}
@@ -285,37 +285,6 @@ func TestTwoSessionsShareInfrastructure(t *testing.T) {
 	}
 }
 
-func TestPlanHelpers(t *testing.T) {
-	cfg, sessions := butterflyConfig(0.1)
-	plan, err := Solve(cfg, sessions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcs := map[topology.NodeID]bool{"O1": true, "C1": true, "T": true, "V2": true}
-	load := plan.LoadOf(nil, dcs)
-	if load.DCInMbps["T"] < 30 {
-		t.Fatalf("T inbound load %v, want ~35", load.DCInMbps["T"])
-	}
-	// Filtering by a non-matching session set yields an empty load.
-	empty := plan.LoadOf(map[ncproto.SessionID]bool{}, dcs)
-	if len(empty.LinkMbps) != 0 {
-		t.Fatal("filtered load should be empty")
-	}
-}
-
-func TestLoadAdd(t *testing.T) {
-	a := NewLoad()
-	b := NewLoad()
-	b.LinkMbps[[2]topology.NodeID{"x", "y"}] = 5
-	b.DCInMbps["y"] = 5
-	b.DCOutMbps["x"] = 5
-	a.Add(b)
-	a.Add(nil)
-	if a.LinkMbps[[2]topology.NodeID{"x", "y"}] != 5 || a.DCInMbps["y"] != 5 || a.DCOutMbps["x"] != 5 {
-		t.Fatal("Add lost values")
-	}
-}
-
 func TestMinVNFs(t *testing.T) {
 	dcs := []DataCenter{
 		{ID: "a", BinMbps: 100, BoutMbps: 50, CodeMbps: 200},
@@ -444,50 +413,5 @@ func TestSolveRandomGraphInvariants(t *testing.T) {
 				t.Fatalf("trial %d: receiver %s conceptual flow %v < rate %v", trial, r, sum, rate)
 			}
 		}
-	}
-}
-
-func TestSolveFixedRateCheapestDeployment(t *testing.T) {
-	// A 30 Mbps target on the butterfly fits down the two side branches;
-	// the cheapest deployment must not light up all four DCs.
-	cfg, sessions := butterflyConfig(20)
-	sessions[0].RateCap = 30
-	plan, err := SolveFixedRate(cfg, sessions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Rates[1] < 30-1e-3 {
-		t.Fatalf("target missed: %v", plan.Rates[1])
-	}
-	if plan.TotalVNFs() > 2 {
-		t.Fatalf("fixed 30 Mbps deployed %d VNFs (%v), want <= 2", plan.TotalVNFs(), plan.VNFs)
-	}
-}
-
-func TestSolveFixedRateNeedsCoding(t *testing.T) {
-	// A 70 Mbps target requires the full coded butterfly: all four DCs.
-	cfg, sessions := butterflyConfig(20)
-	sessions[0].RateCap = 70
-	plan, err := SolveFixedRate(cfg, sessions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.TotalVNFs() != 4 {
-		t.Fatalf("70 Mbps needs all 4 DCs, got %v", plan.VNFs)
-	}
-}
-
-func TestSolveFixedRateUnachievable(t *testing.T) {
-	cfg, sessions := butterflyConfig(20)
-	sessions[0].RateCap = 500 // far beyond the 70 Mbps min-cut
-	if _, err := SolveFixedRate(cfg, sessions); !errors.Is(err, ErrRateUnachievable) {
-		t.Fatalf("err = %v, want ErrRateUnachievable", err)
-	}
-}
-
-func TestSolveFixedRateRequiresTarget(t *testing.T) {
-	cfg, sessions := butterflyConfig(20)
-	if _, err := SolveFixedRate(cfg, sessions); err == nil {
-		t.Fatal("missing target accepted")
 	}
 }

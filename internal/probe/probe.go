@@ -1,8 +1,6 @@
-// Package probe implements the measurement tools the scaling algorithm
-// depends on: a ping equivalent for link delay (Alg. 2 detects delay
-// changes via periodic pings between VNFs) and an iperf3 equivalent for
-// available bandwidth (Alg. 1's input). Both run over emunet.PacketConn so
-// they work on the emulated network and over real UDP alike.
+// Package probe implements the ping equivalent the delay measurements of
+// Table II use. It runs over emunet.PacketConn, so it works on the emulated
+// network and over real UDP alike.
 package probe
 
 import (
@@ -21,21 +19,15 @@ import (
 const (
 	typePingReq   = 0x70
 	typePingReply = 0x71
-	typeBulk      = 0x72
-	typeReportReq = 0x73
-	typeReport    = 0x74
 )
 
 // ErrTimeout is returned when a probe receives no answer in time.
 var ErrTimeout = errors.New("probe: timeout")
 
-// Responder answers ping requests and counts bulk bytes, playing the role
-// of the iperf3 server / ping target on each VNF.
+// Responder answers ping requests, playing the role of the ping target on
+// each VNF.
 type Responder struct {
 	conn emunet.PacketConn
-
-	mu        sync.Mutex
-	bulkBytes map[string]uint64 // per-peer counters
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -45,9 +37,8 @@ type Responder struct {
 // NewResponder starts a responder on conn.
 func NewResponder(conn emunet.PacketConn) *Responder {
 	r := &Responder{
-		conn:      conn,
-		bulkBytes: make(map[string]uint64),
-		done:      make(chan struct{}),
+		conn: conn,
+		done: make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.run()
@@ -69,26 +60,9 @@ func (r *Responder) run() {
 				continue
 			}
 		}
-		if len(pkt) == 0 {
-			continue
-		}
-		switch pkt[0] {
-		case typePingReq:
+		if len(pkt) > 0 && pkt[0] == typePingReq {
 			reply := append([]byte(nil), pkt...)
 			reply[0] = typePingReply
-			_ = r.conn.Send(src, reply)
-		case typeBulk:
-			r.mu.Lock()
-			r.bulkBytes[src] += uint64(len(pkt))
-			r.mu.Unlock()
-		case typeReportReq:
-			r.mu.Lock()
-			count := r.bulkBytes[src]
-			r.bulkBytes[src] = 0
-			r.mu.Unlock()
-			reply := make([]byte, 9)
-			reply[0] = typeReport
-			binary.BigEndian.PutUint64(reply[1:], count)
 			_ = r.conn.Send(src, reply)
 		}
 	}
@@ -224,65 +198,6 @@ func (p *Prober) awaitPingReply(seq uint32, timeout time.Duration, start time.Ti
 			return 0, false
 		case <-p.done:
 			return 0, false
-		}
-	}
-}
-
-// BandwidthResult is one iperf3-style measurement.
-type BandwidthResult struct {
-	Mbps     float64
-	Bytes    uint64
-	Duration time.Duration
-}
-
-// MeasureBandwidth floods target with pktSize datagrams for the given
-// duration, then asks the responder how many bytes made it through,
-// returning the delivered rate — the link's available bandwidth.
-func (p *Prober) MeasureBandwidth(target string, duration time.Duration, pktSize int) (BandwidthResult, error) {
-	if pktSize < 64 {
-		pktSize = 64
-	}
-	pkt := make([]byte, pktSize)
-	pkt[0] = typeBulk
-	start := p.clock.Now()
-	pause := duration / 500
-	if pause <= 0 {
-		pause = 50 * time.Microsecond
-	}
-	for p.clock.Now().Sub(start) < duration {
-		// Bursts keep the link saturated even when the sleep below is
-		// stretched by scheduler granularity; the pause lets the emulated
-		// link's delivery goroutines run so we measure delivery, not how
-		// fast the queue fills.
-		for i := 0; i < 8; i++ {
-			if err := p.conn.Send(target, pkt); err != nil {
-				return BandwidthResult{}, fmt.Errorf("probe: bulk send: %w", err)
-			}
-		}
-		p.clock.Sleep(pause)
-	}
-	// Let in-flight packets drain before asking for the report.
-	p.clock.Sleep(100 * time.Millisecond)
-	if err := p.conn.Send(target, []byte{typeReportReq}); err != nil {
-		return BandwidthResult{}, fmt.Errorf("probe: report request: %w", err)
-	}
-	deadline := p.clock.After(5 * time.Second)
-	for {
-		select {
-		case reply := <-p.inbox:
-			if len(reply) == 9 && reply[0] == typeReport {
-				n := binary.BigEndian.Uint64(reply[1:])
-				elapsed := p.clock.Now().Sub(start)
-				return BandwidthResult{
-					Mbps:     float64(n) * 8 / elapsed.Seconds() / 1e6,
-					Bytes:    n,
-					Duration: elapsed,
-				}, nil
-			}
-		case <-deadline:
-			return BandwidthResult{}, ErrTimeout
-		case <-p.done:
-			return BandwidthResult{}, emunet.ErrClosed
 		}
 	}
 }

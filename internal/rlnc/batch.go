@@ -111,18 +111,3 @@ func (s *rawSpan) insert(coeffs, payload []byte) bool {
 	s.work += uint64(s.blockSize) // the raw payload copy
 	return true
 }
-
-// AddBatch folds a run of received coded blocks into the recoding span and
-// returns how many were innovative.
-func (r *Recoder) AddBatch(blocks []CodedBlock) (int, error) {
-	innovative := 0
-	for i := range blocks {
-		if err := r.params.checkBlock(blocks[i]); err != nil {
-			return innovative, err
-		}
-		if r.span.insert(blocks[i].Coeffs, blocks[i].Payload) {
-			innovative++
-		}
-	}
-	return innovative, nil
-}

@@ -147,9 +147,6 @@ func (e *Encoder) Reset(data []byte, seed int64) error {
 	return nil
 }
 
-// Params returns the coding parameters.
-func (e *Encoder) Params() Params { return e.params }
-
 // Systematic returns the next uncoded source block (identity coefficient
 // vector) or false once all source blocks have been emitted once.
 // Systematic transmission lets the first packet of a generation be forwarded
@@ -419,16 +416,8 @@ func NewDecoder(params Params) (*Decoder, error) {
 	return &Decoder{params: params, b: newBasis(params.GenerationBlocks, params.BlockSize)}, nil
 }
 
-// Params returns the coding parameters.
-func (d *Decoder) Params() Params { return d.params }
-
 // Rank returns the number of linearly independent blocks received so far.
 func (d *Decoder) Rank() int { return d.b.rank }
-
-// Useless returns the number of received blocks that were not innovative
-// (linearly dependent on earlier ones). With GF(2^8) coefficients this stays
-// near zero; it grows under GF(2), which the field-size ablation measures.
-func (d *Decoder) Useless() int { return d.b.useless }
 
 // Complete reports whether the full generation can be recovered.
 func (d *Decoder) Complete() bool { return d.Rank() == d.params.GenerationBlocks }
@@ -526,9 +515,6 @@ func NewRecoder(params Params, seed int64) (*Recoder, error) {
 	r.rng.seed(seed)
 	return r, nil
 }
-
-// Params returns the coding parameters.
-func (r *Recoder) Params() Params { return r.params }
 
 // Stored returns the number of linearly independent blocks buffered for
 // recoding (the recoder's rank; dependent arrivals add no information and

@@ -45,9 +45,6 @@ func NewCounter(cells int) *Counter {
 	return &Counter{cells: make([]cell, n), mask: uint64(n - 1)}
 }
 
-// Cells returns the number of independent cells.
-func (c *Counter) Cells() int { return len(c.cells) }
-
 // Add increments the counter by n on the given shard's cell. Out-of-range
 // shard indices wrap, so callers can pass any stable small integer (worker
 // index, goroutine ordinal) without bounds bookkeeping. One relaxed atomic
@@ -91,9 +88,6 @@ func NewGauge(cells int) *Gauge {
 	n := ceilPow2(cells)
 	return &Gauge{cells: make([]icell, n), mask: uint64(n - 1)}
 }
-
-// Cells returns the number of independent cells.
-func (g *Gauge) Cells() int { return len(g.cells) }
 
 // Set stores v into the shard's cell. One relaxed atomic store.
 //

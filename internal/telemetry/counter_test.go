@@ -46,8 +46,8 @@ func TestCounterShardWraps(t *testing.T) {
 	if c.Value() != 3 {
 		t.Fatalf("Value = %d, want 3", c.Value())
 	}
-	if c.Cells() != 4 {
-		t.Fatalf("Cells = %d, want 4", c.Cells())
+	if len(c.cells) != 4 {
+		t.Fatalf("cells = %d, want 4", len(c.cells))
 	}
 }
 
@@ -55,8 +55,8 @@ func TestCounterCellRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
-		if got := NewCounter(tc.in).Cells(); got != tc.want {
-			t.Errorf("NewCounter(%d).Cells() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewCounter(tc.in).cells); got != tc.want {
+			t.Errorf("NewCounter(%d) has %d cells, want %d", tc.in, got, tc.want)
 		}
 	}
 }

@@ -179,13 +179,6 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{slots: make([]rslot, n), mask: uint64(n - 1)}
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int { return len(r.slots) }
-
-// Len returns how many events have ever been recorded (retained: min(Len,
-// Cap)).
-func (r *Recorder) Len() uint64 { return r.head.Load() }
-
 // Record appends one event. now is the caller's clock reading in
 // nanoseconds; node is truncated to 16 bytes. Zero allocation, no locks.
 //
@@ -254,18 +247,6 @@ func (r *Recorder) Snapshot() []Event {
 	return events
 }
 
-// EventsOf returns the retained events of one type, in sequence order.
-func (r *Recorder) EventsOf(typ EventType) []Event {
-	all := r.Snapshot()
-	out := all[:0]
-	for _, ev := range all {
-		if ev.Type == typ {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // unpackNode reverses Record's label packing.
 func unpackNode(n0, n1 uint64) string {
 	var buf [nodeBytes]byte
@@ -285,4 +266,3 @@ func unpackNode(n0, n1 uint64) string {
 	}
 	return string(buf[:n])
 }
-

@@ -40,8 +40,8 @@ func TestRecorderWraparoundKeepsNewest(t *testing.T) {
 			t.Fatalf("event %d = %+v, want seq %d", i, ev, want)
 		}
 	}
-	if r.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", r.Len())
+	if n := r.head.Load(); n != 10 {
+		t.Fatalf("recorded = %d, want 10", n)
 	}
 }
 
@@ -113,31 +113,19 @@ func TestRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	rwg.Wait()
-	if r.Len() != writers*perWriter {
-		t.Fatalf("Len = %d, want %d", r.Len(), writers*perWriter)
+	if n := r.head.Load(); n != writers*perWriter {
+		t.Fatalf("recorded = %d, want %d", n, writers*perWriter)
 	}
 	if got := len(r.Snapshot()); got != 64 {
 		t.Fatalf("retained %d, want full ring of 64", got)
 	}
 }
 
-func TestRecorderEventsOf(t *testing.T) {
-	r := NewRecorder(16)
-	r.Record(1, EventPause, "n", 0, 0, 0)
-	r.Record(2, EventFailover, "n", 0, 0, 99)
-	r.Record(3, EventResume, "n", 0, 0, 5)
-	r.Record(4, EventFailover, "m", 0, 0, 42)
-	fos := r.EventsOf(EventFailover)
-	if len(fos) != 2 || fos[0].Value != 99 || fos[1].Value != 42 {
-		t.Fatalf("EventsOf(failover) = %+v", fos)
-	}
-}
-
 func TestRecorderDefaultsAndCap(t *testing.T) {
-	if got := NewRecorder(0).Cap(); got != DefaultRecorderCapacity {
+	if got := len(NewRecorder(0).slots); got != DefaultRecorderCapacity {
 		t.Fatalf("default cap = %d", got)
 	}
-	if got := NewRecorder(100).Cap(); got != 128 {
+	if got := len(NewRecorder(100).slots); got != 128 {
 		t.Fatalf("cap rounding = %d, want 128", got)
 	}
 }

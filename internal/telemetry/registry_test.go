@@ -51,7 +51,7 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 		t.Fatalf("events = %+v", s.Events)
 	}
 
-	raw, err := s.MarshalIndent()
+	raw, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package telemetry
 
-import "encoding/json"
-
 // Snapshot is the aggregated, serializable view of a Registry — the payload
 // of the ncd admin endpoint's /stats and of `ncctl stats`. Counter and gauge
 // values are cell sums; events are the union of every recorder's retained
@@ -11,9 +9,4 @@ type Snapshot struct {
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Events     []Event                      `json:"events,omitempty"`
-}
-
-// MarshalIndent renders the snapshot as indented JSON.
-func (s Snapshot) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

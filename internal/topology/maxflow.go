@@ -134,88 +134,3 @@ func Butterfly() (*Graph, NodeID, []NodeID) {
 	}
 	return g, "V1", []NodeID{"O2", "C2"}
 }
-
-// AddButterflyDirectLinks adds the direct source→receiver Internet paths
-// used by the "Direct TCP" baseline of Fig. 7: longer one-way delay
-// (half the direct ping RTTs of Table II: 90.9 ms and 77.0 ms) and modest
-// bandwidth — the case where "direct connections do not provide good
-// bandwidth" (Sec. V-B1).
-func AddButterflyDirectLinks(g *Graph) {
-	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
-	for _, l := range []Link{
-		{From: "V1", To: "O2", CapacityMbps: 20, Delay: ms(45.4)},
-		{From: "V1", To: "C2", CapacityMbps: 20, Delay: ms(38.5)},
-	} {
-		if err := g.AddLink(l); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// ShortestDelayPath returns the minimum-total-delay path from src to dst
-// (Dijkstra), with interior hops restricted to data centers, or false if
-// dst is unreachable. The controller uses it to seed delay estimates and
-// the examples use it to report best-case latency.
-func (g *Graph) ShortestDelayPath(src, dst NodeID) (Path, time.Duration, bool) {
-	type state struct {
-		delay time.Duration
-		prev  NodeID
-		done  bool
-	}
-	const inf = time.Duration(1<<62 - 1)
-	states := map[NodeID]*state{src: {}}
-	for {
-		var at NodeID
-		best := inf
-		for id, st := range states {
-			if !st.done && st.delay < best {
-				best = st.delay
-				at = id
-			}
-		}
-		if best == inf {
-			break
-		}
-		st := states[at]
-		st.done = true
-		if at == dst {
-			break
-		}
-		if at != src {
-			if n, ok := g.nodes[at]; !ok || n.Kind != DataCenter {
-				continue
-			}
-		}
-		for _, l := range g.adj[at] {
-			d := st.delay + l.Delay
-			nb, ok := states[l.To]
-			if !ok {
-				states[l.To] = &state{delay: d, prev: at}
-				continue
-			}
-			if nb.done {
-				continue
-			}
-			if d < nb.delay {
-				nb.delay, nb.prev = d, at
-			}
-		}
-	}
-	st, ok := states[dst]
-	if !ok {
-		return Path{}, 0, false
-	}
-	var rev []NodeID
-	for at := dst; ; {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
-		at = states[at].prev
-	}
-	nodes := make([]NodeID, len(rev))
-	for i := range rev {
-		nodes[i] = rev[len(rev)-1-i]
-	}
-	return Path{Nodes: nodes}, st.delay, true
-}

@@ -14,7 +14,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -105,12 +104,6 @@ func (g *Graph) AddLink(l Link) error {
 	return nil
 }
 
-// Node returns a node by ID.
-func (g *Graph) Node(id NodeID) (Node, bool) {
-	n, ok := g.nodes[id]
-	return n, ok
-}
-
 // Nodes returns all nodes, sorted by ID for determinism.
 func (g *Graph) Nodes() []Node {
 	out := make([]Node, 0, len(g.nodes))
@@ -153,16 +146,6 @@ func (g *Graph) Links() []Link {
 		}
 		return out[i].To < out[j].To
 	})
-	return out
-}
-
-// OutLinks returns the out-edges of a node (shared order with insertion).
-func (g *Graph) OutLinks(id NodeID) []Link {
-	ls := g.adj[id]
-	out := make([]Link, len(ls))
-	for i, l := range ls {
-		out[i] = *l
-	}
 	return out
 }
 
@@ -234,16 +217,6 @@ func (p Path) Edges() [][2]NodeID {
 	return out
 }
 
-// Contains reports whether the path traverses the directed edge.
-func (p Path) Contains(from, to NodeID) bool {
-	for i := 0; i+1 < len(p.Nodes); i++ {
-		if p.Nodes[i] == from && p.Nodes[i+1] == to {
-			return true
-		}
-	}
-	return false
-}
-
 // Delay sums the link delays along the path in g. It returns an error if a
 // link is missing.
 func (p Path) Delay(g *Graph) (time.Duration, error) {
@@ -258,36 +231,14 @@ func (p Path) Delay(g *Graph) (time.Duration, error) {
 	return total, nil
 }
 
-// Bottleneck returns the minimum link capacity along the path.
-func (p Path) Bottleneck(g *Graph) (float64, error) {
-	min := math.Inf(1)
-	for _, e := range p.Edges() {
-		l, ok := g.Link(e[0], e[1])
-		if !ok {
-			return 0, fmt.Errorf("topology: path uses missing link %s->%s", e[0], e[1])
-		}
-		if l.CapacityMbps < min {
-			min = l.CapacityMbps
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0, nil
-	}
-	return min, nil
-}
-
-// FeasiblePaths enumerates all cycle-free paths from src to dst whose total
-// delay is at most maxDelay, using the paper's modified DFS. Interior nodes
-// are restricted to data centers (flows are only relayed through coding
-// VNFs). Paths are returned sorted by delay then lexicographically. The
-// direct src→dst link, when present and within the delay bound, is included.
-func (g *Graph) FeasiblePaths(src, dst NodeID, maxDelay time.Duration) []Path {
-	return g.FeasiblePathsMaxHops(src, dst, maxDelay, len(g.nodes))
-}
-
-// FeasiblePathsMaxHops is FeasiblePaths with an additional bound on the
-// number of links per path, which keeps the conceptual-flow LP tractable in
-// dense topologies (the optimizer's default is 3 hops = 2 coding relays).
+// FeasiblePathsMaxHops enumerates all cycle-free paths from src to dst of at
+// most maxHops links whose total delay is at most maxDelay, using the
+// paper's modified DFS. Interior nodes are restricted to data centers (flows
+// are only relayed through coding VNFs). Paths are returned sorted by delay
+// then lexicographically. The direct src→dst link, when present and within
+// the delay bound, is included. The hop bound keeps the conceptual-flow LP
+// tractable in dense topologies (the optimizer's default is 3 hops = 2
+// coding relays).
 func (g *Graph) FeasiblePathsMaxHops(src, dst NodeID, maxDelay time.Duration, maxHops int) []Path {
 	var out []Path
 	visited := map[NodeID]bool{src: true}

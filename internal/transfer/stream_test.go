@@ -35,7 +35,7 @@ func streamEnv(t *testing.T, loss float64, redundancy int) (*dataplane.Source, *
 	t.Cleanup(func() { src.Close() })
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"relay"}}})
 
-	recv, err := dataplane.NewReceiver(n.Host("r1"), 1, params, "", nil)
+	recv, err := dataplane.NewReceiver(n.Host("r1"), 1, params, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestStreamMissingCounted(t *testing.T) {
 	}
 	defer src.Close()
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"void-relay"}}})
-	recv, err := dataplane.NewReceiver(n.Host("r1"), 1, params, "", nil)
+	recv, err := dataplane.NewReceiver(n.Host("r1"), 1, params, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func multicastEnv(t *testing.T, lossy bool) (*dataplane.Source, []*dataplane.Rec
 
 	var recvs []*dataplane.Receiver
 	for _, name := range []string{"r1", "r2"} {
-		r, err := dataplane.NewReceiver(n.Host(name), 1, params, "src", nil)
+		r, err := dataplane.NewReceiver(n.Host(name), 1, params, "src")
 		if err != nil {
 			t.Fatal(err)
 		}
