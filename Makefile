@@ -6,7 +6,7 @@ GO ?= go
 NCLINT := bin/nclint
 NCLINT_SRCS := $(shell find cmd/nclint internal/analysis -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test test-portable test-race test-chaos test-soak test-e2e test-rolling vet lint bench bench-hotpath bench-guard bench-e2e cover check
+.PHONY: build test test-portable test-race test-chaos test-soak test-e2e test-rolling examples vet lint bench bench-hotpath bench-guard bench-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,16 @@ test-rolling:
 	$(GO) test -count=1 -v -run 'TestRollingRestartButterfly' ./internal/e2e/
 	$(GO) test -count=1 -race -v -run 'TestRollingRestartUnderTraffic|TestReloadChurnSoak' ./internal/chaostest/
 	$(GO) test -count=1 -run 'TestDrainExitsProcess|TestSigtermDrainsProcess|TestRestartHandoff' ./internal/procnet/
+
+# examples runs every program under examples/ and stops at the first
+# non-zero exit. quickstart and filetransfer verify the bytes they deliver,
+# so this is an end-to-end check of the public API the examples use.
+EXAMPLES := quickstart filetransfer livestream conference dynamicscaling butterfly
+examples:
+	for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # test-soak runs the full many-session churn soak under the race detector:
 # thousands of concurrent sessions cycling through create / starve / evict /

@@ -47,7 +47,7 @@ func run() error {
 	}
 	fmt.Printf("  routing-only relays:    %6.1f Mbps\n", fwd.GoodputMbps)
 
-	tcp, err := bench.DirectTCPButterfly(0, duration, 7)
+	tcp, err := bench.DirectTCPButterfly(duration)
 	if err != nil {
 		return err
 	}

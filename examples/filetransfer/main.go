@@ -80,16 +80,15 @@ func run(size int) error {
 	defer src.Close()
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"relay"}}})
 
-	recv1, err := dataplane.NewReceiver(recv1Conn, 1, params, "src")
-	if err != nil {
-		return err
-	}
+	recv1 := dataplane.NewMultiReceiver(recv1Conn)
 	defer recv1.Close()
-	recv2, err := dataplane.NewReceiver(recv2Conn, 1, params, "src")
-	if err != nil {
-		return err
-	}
+	recv2 := dataplane.NewMultiReceiver(recv2Conn)
 	defer recv2.Close()
+	for _, r := range []*dataplane.MultiReceiver{recv1, recv2} {
+		if err := r.AddSession(1, params, "src"); err != nil {
+			return err
+		}
+	}
 
 	// Generate and send the file.
 	data := make([]byte, size)
@@ -109,8 +108,8 @@ func run(size int) error {
 	elapsed := time.Since(start)
 
 	// Verify both receivers byte for byte.
-	for i, r := range []*dataplane.Receiver{recv1, recv2} {
-		got, ok := r.Data(stats.Generations)
+	for i, r := range []*dataplane.MultiReceiver{recv1, recv2} {
+		got, ok := r.Data(1, stats.Generations)
 		if !ok {
 			return fmt.Errorf("receiver %d is missing generations", i+1)
 		}

@@ -84,12 +84,12 @@ func streamOnce(redundancy int) (map[string]transfer.StreamStats, error) {
 
 	watchers := make(map[string]*transfer.StreamReceiver, 2)
 	for _, viewer := range []string{"viewer-1", "viewer-2"} {
-		recv, err := dataplane.NewReceiver(n.Host(viewer), 1, params, "")
-		if err != nil {
+		recv := dataplane.NewMultiReceiver(n.Host(viewer))
+		defer recv.Close()
+		if err := recv.AddSession(1, params, ""); err != nil {
 			return nil, err
 		}
-		defer recv.Close()
-		w := transfer.WatchReceiver(recv, nil)
+		w := transfer.WatchReceiver(recv, 1, nil)
 		defer w.Close()
 		watchers[viewer] = w
 	}

@@ -88,11 +88,11 @@ func run() error {
 	}
 
 	// 5. Verify the receiver got every byte.
-	recv, err := svc.Receiver(1, "viewer")
+	recv, err := svc.Receiver("viewer")
 	if err != nil {
 		return err
 	}
-	got, ok := recv.Data(stats.Generations)
+	got, ok := recv.Data(1, stats.Generations)
 	if !ok || !bytes.Equal(got[:len(message)], message) {
 		return fmt.Errorf("delivery mismatch")
 	}

@@ -99,8 +99,7 @@ var testOnlyAllow = map[string]string{
 	// Seams: tests in other packages read them to check behaviour that
 	// stays, so an in-package export_test.go cannot hold them.
 	"ncfn/internal/dataplane.VNF.SweepSessions":     "chaostest's churn soak expires TTLs on demand",
-	"ncfn/internal/dataplane.VNF.SessionStoreStats": "chaostest, core and buffer's differential test read the store's size",
-	"ncfn/internal/dataplane.MultiReceiver.VNF":     "core's store test reads a receiving endpoint's SessionStoreStats through it",
+	"ncfn/internal/dataplane.VNF.SessionStoreStats": "chaostest and buffer's differential test read the store's size",
 	"ncfn/internal/emunet.HasBatchIO":               "e2e gates its batched-wire telemetry check on it",
 	"ncfn/internal/emunet.Network.LinkStats":        "transfer's TCP test reads a link's drop count",
 }

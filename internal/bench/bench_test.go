@@ -205,7 +205,7 @@ func TestDirectTCPDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds-long; skipped with -short")
 	}
-	mbps, err := DirectTCPButterfly(0, 0, 1)
+	mbps, err := DirectTCPButterfly(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,21 +30,12 @@ import (
 // the paper's Mbps axis.
 const DefaultScale = 0.2
 
-// CodingBytesPerSec calibrates the VNF coding-CPU model to the paper's VM
-// class: a c3.xlarge core sustains roughly 250 MB/s of GF(2^8)
-// combination work, which supports the 4-block default at line speed but
-// throttles large generations (Fig. 4's plunge). The harness scales it
-// with the link-rate scale so the CPU/bandwidth ratio matches the paper.
-const CodingBytesPerSec = 250e6
-
 // ButterflyOpts configures one packet-level butterfly run.
 type ButterflyOpts struct {
 	// Params defaults to 4 blocks x 1460 bytes.
 	Params rlnc.Params
 	// Redundancy is the NCr configuration (0, 1, 2).
 	Redundancy int
-	// Scale multiplies the butterfly's link capacities (default 0.2).
-	Scale float64
 	// Duration is the streaming time (default 1200 ms).
 	Duration time.Duration
 	// ForceForwarding selects the routing-only baseline.
@@ -112,23 +103,19 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 	if o.Params.GenerationBlocks == 0 {
 		o.Params = rlnc.DefaultParams()
 	}
-	if o.Scale <= 0 {
-		o.Scale = DefaultScale
-	}
 	if o.Duration <= 0 {
 		o.Duration = 1200 * time.Millisecond
 	}
-	g, src, dsts := scaledButterfly(o.Scale)
+	g, src, dsts := scaledButterfly(DefaultScale)
 	svc, err := core.NewService(core.Config{
-		Graph:                 g,
-		DataCenters:           butterflyDCs(o.Scale),
-		Alpha:                 0.1,
-		Params:                o.Params,
-		Redundancy:            o.Redundancy,
-		BufferGenerations:     o.BufferGenerations,
-		ForceForwarding:       o.ForceForwarding,
-		CodingCostBytesPerSec: CodingBytesPerSec * o.Scale,
-		Seed:                  o.Seed,
+		Graph:             g,
+		DataCenters:       butterflyDCs(DefaultScale),
+		Alpha:             0.1,
+		Params:            o.Params,
+		Redundancy:        o.Redundancy,
+		BufferGenerations: o.BufferGenerations,
+		ForceForwarding:   o.ForceForwarding,
+		Seed:              o.Seed,
 	})
 	if err != nil {
 		return ButterflyResult{}, err
@@ -152,7 +139,7 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 	net := svc.Network()
 	if o.LossTV2 != nil {
 		net.SetLink("T", "V2", emunet.LinkConfig{
-			RateBps:      35 * o.Scale * 1e6,
+			RateBps:      35 * DefaultScale * 1e6,
 			Delay:        12 * time.Millisecond,
 			Loss:         o.LossTV2,
 			QueuePackets: 512,
@@ -160,7 +147,7 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 	}
 	if o.ExtraSkew > 0 {
 		net.SetLink("V1", "C1", emunet.LinkConfig{
-			RateBps:      35 * o.Scale * 1e6,
+			RateBps:      35 * DefaultScale * 1e6,
 			Delay:        18*time.Millisecond + o.ExtraSkew,
 			QueuePackets: 512,
 		})
@@ -215,7 +202,7 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 	snap := svc.Telemetry().Snapshot()
 	res := ButterflyResult{
 		PerReceiver:    make(map[string]float64, len(dsts)),
-		PlanRateMbps:   planRate / o.Scale,
+		PlanRateMbps:   planRate / DefaultScale,
 		RelayTxPackets: snap.Counters[dataplane.MetricTxPackets],
 		RelayDropped:   snap.Counters[dataplane.MetricDroppedPackets],
 		NetDropped:     snap.Counters[emunet.MetricNetDroppedPackets],
@@ -226,11 +213,11 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 	}
 	minGoodput := -1.0
 	for _, d := range dsts {
-		recv, err := svc.Receiver(sessionID, d)
+		recv, err := svc.Receiver(d)
 		if err != nil {
 			return ButterflyResult{}, err
 		}
-		mbps := float64(recv.Bytes()) * 8 / elapsed / 1e6 / o.Scale
+		mbps := float64(recv.Bytes(sessionID)) * 8 / elapsed / 1e6 / DefaultScale
 		res.PerReceiver[string(d)] = mbps
 		if minGoodput < 0 || mbps < minGoodput {
 			minGoodput = mbps
@@ -246,22 +233,19 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 // DirectTCPButterfly measures the Fig. 7 "Direct TCP" baseline: a reliable
 // transfer over the direct V1→O2 and V1→C2 Internet paths, returning the
 // slower receiver's goodput (rescaled).
-func DirectTCPButterfly(scale float64, duration time.Duration, seed int64) (float64, error) {
-	if scale <= 0 {
-		scale = DefaultScale
-	}
+func DirectTCPButterfly(duration time.Duration) (float64, error) {
 	if duration <= 0 {
 		duration = 1200 * time.Millisecond
 	}
 	n := emunet.NewNetwork()
 	defer n.Close()
 	// Direct paths: 20 Mbps, one-way delays ~45/38 ms (Table II RTTs).
-	n.SetLink("V1", "O2", emunet.LinkConfig{RateBps: 20 * scale * 1e6, Delay: 45 * time.Millisecond, QueuePackets: 256})
-	n.SetLink("V1", "C2", emunet.LinkConfig{RateBps: 20 * scale * 1e6, Delay: 38 * time.Millisecond, QueuePackets: 256})
+	n.SetLink("V1", "O2", emunet.LinkConfig{RateBps: 20 * DefaultScale * 1e6, Delay: 45 * time.Millisecond, QueuePackets: 256})
+	n.SetLink("V1", "C2", emunet.LinkConfig{RateBps: 20 * DefaultScale * 1e6, Delay: 38 * time.Millisecond, QueuePackets: 256})
 	n.SetLink("O2", "V1", emunet.LinkConfig{Delay: 45 * time.Millisecond})
 	n.SetLink("C2", "V1", emunet.LinkConfig{Delay: 38 * time.Millisecond})
 
-	bytesTotal := int(20 * scale * 1e6 / 8 * duration.Seconds())
+	bytesTotal := int(20 * DefaultScale * 1e6 / 8 * duration.Seconds())
 	data := make([]byte, bytesTotal)
 	for i := range data {
 		data[i] = byte(i * 17)
@@ -281,7 +265,7 @@ func DirectTCPButterfly(scale float64, duration time.Duration, seed int64) (floa
 		if err != nil {
 			return 0, fmt.Errorf("bench: direct tcp to %s: %w", dst, err)
 		}
-		mbps := stats.GoodputMbps / scale
+		mbps := stats.GoodputMbps / DefaultScale
 		if worst < 0 || mbps < worst {
 			worst = mbps
 		}

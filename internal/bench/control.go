@@ -31,13 +31,12 @@ import (
 func relayedRTT(o Options, coding bool, trials int) (mins, maxs, avgs map[string]float64, err error) {
 	g, src, dsts := scaledButterfly(1) // full-rate links: delay dominates
 	svc, err := core.NewService(core.Config{
-		Graph:                 g,
-		DataCenters:           butterflyDCs(1),
-		Alpha:                 0.1,
-		Params:                rlnc.DefaultParams(),
-		ForceForwarding:       !coding,
-		CodingCostBytesPerSec: CodingBytesPerSec,
-		Seed:                  o.Seed,
+		Graph:           g,
+		DataCenters:     butterflyDCs(1),
+		Alpha:           0.1,
+		Params:          rlnc.DefaultParams(),
+		ForceForwarding: !coding,
+		Seed:            o.Seed,
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -426,11 +425,11 @@ func timeToDecode(params rlnc.Params, spacing time.Duration, pipelined bool, see
 	n.SetLink("src", "relay", emunet.LinkConfig{})
 	n.SetLink("relay", "dst", emunet.LinkConfig{RateBps: 2e6, QueuePackets: 64})
 
-	dst, err := dataplane.NewReceiver(n.Host("dst"), 1, params, "")
-	if err != nil {
+	dst := dataplane.NewMultiReceiver(n.Host("dst"))
+	defer dst.Close()
+	if err := dst.AddSession(1, params, ""); err != nil {
 		return 0, err
 	}
-	defer dst.Close()
 
 	if pipelined {
 		relay := dataplane.NewVNF(n.Host("relay"), dataplane.WithSeed(seed))
@@ -495,7 +494,7 @@ func timeToDecode(params rlnc.Params, spacing time.Duration, pipelined bool, see
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for dst.Generations() == 0 {
+	for dst.Generations(1) == 0 {
 		if time.Now().After(deadline) {
 			return 0, fmt.Errorf("bench: generation never decoded (pipelined=%v)", pipelined)
 		}

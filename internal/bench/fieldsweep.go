@@ -17,8 +17,7 @@ import (
 // block — quantifying Sec. III-B's field-size trade live on the data plane:
 // GF(2) draws singular combinations with probability ~2^-rank, so it pays a
 // visible dependent-packet tax that GF(2^8) (~2^-8rank) does not. Goodput is
-// modelled: the VNFs' coding time is the WithCodingCost charge on the
-// codec's metered work, not wall clock.
+// measured: wall clock on the shipped data plane, with no CPU model.
 func Fieldsweep(w io.Writer, o Options) error {
 	blocks := []int{1, 2, 4, 8, 16, 32, 64}
 	if o.Quick {
@@ -71,9 +70,9 @@ func Fieldsweep(w io.Writer, o Options) error {
 	if err := s.WriteTable(w); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "# expectation: gf2 goodput at or below gf256 — same codec, same metered work per packet, plus")
+	fmt.Fprintln(w, "# expectation: gf2 goodput at or below gf256 — same codec, same work per packet, plus")
 	fmt.Fprintln(w, "# the resend rounds its dependent packets cost. gf256_dep_pct is the NC1 redundancy surplus")
 	fmt.Fprintln(w, "# (~1/k once rank is full); GF(2)'s excess over it is the field tax, largest at small k and")
-	fmt.Fprintln(w, "# amortized as generations grow (Sec. III-B). Goodput is modelled (WithCodingCost)")
+	fmt.Fprintln(w, "# amortized as generations grow (Sec. III-B). Goodput is measured: wall clock, no CPU model.")
 	return nil
 }

@@ -92,7 +92,7 @@ type Cluster struct {
 	instances map[string]string             // logical node -> cloud instance ID
 
 	src   *dataplane.Source
-	sinks map[string]*dataplane.Receiver
+	sinks map[string]*dataplane.MultiReceiver
 	gens  [][]byte // payload of each generation sent (for resends)
 }
 
@@ -123,7 +123,7 @@ func NewButterfly(seed int64) (*Cluster, error) {
 		addr:      make(map[string]string),
 		daemons:   make(map[string]*controller.Daemon),
 		instances: make(map[string]string),
-		sinks:     make(map[string]*dataplane.Receiver),
+		sinks:     make(map[string]*dataplane.MultiReceiver),
 	}
 
 	// Launch one VM per relay and wait out the launch latency in virtual
@@ -165,8 +165,9 @@ func NewButterfly(seed int64) (*Cluster, error) {
 	c.src = src
 	src.SetHops(c.sourceGroups())
 	for _, s := range sinkNodes {
-		r, err := dataplane.NewReceiver(c.Net.Host(s), Session, c.params, "V1", dataplane.WithSeed(seed))
-		if err != nil {
+		r := dataplane.NewMultiReceiver(c.Net.Host(s), dataplane.WithSeed(seed))
+		if err := r.AddSession(Session, c.params, "V1"); err != nil {
+			r.Close()
 			return nil, err
 		}
 		c.sinks[s] = r
@@ -483,12 +484,12 @@ func (c *Cluster) Sent() int {
 
 // SinkGenerations returns a sink's decoded-generation count.
 func (c *Cluster) SinkGenerations(sink string) int {
-	return c.sinks[sink].Generations()
+	return c.sinks[sink].Generations(Session)
 }
 
 // SinkData reassembles a sink's decoded stream over all sent generations.
 func (c *Cluster) SinkData(sink string) ([]byte, bool) {
-	return c.sinks[sink].Data(c.Sent())
+	return c.sinks[sink].Data(Session, c.Sent())
 }
 
 // WaitAllDecoded blocks until every sink has decoded every sent generation,
@@ -518,7 +519,7 @@ func (c *Cluster) WaitAllDecoded(timeout time.Duration) error {
 func (c *Cluster) allDecoded() bool {
 	total := c.Sent()
 	for _, s := range sinkNodes {
-		if c.sinks[s].Generations() < total {
+		if c.sinks[s].Generations(Session) < total {
 			return false
 		}
 	}
@@ -529,7 +530,7 @@ func (c *Cluster) describeProgress() string {
 	total := c.Sent()
 	var b bytes.Buffer
 	for _, s := range sinkNodes {
-		fmt.Fprintf(&b, "%s=%d/%d ", s, c.sinks[s].Generations(), total)
+		fmt.Fprintf(&b, "%s=%d/%d ", s, c.sinks[s].Generations(Session), total)
 	}
 	return b.String()
 }
@@ -540,7 +541,7 @@ func (c *Cluster) resendMissing() {
 	total := c.Sent()
 	missing := make(map[int]bool)
 	for _, s := range sinkNodes {
-		for _, g := range c.sinks[s].MissingBelow(total) {
+		for _, g := range c.sinks[s].MissingBelow(Session, total) {
 			missing[int(g)] = true
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"ncfn/internal/controller"
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
-	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/optimize"
 	"ncfn/internal/rlnc"
@@ -34,6 +33,10 @@ var (
 	ErrAlreadyClosed = errors.New("core: service closed")
 )
 
+// maxPathHops bounds feasible paths: up to 3 relays, which covers the
+// butterfly's long branch.
+const maxPathHops = 4
+
 // Config describes a Service deployment.
 type Config struct {
 	// Graph is the overlay: sources, data centers, receivers, and links
@@ -46,17 +49,8 @@ type Config struct {
 	Alpha float64
 	// Params are the coding parameters (defaults to the paper's 4x1460).
 	Params rlnc.Params
-	// SessionFields overrides the coefficient field per session: a session
-	// listed here codes over the given field; absent sessions use
-	// Params.Field. One deployment can thereby carry GF(2) and GF(2^8)
-	// sessions side by side on the same VNFs (the field is per-session
-	// codec state, not a VNF property).
-	SessionFields map[ncproto.SessionID]gf.Field
 	// Redundancy is extra coded packets per generation (NC0/NC1/NC2).
 	Redundancy int
-	// MaxPathHops bounds feasible paths (default 4: up to 3 relays, which
-	// covers the butterfly's long branch).
-	MaxPathHops int
 	// BufferGenerations overrides each VNF's generation buffer capacity
 	// (Fig. 5's sweep parameter); zero selects the 1024 default.
 	BufferGenerations int
@@ -64,23 +58,6 @@ type Config struct {
 	// routing-only ("Non-NC") baseline of Fig. 7, which moves packets
 	// through the same relays but never mixes them.
 	ForceForwarding bool
-	// CodingCostBytesPerSec models VNF coding CPU throughput (see
-	// dataplane.WithCodingCost); zero disables the model.
-	CodingCostBytesPerSec float64
-	// SessionStore bounds each VNF's per-session coding state
-	// (dataplane.WithSessionStore): LRU/TTL/byte-cap eviction with memory
-	// accounting, for deployments carrying many concurrent sessions. The
-	// zero value keeps the unbounded historical behavior.
-	SessionStore dataplane.SessionStoreConfig
-	// Network optionally supplies an existing emulated network whose host
-	// names match the graph's node IDs. When nil, Deploy builds one from
-	// the graph (links inherit capacity and delay).
-	Network *emunet.Network
-	// Telemetry optionally shares a registry across the deployment: every
-	// VNF, receiver endpoint, and (when owned) the network mirror their
-	// counters into it. Nil creates a private registry, readable via
-	// Service.Telemetry.
-	Telemetry *telemetry.Registry
 	// Seed fixes coding randomness.
 	Seed int64
 }
@@ -95,11 +72,9 @@ type Service struct {
 	sessions  []optimize.Session
 	plan      *optimize.Plan
 	net       *emunet.Network
-	ownsNet   bool
 	vnfs      map[topology.NodeID]*dataplane.VNF
 	sources   map[ncproto.SessionID]*dataplane.Source
 	endpoints map[topology.NodeID]*dataplane.MultiReceiver
-	receivers map[ncproto.SessionID]map[topology.NodeID]*dataplane.Receiver
 	closed    bool
 }
 
@@ -114,27 +89,12 @@ func NewService(cfg Config) (*Service, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	for id, f := range cfg.SessionFields {
-		p := cfg.Params
-		p.Field = f
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("core: session %d field override: %w", id, err)
-		}
-	}
-	if cfg.MaxPathHops <= 0 {
-		cfg.MaxPathHops = 4
-	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	return &Service{
 		cfg:       cfg,
-		reg:       reg,
+		reg:       telemetry.NewRegistry(),
 		vnfs:      make(map[topology.NodeID]*dataplane.VNF),
 		sources:   make(map[ncproto.SessionID]*dataplane.Source),
 		endpoints: make(map[topology.NodeID]*dataplane.MultiReceiver),
-		receivers: make(map[ncproto.SessionID]map[topology.NodeID]*dataplane.Receiver),
 	}, nil
 }
 
@@ -152,16 +112,6 @@ func (s *Service) AddSession(sess optimize.Session) error {
 	}
 	s.sessions = append(s.sessions, sess)
 	return nil
-}
-
-// paramsFor returns the coding parameters for one session, applying any
-// per-session field override from Config.SessionFields.
-func (s *Service) paramsFor(id ncproto.SessionID) rlnc.Params {
-	p := s.cfg.Params
-	if f, ok := s.cfg.SessionFields[id]; ok {
-		p.Field = f
-	}
-	return p
 }
 
 // Plan returns the solved deployment plan (after Deploy).
@@ -191,7 +141,7 @@ func (s *Service) Deploy() error {
 		Graph:       s.cfg.Graph,
 		DataCenters: s.cfg.DataCenters,
 		Alpha:       s.cfg.Alpha,
-		MaxPathHops: s.cfg.MaxPathHops,
+		MaxPathHops: maxPathHops,
 	}
 	plan, err := optimize.Solve(ocfg, s.sessions)
 	if err != nil {
@@ -207,12 +157,7 @@ func (s *Service) Deploy() error {
 		return fmt.Errorf("core: build node plans: %w", err)
 	}
 
-	if s.cfg.Network != nil {
-		s.net = s.cfg.Network
-	} else {
-		s.net = buildNetwork(s.cfg.Graph, s.reg)
-		s.ownsNet = true
-	}
+	s.net = buildNetwork(s.cfg.Graph, s.reg)
 
 	// Reverse paths for generation ACKs: receiver → source.
 	for _, sess := range s.sessions {
@@ -237,18 +182,11 @@ func (s *Service) Deploy() error {
 		if s.cfg.BufferGenerations > 0 {
 			opts = append(opts, dataplane.WithBufferCapacity(s.cfg.BufferGenerations))
 		}
-		if s.cfg.CodingCostBytesPerSec > 0 {
-			opts = append(opts, dataplane.WithCodingCost(s.cfg.CodingCostBytesPerSec))
-		}
-		if s.cfg.SessionStore != (dataplane.SessionStoreConfig{}) {
-			opts = append(opts, dataplane.WithSessionStore(s.cfg.SessionStore))
-		}
 		vnf := dataplane.NewVNF(s.net.Host(string(node)), opts...)
 		for _, sc := range np.Sessions {
 			if s.cfg.ForceForwarding && sc.Role == dataplane.RoleRecoder {
 				sc.Role = dataplane.RoleForwarder
 			}
-			sc.Params = s.paramsFor(sc.ID)
 			if err := vnf.Configure(sc); err != nil {
 				vnf.Close()
 				return fmt.Errorf("core: configure VNF at %s: %w", node, err)
@@ -266,7 +204,7 @@ func (s *Service) Deploy() error {
 		rate := plan.Rates[sess.ID]
 		src, err := dataplane.NewSource(s.net.Host(string(sess.Source)), dataplane.SourceConfig{
 			Session:    sess.ID,
-			Params:     s.paramsFor(sess.ID),
+			Params:     s.cfg.Params,
 			RateMbps:   rate,
 			Redundancy: s.cfg.Redundancy,
 			Systematic: true,
@@ -280,25 +218,15 @@ func (s *Service) Deploy() error {
 
 		// One receiving endpoint per node, shared by every session that
 		// terminates there (a node may subscribe to several sessions).
-		s.receivers[sess.ID] = make(map[topology.NodeID]*dataplane.Receiver, len(sess.Receivers))
 		for _, r := range sess.Receivers {
 			ep, ok := s.endpoints[r]
 			if !ok {
-				ropts := []dataplane.VNFOption{dataplane.WithTelemetry(s.reg)}
-				if s.cfg.CodingCostBytesPerSec > 0 {
-					ropts = append(ropts, dataplane.WithCodingCost(s.cfg.CodingCostBytesPerSec))
-				}
-				ep = dataplane.NewMultiReceiver(s.net.Host(string(r)), ropts...)
+				ep = dataplane.NewMultiReceiver(s.net.Host(string(r)), dataplane.WithTelemetry(s.reg))
 				s.endpoints[r] = ep
 			}
-			if err := ep.AddSession(sess.ID, s.paramsFor(sess.ID), string(sess.Source)); err != nil {
+			if err := ep.AddSession(sess.ID, s.cfg.Params, string(sess.Source)); err != nil {
 				return fmt.Errorf("core: receiver %s for session %d: %w", r, sess.ID, err)
 			}
-			view, err := ep.View(sess.ID)
-			if err != nil {
-				return fmt.Errorf("core: receiver %s for session %d: %w", r, sess.ID, err)
-			}
-			s.receivers[sess.ID][r] = view
 		}
 	}
 	s.plan = plan
@@ -322,7 +250,7 @@ func buildNetwork(g *topology.Graph, reg *telemetry.Registry) *emunet.Network {
 }
 
 // Telemetry returns the deployment-wide registry: every VNF, receiver
-// endpoint, and owned network reports into it, so one Snapshot covers the
+// endpoint, and the network report into it, so one Snapshot covers the
 // whole data plane.
 func (s *Service) Telemetry() *telemetry.Registry {
 	return s.reg
@@ -347,15 +275,17 @@ func (s *Service) Source(id ncproto.SessionID) (*dataplane.Source, error) {
 	return src, nil
 }
 
-// Receiver returns the receiver handle of a session at a node.
-func (s *Service) Receiver(id ncproto.SessionID, node topology.NodeID) (*dataplane.Receiver, error) {
+// Receiver returns the receiving endpoint at a node; read a session's
+// bytes from it by session ID. Every session that terminates at the node
+// shares the one endpoint.
+func (s *Service) Receiver(node topology.NodeID) (*dataplane.MultiReceiver, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recv, ok := s.receivers[id][node]
+	ep, ok := s.endpoints[node]
 	if !ok {
-		return nil, fmt.Errorf("%w: session %d receiver %s", ErrNotDeployed, id, node)
+		return nil, fmt.Errorf("%w: receiver %s", ErrNotDeployed, node)
 	}
-	return recv, nil
+	return ep, nil
 }
 
 // Send reliably multicasts data on a session, blocking until every
@@ -386,8 +316,8 @@ func (s *Service) Send(id ncproto.SessionID, data []byte, timeout time.Duration)
 	return transfer.Multicast(src, data, cfg)
 }
 
-// Close tears the deployment down: sources, receivers, VNFs, and (when
-// owned) the network.
+// Close tears the deployment down: sources, receivers, VNFs, and the
+// network.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -404,7 +334,7 @@ func (s *Service) Close() error {
 	for _, v := range s.vnfs {
 		v.Close()
 	}
-	if s.ownsNet && s.net != nil {
+	if s.net != nil {
 		return s.net.Close()
 	}
 	return nil

@@ -8,11 +8,9 @@ import (
 
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
-	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/optimize"
 	"ncfn/internal/rlnc"
-	"ncfn/internal/telemetry"
 	"ncfn/internal/topology"
 )
 
@@ -76,7 +74,7 @@ func TestServiceLifecycleErrors(t *testing.T) {
 	if _, err := svc.Source(1); err == nil {
 		t.Fatal("source before deploy")
 	}
-	if _, err := svc.Receiver(1, "O2"); err == nil {
+	if _, err := svc.Receiver("O2"); err == nil {
 		t.Fatal("receiver before deploy")
 	}
 	if _, err := svc.Send(1, []byte{1}, 0); err == nil {
@@ -120,11 +118,11 @@ func TestServiceButterflyDelivery(t *testing.T) {
 		t.Fatal("nothing sent")
 	}
 	for _, dst := range []topology.NodeID{"O2", "C2"} {
-		recv, err := svc.Receiver(1, dst)
+		recv, err := svc.Receiver(dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := recv.Data(stats.Generations)
+		got, ok := recv.Data(1, stats.Generations)
 		if !ok {
 			t.Fatalf("%s missing generations", dst)
 		}
@@ -132,93 +130,8 @@ func TestServiceButterflyDelivery(t *testing.T) {
 			t.Fatalf("%s data mismatch", dst)
 		}
 	}
-	if len(svc.receivers[1]) != 2 {
+	if len(svc.endpoints) != 2 {
 		t.Fatal("receivers wrong")
-	}
-}
-
-// TestServiceSessionStoreKnob pins the Config plumbing for the bounded
-// session store: a deployment with SessionStore set still delivers
-// correctly, its VNFs track generation state in their stores, and the
-// shared registry exposes the accounting gauges.
-func TestServiceSessionStoreKnob(t *testing.T) {
-	g, src, dsts := topology.Butterfly()
-	reg := telemetry.NewRegistry()
-	svc, err := NewService(Config{
-		Graph: g,
-		DataCenters: []optimize.DataCenter{
-			{ID: "O1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "C1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "T", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "V2", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-		},
-		Alpha:      0.1,
-		Params:     rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
-		Redundancy: 1,
-		Telemetry:  reg,
-		SessionStore: dataplane.SessionStoreConfig{
-			MaxGenerations: 256,
-			TTLNanos:       (time.Minute).Nanoseconds(),
-		},
-		Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if err := svc.AddSession(optimize.Session{
-		ID: 1, Source: src, Receivers: dsts, MaxDelay: 150 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 20*1024)
-	rand.New(rand.NewSource(3)).Read(data)
-	stats, err := svc.Send(1, data, 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv, err := svc.Receiver(1, "O2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := recv.Data(stats.Generations)
-	if !ok || !bytes.Equal(got[:len(data)], data) {
-		t.Fatal("delivery broken with session store enabled")
-	}
-
-	// Trailing redundancy packets may still be draining through relay
-	// shards; wait until the store accounting is quiescent before comparing
-	// it against the shared gauge.
-	var tracked int
-	var bytesHeld int64
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		tracked, bytesHeld = 0, 0
-		for _, vnf := range svc.vnfs {
-			n, b := vnf.SessionStoreStats()
-			tracked += n
-			bytesHeld += b
-		}
-		// The receiving endpoints share the registry and account their
-		// decoder state on the same gauge (the index is unconditional).
-		for _, ep := range svc.endpoints {
-			n, b := ep.VNF().SessionStoreStats()
-			tracked += n
-			bytesHeld += b
-		}
-		if reg.Gauge(dataplane.MetricSessionBytes, 1).Value() == bytesHeld || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if tracked == 0 && bytesHeld == 0 {
-		t.Fatal("no VNF tracked any session state — store option not plumbed through")
-	}
-	if got := reg.Gauge(dataplane.MetricSessionBytes, 1).Value(); got != bytesHeld {
-		t.Fatalf("shared registry gauge = %d, VNF stores account %d", got, bytesHeld)
 	}
 }
 
@@ -250,7 +163,7 @@ func TestServiceUnknownReceiver(t *testing.T) {
 	if err := svc.Deploy(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Receiver(1, "nope"); err == nil {
+	if _, err := svc.Receiver("nope"); err == nil {
 		t.Fatal("unknown receiver returned")
 	}
 }
@@ -311,109 +224,21 @@ func TestSharedReceiverNodeAcrossSessions(t *testing.T) {
 		if stats.Rounds > 1 {
 			t.Fatalf("session %d needed %d resend rounds on a perfect network (packet stealing?)", id, stats.Rounds)
 		}
-		recv, err := svc.Receiver(id, "sink")
+		recv, err := svc.Receiver("sink")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := recv.Data(stats.Generations)
+		got, ok := recv.Data(id, stats.Generations)
 		if !ok || !bytes.Equal(got[:len(data)], data) {
 			t.Fatalf("session %d data mismatch at shared receiver", id)
 		}
 	}
 }
 
-// TestServiceMixedFieldSessions deploys one GF(2) and one GF(2^8) session
-// side by side: the same service (and the shared dc VNF) must run both
-// codecs concurrently and deliver both payloads intact. The field is
-// per-session codec state threaded through Config.SessionFields.
-func TestServiceMixedFieldSessions(t *testing.T) {
-	g := topology.New()
-	g.AddNode("s1", topology.Source)
-	g.AddNode("s2", topology.Source)
-	g.AddNode("dc", topology.DataCenter)
-	g.AddNode("sink", topology.Destination)
-	for _, l := range []topology.Link{
-		{From: "s1", To: "dc", CapacityMbps: 100, Delay: time.Millisecond},
-		{From: "s2", To: "dc", CapacityMbps: 100, Delay: time.Millisecond},
-		{From: "dc", To: "sink", CapacityMbps: 100, Delay: time.Millisecond},
-	} {
-		if err := g.AddLink(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	svc, err := NewService(Config{
-		Graph: g,
-		DataCenters: []optimize.DataCenter{
-			{ID: "dc", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-		},
-		Alpha:         1,
-		Params:        rlnc.Params{GenerationBlocks: 4, BlockSize: 128, Field: gf.GF256},
-		SessionFields: map[ncproto.SessionID]gf.Field{1: gf.GF2},
-		Seed:          7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if got := svc.paramsFor(1).Field; got != gf.GF2 {
-		t.Fatalf("session 1 field = %v, want GF2", got)
-	}
-	if got := svc.paramsFor(2).Field; got != gf.GF256 {
-		t.Fatalf("session 2 field = %v, want GF256", got)
-	}
-	for i, src := range []topology.NodeID{"s1", "s2"} {
-		if err := svc.AddSession(optimize.Session{
-			ID:        ncproto.SessionID(i + 1),
-			Source:    src,
-			Receivers: []topology.NodeID{"sink"},
-			MaxDelay:  100 * time.Millisecond,
-			RateCap:   30,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 2; i++ {
-		id := ncproto.SessionID(i)
-		data := make([]byte, 8*1024)
-		rand.New(rand.NewSource(int64(10 + i))).Read(data)
-		stats, err := svc.Send(id, data, 200*time.Millisecond)
-		if err != nil {
-			t.Fatalf("session %d: %v", id, err)
-		}
-		recv, err := svc.Receiver(id, "sink")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := recv.Data(stats.Generations)
-		if !ok || !bytes.Equal(got[:len(data)], data) {
-			t.Fatalf("session %d (field %v) data mismatch", id, svc.paramsFor(id).Field)
-		}
-	}
-}
-
-// TestServiceSessionFieldValidation rejects unsupported field overrides up
-// front, before Deploy can bake them into VNF configs.
-func TestServiceSessionFieldValidation(t *testing.T) {
-	g, _, _ := topology.Butterfly()
-	_, err := NewService(Config{
-		Graph:         g,
-		Params:        rlnc.Params{GenerationBlocks: 4, BlockSize: 64},
-		SessionFields: map[ncproto.SessionID]gf.Field{1: gf.Field(7)},
-	})
-	if err == nil {
-		t.Fatal("unsupported session field accepted")
-	}
-}
-
 // TestServiceTelemetrySharedRegistry pins the deployment-wide registry: one
 // snapshot after a transfer must carry both dataplane counters (from every
-// VNF and endpoint) and emunet counters (from the owned network), and a
-// caller-supplied registry must be the one the service reports into.
+// VNF and endpoint) and emunet counters (from the network).
 func TestServiceTelemetrySharedRegistry(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	g, src, dsts := topology.Butterfly()
 	svc, err := NewService(Config{
 		Graph: g,
@@ -423,18 +248,14 @@ func TestServiceTelemetrySharedRegistry(t *testing.T) {
 			{ID: "T", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
 			{ID: "V2", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
 		},
-		Alpha:     0.1,
-		Params:    rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
-		Telemetry: reg,
-		Seed:      1,
+		Alpha:  0.1,
+		Params: rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
+		Seed:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if svc.Telemetry() != reg {
-		t.Fatal("Telemetry() must return the supplied registry")
-	}
 	if err := svc.AddSession(optimize.Session{ID: 1, Source: src, Receivers: dsts, MaxDelay: 150 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +266,7 @@ func TestServiceTelemetrySharedRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := reg.Snapshot()
+	snap := svc.Telemetry().Snapshot()
 	if snap.Counters[dataplane.MetricRxPackets] == 0 || snap.Counters[dataplane.MetricTxPackets] == 0 {
 		t.Fatalf("dataplane counters empty: %v", snap.Counters)
 	}
@@ -453,6 +274,6 @@ func TestServiceTelemetrySharedRegistry(t *testing.T) {
 		t.Fatal("no generations counted at the receivers")
 	}
 	if snap.Counters[emunet.MetricNetTxPackets] == 0 {
-		t.Fatal("owned network not instrumented")
+		t.Fatal("network not instrumented")
 	}
 }

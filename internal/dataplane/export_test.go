@@ -1,6 +1,10 @@
 package dataplane
 
-import "ncfn/internal/ncproto"
+import (
+	"ncfn/internal/emunet"
+	"ncfn/internal/ncproto"
+	"ncfn/internal/rlnc"
+)
 
 // WithWorkers sets the number of pipeline shards (worker goroutines)
 // packets are dispatched across by session ID. The default is GOMAXPROCS;
@@ -40,4 +44,14 @@ func (v *VNF) Stats() Stats {
 		RecodedEmissions: v.tel.recoded.Value(),
 		Forwarded:        v.tel.forwarded.Value(),
 	}
+}
+
+// newSink builds a receiving endpoint on conn carrying one session.
+func newSink(conn emunet.PacketConn, id ncproto.SessionID, params rlnc.Params, srcAddr string, opts ...VNFOption) (*MultiReceiver, error) {
+	m := NewMultiReceiver(conn, opts...)
+	if err := m.AddSession(id, params, srcAddr); err != nil {
+		m.Close()
+		return nil, err
+	}
+	return m, nil
 }

@@ -71,17 +71,17 @@ func TestPipelineMultiSessionButterflyRace(t *testing.T) {
 
 	type rx struct {
 		s    ncproto.SessionID
-		o, c *Receiver
+		o, c *MultiReceiver
 	}
 	var receivers []rx
 	for _, s := range sessions {
 		suffix := fmt.Sprintf("-s%d", s)
-		o, err := NewReceiver(n.Host("O2"+suffix), s, params, "")
+		o, err := newSink(n.Host("O2"+suffix), s, params, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { o.Close() })
-		c, err := NewReceiver(n.Host("C2"+suffix), s, params, "")
+		c, err := newSink(n.Host("C2"+suffix), s, params, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestPipelineMultiSessionButterflyRace(t *testing.T) {
 			if r.s == endedSession {
 				continue
 			}
-			if r.o.Generations() < ngen-2 || r.c.Generations() < ngen-2 {
+			if r.o.Generations(r.s) < ngen-2 || r.c.Generations(r.s) < ngen-2 {
 				return false
 			}
 		}
@@ -169,7 +169,7 @@ func TestPipelineMultiSessionButterflyRace(t *testing.T) {
 	wg.Wait()
 	if !ok {
 		for _, r := range receivers {
-			t.Logf("session %d: O2=%d C2=%d of %d", r.s, r.o.Generations(), r.c.Generations(), ngen)
+			t.Logf("session %d: O2=%d C2=%d of %d", r.s, r.o.Generations(r.s), r.c.Generations(r.s), ngen)
 		}
 		t.Fatal("surviving sessions did not decode through the sharded pipeline")
 	}
@@ -177,9 +177,9 @@ func TestPipelineMultiSessionButterflyRace(t *testing.T) {
 		if r.s == endedSession {
 			continue
 		}
-		for _, recv := range []*Receiver{r.o, r.c} {
+		for _, recv := range []*MultiReceiver{r.o, r.c} {
 			for g := 0; g < ngen; g++ {
-				got, ok := recv.GenerationData(ncproto.GenerationID(g))
+				got, ok := recv.GenerationData(r.s, ncproto.GenerationID(g))
 				if !ok {
 					continue
 				}

@@ -67,9 +67,6 @@ func (m *MultiReceiver) AddSession(id ncproto.SessionID, params rlnc.Params, src
 	return nil
 }
 
-// VNF exposes the underlying decoder VNF (for stats).
-func (m *MultiReceiver) VNF() *VNF { return m.vnf }
-
 // collect drains decoded generations from the VNF into session state.
 func (m *MultiReceiver) collect() {
 	defer m.wg.Done()
@@ -96,13 +93,6 @@ func (m *MultiReceiver) collect() {
 			}
 		}
 	}
-}
-
-// session fetches a session's state.
-func (m *MultiReceiver) session(id ncproto.SessionID) *recvSession {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sessions[id]
 }
 
 // Generations returns how many distinct generations of the session have
@@ -192,57 +182,3 @@ func (m *MultiReceiver) Close() error {
 	})
 	return err
 }
-
-// Receiver is the single-session receiving endpoint: a view over a
-// MultiReceiver carrying exactly one session. It remains the convenient
-// handle for the common one-session-per-node case.
-type Receiver struct {
-	m  *MultiReceiver
-	id ncproto.SessionID
-}
-
-// NewReceiver builds a receiver for one session on conn. srcAddr, when
-// non-empty, is where generation ACKs are sent.
-func NewReceiver(conn emunet.PacketConn, session ncproto.SessionID, params rlnc.Params, srcAddr string, opts ...VNFOption) (*Receiver, error) {
-	m := NewMultiReceiver(conn, opts...)
-	if err := m.AddSession(session, params, srcAddr); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return &Receiver{m: m, id: session}, nil
-}
-
-// View returns a single-session handle over a shared MultiReceiver. The
-// session must already be registered. Closing a view closes the shared
-// endpoint.
-func (m *MultiReceiver) View(id ncproto.SessionID) (*Receiver, error) {
-	if m.session(id) == nil {
-		return nil, fmt.Errorf("dataplane: receiver has no session %d", id)
-	}
-	return &Receiver{m: m, id: id}, nil
-}
-
-// Generations returns how many distinct generations have been decoded.
-func (r *Receiver) Generations() int { return r.m.Generations(r.id) }
-
-// Bytes returns the total decoded payload bytes.
-func (r *Receiver) Bytes() int { return r.m.Bytes(r.id) }
-
-// Data reassembles generations 0..n-1 into a contiguous byte stream; it
-// returns false if any generation in the range is missing.
-func (r *Receiver) Data(n int) ([]byte, bool) { return r.m.Data(r.id, n) }
-
-// GenerationData returns the decoded payload of one generation, if
-// complete.
-func (r *Receiver) GenerationData(g ncproto.GenerationID) ([]byte, bool) {
-	return r.m.GenerationData(r.id, g)
-}
-
-// MissingBelow lists the generations in [0, n) not yet decoded.
-func (r *Receiver) MissingBelow(n int) []ncproto.GenerationID {
-	return r.m.MissingBelow(r.id, n)
-}
-
-// Close stops the receiver (and the shared endpoint, if this receiver is a
-// view over one).
-func (r *Receiver) Close() error { return r.m.Close() }

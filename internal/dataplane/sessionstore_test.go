@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,6 +45,41 @@ func storeVNF(t testing.TB, cfg SessionStoreConfig, opts ...VNFOption) (*VNF, *t
 	v := NewVNF(n.Host("v"), opts...)
 	t.Cleanup(func() { v.Close() })
 	return v, reg, clk
+}
+
+// TestSessionBytesGaugeSumsVNFs pins the shared gauge: a relay and a
+// receiving endpoint that report into one registry, each with a bounded
+// session store, leave dataplane_session_bytes at the sum of what their
+// stores account.
+func TestSessionBytesGaugeSumsVNFs(t *testing.T) {
+	n := emunet.NewNetwork(emunet.AllowDefault())
+	t.Cleanup(func() { n.Close() })
+	reg := telemetry.NewRegistry()
+	params := smallParams()
+	cfg := SessionStoreConfig{MaxGenerations: 256, TTLNanos: time.Minute.Nanoseconds()}
+	var sum int64
+	for i, role := range []Role{RoleRecoder, RoleDecoder} {
+		v := NewVNF(n.Host(fmt.Sprintf("v%d", i)), WithSeed(7), WithTelemetry(reg), WithSessionStore(cfg))
+		t.Cleanup(func() { v.Close() })
+		if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: role}); err != nil {
+			t.Fatal(err)
+		}
+		// One packet per generation: no generation completes, so each
+		// stays live in the store.
+		for g := 0; g < 2+i; g++ {
+			for _, w := range codedWire(t, params, 1, ncproto.GenerationID(g), int64(60+g), 1) {
+				v.InjectPacket(w)
+			}
+		}
+		gens, b := v.SessionStoreStats()
+		if gens != 2+i || b == 0 {
+			t.Fatalf("%v store: %d generations / %d bytes, want %d / > 0", role, gens, b, 2+i)
+		}
+		sum += b
+	}
+	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != sum {
+		t.Fatalf("shared gauge = %d, the VNFs' stores account %d", got, sum)
+	}
 }
 
 // TestSessionStoreTTLEviction pins TTL-driven reclamation and its full

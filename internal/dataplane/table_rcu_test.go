@@ -260,7 +260,7 @@ func TestTableSwapConcurrentDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		recv, err := NewReceiver(n.Host("recv"), 1, params, "src")
+		recv, err := newSink(n.Host("recv"), 1, params, "src")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,10 +295,10 @@ func TestTableSwapConcurrentDifferential(t *testing.T) {
 		if _, _, err := src.SendData(data); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, 5*time.Second, func() bool { return recv.Generations() == gens })
+		waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == gens })
 		close(stop)
 		wg.Wait()
-		return recv.Generations()
+		return recv.Generations(1)
 	}
 
 	if rcuGens, pauseGens := run(false), run(true); rcuGens != 20 || pauseGens != 20 {

@@ -34,7 +34,7 @@ func telemetryPipeline(t *testing.T, relayRole Role, nGen int) *telemetry.Regist
 	}
 	t.Cleanup(func() { src.Close() })
 
-	recv, err := NewReceiver(n.Host("recv"), 1, params, "src", WithTelemetry(reg))
+	recv, err := newSink(n.Host("recv"), 1, params, "src", WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func telemetryPipeline(t *testing.T, relayRole Role, nGen int) *telemetry.Regist
 	if _, _, err := src.SendData(data); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == nGen }) {
-		t.Fatalf("receiver decoded %d of %d generations", recv.Generations(), nGen)
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == nGen }) {
+		t.Fatalf("receiver decoded %d of %d generations", recv.Generations(1), nGen)
 	}
 	return reg
 }

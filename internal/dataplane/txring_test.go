@@ -148,7 +148,7 @@ func TestUDPPipelineCoalesced(t *testing.T) {
 	defer src.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"cz-relay"}}})
 
-	recv, err := NewReceiver(recvConn, 9, params, "cz-src")
+	recv, err := newSink(recvConn, 9, params, "cz-src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestUDPPipelineCoalesced(t *testing.T) {
 	if _, sent, err := src.SendData(data); err != nil || sent != ngen {
 		t.Fatalf("send: %d, %v", sent, err)
 	}
-	if !waitFor(t, 10*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("decoded %d of %d generations with coalescing", recv.Generations(), ngen)
+	if !waitFor(t, 10*time.Second, func() bool { return recv.Generations(9) == ngen }) {
+		t.Fatalf("decoded %d of %d generations with coalescing", recv.Generations(9), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(9, ngen)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("coalesced UDP pipeline data mismatch")
 	}
@@ -203,7 +203,7 @@ func BenchmarkUDPPipeline(b *testing.B) {
 			}
 			defer src.Close()
 			src.SetHops([]HopGroup{{Addrs: []string{"b-relay"}}})
-			recv, err := NewReceiver(recvConn, 4, params, "")
+			recv, err := newSink(recvConn, 4, params, "")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func BenchmarkUDPPipeline(b *testing.B) {
 				// decodes; wait for this one before sending the next so the
 				// measurement is per-generation latency, not queue fill.
 				deadline := time.Now().Add(10 * time.Second)
-				for recv.Generations() <= done {
+				for recv.Generations(4) <= done {
 					if time.Now().After(deadline) {
 						b.Fatalf("generation %d never decoded", i)
 					}
@@ -230,7 +230,7 @@ func BenchmarkUDPPipeline(b *testing.B) {
 					// sysmon's ~10ms retake, flooring every iteration.
 					time.Sleep(20 * time.Microsecond)
 				}
-				done = recv.Generations()
+				done = recv.Generations(4)
 			}
 		})
 	}

@@ -44,7 +44,7 @@ func TestUDPPipeline(t *testing.T) {
 	defer src.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"udp-relay"}}})
 
-	recv, err := NewReceiver(recvConn, 7, params, "udp-src")
+	recv, err := newSink(recvConn, 7, params, "udp-src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestUDPPipeline(t *testing.T) {
 	if _, sent, err := src.SendData(data); err != nil || sent != ngen {
 		t.Fatalf("send: %d, %v", sent, err)
 	}
-	if !waitFor(t, 10*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("decoded %d of %d generations over UDP", recv.Generations(), ngen)
+	if !waitFor(t, 10*time.Second, func() bool { return recv.Generations(7) == ngen }) {
+		t.Fatalf("decoded %d of %d generations over UDP", recv.Generations(7), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(7, ngen)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("UDP pipeline data mismatch")
 	}

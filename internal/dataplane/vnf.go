@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ncfn/internal/buffer"
 	"ncfn/internal/emunet"
@@ -81,12 +80,6 @@ type VNF struct {
 	conn  emunet.PacketConn
 	table *ForwardingTable
 	seed  int64
-
-	// codingBytesPerSec, when positive, models coding CPU cost (see
-	// WithCodingCost).
-	codingBytesPerSec float64
-	costMu            sync.Mutex
-	costDebt          time.Duration
 
 	mu       sync.RWMutex
 	sessions map[ncproto.SessionID]*sessionState
@@ -261,38 +254,6 @@ func WithSeed(seed int64) VNFOption {
 // retried), exactly as a kernel would drop on a full device queue.
 func WithTxCoalesce(depth int) VNFOption {
 	return func(v *VNF) { v.txDepth = depth }
-}
-
-// WithCodingCost models the CPU cost of GF(2^8) coding at the given
-// effective rate (bytes of generation data combined per second). The data
-// plane charges the actual kernel traffic its codecs report (TakeWork): a
-// decoder's elimination costs one row operation per nonzero coefficient per
-// packet, a recoder's gate one copy and an emission one gather over the
-// stored rows — so large generations throttle a VNF's packet rate exactly
-// as far as their real row traffic demands, the
-// "encoding and decoding complexity is high" effect behind Fig. 4's
-// throughput plunge. Zero (the default) disables the model; the experiment
-// harness calibrates it to the paper's VM class.
-func WithCodingCost(bytesPerSecond float64) VNFOption {
-	return func(v *VNF) { v.codingBytesPerSec = bytesPerSecond }
-}
-
-// chargeCodingCost accumulates coding work and sleeps whenever the debt
-// exceeds a scheduling-friendly quantum.
-func (v *VNF) chargeCodingCost(workBytes int) {
-	if v.codingBytesPerSec <= 0 {
-		return
-	}
-	v.costMu.Lock()
-	v.costDebt += time.Duration(float64(workBytes) / v.codingBytesPerSec * float64(time.Second))
-	debt := v.costDebt
-	if debt < time.Millisecond {
-		v.costMu.Unlock()
-		return
-	}
-	v.costDebt = 0
-	v.costMu.Unlock()
-	time.Sleep(debt)
 }
 
 // NewVNF constructs a VNF on the given conn. Call Start to begin packet
@@ -1044,14 +1005,8 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncp
 			counters[gi] = target
 		}
 	}
-	// The recoder's work meter covers both the raw-row insert (one payload
-	// copy, coefficient-gated) and the fused gather behind each emission.
-	work := rec.TakeWork()
 	st.mu.Unlock()
 
-	if work > 0 {
-		v.chargeCodingCost(int(work))
-	}
 	for i := 0; i < nem; i++ {
 		outPkt := ncproto.Packet{
 			Flags:      ncproto.DoneFlags(p.Generation, doneBelow),
@@ -1072,7 +1027,7 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncp
 // decodeBatch implements the receiver-side function for a run of packets
 // belonging to one generation. A single-element batch reproduces the old
 // per-packet decode exactly; deeper batches amortize lock traffic over one
-// Decoder.AddBatch. Coding CPU is charged from the decoder's own work meter.
+// Decoder.AddBatch.
 func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, gen ncproto.GenerationID, batch []rlnc.CodedBlock) {
 	if len(batch) == 0 {
 		return
@@ -1131,10 +1086,8 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 	if complete {
 		data, err = dec.Generation()
 	}
-	work := dec.TakeWork()
 	if !complete || err != nil {
 		st.mu.Unlock()
-		v.chargeCodingCost(int(work))
 		return
 	}
 	st.delivered[gen] = true
@@ -1147,7 +1100,6 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 		v.releaseBelow(st, gen-reorderWindow)
 	}
 	st.mu.Unlock()
-	v.chargeCodingCost(int(work))
 
 	doneNs := v.clock.Now().UnixNano()
 	latency := doneNs - startNs

@@ -2,14 +2,17 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
 	"time"
 
 	"ncfn/internal/emunet"
+	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/rlnc"
+	"ncfn/internal/telemetry"
 )
 
 func writeFile(path, content string) error {
@@ -63,7 +66,7 @@ func TestConfigureValidation(t *testing.T) {
 
 // pipeline builds src -> [relays...] -> receiver over a perfect network and
 // transfers data, returning the receiver.
-func runPipeline(t *testing.T, relayRole Role, nGenerations int, redundancy int) (*Receiver, []byte, int) {
+func runPipeline(t *testing.T, relayRole Role, nGenerations int, redundancy int) (*MultiReceiver, []byte, int) {
 	t.Helper()
 	n := emunet.NewNetwork(emunet.AllowDefault())
 	t.Cleanup(func() { n.Close() })
@@ -84,7 +87,7 @@ func runPipeline(t *testing.T, relayRole Role, nGenerations int, redundancy int)
 	}
 	t.Cleanup(func() { src.Close() })
 
-	recv, err := NewReceiver(n.Host("recv"), 1, params, "src")
+	recv, err := newSink(n.Host("recv"), 1, params, "src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +107,10 @@ func runPipeline(t *testing.T, relayRole Role, nGenerations int, redundancy int)
 
 func TestForwarderPipeline(t *testing.T) {
 	recv, data, ngen := runPipeline(t, RoleForwarder, 5, 0)
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("receiver decoded %d of %d generations", recv.Generations(), ngen)
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {
+		t.Fatalf("receiver decoded %d of %d generations", recv.Generations(1), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(1, ngen)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("forwarded data mismatch")
 	}
@@ -115,10 +118,10 @@ func TestForwarderPipeline(t *testing.T) {
 
 func TestRecoderPipeline(t *testing.T) {
 	recv, data, ngen := runPipeline(t, RoleRecoder, 5, 1)
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("receiver decoded %d of %d generations", recv.Generations(), ngen)
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {
+		t.Fatalf("receiver decoded %d of %d generations", recv.Generations(1), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(1, ngen)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("recoded data mismatch")
 	}
@@ -238,7 +241,7 @@ func TestAcksSurfaceAtSource(t *testing.T) {
 	params := smallParams()
 	src, _ := NewSource(n.Host("src2"), SourceConfig{Session: 9, Params: params, Systematic: true})
 	defer src.Close()
-	r2, _ := NewReceiver(n.Host("recv2"), 9, params, "src2")
+	r2, _ := newSink(n.Host("recv2"), 9, params, "src2")
 	defer r2.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"recv2"}}})
 	src.SendGeneration(randomBytes(2, params.GenerationBytes()), false)
@@ -399,7 +402,7 @@ func TestResendGeneration(t *testing.T) {
 	params := smallParams()
 	src, _ := NewSource(n.Host("s"), SourceConfig{Session: 1, Params: params, Systematic: true})
 	defer src.Close()
-	recv, _ := NewReceiver(n.Host("r"), 1, params, "")
+	recv, _ := newSink(n.Host("r"), 1, params, "")
 	defer recv.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"r"}}})
 	data := randomBytes(5, params.GenerationBytes())
@@ -410,28 +413,28 @@ func TestResendGeneration(t *testing.T) {
 	if err := src.ResendGeneration(gid, data, 4); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == 1 }) {
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == 1 }) {
 		t.Fatal("generation not decoded after resend")
 	}
 }
 
 func TestReceiverReassemblesInOrder(t *testing.T) {
 	recv, data, ngen := runPipeline(t, RoleRecoder, 8, 0)
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("decoded %d of %d", recv.Generations(), ngen)
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {
+		t.Fatalf("decoded %d of %d", recv.Generations(1), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(1, ngen)
 	if !ok {
 		t.Fatal("missing generations in Data")
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch")
 	}
-	if _, ok := recv.Data(ngen + 1); ok {
+	if _, ok := recv.Data(1, ngen+1); ok {
 		t.Fatal("Data claimed a generation that was never sent")
 	}
-	if recv.Bytes() != len(data) {
-		t.Fatalf("Bytes = %d, want %d", recv.Bytes(), len(data))
+	if recv.Bytes(1) != len(data) {
+		t.Fatalf("Bytes = %d, want %d", recv.Bytes(1), len(data))
 	}
 }
 
@@ -479,12 +482,12 @@ func TestButterflyEndToEnd(t *testing.T) {
 		{Addrs: []string{"O1"}, PerGen: 2},
 		{Addrs: []string{"C1"}, PerGen: 2},
 	})
-	recvO, err := NewReceiver(n.Host("O2"), 1, params, "")
+	recvO, err := newSink(n.Host("O2"), 1, params, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recvO.Close()
-	recvC, err := NewReceiver(n.Host("C2"), 1, params, "")
+	recvC, err := newSink(n.Host("C2"), 1, params, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,15 +505,15 @@ func TestButterflyEndToEnd(t *testing.T) {
 	// maximum. Require ≥ 90% decoded, and bytewise-correct content for
 	// every decoded generation.
 	ok := waitFor(t, 10*time.Second, func() bool {
-		return recvO.Generations() >= ngen-2 && recvC.Generations() >= ngen-2
+		return recvO.Generations(1) >= ngen-2 && recvC.Generations(1) >= ngen-2
 	})
 	if !ok {
-		t.Fatalf("decoded O2=%d C2=%d of %d", recvO.Generations(), recvC.Generations(), ngen)
+		t.Fatalf("decoded O2=%d C2=%d of %d", recvO.Generations(1), recvC.Generations(1), ngen)
 	}
 	genBytes := params.GenerationBytes()
-	for _, recv := range []*Receiver{recvO, recvC} {
+	for _, recv := range []*MultiReceiver{recvO, recvC} {
 		for g := 0; g < ngen; g++ {
-			got, ok := recv.GenerationData(ncproto.GenerationID(g))
+			got, ok := recv.GenerationData(1, ncproto.GenerationID(g))
 			if !ok {
 				continue
 			}
@@ -541,16 +544,16 @@ func TestButterflyBeatsSingleBranchUnderQuota(t *testing.T) {
 		{Addrs: []string{"void"}, PerGen: 2},
 	})
 	n.Host("void")
-	recvO, _ := NewReceiver(n.Host("O2"), 1, params, "")
+	recvO, _ := newSink(n.Host("O2"), 1, params, "")
 	defer recvO.Close()
 
 	src.SendGeneration(randomBytes(9, params.GenerationBytes()), false)
 	time.Sleep(100 * time.Millisecond)
-	if recvO.Generations() != 0 {
+	if recvO.Generations(1) != 0 {
 		t.Fatal("receiver decoded with only half the information — quota split broken")
 	}
-	if recvO.m.vnf.Stats().PacketsIn != 2 {
-		t.Fatalf("O2 received %d packets, want 2", recvO.m.vnf.Stats().PacketsIn)
+	if recvO.vnf.Stats().PacketsIn != 2 {
+		t.Fatalf("O2 received %d packets, want 2", recvO.vnf.Stats().PacketsIn)
 	}
 }
 
@@ -589,10 +592,10 @@ func TestRecoderFirstPacketForwardedVerbatim(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	recv, _, ngen := runPipeline(t, RoleRecoder, 4, 0)
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == ngen }) {
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {
 		t.Fatal("pipeline incomplete")
 	}
-	st := recv.m.vnf.Stats()
+	st := recv.vnf.Stats()
 	if st.PacketsIn == 0 || st.GenerationsDone != uint64(ngen) {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -664,7 +667,7 @@ func TestPipelineRobustToReordering(t *testing.T) {
 	defer src.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"relay"}}})
 
-	recv, err := NewReceiver(n.Host("recv"), 1, params, "")
+	recv, err := newSink(n.Host("recv"), 1, params, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,10 +678,10 @@ func TestPipelineRobustToReordering(t *testing.T) {
 	if _, sent, err := src.SendData(data); err != nil || sent != ngen {
 		t.Fatalf("send: %d %v", sent, err)
 	}
-	if !waitFor(t, 10*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("decoded %d of %d under heavy reordering", recv.Generations(), ngen)
+	if !waitFor(t, 10*time.Second, func() bool { return recv.Generations(1) == ngen }) {
+		t.Fatalf("decoded %d of %d under heavy reordering", recv.Generations(1), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(1, ngen)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("reordered delivery corrupted data")
 	}
@@ -695,8 +698,9 @@ func TestVNFMultipleConcurrentSessions(t *testing.T) {
 	defer relay.Close()
 
 	type sessEnd struct {
+		id   ncproto.SessionID
 		src  *Source
-		recv *Receiver
+		recv *MultiReceiver
 		data []byte
 	}
 	var ends []sessEnd
@@ -716,12 +720,12 @@ func TestVNFMultipleConcurrentSessions(t *testing.T) {
 		}
 		defer src.Close()
 		src.SetHops([]HopGroup{{Addrs: []string{"relay"}}})
-		recv, err := NewReceiver(n.Host(recvName), id, params, "")
+		recv, err := newSink(n.Host(recvName), id, params, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer recv.Close()
-		ends = append(ends, sessEnd{src: src, recv: recv, data: randomBytes(int64(100+i), ngen*params.GenerationBytes())})
+		ends = append(ends, sessEnd{id: id, src: src, recv: recv, data: randomBytes(int64(100+i), ngen*params.GenerationBytes())})
 	}
 	for _, e := range ends {
 		if _, _, err := e.src.SendData(e.data); err != nil {
@@ -729,22 +733,89 @@ func TestVNFMultipleConcurrentSessions(t *testing.T) {
 		}
 	}
 	for i, e := range ends {
-		if !waitFor(t, 10*time.Second, func() bool { return e.recv.Generations() == ngen }) {
-			t.Fatalf("session %d decoded %d of %d", i+1, e.recv.Generations(), ngen)
+		if !waitFor(t, 10*time.Second, func() bool { return e.recv.Generations(e.id) == ngen }) {
+			t.Fatalf("session %d decoded %d of %d", i+1, e.recv.Generations(e.id), ngen)
 		}
-		got, ok := e.recv.Data(ngen)
+		got, ok := e.recv.Data(e.id, ngen)
 		if !ok || !bytes.Equal(got, e.data) {
 			t.Fatalf("session %d data mismatch (cross-session interference?)", i+1)
 		}
 	}
 }
 
+// TestMixedFieldSessionsShareVNFs carries a GF(2) and a GF(2^8) session side
+// by side through one relay VNF and one receiving endpoint. The field is
+// per-session codec state: both sessions deliver byte-exact, and each
+// session's dependent arrivals land on its own field's counter.
+func TestMixedFieldSessionsShareVNFs(t *testing.T) {
+	n := emunet.NewNetwork(emunet.AllowDefault())
+	defer n.Close()
+	reg := telemetry.NewRegistry()
+	relay := NewVNF(n.Host("relay"), WithSeed(5), WithTelemetry(reg))
+	relay.Start()
+	defer relay.Close()
+	sink := NewMultiReceiver(n.Host("sink"))
+	defer sink.Close()
+
+	// The generation counts differ so the two fields' counts cannot swap.
+	sessions := []struct {
+		id     ncproto.SessionID
+		field  gf.Field
+		ngen   int
+		metric string
+		data   []byte
+	}{
+		{id: 1, field: gf.GF2, ngen: 3, metric: MetricDependentGF2},
+		{id: 2, field: gf.GF256, ngen: 5, metric: MetricDependentGF256},
+	}
+	for i := range sessions {
+		s := &sessions[i]
+		params := smallParams()
+		params.Field = s.field
+		if err := relay.Configure(SessionConfig{ID: s.id, Params: params, Role: RoleRecoder, Redundancy: 1}); err != nil {
+			t.Fatal(err)
+		}
+		relay.Table().Set(s.id, []HopGroup{{Addrs: []string{"sink"}}})
+		if err := sink.AddSession(s.id, params, ""); err != nil {
+			t.Fatal(err)
+		}
+		// Every source packet reaches the relay twice; the copy is a
+		// dependent arrival at the relay's coefficient gate.
+		srcName := fmt.Sprintf("src%d", s.id)
+		n.SetLink(srcName, "relay", emunet.LinkConfig{DuplicateProb: 1})
+		src, err := NewSource(n.Host(srcName), SourceConfig{Session: s.id, Params: params, Systematic: true, Seed: int64(s.id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		src.SetHops([]HopGroup{{Addrs: []string{"relay"}}})
+		s.data = randomBytes(int64(20+s.id), s.ngen*params.GenerationBytes())
+		if _, _, err := src.SendData(s.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := smallParams().GenerationBlocks
+	for _, s := range sessions {
+		if !waitFor(t, 5*time.Second, func() bool { return sink.Generations(s.id) == s.ngen }) {
+			t.Fatalf("session %d (field %v) decoded %d of %d", s.id, s.field, sink.Generations(s.id), s.ngen)
+		}
+		if got, ok := sink.Data(s.id, s.ngen); !ok || !bytes.Equal(got, s.data) {
+			t.Fatalf("session %d (field %v) data mismatch", s.id, s.field)
+		}
+		want := uint64(s.ngen * k)
+		dep := reg.Counter(s.metric, 1)
+		if !waitFor(t, 5*time.Second, func() bool { return dep.Value() >= want }) || dep.Value() != want {
+			t.Fatalf("%s = %d, want %d: one per duplicated packet of session %d", s.metric, dep.Value(), want, s.id)
+		}
+	}
+}
+
 func TestSessionStatsFor(t *testing.T) {
 	recv, _, ngen := runPipeline(t, RoleRecoder, 4, 0)
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == ngen }) {
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {
 		t.Fatal("pipeline incomplete")
 	}
-	st, ok := recv.m.vnf.SessionStatsFor(1)
+	st, ok := recv.vnf.SessionStatsFor(1)
 	if !ok {
 		t.Fatal("session stats missing")
 	}
@@ -754,7 +825,7 @@ func TestSessionStatsFor(t *testing.T) {
 	if st.GenerationsDone != uint64(ngen) || st.PacketsIn == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, ok := recv.m.vnf.SessionStatsFor(99); ok {
+	if _, ok := recv.vnf.SessionStatsFor(99); ok {
 		t.Fatal("unknown session has stats")
 	}
 }
@@ -772,7 +843,7 @@ func TestDecoderAbsorbsDuplicates(t *testing.T) {
 	}
 	defer src.Close()
 	src.SetHops([]HopGroup{{Addrs: []string{"recv"}}})
-	recv, err := NewReceiver(n.Host("recv"), 1, params, "")
+	recv, err := newSink(n.Host("recv"), 1, params, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,10 +854,10 @@ func TestDecoderAbsorbsDuplicates(t *testing.T) {
 	if _, _, err := src.SendData(data); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations() == ngen }) {
-		t.Fatalf("decoded %d of %d under duplication", recv.Generations(), ngen)
+	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {
+		t.Fatalf("decoded %d of %d under duplication", recv.Generations(1), ngen)
 	}
-	got, ok := recv.Data(ngen)
+	got, ok := recv.Data(1, ngen)
 	if !ok || !bytes.Equal(got, data) {
 		t.Fatal("duplication corrupted delivery")
 	}

@@ -336,7 +336,7 @@ type butterfly struct {
 	net    *emunet.Network
 	relays map[string]*VNF
 	src    *Source
-	sinks  [2]*Receiver
+	sinks  [2]*MultiReceiver
 }
 
 func newButterfly(t *testing.T) *butterfly {
@@ -364,7 +364,7 @@ func newButterfly(t *testing.T) *butterfly {
 		b.relays[name] = v
 	}
 	for i, name := range []string{"O2", "C2"} {
-		r, err := NewReceiver(b.net.Host(name), 1, params, "V1")
+		r, err := newSink(b.net.Host(name), 1, params, "V1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,23 +418,23 @@ func TestLateSinkStillDecodes(t *testing.T) {
 				return false
 			}
 		}
-		return b.sinks[1].Generations() == 1 && b.src.watermark() == 2
+		return b.sinks[1].Generations(1) == 1 && b.src.watermark() == 2
 	}) {
 		t.Fatal("relays did not release generation 0 behind the watermark, or C2 did not decode generation 1")
 	}
-	if _, ok := b.sinks[1].GenerationData(0); ok {
+	if _, ok := b.sinks[1].GenerationData(1, 0); ok {
 		t.Fatal("C2 decoded generation 0 through a partition")
 	}
 
 	if err := b.src.ResendGeneration(0, data[0], smallParams().GenerationBlocks); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return b.sinks[1].Generations() == 2 }) {
+	if !waitFor(t, 5*time.Second, func() bool { return b.sinks[1].Generations(1) == 2 }) {
 		t.Fatal("C2 never decoded the resent generation 0: it was blackholed below the watermark")
 	}
 	for i, r := range b.sinks {
 		for g, want := range data {
-			if got, ok := r.GenerationData(ncproto.GenerationID(g)); !ok || !bytes.Equal(got, want) {
+			if got, ok := r.GenerationData(1, ncproto.GenerationID(g)); !ok || !bytes.Equal(got, want) {
 				t.Fatalf("sink %d generation %d: delivered=%v, bytes differ from what was sent", i, g, ok)
 			}
 		}

@@ -4,33 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"ncfn/internal/controller"
 )
 
-// Deploy mirrors ncctl's deployment JSON schema (cmd/ncctl).
-type Deploy struct {
-	Sessions []Session         `json:"sessions"`
-	Peers    map[string]string `json:"peers"`
-	Daemons  map[string]string `json:"daemons"`
-	Admin    map[string]string `json:"admin"`
-}
+// Deploy is ncctl's deployment document; procnet writes it for ncctl to
+// consume, so the two share one schema.
+type Deploy = controller.DeployFile
 
 // Session is one session entry of the deployment document.
-type Session struct {
-	ID         int                     `json:"id"`
-	Blocks     int                     `json:"blocks"`
-	BlockSize  int                     `json:"blockSize"`
-	Redundancy int                     `json:"redundancy"`
-	Field      int                     `json:"field,omitempty"`
-	Roles      map[string]string       `json:"roles"`
-	InPerGen   map[string]int          `json:"inPerGen,omitempty"`
-	Tables     map[string][]TableGroup `json:"tables,omitempty"`
-}
+type Session = controller.DeploySession
 
 // TableGroup is one next-hop group of a forwarding-table entry.
-type TableGroup struct {
-	Addrs  []string `json:"addrs"`
-	PerGen int      `json:"perGen,omitempty"`
-}
+type TableGroup = controller.DeployHopGroup
 
 // WriteDeploy marshals a deployment to path for ncctl to consume.
 func WriteDeploy(path string, d Deploy) error {

@@ -272,7 +272,7 @@ func drawCoeffs(rng *prng, field gf.Field, coeffs []byte) {
 
 // TakeWork returns the coding work performed since the last call, measured
 // in bytes of equivalent single-row kernel traffic, and resets the counter.
-// The data plane charges its simulated coding budget from these deltas.
+// The whole-system benchmark's per-layer budget reads these deltas.
 func (e *Encoder) TakeWork() uint64 {
 	w := e.work
 	e.work = 0

@@ -47,8 +47,9 @@ type StreamStats struct {
 
 // StreamReceiver tracks per-generation decode times for one receiver.
 type StreamReceiver struct {
-	recv  *dataplane.Receiver
-	clock simclock.Clock
+	recv    *dataplane.MultiReceiver
+	session ncproto.SessionID
+	clock   simclock.Clock
 
 	mu      sync.Mutex
 	decoded map[ncproto.GenerationID]time.Time
@@ -58,14 +59,15 @@ type StreamReceiver struct {
 	done      chan struct{}
 }
 
-// WatchReceiver wraps a dataplane receiver and records when each
-// generation becomes playable.
-func WatchReceiver(recv *dataplane.Receiver, clk simclock.Clock) *StreamReceiver {
+// WatchReceiver watches one session at a receiving endpoint and records
+// when each of its generations becomes playable.
+func WatchReceiver(recv *dataplane.MultiReceiver, session ncproto.SessionID, clk simclock.Clock) *StreamReceiver {
 	if clk == nil {
 		clk = simclock.Real{}
 	}
 	s := &StreamReceiver{
 		recv:    recv,
+		session: session,
 		clock:   clk,
 		decoded: make(map[ncproto.GenerationID]time.Time),
 		done:    make(chan struct{}),
@@ -85,7 +87,7 @@ func (s *StreamReceiver) watch() {
 			return
 		default:
 		}
-		n := s.recv.Generations()
+		n := s.recv.Generations(s.session)
 		if n > seen {
 			now := s.clock.Now()
 			s.mu.Lock()
@@ -96,7 +98,7 @@ func (s *StreamReceiver) watch() {
 				if _, ok := s.decoded[gid]; ok {
 					continue
 				}
-				if _, ok := s.recv.GenerationData(gid); ok {
+				if _, ok := s.recv.GenerationData(s.session, gid); ok {
 					s.decoded[gid] = now
 				}
 			}

@@ -35,12 +35,7 @@ func streamEnv(t *testing.T, loss float64, redundancy int) (*dataplane.Source, *
 	t.Cleanup(func() { src.Close() })
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"relay"}}})
 
-	recv, err := dataplane.NewReceiver(n.Host("r1"), 1, params, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { recv.Close() })
-	w := WatchReceiver(recv, nil)
+	w := WatchReceiver(sink(t, n.Host("r1"), params, ""), 1, nil)
 	t.Cleanup(w.Close)
 	return src, w
 }
@@ -116,12 +111,7 @@ func TestStreamMissingCounted(t *testing.T) {
 	}
 	defer src.Close()
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"void-relay"}}})
-	recv, err := dataplane.NewReceiver(n.Host("r1"), 1, params, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	w := WatchReceiver(recv, nil)
+	w := WatchReceiver(sink(t, n.Host("r1"), params, ""), 1, nil)
 	defer w.Close()
 	stats, err := Stream(src, map[string]*StreamReceiver{"r1": w}, StreamConfig{
 		RateMbps: 2, Duration: 100 * time.Millisecond, Deadline: 100 * time.Millisecond,

@@ -22,8 +22,19 @@ func smallParams() rlnc.Params {
 	return rlnc.Params{GenerationBlocks: 4, BlockSize: 64}
 }
 
+// sink builds a receiving endpoint on conn carrying session 1.
+func sink(t *testing.T, conn emunet.PacketConn, params rlnc.Params, srcAddr string) *dataplane.MultiReceiver {
+	t.Helper()
+	r := dataplane.NewMultiReceiver(conn)
+	t.Cleanup(func() { r.Close() })
+	if err := r.AddSession(1, params, srcAddr); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // multicastEnv wires src -> relay -> {r1, r2} over the emulated network.
-func multicastEnv(t *testing.T, lossy bool) (*dataplane.Source, []*dataplane.Receiver) {
+func multicastEnv(t *testing.T, lossy bool) (*dataplane.Source, []*dataplane.MultiReceiver) {
 	t.Helper()
 	n := emunet.NewNetwork(emunet.AllowDefault())
 	t.Cleanup(func() { n.Close() })
@@ -52,14 +63,9 @@ func multicastEnv(t *testing.T, lossy bool) (*dataplane.Source, []*dataplane.Rec
 	t.Cleanup(func() { src.Close() })
 	src.SetHops([]dataplane.HopGroup{{Addrs: []string{"relay"}}})
 
-	var recvs []*dataplane.Receiver
+	var recvs []*dataplane.MultiReceiver
 	for _, name := range []string{"r1", "r2"} {
-		r, err := dataplane.NewReceiver(n.Host(name), 1, params, "src")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { r.Close() })
-		recvs = append(recvs, r)
+		recvs = append(recvs, sink(t, n.Host(name), params, "src"))
 	}
 	return src, recvs
 }
@@ -78,7 +84,7 @@ func TestMulticastReliableDelivery(t *testing.T) {
 		t.Fatalf("generations = %d", stats.Generations)
 	}
 	for _, r := range recvs {
-		got, ok := r.Data(10)
+		got, ok := r.Data(1, 10)
 		if !ok || !bytes.Equal(got, data) {
 			t.Fatal("receiver data mismatch")
 		}
@@ -103,7 +109,7 @@ func TestMulticastSurvivesLoss(t *testing.T) {
 		t.Log("warning: no resends despite 30% loss (lucky run)")
 	}
 	for _, r := range recvs {
-		got, ok := r.Data(8)
+		got, ok := r.Data(1, 8)
 		if !ok || !bytes.Equal(got, data) {
 			t.Fatal("receiver data mismatch under loss")
 		}
