@@ -6,7 +6,7 @@ GO ?= go
 NCLINT := bin/nclint
 NCLINT_SRCS := $(shell find cmd/nclint internal/analysis -name '*.go' -not -path '*/testdata/*')
 
-.PHONY: build test test-portable test-race test-chaos test-soak test-e2e test-rolling examples vet lint bench bench-hotpath bench-guard bench-e2e cover check
+.PHONY: build test test-portable test-race test-chaos test-soak test-e2e test-rolling examples fuzz-smoke vet lint bench bench-hotpath bench-guard bench-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,17 @@ examples:
 		echo "== examples/$$e"; \
 		$(GO) run ./examples/$$e || exit 1; \
 	done
+
+# fuzz-smoke runs each parser of outside input under the fuzzer for
+# FUZZTIME: the deploy file (ncctl, ncd's /reload, the planner's output) and
+# the data-plane packet and ACK decoders. The checked-in seed corpora under
+# each package's testdata/fuzz already run in plain `go test`; this mutates
+# past them.
+FUZZTIME ?= 30s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDeployFile$$' -fuzztime $(FUZZTIME) ./internal/controller/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAck$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
 
 # test-soak runs the full many-session churn soak under the race detector:
 # thousands of concurrent sessions cycling through create / starve / evict /

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ncfn/internal/cloud"
@@ -103,8 +101,9 @@ func relayedRTT(o Options, coding bool, trials int) (mins, maxs, avgs map[string
 // Table3 reproduces Table III: the time to update a 10-entry forwarding
 // table as a function of the fraction of entries changed. The controller
 // pushes one NC_FORWARD_TAB message per changed entry over a control
-// channel with realistic propagation delay; the daemon persists and reloads
-// the table file (the SIGUSR1 pause-reload-resume cycle) and acknowledges.
+// channel with realistic propagation delay; the daemon decodes it, applies
+// it (one RCU table swap, where the paper's daemon reloaded a table file on
+// SIGUSR1) and acknowledges.
 func Table3(w io.Writer, o Options) error {
 	percents := []int{20, 40, 60, 80, 100}
 	if o.Quick {
@@ -115,17 +114,11 @@ func Table3(w io.Writer, o Options) error {
 	// Kong with VNFs in Oregon (~15 ms one way within our scaled model).
 	const ctrlDelay = 15 * time.Millisecond
 
-	dir, err := os.MkdirTemp("", "ncfn-table3")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
 	s := metrics.NewSeries("Table III: forwarding table update time vs update percentage",
 		"update_pct", "avg_ms")
 	for _, pct := range percents {
 		changed := tableEntries * pct / 100
-		elapsed, err := measureTableUpdate(dir, changed, ctrlDelay)
+		elapsed, err := measureTableUpdate(changed, ctrlDelay)
 		if err != nil {
 			return fmt.Errorf("table3 %d%%: %w", pct, err)
 		}
@@ -140,7 +133,7 @@ func Table3(w io.Writer, o Options) error {
 
 // measureTableUpdate times pushing `changed` single-entry updates over the
 // control channel and applying each on the daemon.
-func measureTableUpdate(dir string, changed int, delay time.Duration) (time.Duration, error) {
+func measureTableUpdate(changed int, delay time.Duration) (time.Duration, error) {
 	n := emunet.NewNetwork()
 	defer n.Close()
 	n.SetDuplexLink("controller", "daemon", emunet.LinkConfig{Delay: delay})
@@ -149,10 +142,9 @@ func measureTableUpdate(dir string, changed int, delay time.Duration) (time.Dura
 
 	d := controller.NewDaemon(n.Host("daemon-vnf"), nil)
 	defer d.Close()
-	path := filepath.Join(dir, fmt.Sprintf("fwd-%d.tab", changed))
 
-	// Daemon side: receive control messages, persist + reload the table
-	// file, then acknowledge.
+	// Daemon side: receive each control message, apply it, acknowledge —
+	// what ncd does for NC_FORWARD_TAB.
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < changed; i++ {
@@ -167,16 +159,6 @@ func measureTableUpdate(dir string, changed int, delay time.Duration) (time.Dura
 				return
 			}
 			if err := d.Apply(msg); err != nil {
-				done <- err
-				return
-			}
-			// Persist the updated table and reload it, as the real daemon
-			// does on NC_FORWARD_TAB + SIGUSR1.
-			if err := d.VNF().Table().Save(path); err != nil {
-				done <- err
-				return
-			}
-			if err := d.VNF().ReloadTableFile(path); err != nil {
 				done <- err
 				return
 			}
@@ -244,12 +226,7 @@ func Launch(w io.Writer, o Options) error {
 	v.Close()
 	vnfStart := cloud.DefaultVNFStartDelay + initCost
 
-	dir, err := os.MkdirTemp("", "ncfn-launch")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	tabUpdate, err := measureTableUpdate(dir, 10, 15*time.Millisecond)
+	tabUpdate, err := measureTableUpdate(10, 15*time.Millisecond)
 	if err != nil {
 		return err
 	}

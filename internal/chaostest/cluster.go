@@ -12,7 +12,6 @@ import (
 	"ncfn/internal/controller"
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
-	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/rlnc"
 	"ncfn/internal/simclock"
@@ -27,34 +26,29 @@ const Session = ncproto.SessionID(1)
 // harness advances the clock and ticks the failover supervisor.
 const Tick = time.Second
 
-// hopSpec is one logical next hop in the butterfly plan.
-type hopSpec struct {
-	to     string
-	perGen int
-}
-
-// nodeSpec describes one coding VNF of the butterfly.
-type nodeSpec struct {
-	role     dataplane.Role
-	inPerGen int
-	hops     []hopSpec
-}
-
-// The paper's butterfly (Fig. 2): source V1 splits each k=4 generation into
-// two conceptual flows of 2 packets through O1 and C1; each relay recodes 2
-// packets down to its own sink and 2 toward the merge node T; T compresses
-// its 4 inbound packets to 2 for V2, which replicates them to both sinks.
-// Every sink thus receives exactly k = 4 packets per generation — the
-// multicast rate no routing-only scheme achieves on these link budgets.
-var butterflyPlan = map[string]nodeSpec{
-	"O1": {role: dataplane.RoleRecoder, inPerGen: 2, hops: []hopSpec{{to: "O2", perGen: 2}, {to: "T", perGen: 2}}},
-	"C1": {role: dataplane.RoleRecoder, inPerGen: 2, hops: []hopSpec{{to: "C2", perGen: 2}, {to: "T", perGen: 2}}},
-	"T":  {role: dataplane.RoleRecoder, inPerGen: 4, hops: []hopSpec{{to: "V2", perGen: 2}}},
-	"V2": {role: dataplane.RoleForwarder, hops: []hopSpec{{to: "O2"}, {to: "C2"}}},
-}
-
-// sourceHops is V1's conceptual-flow split.
-var sourceHops = []hopSpec{{to: "O1", perGen: 2}, {to: "C1", perGen: 2}}
+// butterfly is the paper's butterfly (Fig. 2) as a deploy file over logical
+// node names: source V1 splits each k=4 generation into two conceptual
+// flows of 2 packets through O1 and C1; each relay recodes 2 packets down to
+// its own sink and 2 toward the merge node T; T compresses its 4 inbound
+// packets to 2 for V2, which replicates them to both sinks. Every sink thus
+// receives exactly k = 4 packets per generation — the multicast rate no
+// routing-only scheme achieves on these link budgets. The sinks O2 and C2
+// run receiving endpoints rather than daemons, so they have no role here.
+var butterfly = controller.DeployFile{Sessions: []controller.DeploySession{{
+	ID:        int(Session),
+	Blocks:    4,
+	BlockSize: 32,
+	Field:     256,
+	Roles:     map[string]string{"O1": "recoder", "C1": "recoder", "T": "recoder", "V2": "forwarder"},
+	InPerGen:  map[string]int{"O1": 2, "C1": 2, "T": 4},
+	Tables: map[string][]controller.DeployHopGroup{
+		"V1": {{Addrs: []string{"O1"}, PerGen: 2}, {Addrs: []string{"C1"}, PerGen: 2}},
+		"O1": {{Addrs: []string{"O2"}, PerGen: 2}, {Addrs: []string{"T"}, PerGen: 2}},
+		"C1": {{Addrs: []string{"C2"}, PerGen: 2}, {Addrs: []string{"T"}, PerGen: 2}},
+		"T":  {{Addrs: []string{"V2"}, PerGen: 2}},
+		"V2": {{Addrs: []string{"O2"}}, {Addrs: []string{"C2"}}},
+	},
+}}}
 
 // sinkNodes are the decoding endpoints (fixed addresses; sinks don't fail
 // over in this harness — the paper's failover concerns coding VNFs).
@@ -62,8 +56,9 @@ var sinkNodes = []string{"O2", "C2"}
 
 // RelayNodes lists the supervised coding VNFs in deterministic order.
 func RelayNodes() []string {
-	nodes := make([]string, 0, len(butterflyPlan))
-	for n := range butterflyPlan {
+	roles := butterfly.Sessions[0].Roles
+	nodes := make([]string, 0, len(roles))
+	for n := range roles {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
@@ -100,6 +95,10 @@ type Cluster struct {
 // relay VMs are launched, brought to Running (advancing virtual time by the
 // launch latency), configured, and placed under supervision.
 func NewButterfly(seed int64) (*Cluster, error) {
+	params, err := butterfly.Sessions[0].Params()
+	if err != nil {
+		return nil, err
+	}
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	relays := RelayNodes()
 	regions := make([]cloud.Region, 0, len(relays))
@@ -114,10 +113,10 @@ func NewButterfly(seed int64) (*Cluster, error) {
 		Clock: clk,
 		Cloud: cl,
 		Reg:   reg,
-		// Field is spelled explicitly (the zero value means GF256 anyway) so
-		// the session configs compare equal to what a deploy file yields —
-		// the reload soak relies on unchanged sessions being left untouched.
-		params:    rlnc.Params{GenerationBlocks: 4, BlockSize: 32, Field: gf.GF256},
+		// Taken from the deploy file, so the live session configs compare
+		// equal to what a reload of the same file yields — the reload soak
+		// relies on unchanged sessions being left untouched.
+		params:    params,
 		seed:      seed,
 		epoch:     make(map[string]int),
 		addr:      make(map[string]string),
@@ -163,7 +162,10 @@ func NewButterfly(seed int64) (*Cluster, error) {
 		return nil, err
 	}
 	c.src = src
-	src.SetHops(c.sourceGroups())
+	c.mu.Lock()
+	hops := c.renderLocked().NodeTable("V1")[Session]
+	c.mu.Unlock()
+	src.SetHops(hops)
 	for _, s := range sinkNodes {
 		r := dataplane.NewMultiReceiver(c.Net.Host(s), dataplane.WithSeed(seed))
 		if err := r.AddSession(Session, c.params, "V1"); err != nil {
@@ -217,45 +219,50 @@ func (c *Cluster) addrLocked(node string) string {
 	return c.addr[node]
 }
 
-// sourceGroups builds V1's hop groups against current addresses.
-func (c *Cluster) sourceGroups() []dataplane.HopGroup {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	groups := make([]dataplane.HopGroup, 0, len(sourceHops))
-	for _, h := range sourceHops {
-		groups = append(groups, dataplane.HopGroup{Addrs: []string{c.addrLocked(h.to)}, PerGen: h.perGen})
+// renderLocked resolves the butterfly file's logical next hops to the
+// nodes' current addresses.
+func (c *Cluster) renderLocked() *controller.DeployFile {
+	sess := butterfly.Sessions[0]
+	tables := make(map[string][]controller.DeployHopGroup, len(sess.Tables))
+	for node, groups := range sess.Tables {
+		resolved := make([]controller.DeployHopGroup, len(groups))
+		for i, g := range groups {
+			addrs := make([]string, len(g.Addrs))
+			for j, a := range g.Addrs {
+				addrs[j] = c.addrLocked(a)
+			}
+			resolved[i] = controller.DeployHopGroup{Addrs: addrs, PerGen: g.PerGen}
+		}
+		tables[node] = resolved
 	}
-	return groups
+	sess.Tables = tables
+	return &controller.DeployFile{Sessions: []controller.DeploySession{sess}}
 }
 
-// tableLocked builds a node's forwarding table against current addresses.
-func (c *Cluster) tableLocked(node string) map[ncproto.SessionID][]dataplane.HopGroup {
-	spec := butterflyPlan[node]
-	hops := make([]dataplane.HopGroup, 0, len(spec.hops))
-	for _, h := range spec.hops {
-		hops = append(hops, dataplane.HopGroup{Addrs: []string{c.addrLocked(h.to)}, PerGen: h.perGen})
+// routesTo reports whether a node's butterfly table names the target.
+func routesTo(node, target string) bool {
+	for _, g := range butterfly.Sessions[0].Tables[node] {
+		for _, a := range g.Addrs {
+			if a == target {
+				return true
+			}
+		}
 	}
-	return map[ncproto.SessionID][]dataplane.HopGroup{Session: hops}
+	return false
 }
 
 // deployLocked starts a daemon+VNF for the node at its current address and
-// pushes settings, table, and start — the controller's deployment sequence.
+// applies the node's cold-start messages from the rendered file — settings,
+// table, and start, the sequence ncctl sends to ncd.
 func (c *Cluster) deployLocked(node string) error {
-	spec := butterflyPlan[node]
+	msgs, err := c.renderLocked().NodeMessages(node)
+	if err != nil {
+		return fmt.Errorf("chaostest: deploy %s: %w", node, err)
+	}
 	d := controller.NewDaemon(c.Net.Host(c.addr[node]), c.Clock,
 		dataplane.WithSeed(c.seed+int64(c.epoch[node])),
 		dataplane.WithTelemetry(c.Reg),
 		dataplane.WithClock(c.Clock))
-	msgs := []*controller.Message{
-		{Signal: controller.NCSettings, Settings: &dataplane.SessionConfig{
-			ID:       Session,
-			Params:   c.params,
-			Role:     spec.role,
-			InPerGen: spec.inPerGen,
-		}},
-		{Signal: controller.NCForwardTab, Table: c.tableLocked(node)},
-		{Signal: controller.NCStart},
-	}
 	for _, m := range msgs {
 		if err := d.Apply(m); err != nil {
 			return fmt.Errorf("chaostest: deploy %s: %w", node, err)
@@ -277,33 +284,22 @@ func (c *Cluster) redeploy(node, newInstance string) error {
 		c.mu.Unlock()
 		return err
 	}
+	f := c.renderLocked()
 	// Re-push tables of upstream relays that point at this node.
 	for _, m := range RelayNodes() {
-		if m == node {
+		if m == node || !routesTo(m, node) {
 			continue
 		}
-		for _, h := range butterflyPlan[m].hops {
-			if h.to != node {
-				continue
+		if d := c.daemons[m]; d != nil {
+			if err := d.Apply(&controller.Message{Signal: controller.NCForwardTab, Table: f.NodeTable(m)}); err != nil {
+				c.mu.Unlock()
+				return err
 			}
-			if d := c.daemons[m]; d != nil {
-				if err := d.Apply(&controller.Message{Signal: controller.NCForwardTab, Table: c.tableLocked(m)}); err != nil {
-					c.mu.Unlock()
-					return err
-				}
-			}
-			break
-		}
-	}
-	refreshSource := false
-	for _, h := range sourceHops {
-		if h.to == node {
-			refreshSource = true
 		}
 	}
 	c.mu.Unlock()
-	if refreshSource {
-		c.src.SetHops(c.sourceGroups())
+	if routesTo("V1", node) {
+		c.src.SetHops(f.NodeTable("V1")[Session])
 	}
 	return nil
 }
@@ -315,43 +311,16 @@ func (c *Cluster) Daemon(node string) *controller.Daemon {
 	return c.daemons[node]
 }
 
-// roleName maps a dataplane role back to its deploy-file spelling.
-func roleName(r dataplane.Role) string {
-	switch r {
-	case dataplane.RoleRecoder:
-		return "recoder"
-	case dataplane.RoleDecoder:
-		return "decoder"
-	default:
-		return "forwarder"
-	}
-}
-
-// DeployFileFor renders one relay's current butterfly role and forwarding
-// table as a versioned deploy file — the document an operator would POST to
+// DeployFileFor renders the butterfly against current addresses as a
+// versioned deploy file — the document an operator would POST to a relay's
 // /reload. With extraSession set, the file also names an inert second
-// session (a forwarder entry pointing nowhere useful), so reload soaks can
-// churn session adds and removes around the live traffic.
+// session on the given node (a forwarder entry pointing nowhere useful), so
+// reload soaks can churn session adds and removes around the live traffic.
 func (c *Cluster) DeployFileFor(node string, version int, extraSession bool) *controller.DeployFile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	spec := butterflyPlan[node]
-	groups := make([]controller.DeployHopGroup, 0, len(spec.hops))
-	for _, h := range spec.hops {
-		groups = append(groups, controller.DeployHopGroup{Addrs: []string{c.addrLocked(h.to)}, PerGen: h.perGen})
-	}
-	f := &controller.DeployFile{
-		Version: version,
-		Sessions: []controller.DeploySession{{
-			ID:        int(Session),
-			Blocks:    c.params.GenerationBlocks,
-			BlockSize: c.params.BlockSize,
-			Roles:     map[string]string{node: roleName(spec.role)},
-			InPerGen:  map[string]int{node: spec.inPerGen},
-			Tables:    map[string][]controller.DeployHopGroup{node: groups},
-		}},
-		Daemons: map[string]string{node: c.addrLocked(node)},
-	}
+	f := c.renderLocked()
+	f.Version = version
 	if extraSession {
 		f.Sessions = append(f.Sessions, controller.DeploySession{
 			ID:        200,

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,7 +144,10 @@ func TestDaemonVNFStartNoop(t *testing.T) {
 	}
 }
 
-func TestBuildNodePlansButterfly(t *testing.T) {
+// solveButterfly solves the paper's butterfly with every relay a candidate
+// data center.
+func solveButterfly(t *testing.T) ([]optimize.Session, *optimize.Plan) {
+	t.Helper()
 	g, src, dsts := topology.Butterfly()
 	cfg := optimize.Config{
 		Graph: g,
@@ -162,97 +167,170 @@ func TestBuildNodePlansButterfly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := smallParams()
-	plans, err := BuildNodePlans(params, 0, sessions, plan, func(dc topology.NodeID) []string {
+	return sessions, plan
+}
+
+// requireDocument checks that a planner output is a deploy file ncctl
+// accepts: it validates, and it survives a JSON round trip unchanged.
+func requireDocument(t *testing.T, f *DeployFile) {
+	t.Helper()
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseDeployFile(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, f) {
+		t.Fatalf("JSON round trip changed the file:\n%+v\n%+v", f, back)
+	}
+}
+
+func TestBuildDeployFileButterfly(t *testing.T) {
+	sessions, plan := solveButterfly(t)
+	f, err := BuildDeployFile(smallParams(), 0, sessions, plan, func(dc topology.NodeID) []string {
 		return []string{string(dc) + "/vnf0"}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Source plan: two hop groups (O1, C1) with quota 2 each.
-	srcPlan := plans[src]
-	if srcPlan == nil {
-		t.Fatal("no plan for source")
+	requireDocument(t, f)
+	if len(f.Sessions) != 1 {
+		t.Fatalf("sessions = %d, want 1", len(f.Sessions))
 	}
-	hops := SourceHops(plans, src, 1)
+	s := f.Sessions[0]
+	if s.ID != 1 || s.Blocks != 4 || s.BlockSize != 64 || s.Field != 256 || s.Redundancy != 0 {
+		t.Fatalf("session header = %+v", s)
+	}
+	// Sec. IV-A: the single-flow relays forward; only T, which merges two
+	// branches into one, codes. The source plays no VNF role.
+	wantRoles := map[string]string{
+		"O1": "forwarder", "C1": "forwarder", "V2": "forwarder",
+		"T":  "recoder",
+		"O2": "decoder", "C2": "decoder",
+	}
+	if !reflect.DeepEqual(s.Roles, wantRoles) {
+		t.Fatalf("roles = %v, want %v", s.Roles, wantRoles)
+	}
+	if s.InPerGen["T"] != 4 {
+		t.Fatalf("T InPerGen = %d, want 4", s.InPerGen["T"])
+	}
+	if tg := s.Tables["T"]; len(tg) != 1 || tg[0].PerGen != 2 || len(tg[0].Addrs) != 1 || tg[0].Addrs[0] != "V2/vnf0" {
+		t.Fatalf("T table = %+v, want one group of 2 to V2/vnf0", tg)
+	}
+	// The source's entry: two groups (O1, C1) of 2 each (35/70 of 4 blocks).
+	hops := f.NodeTable("V1")[1]
 	if len(hops) != 2 {
 		t.Fatalf("source hop groups = %d, want 2", len(hops))
 	}
 	for _, h := range hops {
 		if h.PerGen != 2 {
-			t.Fatalf("source quota = %d, want 2 (35/70 of 4 blocks)", h.PerGen)
-		}
-	}
-	// T merges two branches: recoder with InPerGen 4 and outbound quota 2.
-	tp := plans["T"]
-	if tp == nil {
-		t.Fatal("no plan for T")
-	}
-	tc := tp.Sessions[1]
-	if tc.Role != dataplane.RoleRecoder {
-		t.Fatalf("T role = %v, want recoder", tc.Role)
-	}
-	if tc.InPerGen != 4 {
-		t.Fatalf("T InPerGen = %d, want 4", tc.InPerGen)
-	}
-	if tg := tp.Table[1]; len(tg) != 1 || tg[0].PerGen != 2 {
-		t.Fatalf("T out = %+v", tg)
-	}
-	if tg := tp.Table[1]; tg[0].Addrs[0] != "V2/vnf0" {
-		t.Fatalf("T next hop = %v", tg[0].Addrs)
-	}
-	// Receivers decode.
-	for _, r := range dsts {
-		rp := plans[r]
-		if rp == nil || rp.Sessions[1].Role != dataplane.RoleDecoder {
-			t.Fatalf("receiver %s not a decoder", r)
+			t.Fatalf("source quota = %d, want 2", h.PerGen)
 		}
 	}
 }
 
-func TestBuildNodePlansMissingInstances(t *testing.T) {
-	g, src, dsts := topology.Butterfly()
-	cfg := optimize.Config{
-		Graph: g,
-		DataCenters: []optimize.DataCenter{
-			{ID: "O1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "C1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "T", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "V2", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-		},
-		Alpha:       0.1,
-		MaxPathHops: 4,
-	}
-	sessions := []optimize.Session{{
-		ID: 1, Source: src, Receivers: dsts, MaxDelay: 150 * time.Millisecond,
-	}}
-	plan, err := optimize.Solve(cfg, sessions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildNodePlans(smallParams(), 0, sessions, plan, func(topology.NodeID) []string {
+func TestBuildDeployFileMissingInstances(t *testing.T) {
+	sessions, plan := solveButterfly(t)
+	if _, err := BuildDeployFile(smallParams(), 0, sessions, plan, func(topology.NodeID) []string {
 		return nil
 	}); err == nil {
 		t.Fatal("missing instances accepted")
 	}
 }
 
-func TestSourceHopsUnknown(t *testing.T) {
-	if hops := SourceHops(nil, "x", 1); hops != nil {
-		t.Fatal("unknown source returned hops")
+func TestDeployFileUnknownNode(t *testing.T) {
+	sessions, plan := solveButterfly(t)
+	f, err := BuildDeployFile(smallParams(), 0, sessions, plan, func(dc topology.NodeID) []string {
+		return []string{string(dc)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hops := f.NodeTable("x")[1]; hops != nil {
+		t.Fatal("unknown node returned hops")
+	}
+	if msgs, err := f.NodeMessages("x"); err != nil || msgs != nil {
+		t.Fatalf("unknown node messages = %v, %v", msgs, err)
 	}
 }
 
-func TestBuildNodePlansSkipsZeroRate(t *testing.T) {
+func TestBuildDeployFileSkipsZeroRate(t *testing.T) {
 	plan := &optimize.Plan{
 		Rates:     map[ncproto.SessionID]float64{1: 0},
 		LinkFlows: map[ncproto.SessionID]map[[2]topology.NodeID]float64{},
 	}
-	plans, err := BuildNodePlans(smallParams(), 0, []optimize.Session{{ID: 1, Source: "s"}}, plan, nil)
+	f, err := BuildDeployFile(smallParams(), 0, []optimize.Session{{ID: 1, Source: "s"}}, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) != 0 {
-		t.Fatal("zero-rate session produced plans")
+	if len(f.Sessions) != 0 {
+		t.Fatal("zero-rate session produced a session entry")
+	}
+}
+
+// TestBuildDeployFileSharedReceiver plans two sessions that terminate at the
+// same receiver through one data center: each gets its own entry, and the
+// file is one ncctl accepts.
+func TestBuildDeployFileSharedReceiver(t *testing.T) {
+	g := topology.New()
+	g.AddNode("s1", topology.Source)
+	g.AddNode("s2", topology.Source)
+	g.AddNode("dc", topology.DataCenter)
+	g.AddNode("sink", topology.Destination)
+	for _, l := range []topology.Link{
+		{From: "s1", To: "dc", CapacityMbps: 100, Delay: time.Millisecond},
+		{From: "s2", To: "dc", CapacityMbps: 100, Delay: time.Millisecond},
+		{From: "dc", To: "sink", CapacityMbps: 100, Delay: time.Millisecond},
+	} {
+		if err := g.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sessions []optimize.Session
+	for i, src := range []topology.NodeID{"s1", "s2"} {
+		sessions = append(sessions, optimize.Session{
+			ID:        ncproto.SessionID(i + 1),
+			Source:    src,
+			Receivers: []topology.NodeID{"sink"},
+			MaxDelay:  100 * time.Millisecond,
+			RateCap:   30,
+		})
+	}
+	plan, err := optimize.Solve(optimize.Config{
+		Graph:       g,
+		DataCenters: []optimize.DataCenter{{ID: "dc", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500}},
+		Alpha:       1,
+		MaxPathHops: 4,
+	}, sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := BuildDeployFile(rlnc.Params{GenerationBlocks: 4, BlockSize: 128}, 0, sessions, plan, func(dc topology.NodeID) []string {
+		return []string{string(dc)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDocument(t, f)
+	if len(f.Sessions) != 2 {
+		t.Fatalf("sessions = %d, want 2", len(f.Sessions))
+	}
+	for _, s := range f.Sessions {
+		if s.Roles["dc"] != "forwarder" || s.Roles["sink"] != "decoder" {
+			t.Fatalf("session %d roles = %v", s.ID, s.Roles)
+		}
+	}
+	msgs, err := f.NodeMessages("dc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per session NC_SETTINGS then NC_FORWARD_TAB, then one NC_START.
+	if len(msgs) != 5 || msgs[4].Signal != NCStart {
+		t.Fatalf("dc cold start = %d messages", len(msgs))
 	}
 }

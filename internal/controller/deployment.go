@@ -6,46 +6,33 @@ import (
 	"sort"
 
 	"ncfn/internal/dataplane"
-	"ncfn/internal/ncproto"
+	"ncfn/internal/gf"
 	"ncfn/internal/optimize"
 	"ncfn/internal/rlnc"
 	"ncfn/internal/topology"
 )
 
-// NodePlan is everything one network node (source, data center VNF, or
-// receiver) needs to participate in the deployed sessions: its per-session
-// settings (NC_SETTINGS) and forwarding table (NC_FORWARD_TAB).
-type NodePlan struct {
-	Node     topology.NodeID
-	Sessions map[ncproto.SessionID]dataplane.SessionConfig
-	Table    map[ncproto.SessionID][]dataplane.HopGroup
-}
-
-// BuildNodePlans converts an optimizer plan into per-node directives. The
-// instancesOf callback maps a data center to the network addresses of its
-// running VNF instances (one hop group dispatches generations across them);
-// sources and receivers resolve to their own node ID as address.
+// BuildDeployFile converts an optimizer plan into the deployment document
+// ncctl reads: one session entry per routed session, with each relay's and
+// receiver's role, each relay's inbound quota, and every sending node's
+// forwarding table (the source's included). The instancesOf callback maps a
+// data center to the network addresses of its running VNF instances (one
+// hop group dispatches generations across them); receivers resolve to
+// their own node ID as address. Sessions the plan gives no rate are left
+// out.
 //
 // Per-hop packet quotas follow the conceptual-flow solution: a link
 // carrying f_m(e) of a session with rate λ_m receives
 // round(k · f_m(e) / λ_m) of the k coded packets of each generation, plus
 // `redundancy` extra coded packets per hop (the NC1/NC2 configurations of
 // Figs. 8 and 9 add one or two redundant packets per coding node).
-func BuildNodePlans(params rlnc.Params, redundancy int, sessions []optimize.Session, plan *optimize.Plan, instancesOf func(topology.NodeID) []string) (map[topology.NodeID]*NodePlan, error) {
-	plans := make(map[topology.NodeID]*NodePlan)
-	get := func(n topology.NodeID) *NodePlan {
-		if p, ok := plans[n]; ok {
-			return p
-		}
-		p := &NodePlan{
-			Node:     n,
-			Sessions: make(map[ncproto.SessionID]dataplane.SessionConfig),
-			Table:    make(map[ncproto.SessionID][]dataplane.HopGroup),
-		}
-		plans[n] = p
-		return p
+func BuildDeployFile(params rlnc.Params, redundancy int, sessions []optimize.Session, plan *optimize.Plan, instancesOf func(topology.NodeID) []string) (*DeployFile, error) {
+	field := 256
+	if params.Field == gf.GF2 {
+		field = 2
 	}
 	k := params.GenerationBlocks
+	f := &DeployFile{}
 
 	for _, s := range sessions {
 		flows := plan.LinkFlows[s.ID]
@@ -79,10 +66,7 @@ func BuildNodePlans(params rlnc.Params, redundancy int, sessions []optimize.Sess
 		}
 		// Receivers must be able to decode: their inbound quotas need to
 		// cover the generation. The conceptual-flow solution guarantees
-		// Σ f ≥ λ per receiver, so Σ round(k·f/λ) ≥ k up to rounding;
-		// bump the largest in-edge if rounding fell short.
-		// (Handled implicitly: round() of the exact solution sums to ≥ k
-		// in all but pathological cases; validated below.)
+		// Σ f ≥ λ per receiver, so Σ round(k·f/λ) ≥ k up to rounding.
 		for _, r := range s.Receivers {
 			if inQuota[r] < k+redundancy {
 				return nil, fmt.Errorf("controller: session %d receiver %s has inbound quota %d < %d; plan too fractional",
@@ -90,10 +74,18 @@ func BuildNodePlans(params rlnc.Params, redundancy int, sessions []optimize.Sess
 			}
 		}
 
+		ds := DeploySession{
+			ID:         int(s.ID),
+			Blocks:     k,
+			BlockSize:  params.BlockSize,
+			Field:      field,
+			Redundancy: redundancy,
+			Roles:      make(map[string]string),
+			Tables:     make(map[string][]DeployHopGroup),
+		}
 		for node, edges := range outEdges {
 			sort.Slice(edges, func(i, j int) bool { return edges[i][1] < edges[j][1] })
-			np := get(node)
-			var hops []dataplane.HopGroup
+			var hops []DeployHopGroup
 			for _, e := range edges {
 				dst := e[1]
 				var addrs []string
@@ -105,11 +97,11 @@ func BuildNodePlans(params rlnc.Params, redundancy int, sessions []optimize.Sess
 						return nil, fmt.Errorf("controller: session %d routes through %s, but it has no running VNF instances", s.ID, dst)
 					}
 				}
-				hops = append(hops, dataplane.HopGroup{Addrs: addrs, PerGen: quota(e)})
+				hops = append(hops, DeployHopGroup{Addrs: addrs, PerGen: quota(e)})
 			}
-			np.Table[s.ID] = hops
-			if node == s.Source {
-				continue // the source encodes; no SessionConfig needed
+			ds.Tables[string(node)] = hops
+			if node == s.Source || recvSet[node] {
+				continue // the source encodes and receivers decode (below)
 			}
 			// A relay with a single incoming flow and no rate compression
 			// can simply forward (Sec. IV-A: "In the case where only one
@@ -133,33 +125,17 @@ func BuildNodePlans(params rlnc.Params, redundancy int, sessions []optimize.Sess
 					role = dataplane.RoleForwarder
 				}
 			}
-			np.Sessions[s.ID] = dataplane.SessionConfig{
-				ID:         s.ID,
-				Params:     params,
-				Role:       role,
-				Redundancy: redundancy,
-				InPerGen:   inQuota[node],
+			ds.Roles[string(node)] = role.String()
+			if ds.InPerGen == nil {
+				ds.InPerGen = make(map[string]int)
 			}
+			ds.InPerGen[string(node)] = inQuota[node]
 		}
 		// Receivers decode.
 		for _, r := range s.Receivers {
-			np := get(r)
-			np.Sessions[s.ID] = dataplane.SessionConfig{
-				ID:     s.ID,
-				Params: params,
-				Role:   dataplane.RoleDecoder,
-			}
+			ds.Roles[string(r)] = dataplane.RoleDecoder.String()
 		}
+		f.Sessions = append(f.Sessions, ds)
 	}
-	return plans, nil
-}
-
-// SourceHops extracts the hop groups the session's source should use from
-// a node-plan set.
-func SourceHops(plans map[topology.NodeID]*NodePlan, src topology.NodeID, id ncproto.SessionID) []dataplane.HopGroup {
-	np, ok := plans[src]
-	if !ok {
-		return nil
-	}
-	return np.Table[id]
+	return f, nil
 }

@@ -72,7 +72,7 @@ type Service struct {
 	sessions  []optimize.Session
 	plan      *optimize.Plan
 	net       *emunet.Network
-	vnfs      map[topology.NodeID]*dataplane.VNF
+	daemons   []*controller.Daemon
 	sources   map[ncproto.SessionID]*dataplane.Source
 	endpoints map[topology.NodeID]*dataplane.MultiReceiver
 	closed    bool
@@ -92,7 +92,6 @@ func NewService(cfg Config) (*Service, error) {
 	return &Service{
 		cfg:       cfg,
 		reg:       telemetry.NewRegistry(),
-		vnfs:      make(map[topology.NodeID]*dataplane.VNF),
 		sources:   make(map[ncproto.SessionID]*dataplane.Source),
 		endpoints: make(map[topology.NodeID]*dataplane.MultiReceiver),
 	}, nil
@@ -121,10 +120,11 @@ func (s *Service) Plan() *optimize.Plan {
 	return s.plan
 }
 
-// Deploy solves program (2) for the registered sessions and instantiates
-// the data plane: one coding VNF per data center the plan uses, configured
-// tables with conceptual-flow packet quotas, a Source per session, and a
-// Receiver per destination.
+// Deploy solves program (2) for the registered sessions, renders the plan
+// as a controller.DeployFile, and instantiates the data plane from it: one
+// daemon-managed coding VNF per data center the file gives a role, cold-
+// started with the control messages ncctl would send, a Source per session
+// fed its table entry, and a receiving endpoint per destination.
 func (s *Service) Deploy() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,14 +147,23 @@ func (s *Service) Deploy() error {
 	if err != nil {
 		return fmt.Errorf("core: solve deployment: %w", err)
 	}
-	plans, err := controller.BuildNodePlans(s.cfg.Params, s.cfg.Redundancy, s.sessions, plan, func(dc topology.NodeID) []string {
+	f, err := controller.BuildDeployFile(s.cfg.Params, s.cfg.Redundancy, s.sessions, plan, func(dc topology.NodeID) []string {
 		// Live mode runs one VNF instance per data center; generation
 		// dispatch across multiple instances is exercised by the
 		// dataplane unit tests.
 		return []string{string(dc)}
 	})
 	if err != nil {
-		return fmt.Errorf("core: build node plans: %w", err)
+		return fmt.Errorf("core: build deploy file: %w", err)
+	}
+	if s.cfg.ForceForwarding {
+		for i := range f.Sessions {
+			for node, role := range f.Sessions[i].Roles {
+				if role == dataplane.RoleRecoder.String() {
+					f.Sessions[i].Roles[node] = dataplane.RoleForwarder.String()
+				}
+			}
+		}
 	}
 
 	s.net = buildNetwork(s.cfg.Graph, s.reg)
@@ -166,37 +175,31 @@ func (s *Service) Deploy() error {
 		}
 	}
 
-	// Instantiate VNFs at data centers that appear in the node plans.
-	dcSet := make(map[topology.NodeID]bool, len(s.cfg.DataCenters))
+	// Cold-start a daemon at every data center the file gives a role,
+	// with the NC_SETTINGS → NC_FORWARD_TAB → NC_START sequence ncctl
+	// sends to ncd.
 	for _, dc := range s.cfg.DataCenters {
-		dcSet[dc.ID] = true
-	}
-	for node, np := range plans {
-		if !dcSet[node] {
+		msgs, err := f.NodeMessages(string(dc.ID))
+		if err != nil {
+			return fmt.Errorf("core: messages for %s: %w", dc.ID, err)
+		}
+		if msgs == nil {
 			continue
 		}
 		opts := []dataplane.VNFOption{
-			dataplane.WithSeed(s.cfg.Seed + int64(len(s.vnfs)) + 100),
+			dataplane.WithSeed(s.cfg.Seed + int64(len(s.daemons)) + 100),
 			dataplane.WithTelemetry(s.reg),
 		}
 		if s.cfg.BufferGenerations > 0 {
 			opts = append(opts, dataplane.WithBufferCapacity(s.cfg.BufferGenerations))
 		}
-		vnf := dataplane.NewVNF(s.net.Host(string(node)), opts...)
-		for _, sc := range np.Sessions {
-			if s.cfg.ForceForwarding && sc.Role == dataplane.RoleRecoder {
-				sc.Role = dataplane.RoleForwarder
-			}
-			if err := vnf.Configure(sc); err != nil {
-				vnf.Close()
-				return fmt.Errorf("core: configure VNF at %s: %w", node, err)
+		d := controller.NewDaemon(s.net.Host(string(dc.ID)), nil, opts...)
+		s.daemons = append(s.daemons, d)
+		for _, m := range msgs {
+			if err := d.Apply(m); err != nil {
+				return fmt.Errorf("core: deploy %s: %w", dc.ID, err)
 			}
 		}
-		for sid, hops := range np.Table {
-			vnf.Table().Set(sid, hops)
-		}
-		vnf.Start()
-		s.vnfs[node] = vnf
 	}
 
 	// Sources and receivers.
@@ -213,7 +216,7 @@ func (s *Service) Deploy() error {
 		if err != nil {
 			return fmt.Errorf("core: source for session %d: %w", sess.ID, err)
 		}
-		src.SetHops(controller.SourceHops(plans, sess.Source, sess.ID))
+		src.SetHops(f.NodeTable(string(sess.Source))[sess.ID])
 		s.sources[sess.ID] = src
 
 		// One receiving endpoint per node, shared by every session that
@@ -331,8 +334,8 @@ func (s *Service) Close() error {
 	for _, ep := range s.endpoints {
 		ep.Close()
 	}
-	for _, v := range s.vnfs {
-		v.Close()
+	for _, d := range s.daemons {
+		d.Close()
 	}
 	if s.net != nil {
 		return s.net.Close()

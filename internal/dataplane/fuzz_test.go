@@ -1,8 +1,6 @@
 package dataplane
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,39 +9,6 @@ import (
 	"ncfn/internal/ncproto"
 	"ncfn/internal/rlnc"
 )
-
-// FuzzLoadTable hardens the forwarding-table file parser: it must never
-// panic, and accepted tables must survive a save/load round trip.
-func FuzzLoadTable(f *testing.F) {
-	f.Add("session 1: a,b@2|c\n")
-	f.Add("# comment\n\nsession 4: a\n")
-	f.Add("session 2:\n")
-	f.Add("garbage\n")
-	f.Add("session 9: @@\n")
-	f.Fuzz(func(t *testing.T, content string) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "t.tab")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Skip()
-		}
-		ft, err := LoadTable(path)
-		if err != nil {
-			return
-		}
-		// Round trip: what loaded must save and reload identically.
-		path2 := filepath.Join(dir, "t2.tab")
-		if err := ft.Save(path2); err != nil {
-			t.Fatalf("save of loaded table failed: %v", err)
-		}
-		again, err := LoadTable(path2)
-		if err != nil {
-			t.Fatalf("reload of saved table failed: %v", err)
-		}
-		if again.Len() != ft.Len() {
-			t.Fatalf("round trip changed entry count: %d -> %d", ft.Len(), again.Len())
-		}
-	})
-}
 
 // FuzzHandlePacket feeds arbitrary datagrams to a configured VNF: the
 // packet path must never panic regardless of input.

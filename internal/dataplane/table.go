@@ -18,11 +18,6 @@
 package dataplane
 
 import (
-	"bufio"
-	"fmt"
-	"os"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -82,8 +77,8 @@ func (h HopGroup) Pick(s ncproto.SessionID, g ncproto.GenerationID) string {
 }
 
 // ForwardingTable maps each session to its next-hop groups. The paper
-// stores it as a text file pushed by the controller (NC_FORWARD_TAB) and
-// reloaded on SIGUSR1.
+// stores it as a text file the daemon reloads on SIGUSR1; here the table
+// arrives as NC_FORWARD_TAB JSON and lives only in memory, swapped in whole.
 //
 // Reads are RCU-style lock-free: the whole table lives in one immutable
 // snapshot published through an atomic pointer, so the per-packet lookups
@@ -214,103 +209,4 @@ func (t *ForwardingTable) Snapshot() map[ncproto.SessionID][]HopGroup {
 		out[s] = copyGroups(groups)
 	}
 	return out
-}
-
-// ReplaceAll swaps in a whole new table content atomically.
-func (t *ForwardingTable) ReplaceAll(entries map[ncproto.SessionID][]HopGroup) {
-	m := make(map[ncproto.SessionID][]HopGroup, len(entries))
-	for s, groups := range entries {
-		m[s] = copyGroups(groups)
-	}
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	t.snap.Store(&tableSnapshot{entries: m})
-	t.version.Add(1)
-}
-
-// Save writes the table in the paper's text format: one line per session,
-// "session <id>: addr1,addr2|addr3" where '|' separates hop groups and ','
-// separates instances within a group.
-func (t *ForwardingTable) Save(path string) error {
-	snapshot := t.load()
-
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataplane: save table: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	ids := make([]ncproto.SessionID, 0, len(snapshot))
-	for s := range snapshot {
-		ids = append(ids, s)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, s := range ids {
-		var groups []string
-		for _, h := range snapshot[s] {
-			g := strings.Join(h.Addrs, ",")
-			if h.PerGen > 0 {
-				g = fmt.Sprintf("%s@%d", g, h.PerGen)
-			}
-			groups = append(groups, g)
-		}
-		fmt.Fprintf(w, "session %d: %s\n", s, strings.Join(groups, "|"))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("dataplane: save table: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dataplane: save table: %w", err)
-	}
-	return nil
-}
-
-// LoadTable parses a table file written by Save. Entries are collected into
-// one map and published as a single snapshot, so loading an n-session table
-// costs one copy rather than n copy-on-write transactions.
-func LoadTable(path string) (*ForwardingTable, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataplane: load table: %w", err)
-	}
-	defer f.Close()
-	entries := map[ncproto.SessionID][]HopGroup{}
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var id int
-		rest := ""
-		if _, err := fmt.Sscanf(text, "session %d: %s", &id, &rest); err != nil {
-			// Allow empty hop lists: "session 3:".
-			if _, err2 := fmt.Sscanf(text, "session %d:", &id); err2 != nil {
-				return nil, fmt.Errorf("dataplane: load table: line %d: %q", line, text)
-			}
-		}
-		var hops []HopGroup
-		if rest != "" {
-			for _, group := range strings.Split(rest, "|") {
-				perGen := 0
-				if at := strings.LastIndex(group, "@"); at >= 0 {
-					if _, err := fmt.Sscanf(group[at+1:], "%d", &perGen); err != nil {
-						return nil, fmt.Errorf("dataplane: load table: line %d: bad quota %q", line, group)
-					}
-					group = group[:at]
-				}
-				addrs := strings.Split(group, ",")
-				hops = append(hops, HopGroup{Addrs: addrs, PerGen: perGen})
-			}
-		}
-		entries[ncproto.SessionID(id)] = hops
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataplane: load table: %w", err)
-	}
-	t := NewForwardingTable()
-	t.ReplaceAll(entries)
-	return t, nil
 }

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"path/filepath"
 	"testing"
 
 	"ncfn/internal/ncproto"
@@ -108,77 +107,15 @@ func TestForwardingTableGroupsCopies(t *testing.T) {
 	}
 }
 
-func TestForwardingTableSnapshotReplaceAll(t *testing.T) {
+func TestForwardingTableSnapshot(t *testing.T) {
 	ft := NewForwardingTable()
 	ft.Set(1, []HopGroup{{Addrs: []string{"x"}, PerGen: 3}})
 	snap := ft.Snapshot()
-	other := NewForwardingTable()
-	other.ReplaceAll(snap)
-	if other.Len() != 1 || other.Groups(1)[0].PerGen != 3 {
-		t.Fatal("ReplaceAll lost data")
+	if len(snap) != 1 || snap[1][0].PerGen != 3 || snap[1][0].Addrs[0] != "x" {
+		t.Fatalf("Snapshot = %+v", snap)
 	}
-}
-
-func TestTableSaveLoadRoundTrip(t *testing.T) {
-	ft := NewForwardingTable()
-	ft.Set(1, []HopGroup{{Addrs: []string{"a", "b"}, PerGen: 2}, {Addrs: []string{"c"}}})
-	ft.Set(12, []HopGroup{{Addrs: []string{"dc-oregon/vnf0"}}})
-	path := filepath.Join(t.TempDir(), "fwd.tab")
-	if err := ft.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("loaded %d sessions", got.Len())
-	}
-	g1 := got.Groups(1)
-	if len(g1) != 2 || g1[0].PerGen != 2 || len(g1[0].Addrs) != 2 || g1[0].Addrs[1] != "b" {
-		t.Fatalf("session 1 groups = %+v", g1)
-	}
-	if got.Groups(12)[0].Addrs[0] != "dc-oregon/vnf0" {
-		t.Fatal("session 12 address lost")
-	}
-}
-
-func TestLoadTableMissingFile(t *testing.T) {
-	if _, err := LoadTable(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestLoadTableBadLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.tab")
-	if err := writeFile(path, "this is not a table\n"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTable(path); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestLoadTableSkipsCommentsAndBlank(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.tab")
-	if err := writeFile(path, "# comment\n\nsession 4: a\n"); err != nil {
-		t.Fatal(err)
-	}
-	ft, err := LoadTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft.Len() != 1 || ft.AppendNextHops(nil, 4, 0)[0] != "a" {
-		t.Fatal("comment handling wrong")
-	}
-}
-
-func TestLoadTableBadQuota(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "q.tab")
-	if err := writeFile(path, "session 4: a@x\n"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTable(path); err == nil {
-		t.Fatal("bad quota accepted")
+	snap[1][0].Addrs[0] = "mutated"
+	if ft.AppendNextHops(nil, 1, 0)[0] != "x" {
+		t.Fatal("Snapshot did not deep-copy")
 	}
 }

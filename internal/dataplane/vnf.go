@@ -489,20 +489,6 @@ func (v *VNF) synchronize() {
 	}
 }
 
-// ReloadTableFile loads a table file pushed by the controller and swaps it
-// in — the full NC_FORWARD_TAB handling path whose latency Table III
-// reports. The swap is UpdateTable's: RCU publish + grace period.
-func (v *VNF) ReloadTableFile(path string) error {
-	t, err := LoadTable(path)
-	if err != nil {
-		return err
-	}
-	defer v.tel.tableSwaps.Inc(0)
-	v.table.ReplaceAll(t.Snapshot())
-	v.synchronize()
-	return nil
-}
-
 // run is the poll-mode receive loop: peek the fixed header, dispatch to
 // the session's shard. No GF math and no full parse happens here.
 func (v *VNF) run() {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -14,10 +13,6 @@ import (
 	"ncfn/internal/rlnc"
 	"ncfn/internal/telemetry"
 )
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
 
 func smallParams() rlnc.Params {
 	return rlnc.Params{GenerationBlocks: 4, BlockSize: 64}
@@ -278,29 +273,6 @@ func TestUpdateTableSwapsAtomically(t *testing.T) {
 	v.UpdateTable(map[ncproto.SessionID][]HopGroup{2: nil})
 	if v.Table().Len() != 1 {
 		t.Fatal("nil update did not delete")
-	}
-}
-
-func TestReloadTableFile(t *testing.T) {
-	n := emunet.NewNetwork(emunet.AllowDefault())
-	defer n.Close()
-	v := NewVNF(n.Host("v"))
-	v.Start()
-	defer v.Close()
-	path := t.TempDir() + "/t.tab"
-	ft := NewForwardingTable()
-	ft.Set(3, []HopGroup{{Addrs: []string{"next"}, PerGen: 2}})
-	if err := ft.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.ReloadTableFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if v.Table().Groups(3)[0].PerGen != 2 {
-		t.Fatal("reload lost contents")
-	}
-	if err := v.ReloadTableFile(path + ".missing"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 
