@@ -101,7 +101,6 @@ var testOnlyAllow = map[string]string{
 	"ncfn/internal/dataplane.VNF.SweepSessions":     "chaostest's churn soak expires TTLs on demand",
 	"ncfn/internal/dataplane.VNF.SessionStoreStats": "chaostest and buffer's differential test read the store's size",
 	"ncfn/internal/emunet.HasBatchIO":               "e2e gates its batched-wire telemetry check on it",
-	"ncfn/internal/emunet.Network.LinkStats":        "transfer's TCP test reads a link's drop count",
 }
 
 // testOnlyIfaces names the standard-library interfaces whose methods count

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"ncfn/internal/buffer"
+	"ncfn/internal/leakcheck"
+	"ncfn/internal/telemetry"
 )
 
 func TestHostRoundTrip(t *testing.T) {
@@ -108,7 +110,8 @@ func TestLinkRateLimiting(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	n := NewNetwork()
+	reg := telemetry.NewRegistry()
+	n := NewNetwork(WithTelemetry(reg))
 	defer n.Close()
 	a := n.Host("a")
 	n.Host("b")
@@ -119,12 +122,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, ok := n.LinkStats("a", "b")
-	if !ok {
-		t.Fatal("no link stats")
-	}
-	if st.Dropped == 0 {
-		t.Fatal("expected tail drops on overloaded link")
+	if tx, dropped := linkCounts(reg, "a->b"); tx != 4 || dropped != 46 {
+		t.Fatalf("a 4-packet queue admitted %d and dropped %d of 50", tx, dropped)
 	}
 }
 
@@ -283,12 +282,29 @@ func TestNetworkCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestCloseCancelsInFlight closes a network while packets wait on a delayed
+// link: Close returns without waiting out their delay, the peer's blocked
+// Recv returns ErrClosed, the link refuses further sends, and no drainer
+// outlives Close.
 func TestCloseCancelsInFlight(t *testing.T) {
-	n := NewNetwork()
-	a := n.Host("a")
-	n.Host("b")
+	leakcheck.Check(t)
+	reg := telemetry.NewRegistry()
+	n := NewNetwork(WithTelemetry(reg))
+	a, b := n.Host("a"), n.Host("b")
 	n.SetLink("a", "b", LinkConfig{Delay: time.Hour})
-	a.Send("b", []byte("x"))
+	for i := 0; i < 10; i++ {
+		if err := a.Send("b", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := reg.Snapshot().Gauges[MetricLinkQueuedPrefix+"a->b"]; q != 10 {
+		t.Fatalf("queued = %d, want 10", q)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := b.Recv()
+		errc <- err
+	}()
 	done := make(chan struct{})
 	go func() {
 		n.Close()
@@ -298,6 +314,15 @@ func TestCloseCancelsInFlight(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close blocked on in-flight delivery")
+	}
+	if err := <-errc; !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after Close: %v, want ErrClosed", err)
+	}
+	if q := reg.Snapshot().Gauges[MetricLinkQueuedPrefix+"a->b"]; q != 0 {
+		t.Fatalf("%d packets still queued after Close", q)
+	}
+	if err := a.Send("b", []byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send after Close: %v, want ErrClosed", err)
 	}
 }
 

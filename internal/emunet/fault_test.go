@@ -2,8 +2,14 @@ package emunet
 
 import (
 	"encoding/binary"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ncfn/internal/telemetry"
 )
 
 // sendSeq sends count sequence-numbered packets from src to dst.
@@ -42,6 +48,13 @@ func recvSeq(t *testing.T, h *Host, count int, timeout time.Duration) []uint64 {
 	return seqs
 }
 
+// linkCounts reads the directed link's admitted and dropped packet counts
+// from the network's telemetry registry.
+func linkCounts(reg *telemetry.Registry, link string) (tx, dropped uint64) {
+	snap := reg.Snapshot()
+	return snap.Counters[MetricLinkTxPrefix+link], snap.Counters[MetricLinkDropPrefix+link]
+}
+
 // inversions counts adjacent pairs delivered out of send order.
 func inversions(seqs []uint64) int {
 	n := 0
@@ -73,47 +86,20 @@ func multisetOfRange(t *testing.T, seqs []uint64, count, minCopies, maxCopies in
 }
 
 // TestFaultModes drives each netem-style impairment through a fixed-seed
-// link and asserts its observable signature: reordering and jitter permute
-// but never lose or corrupt, duplication only adds identical copies, and
-// partitions blackhole silently.
+// link and asserts its observable signature: jitter permutes but never
+// loses or corrupts, and duplication only adds identical copies.
 func TestFaultModes(t *testing.T) {
 	const count = 400
 	cases := []struct {
 		name string
 		cfg  LinkConfig
-		// check inspects the arrival order and link stats.
-		check func(t *testing.T, seqs []uint64, st Stats)
+		// check inspects the arrival order.
+		check func(t *testing.T, seqs []uint64)
 	}{
-		{
-			name: "reorder",
-			cfg:  LinkConfig{ReorderProb: 0.3, ReorderDelay: 3 * time.Millisecond, QueuePackets: 1024},
-			check: func(t *testing.T, seqs []uint64, st Stats) {
-				multisetOfRange(t, seqs, count, 1, 1)
-				if inversions(seqs) == 0 {
-					t.Fatal("ReorderProb=0.3 produced an in-order stream")
-				}
-				if st.Reordered == 0 {
-					t.Fatal("no packets counted as reordered")
-				}
-				if st.Reordered == uint64(count) {
-					t.Fatalf("all %d packets reordered at prob 0.3", count)
-				}
-			},
-		},
-		{
-			name: "reorder-default-delay",
-			cfg:  LinkConfig{ReorderProb: 0.5, QueuePackets: 1024}, // zero delay selects DefaultReorderDelay
-			check: func(t *testing.T, seqs []uint64, st Stats) {
-				multisetOfRange(t, seqs, count, 1, 1)
-				if inversions(seqs) == 0 {
-					t.Fatal("default hold-back produced an in-order stream")
-				}
-			},
-		},
 		{
 			name: "duplicate",
 			cfg:  LinkConfig{DuplicateProb: 0.25},
-			check: func(t *testing.T, seqs []uint64, st Stats) {
+			check: func(t *testing.T, seqs []uint64) {
 				multisetOfRange(t, seqs, count, 1, 2)
 				if len(seqs) <= count {
 					t.Fatalf("DuplicateProb=0.25 delivered no extra copies (%d)", len(seqs))
@@ -126,7 +112,7 @@ func TestFaultModes(t *testing.T) {
 		{
 			name: "jitter",
 			cfg:  LinkConfig{Jitter: 4 * time.Millisecond, QueuePackets: 1024},
-			check: func(t *testing.T, seqs []uint64, st Stats) {
+			check: func(t *testing.T, seqs []uint64) {
 				multisetOfRange(t, seqs, count, 1, 1)
 				if inversions(seqs) == 0 {
 					t.Fatal("4ms jitter on back-to-back sends produced an in-order stream")
@@ -148,15 +134,14 @@ func TestFaultModes(t *testing.T) {
 				// every copy is already queued once sendSeq returns.
 				want = dst.inbox.pending()
 			}
-			seqs := recvSeq(t, dst, want, 5*time.Second)
-			st, _ := n.LinkStats("src", "dst")
-			tc.check(t, seqs, st)
+			tc.check(t, recvSeq(t, dst, want, 5*time.Second))
 		})
 	}
 }
 
 func TestPartitionLinkBlackholes(t *testing.T) {
-	n := NewNetwork(AllowDefault())
+	reg := telemetry.NewRegistry()
+	n := NewNetwork(AllowDefault(), WithTelemetry(reg))
 	defer n.Close()
 	src := n.Host("a")
 	dst := n.Host("b")
@@ -169,13 +154,12 @@ func TestPartitionLinkBlackholes(t *testing.T) {
 	if !n.Partitioned("a", "b") {
 		t.Fatal("Partitioned(a,b) = false after PartitionLink")
 	}
-	before, _ := n.LinkStats("a", "b")
+	_, before := linkCounts(reg, "a->b")
 	if err := src.Send("b", []byte("lost")); err != nil {
 		t.Fatalf("send into partition returned error %v, want silent drop", err)
 	}
-	after, _ := n.LinkStats("a", "b")
-	if after.Dropped != before.Dropped+1 {
-		t.Fatalf("partition drop not counted: %d -> %d", before.Dropped, after.Dropped)
+	if _, after := linkCounts(reg, "a->b"); after != before+1 {
+		t.Fatalf("partition drop not counted: %d -> %d", before, after)
 	}
 	if dst.inbox.pending() != 0 {
 		t.Fatal("partitioned link delivered a packet")
@@ -294,28 +278,34 @@ func TestBurstLossRecurrence(t *testing.T) {
 }
 
 // TestFaultDecisionDeterminism re-runs seeded impairments and asserts the
-// fault decisions (which packets are held back, which are dropped) repeat
+// fault decisions (which packets are dropped, which duplicated) repeat
 // exactly — the property the chaos harness depends on for replay. Arrival
-// ORDER of concurrently-due timers is scheduler territory and deliberately
-// not asserted here.
+// order needs no seed: a link without jitter is FIFO
+// (TestFaultFreeLinksAreFIFO).
 func TestFaultDecisionDeterminism(t *testing.T) {
-	run := func() Stats {
-		n := NewNetwork()
+	const count = 2000
+	run := func() (seqs []uint64, tx, dropped uint64) {
+		reg := telemetry.NewRegistry()
+		n := NewNetwork(WithTelemetry(reg))
 		defer n.Close()
 		src := n.Host("s")
 		dst := n.Host("d")
-		n.SetLink("s", "d", LinkConfig{ReorderProb: 0.4, ReorderDelay: 2 * time.Millisecond, QueuePackets: 1024})
-		sendSeq(t, src, "d", 200)
-		recvSeq(t, dst, 200, 5*time.Second)
-		st, _ := n.LinkStats("s", "d")
-		return st
+		n.SetLink("s", "d", LinkConfig{DuplicateProb: 0.3, Loss: NewUniformLoss(0.2, 7)})
+		sendSeq(t, src, "d", count)
+		// The link is neither rate-limited nor delayed: every surviving copy
+		// is in the inbox once sendSeq returns.
+		seqs = recvSeq(t, dst, dst.inbox.pending(), 5*time.Second)
+		tx, dropped = linkCounts(reg, "s->d")
+		return seqs, tx, dropped
 	}
-	a, b := run(), run()
-	if a.Reordered == 0 {
-		t.Fatal("no packets reordered at prob 0.4")
+	a, aTx, aDrop := run()
+	b, bTx, bDrop := run()
+	if aDrop == 0 || len(a) <= int(aTx) {
+		t.Fatalf("%d dropped and %d copies of %d admitted: the seeded impairments did nothing", aDrop, len(a), aTx)
 	}
-	if a.Reordered != b.Reordered || a.Sent != b.Sent || a.Dropped != b.Dropped {
-		t.Fatalf("identical seeded runs diverged: %+v vs %+v", a, b)
+	if aTx != bTx || aDrop != bDrop || !slices.Equal(a, b) {
+		t.Fatalf("identical seeded runs diverged: %d/%d admitted, %d/%d dropped, %d/%d delivered",
+			aTx, bTx, aDrop, bDrop, len(a), len(b))
 	}
 
 	// Seeded loss models repeat their exact drop sequence.
@@ -332,5 +322,93 @@ func TestFaultDecisionDeterminism(t *testing.T) {
 		if u1.Drop() != u2.Drop() {
 			t.Fatalf("UniformLoss drop sequences diverged at packet %d", i)
 		}
+	}
+}
+
+// TestFaultFreeLinksAreFIFO sends 10^5 sequence-numbered packets from two
+// concurrent senders through one delayed link while busy goroutines keep
+// every P occupied: a link without jitter delivers each sender's packets in
+// the order it sent them, with none lost, on a delay-only link and on a
+// rate-limited one.
+func TestFaultFreeLinksAreFIFO(t *testing.T) {
+	const (
+		senders = 2
+		per     = 50_000
+		window  = 1024 // packets in flight, below both queue bounds
+	)
+	for _, tc := range []struct {
+		name string
+		cfg  LinkConfig
+	}{
+		{"delay", LinkConfig{Delay: time.Millisecond, QueuePackets: window}},
+		{"rate+delay", LinkConfig{RateBps: 100e6, Delay: time.Millisecond, QueuePackets: window}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewNetwork()
+			defer n.Close()
+			src, dst := n.Host("src"), n.Host("dst")
+			n.SetLink("src", "dst", tc.cfg)
+
+			var stop atomic.Bool
+			var busy sync.WaitGroup
+			for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+				busy.Add(1)
+				go func() {
+					defer busy.Done()
+					for !stop.Load() {
+						runtime.Gosched()
+					}
+				}()
+			}
+			defer func() { stop.Store(true); busy.Wait() }()
+
+			done := make(chan struct{})
+			defer close(done)
+			go func() {
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					dst.Close()
+				}
+			}()
+			credit := make(chan struct{}, window)
+			for s := 0; s < senders; s++ {
+				go func(s byte) {
+					pkt := make([]byte, 16)
+					pkt[0] = s
+					for i := uint64(0); i < per; i++ {
+						select {
+						case credit <- struct{}{}:
+						case <-done:
+							return
+						}
+						binary.BigEndian.PutUint64(pkt[8:], i)
+						src.Send("dst", pkt)
+					}
+				}(byte(s))
+			}
+			var seen [senders][per]bool
+			last := [senders]int{-1, -1}
+			inv := 0
+			for got := 0; got < senders*per; got++ {
+				pkt, _, err := dst.Recv()
+				if err != nil {
+					t.Fatalf("received %d of %d packets before timeout", got, senders*per)
+				}
+				s, seq := pkt[0], int(binary.BigEndian.Uint64(pkt[8:]))
+				if seen[s][seq] {
+					t.Fatalf("sender %d: packet %d arrived twice", s, seq)
+				}
+				seen[s][seq] = true
+				if seq < last[s] {
+					inv++
+				}
+				last[s] = seq
+				<-credit
+			}
+			if inv != 0 {
+				t.Fatalf("%d inversions in %d packets", inv, senders*per)
+			}
+		})
 	}
 }

@@ -12,12 +12,17 @@ package emunet
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
+
+	"ncfn/internal/buffer"
 )
 
-// LossModel decides the fate of each transmitted packet. Implementations
-// are driven from a single goroutine per link and need not be thread-safe.
+// LossModel decides the fate of each transmitted packet. A link calls Drop
+// under its own mutex, so calls are serialised per link; a model shared
+// between links (SetDuplexLink hands one to both directions) is called
+// concurrently and must lock, as the two built-in models do.
 type LossModel interface {
 	// Drop reports whether the next packet is lost.
 	Drop() bool
@@ -100,14 +105,6 @@ type LinkConfig struct {
 	// (netem's duplication impairment). RLNC receivers absorb duplicates:
 	// a repeated coded packet is simply not innovative.
 	DuplicateProb float64
-	// ReorderProb holds back each delivered packet with this probability by
-	// an extra ReorderDelay (netem's reorder impairment), letting packets
-	// sent later overtake it. RLNC absorbs reordering: any sufficient set
-	// of coded packets decodes regardless of arrival order.
-	ReorderProb float64
-	// ReorderDelay is the extra hold-back applied to reordered packets;
-	// zero with a nonzero ReorderProb selects DefaultReorderDelay.
-	ReorderDelay time.Duration
 	// QueuePackets bounds the sender-side queue; packets arriving at a
 	// full queue are tail-dropped. Zero selects DefaultQueuePackets.
 	QueuePackets int
@@ -117,23 +114,32 @@ type LinkConfig struct {
 // bandwidth-delay product of a fast WAN path at MTU packets.
 const DefaultQueuePackets = 256
 
-// DefaultReorderDelay is the hold-back applied to reordered packets when
-// ReorderProb is set without an explicit ReorderDelay.
-const DefaultReorderDelay = 2 * time.Millisecond
-
-// link is the runtime state of one directed link.
+// link is the runtime state of one directed link. The packets it delays
+// wait in q, sorted by departure time and, at equal times, by admission, so
+// a link without jitter is FIFO, like netem's time-ordered queue. A drainer
+// goroutine runs while q holds packets and hands them to the peer in order.
 type link struct {
-	mu        sync.Mutex
-	cfg       LinkConfig
-	nextTx    time.Time // when the serializer is next free
-	queued    int       // packets accepted but not yet delivered
-	dropped   uint64    // tail drops + loss-model drops + partition drops
-	sent      uint64
-	reordered uint64
-	jrng      *rand.Rand
-	// tel mirrors sent/dropped into the network's telemetry registry when
-	// one is attached (see WithTelemetry); nil otherwise.
+	mu     sync.Mutex
+	cfg    LinkConfig
+	nextTx time.Time // when the serializer is next free
+	jrng   *rand.Rand
+	q      []departure
+	// draining says a drainer is running; wake tells it q has a new head
+	// or the link closed. A closed link refuses further delayed packets.
+	draining bool
+	closed   bool
+	wake     chan struct{}
+	drainer  sync.WaitGroup
+	// tel counts the link's traffic in the network's telemetry registry
+	// when one is attached (see WithTelemetry); nil otherwise.
 	tel *linkTel
+}
+
+// departure is one delayed packet and when it reaches the peer.
+type departure struct {
+	at time.Time
+	to *Host
+	d  datagram
 }
 
 // setConfig atomically replaces the link configuration (used by the
@@ -158,69 +164,75 @@ func (c LinkConfig) queueLimit() int {
 	return DefaultQueuePackets
 }
 
-// admit runs the link's ingress decision for a packet of n bytes, under one
-// hold of l.mu. It returns how long the packet takes to reach the far end,
-// how many copies arrive (two when duplicated) and true, or false if the
-// packet is dropped (queue overflow or loss process). A packet with a
-// positive wait occupies the queue until the caller releases it. A link
-// with no rate, delay, jitter or reorder hold-back delivers at once and
-// reads no clock.
-func (l *link) admit(n int) (wait time.Duration, copies int, ok bool) {
+// admit runs the link's ingress decision for pkt, sent by src to peer, under
+// one hold of l.mu, and returns how many copies the caller delivers at once
+// (two when duplicated; zero when dropped). A link with rate, delay or
+// jitter instead queues pooled copies for its drainer, in the same hold, so
+// admission order is queue order; only such a link reads the clock.
+func (l *link) admit(pkt []byte, src string, peer *Host) (copies int, err error) {
 	l.mu.Lock()
 	cfg := &l.cfg
-	timed := cfg.RateBps > 0 || cfg.Delay > 0 || cfg.Jitter > 0 || cfg.ReorderProb > 0
-	if l.queued >= cfg.queueLimit() {
-		l.dropped++
+	timed := cfg.RateBps > 0 || cfg.Delay > 0 || cfg.Jitter > 0
+	if len(l.q) >= cfg.queueLimit() {
 		l.mu.Unlock()
 		l.countDrop()
-		return 0, 0, false
+		return 0, nil
 	}
-	var now, depart time.Time
+	var at time.Time
 	if timed {
-		now = time.Now()
-		depart = now
+		at = time.Now()
 	}
 	if cfg.RateBps > 0 {
-		txDur := time.Duration(float64(n*8) / cfg.RateBps * float64(time.Second))
-		if l.nextTx.Before(now) {
-			l.nextTx = now
+		txDur := time.Duration(float64(len(pkt)*8) / cfg.RateBps * float64(time.Second))
+		if l.nextTx.Before(at) {
+			l.nextTx = at
 		}
-		depart = l.nextTx.Add(txDur)
-		l.nextTx = depart
+		at = l.nextTx.Add(txDur)
+		l.nextTx = at
 	}
 	// The loss process applies after serialization (a corrupted packet
 	// still consumed the link).
 	if cfg.Loss != nil && cfg.Loss.Drop() {
-		l.dropped++
 		l.mu.Unlock()
 		l.countDrop()
-		return 0, 0, false
+		return 0, nil
 	}
-	l.sent++
-	extra := time.Duration(0)
-	if cfg.Jitter > 0 || cfg.DuplicateProb > 0 || cfg.ReorderProb > 0 {
-		if l.jrng == nil {
-			l.jrng = rand.New(rand.NewSource(int64(l.sent) + 12345))
-		}
+	if l.jrng == nil && (cfg.Jitter > 0 || cfg.DuplicateProb > 0) {
+		// A fixed seed: a link's impairment decisions replay run to run.
+		l.jrng = rand.New(rand.NewSource(12346))
 	}
 	if cfg.Jitter > 0 {
-		extra = time.Duration(l.jrng.Int63n(int64(cfg.Jitter)))
-	}
-	if cfg.ReorderProb > 0 && l.jrng.Float64() < cfg.ReorderProb {
-		hold := cfg.ReorderDelay
-		if hold <= 0 {
-			hold = DefaultReorderDelay
-		}
-		extra += hold
-		l.reordered++
+		at = at.Add(time.Duration(l.jrng.Int63n(int64(cfg.Jitter))))
 	}
 	copies = 1
 	if cfg.DuplicateProb > 0 && l.jrng.Float64() < cfg.DuplicateProb {
 		copies = 2
 	}
 	if timed {
-		if wait = depart.Add(cfg.Delay + extra).Sub(now); wait > 0 {
-			l.queued++
+		if l.closed {
+			l.mu.Unlock()
+			return 0, ErrClosed
+		}
+		at = at.Add(cfg.Delay)
+		i := len(l.q)
+		for i > 0 && l.q[i-1].at.After(at) {
+			i--
+		}
+		for c := 0; c < copies; c++ {
+			// Each copy is its own pooled buffer: the receiver owns and may
+			// recycle what it is handed.
+			b := buffer.GetPacket(len(pkt))
+			copy(b, pkt)
+			l.q = slices.Insert(l.q, i, departure{at: at, to: peer, d: datagram{src: src, pkt: b}})
+		}
+		copies = 0
+		switch {
+		case !l.draining:
+			l.draining = true
+			l.drainer.Add(1)
+			go l.drain()
+		case i == 0:
+			l.kick()
 		}
 	}
 	l.mu.Unlock()
@@ -228,43 +240,79 @@ func (l *link) admit(n int) (wait time.Duration, copies int, ok bool) {
 		l.tel.sent.Inc(0)
 		l.tel.netSent.Inc(0)
 	}
-	return wait, copies, true
+	return copies, nil
 }
 
-// countDrop mirrors one drop into the telemetry registry.
+// kick wakes the drainer without blocking; a wake it does not need costs
+// it one look at the queue.
+func (l *link) kick() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drain hands q's packets to their peers as they come due, in departure
+// order and outside l.mu, and returns once q is empty.
+func (l *link) drain() {
+	defer l.drainer.Done()
+	var due []departure
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		l.mu.Lock()
+		now := time.Now()
+		n := 0
+		for n < len(l.q) && !l.q[n].at.After(now) {
+			n++
+		}
+		if n > 0 {
+			due = append(due, l.q[:n]...)
+			clear(l.q[:n])
+			l.q = l.q[n:]
+			l.mu.Unlock()
+			for i := range due {
+				due[i].to.deliver(due[i].d)
+			}
+			clear(due)
+			due = due[:0]
+			continue
+		}
+		if len(l.q) == 0 {
+			l.draining = false
+			l.mu.Unlock()
+			return
+		}
+		wait := l.q[0].at.Sub(now)
+		l.mu.Unlock()
+		// A stale fire or wake only costs one more look at the queue.
+		timer.Reset(wait)
+		select {
+		case <-timer.C:
+		case <-l.wake:
+		}
+	}
+}
+
+// close refuses further delayed packets, returns the queued ones to the
+// packet pool without waiting out their delay, and waits for the drainer.
+func (l *link) close() {
+	l.mu.Lock()
+	l.closed = true
+	for i := range l.q {
+		buffer.PutPacket(l.q[i].d.pkt)
+	}
+	l.q = nil
+	l.mu.Unlock()
+	l.kick()
+	l.drainer.Wait()
+}
+
+// countDrop counts one packet the link lost (tail drop, loss process or
+// partition) in the telemetry registry.
 func (l *link) countDrop() {
 	if l.tel != nil {
 		l.tel.dropped.Inc(0)
 		l.tel.netDropped.Inc(0)
 	}
-}
-
-// release is called when a delayed packet departs the queue (delivered).
-func (l *link) release() {
-	l.mu.Lock()
-	l.queued--
-	l.mu.Unlock()
-}
-
-// drop counts one packet lost outside admit's own accounting (partition
-// faults charge their drops to the link they would have traversed).
-func (l *link) drop() {
-	l.mu.Lock()
-	l.dropped++
-	l.mu.Unlock()
-	l.countDrop()
-}
-
-// Stats reports cumulative link counters.
-type Stats struct {
-	Sent      uint64
-	Dropped   uint64
-	Reordered uint64
-	Queued    int
-}
-
-func (l *link) stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Stats{Sent: l.sent, Dropped: l.dropped, Reordered: l.reordered, Queued: l.queued}
 }

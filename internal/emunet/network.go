@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ncfn/internal/buffer"
 )
@@ -60,8 +59,6 @@ type Network struct {
 	// perfect link. Tests use it; experiments configure links explicitly.
 	allowDefault bool
 	closed       atomic.Bool
-	wg           sync.WaitGroup
-	timers       map[*time.Timer]struct{}
 	// tel is the attached instrument set (WithTelemetry); nil records
 	// nothing.
 	tel *netTelemetry
@@ -83,7 +80,6 @@ func NewNetwork(opts ...Option) *Network {
 		links:     make(map[[2]string]*link),
 		partHosts: make(map[string]bool),
 		partLinks: make(map[[2]string]bool),
-		timers:    make(map[*time.Timer]struct{}),
 	}
 	for _, o := range opts {
 		o(n)
@@ -117,31 +113,21 @@ func (n *Network) SetLink(src, dst string, cfg LinkConfig) {
 	n.newLinkLocked(src, dst, cfg)
 }
 
-// newLinkLocked creates the directed link src->dst. Callers hold mu.
+// newLinkLocked creates the directed link src->dst. Callers hold mu; a link
+// made after Close is born closed.
 func (n *Network) newLinkLocked(src, dst string, cfg LinkConfig) *link {
-	l := &link{cfg: cfg}
+	l := &link{cfg: cfg, closed: n.closed.Load(), wake: make(chan struct{}, 1)}
 	n.instrumentLinkLocked(src, dst, l)
 	n.links[[2]string{src, dst}] = l
 	return l
 }
 
-// SetDuplexLink installs the same configuration in both directions. Loss
-// models are stateful, so each direction gets its own copy only if the
-// caller passes a fresh model; for stateless configs this is safe to share.
+// SetDuplexLink installs the same configuration in both directions. Both
+// share cfg's Loss model, so a stateful one (BurstLoss) couples their loss
+// processes; give each direction its own model with two SetLink calls.
 func (n *Network) SetDuplexLink(a, b string, cfg LinkConfig) {
 	n.SetLink(a, b, cfg)
 	n.SetLink(b, a, cfg)
-}
-
-// LinkStats returns counters for the directed link, or false if none.
-func (n *Network) LinkStats(src, dst string) (Stats, bool) {
-	n.mu.Lock()
-	l, ok := n.links[[2]string{src, dst}]
-	n.mu.Unlock()
-	if !ok {
-		return Stats{}, false
-	}
-	return l.stats(), true
 }
 
 // LinkConfigOf returns the directed link's configuration, or false.
@@ -155,9 +141,9 @@ func (n *Network) LinkConfigOf(src, dst string) (LinkConfig, bool) {
 	return l.config(), true
 }
 
-// Close shuts the network down: all hosts' Recv calls unblock and pending
-// deliveries are cancelled. Close blocks until in-flight delivery timers
-// have been reaped.
+// Close shuts the network down: all hosts' Recv calls unblock, and every
+// link's queued packets are dropped without waiting out their delay. Close
+// returns once the links' drainers have exited.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed.Load() {
@@ -165,25 +151,17 @@ func (n *Network) Close() error {
 		return nil
 	}
 	n.closed.Store(true)
-	hosts := make([]*Host, 0, len(n.hosts))
 	for _, h := range n.hosts {
-		hosts = append(hosts, h)
-	}
-	timers := make([]*time.Timer, 0, len(n.timers))
-	for t := range n.timers {
-		timers = append(timers, t)
-	}
-	n.mu.Unlock()
-	for _, t := range timers {
-		if t.Stop() {
-			// The delivery callback will never run; settle its wg slot.
-			n.wg.Done()
-		}
-	}
-	for _, h := range hosts {
 		h.Close()
 	}
-	n.wg.Wait()
+	links := make([]*link, 0, len(n.links))
+	for _, l := range n.links {
+		links = append(links, l)
+	}
+	n.mu.Unlock()
+	for _, l := range links {
+		l.close()
+	}
 	return nil
 }
 
@@ -221,52 +199,19 @@ func (h *Host) Send(dst string, pkt []byte) error {
 	}
 	l := r.link
 	if n.faulted.Load() && n.Partitioned(h.addr, dst) {
-		l.drop()
+		l.countDrop()
 		return nil // blackholed, like UDP into a partition: no error
 	}
-	wait, copies, ok := l.admit(len(pkt))
-	if !ok {
-		return nil // dropped, like UDP: no error to the sender
-	}
-	// Each delivery gets its own pooled copy: the receiver owns the buffer
-	// it is handed (and may recycle it via buffer.PutPacket), so duplicated
-	// packets must not share backing storage.
-	var bufs [2][]byte
+	// A dropped packet returns no error to the sender, like UDP.
+	copies, err := l.admit(pkt, h.addr, r.peer)
 	for c := 0; c < copies; c++ {
+		// Each delivery gets its own pooled copy: the receiver owns the
+		// buffer it is handed (and may recycle it via buffer.PutPacket).
 		b := buffer.GetPacket(len(pkt))
 		copy(b, pkt)
-		bufs[c] = b
+		r.peer.deliver(datagram{src: h.addr, pkt: b})
 	}
-	if wait <= 0 {
-		for c := 0; c < copies; c++ {
-			r.peer.deliver(datagram{src: h.addr, pkt: bufs[c]})
-		}
-		return nil
-	}
-	n.mu.Lock()
-	if n.closed.Load() {
-		n.mu.Unlock()
-		l.release()
-		for c := 0; c < copies; c++ {
-			buffer.PutPacket(bufs[c])
-		}
-		return ErrClosed
-	}
-	n.wg.Add(1)
-	var timer *time.Timer
-	timer = time.AfterFunc(wait, func() {
-		defer n.wg.Done()
-		l.release()
-		for c := 0; c < copies; c++ {
-			r.peer.deliver(datagram{src: h.addr, pkt: bufs[c]})
-		}
-		n.mu.Lock()
-		delete(n.timers, timer)
-		n.mu.Unlock()
-	})
-	n.timers[timer] = struct{}{}
-	n.mu.Unlock()
-	return nil
+	return err
 }
 
 // route returns dst's cached route, resolving it on first use.

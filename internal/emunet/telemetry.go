@@ -77,10 +77,10 @@ type netTelemetry struct {
 	rec    *telemetry.Recorder
 }
 
-// linkTel is one directed link's counter handles. The link updates them
-// alongside its mutex-guarded counters, so registry snapshots see live
-// per-link utilization without touching link locks. netSent/netDropped are
-// the network-wide aggregates, bumped in lockstep.
+// linkTel is one directed link's counter handles, the only record of its
+// traffic: registry snapshots see live per-link utilization without
+// touching link locks. netSent/netDropped are the network-wide aggregates,
+// bumped in lockstep.
 type linkTel struct {
 	sent       *telemetry.Counter
 	dropped    *telemetry.Counter
@@ -120,7 +120,9 @@ func (n *Network) instrumentLinkLocked(src, dst string, l *link) {
 		netDropped: n.tel.drops,
 	}
 	n.tel.reg.GaugeFunc(MetricLinkQueuedPrefix+name, func() int64 {
-		return int64(l.stats().Queued)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return int64(len(l.q))
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
 	"ncfn/internal/rlnc"
+	"ncfn/internal/telemetry"
 )
 
 func randomBytes(seed int64, n int) []byte {
@@ -210,17 +211,16 @@ func TestTCPTransferUnderLossRetransmits(t *testing.T) {
 }
 
 // TestTCPLossyIsSlowerThanClean asserts what makes the lossy run slower, in
-// counters that machine load cannot invert: the clean link drops nothing;
-// the seeded 5 % link drops segments, and a dropped segment comes back only
-// through the RTO branch, so the sender reports retransmissions and cannot
-// finish in less than one RTO. The two goodputs are not compared: both are
-// wall clock, and under load the emulated link delivers out of order, the
-// go-back-N sink discards, and the clean run times out as often as the
-// lossy one (44-58 against 51-65 timeouts over ten runs each).
+// counters that machine load cannot invert: the clean link drops nothing
+// and, being FIFO, costs the go-back-N sender no retransmission; the seeded
+// 5 % link drops segments, and a dropped segment comes back only through the
+// RTO branch, so the sender reports retransmissions and cannot finish in
+// less than one RTO. The two goodputs are not compared: both are wall clock.
 func TestTCPLossyIsSlowerThanClean(t *testing.T) {
 	const rto = 50 * time.Millisecond
-	run := func(loss float64) (TCPStats, emunet.Stats) {
-		n := emunet.NewNetwork()
+	run := func(loss float64) (stats TCPStats, dropped uint64) {
+		reg := telemetry.NewRegistry()
+		n := emunet.NewNetwork(emunet.WithTelemetry(reg))
 		defer n.Close()
 		cfg := emunet.LinkConfig{RateBps: 20e6, QueuePackets: 256}
 		if loss > 0 {
@@ -240,19 +240,18 @@ func TestTCPLossyIsSlowerThanClean(t *testing.T) {
 		if !bytes.Equal(sink.Data(), data) {
 			t.Fatalf("loss %.2f: sink holds %d bytes that are not the %d sent", loss, sink.Bytes(), len(data))
 		}
-		link, _ := n.LinkStats("src", "dst")
-		return stats, link
+		return stats, reg.Snapshot().Counters[emunet.MetricLinkDropPrefix+"src->dst"]
 	}
-	if _, link := run(0); link.Dropped != 0 {
-		t.Fatalf("clean link dropped %d segments, want 0", link.Dropped)
+	if stats, dropped := run(0); dropped != 0 || stats.Retransmits != 0 {
+		t.Fatalf("clean link dropped %d segments and the sender retransmitted %d, want 0 and 0", dropped, stats.Retransmits)
 	}
-	stats, link := run(0.05)
-	if link.Dropped == 0 {
+	stats, dropped := run(0.05)
+	if dropped == 0 {
 		t.Fatal("the seeded 5% loss dropped nothing")
 	}
 	if stats.Retransmits == 0 || stats.Elapsed < rto {
 		t.Fatalf("%d segments dropped, yet %d retransmissions in %v: a drop is recovered only by a %v timeout",
-			link.Dropped, stats.Retransmits, stats.Elapsed, rto)
+			dropped, stats.Retransmits, stats.Elapsed, rto)
 	}
 }
 
