@@ -21,7 +21,11 @@ build:
 $(NCLINT): $(NCLINT_SRCS) go.mod
 	$(GO) build -o $(NCLINT) ./cmd/nclint
 
+# The gofmt gate skips testdata: the telemetrycheck fixture's golden
+# diagnostic positions depend on its hand-kept layout.
 lint: vet $(NCLINT)
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*' -not -path '*/testdata/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	./$(NCLINT) ./...
 	./$(NCLINT) -suppressions ./...
 
@@ -71,7 +75,8 @@ test-rolling:
 	$(GO) test -count=1 -run 'TestDrainExitsProcess|TestSigtermDrainsProcess|TestRestartHandoff' ./internal/procnet/
 
 # examples runs every program under examples/ and stops at the first
-# non-zero exit. quickstart and filetransfer verify the bytes they deliver,
+# non-zero exit. quickstart, filetransfer and conference verify the bytes
+# they deliver,
 # so this is an end-to-end check of the public API the examples use.
 EXAMPLES := quickstart filetransfer livestream conference dynamicscaling butterfly
 examples:

@@ -109,8 +109,8 @@ func TestRunFailsOnMissingFlooredPackage(t *testing.T) {
 
 func TestParseProfileRejectsGarbage(t *testing.T) {
 	for _, body := range []string{
-		"mode: set\n",                // no blocks
-		"mode: set\nnot a line\n",    // no colon fields
+		"mode: set\n",                   // no blocks
+		"mode: set\nnot a line\n",       // no colon fields
 		"mode: set\nf.go:1.1,2.2 x 1\n", // bad statement count
 	} {
 		if _, _, err := parseProfile(writeProfile(t, body)); err == nil {

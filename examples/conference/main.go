@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"time"
@@ -68,7 +69,9 @@ func run() error {
 	}
 	defer svc.Close()
 
-	// One session per speaker, multicast to the other two participants.
+	// One session per speaker, multicast to the other two participants,
+	// admitted jointly: one solve shares the two sites among all three.
+	sessions := make([]optimize.Session, len(participants))
 	for i, speaker := range participants {
 		var receivers []topology.NodeID
 		for _, p := range participants {
@@ -76,17 +79,15 @@ func run() error {
 				receivers = append(receivers, p+".recv")
 			}
 		}
-		if err := svc.AddSession(optimize.Session{
+		sessions[i] = optimize.Session{
 			ID:        ncproto.SessionID(i + 1),
 			Source:    speaker,
 			Receivers: receivers,
 			MaxDelay:  120 * time.Millisecond,
 			RateCap:   8, // each participant streams 8 Mbps
-		}); err != nil {
-			return err
 		}
 	}
-	if err := svc.Deploy(); err != nil {
+	if err := svc.AddSession(sessions...); err != nil {
 		return err
 	}
 	plan := svc.Plan()
@@ -95,21 +96,91 @@ func run() error {
 		fmt.Printf("  session %d (%s speaking): %.1f Mbps\n", i+1, participants[i], plan.Rates[ncproto.SessionID(i+1)])
 	}
 
-	// Everyone speaks at once: send a burst on every session and verify
-	// both listeners of each speaker receive it.
+	// speak sends a burst on a session and checks that every listener
+	// decoded exactly those bytes.
 	payload := make([]byte, 64*1024)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	for i, speaker := range participants {
-		id := ncproto.SessionID(i + 1)
+	sent := make(map[ncproto.SessionID]int) // generations sent per session
+	speak := func(id ncproto.SessionID, listeners ...topology.NodeID) error {
 		stats, err := svc.Send(id, payload, 300*time.Millisecond)
 		if err != nil {
-			return fmt.Errorf("session %d (%s): %w", id, speaker, err)
+			return fmt.Errorf("session %d: %w", id, err)
 		}
-		fmt.Printf("%s's stream delivered to both listeners: %d generations, %.1f Mbps\n",
-			speaker, stats.Generations, stats.GoodputMbps)
+		first := sent[id]
+		sent[id] += stats.Generations
+		for _, l := range listeners {
+			ep, err := svc.Receiver(l)
+			if err != nil {
+				return err
+			}
+			var got []byte
+			for g := first; g < sent[id]; g++ {
+				d, ok := ep.GenerationData(id, ncproto.GenerationID(g))
+				if !ok {
+					return fmt.Errorf("session %d: %s is missing generation %d", id, l, g)
+				}
+				got = append(got, d...)
+			}
+			if !bytes.Equal(got[:len(payload)], payload) {
+				return fmt.Errorf("session %d: %s decoded different bytes", id, l)
+			}
+		}
+		fmt.Printf("  session %d delivered to %v: %d generations, %.1f Mbps\n", id, listeners, stats.Generations, stats.GoodputMbps)
+		return nil
 	}
-	fmt.Println("\nthree concurrent coded multicast sessions shared two coding VNF sites.")
+
+	// Everyone speaks at once.
+	fmt.Println("everyone speaks:")
+	for _, sess := range sessions {
+		if err := speak(sess.ID, sess.Receivers...); err != nil {
+			return err
+		}
+	}
+
+	// Carol hangs up: she stops listening to alice and bob and her own
+	// session ends; the running deployment is re-planned around her.
+	fmt.Println("carol hangs up:")
+	if err := svc.RemoveReceiver(1, "carol.recv"); err != nil {
+		return err
+	}
+	if err := speak(1, "bob.recv"); err != nil {
+		return err
+	}
+	if err := svc.RemoveReceiver(2, "carol.recv"); err != nil {
+		return err
+	}
+	if err := speak(2, "alice.recv"); err != nil {
+		return err
+	}
+	if err := svc.RemoveSession(3); err != nil {
+		return err
+	}
+	if err := speak(1, "bob.recv"); err != nil {
+		return err
+	}
+
+	// Carol rejoins: her session comes back, then she listens again.
+	fmt.Println("carol rejoins:")
+	if err := svc.AddSession(sessions[2]); err != nil {
+		return err
+	}
+	if err := speak(3, sessions[2].Receivers...); err != nil {
+		return err
+	}
+	if err := svc.AddReceiver(1, "carol.recv"); err != nil {
+		return err
+	}
+	if err := speak(1, sessions[0].Receivers...); err != nil {
+		return err
+	}
+	if err := svc.AddReceiver(2, "carol.recv"); err != nil {
+		return err
+	}
+	if err := speak(2, sessions[1].Receivers...); err != nil {
+		return err
+	}
+	fmt.Println("\nthree coded multicast sessions shared two coding VNF sites while one participant left and came back.")
 	return nil
 }

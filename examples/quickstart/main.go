@@ -59,17 +59,15 @@ func run() error {
 	}
 	defer svc.Close()
 
-	// 3. Register a session and deploy: this solves the placement/routing
-	// program and spins up the coding VNF, source, and receiver.
+	// 3. Add a session: the controller solves the placement/routing
+	// program and the service spins up the coding VNF, source, and
+	// receiver.
 	if err := svc.AddSession(optimize.Session{
 		ID:        1,
 		Source:    "sender",
 		Receivers: []topology.NodeID{"viewer"},
 		MaxDelay:  100 * time.Millisecond,
 	}); err != nil {
-		return err
-	}
-	if err := svc.Deploy(); err != nil {
 		return err
 	}
 	fmt.Printf("deployed: rate %.1f Mbps, %d coding VNF(s)\n",

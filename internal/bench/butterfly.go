@@ -130,9 +130,6 @@ func RunButterfly(o ButterflyOpts) (ButterflyResult, error) {
 	}); err != nil {
 		return ButterflyResult{}, err
 	}
-	if err := svc.Deploy(); err != nil {
-		return ButterflyResult{}, err
-	}
 	planRate := svc.Plan().Rates[sessionID]
 
 	// Post-deploy link impairments.

@@ -45,9 +45,6 @@ func relayedRTT(o Options, coding bool, trials int) (mins, maxs, avgs map[string
 	}); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := svc.Deploy(); err != nil {
-		return nil, nil, nil, err
-	}
 	// Return paths carry the ACK over the direct Internet path back to
 	// the source (one-way half of the direct ping RTTs).
 	net := svc.Network()

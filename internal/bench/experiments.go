@@ -323,7 +323,7 @@ func Fig11(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	samples, err := flowsim.Run(d.Controller, d.Clock, d.Fig11Events(o.Seed+1), flowsim.RunConfig{
+	samples, err := flowsim.Run(d.Controller, d.Clock, d.Fig11Events(), flowsim.RunConfig{
 		Duration:   70 * time.Minute,
 		Interval:   10 * time.Minute,
 		Throughput: d.EffectiveThroughput(),

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"ncfn/internal/buffer"
-	"ncfn/internal/leakcheck"
 	"ncfn/internal/cloud"
 	"ncfn/internal/controller"
+	"ncfn/internal/leakcheck"
 )
 
 // decodeTimeout bounds how long a test waits (in real time) for the

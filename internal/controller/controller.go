@@ -3,7 +3,10 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -121,13 +124,6 @@ func (c *Controller) Events() []SignalEvent {
 	return append([]SignalEvent(nil), c.events...)
 }
 
-// TotalThroughput returns Σ λ_m over active sessions.
-func (c *Controller) TotalThroughput() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalRateLocked()
-}
-
 func (c *Controller) totalRateLocked() float64 {
 	total := 0.0
 	for _, f := range c.flows {
@@ -141,48 +137,32 @@ func (c *Controller) totalRateLocked() float64 {
 // controller believes between a bandwidth change and its confirmed reaction
 // (Alg. 1 waits ρ1/τ1 before acting). Each session is throttled by the
 // most-overloaded data center its flows enter; with no overload it equals
-// TotalThroughput.
+// the plan's total rate.
 func (c *Controller) EffectiveThroughput(actual func(dc topology.NodeID) (inMbps, outMbps float64)) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	load := c.loadLocked(nil)
-	factor := make(map[topology.NodeID]float64, len(c.pools))
+	// ratio is the share of the used bandwidth a capacity carries.
 	ratio := func(capacity, used float64) float64 {
 		if used <= 0 {
 			return 1
 		}
-		f := capacity / used
-		if f > 1 {
-			f = 1
-		}
-		if f < 0 {
-			f = 0
-		}
-		return f
+		return max(0, min(1, capacity/used))
 	}
+	factor := make(map[topology.NodeID]float64, len(c.pools))
 	for dc, p := range c.pools {
 		active, _ := p.counts()
 		in, out := actual(dc)
-		fIn := ratio(in*float64(active), load.DCInMbps[dc])
-		fOut := ratio(out*float64(active), load.DCOutMbps[dc])
-		if fOut < fIn {
-			factor[dc] = fOut
-		} else {
-			factor[dc] = fIn
-		}
+		factor[dc] = min(ratio(in*float64(active), load.DCInMbps[dc]), ratio(out*float64(active), load.DCOutMbps[dc]))
 	}
 	total := 0.0
 	for _, sf := range c.flows {
 		f := 1.0
 		for e, mbps := range sf.links {
-			if mbps <= 0 {
-				continue
-			}
-			if df, ok := factor[e[1]]; ok && df < f {
-				f = df
-			}
-			if df, ok := factor[e[0]]; ok && df < f {
-				f = df
+			for _, end := range e {
+				if df, ok := factor[end]; ok && mbps > 0 {
+					f = min(f, df)
+				}
 			}
 		}
 		total += sf.rate * f
@@ -247,10 +227,6 @@ func (c *Controller) baseVNFsLocked() map[topology.NodeID]int {
 // loadLocked aggregates adopted flows, excluding the given sessions.
 func (c *Controller) loadLocked(exclude map[ncproto.SessionID]bool) *optimize.Load {
 	load := optimize.NewLoad()
-	dcSet := make(map[topology.NodeID]bool, len(c.pools))
-	for dc := range c.pools {
-		dcSet[dc] = true
-	}
 	for id, f := range c.flows {
 		if exclude[id] {
 			continue
@@ -260,10 +236,10 @@ func (c *Controller) loadLocked(exclude map[ncproto.SessionID]bool) *optimize.Lo
 				continue
 			}
 			load.LinkMbps[e] += mbps
-			if dcSet[e[1]] {
+			if c.pools[e[1]] != nil {
 				load.DCInMbps[e[1]] += mbps
 			}
-			if dcSet[e[0]] {
+			if c.pools[e[0]] != nil {
 				load.DCOutMbps[e[0]] += mbps
 			}
 		}
@@ -319,25 +295,56 @@ func (c *Controller) rightSizeLocked() error {
 	return c.scalePoolsLocked(min)
 }
 
-// AddSession admits a new multicast session (Alg. 3, SESSION JOIN):
-// program (2) is solved for the new session only, pinning the flows of
-// existing sessions and treating the current deployment as already paid.
-func (c *Controller) AddSession(s optimize.Session) error {
+// AddSession admits new multicast sessions (Alg. 3, SESSION JOIN):
+// program (2) is solved once for the given sessions jointly, pinning the
+// flows of existing sessions and treating the current deployment as
+// already paid.
+func (c *Controller) AddSession(ss ...optimize.Session) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.flows[s.ID]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicate, s.ID)
+	ids := make([]ncproto.SessionID, len(ss))
+	for i, s := range ss {
+		if _, ok := c.flows[s.ID]; ok || slices.Contains(ids[:i], s.ID) {
+			return fmt.Errorf("%w: %d", ErrDuplicate, s.ID)
+		}
+		ids[i] = s.ID
 	}
 	cfg := c.cfg.Optimize
 	cfg.BaseVNFs = c.baseVNFsLocked()
 	cfg.PinnedLoad = c.loadLocked(nil)
-	plan, err := optimize.Solve(cfg, []optimize.Session{s})
+	plan, err := optimize.Solve(cfg, ss)
 	if err != nil {
-		return fmt.Errorf("controller: admit session %d: %w", s.ID, err)
+		return fmt.Errorf("controller: admit sessions %v: %w", ids, err)
 	}
-	c.record(NCStart, "", fmt.Sprintf("session %d admitted at %.1f Mbps", s.ID, plan.Rates[s.ID]))
-	c.record(NCSettings, "", fmt.Sprintf("session %d settings pushed", s.ID))
-	return c.adoptPlanLocked(plan, []optimize.Session{s})
+	for _, s := range ss {
+		c.record(NCStart, "", fmt.Sprintf("session %d admitted at %.1f Mbps", s.ID, plan.Rates[s.ID]))
+		c.record(NCSettings, "", fmt.Sprintf("session %d settings pushed", s.ID))
+	}
+	return c.adoptPlanLocked(plan, ss)
+}
+
+// Plan returns the adopted state as one plan: the admitted sessions sorted
+// by ID, their rates and flows, and each data center's active VNF count.
+func (c *Controller) Plan() ([]optimize.Session, *optimize.Plan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sessions := make([]optimize.Session, 0, len(c.flows))
+	for _, f := range c.flows {
+		sessions = append(sessions, f.session)
+	}
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
+	plan := &optimize.Plan{
+		VNFs:      c.baseVNFsLocked(),
+		Rates:     make(map[ncproto.SessionID]float64, len(sessions)),
+		LinkFlows: make(map[ncproto.SessionID]map[[2]topology.NodeID]float64, len(sessions)),
+	}
+	for _, s := range sessions {
+		f := c.flows[s.ID]
+		plan.Rates[s.ID] = f.rate
+		plan.LinkFlows[s.ID] = maps.Clone(f.links)
+		plan.PathFlows = append(plan.PathFlows, f.paths...)
+	}
+	return sessions, plan
 }
 
 // RemoveSession ends a session (Alg. 3, SESSION/RECEIVER QUIT): the
@@ -412,12 +419,7 @@ func (c *Controller) RemoveReceiver(id ncproto.SessionID, r topology.NodeID) err
 		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
 	s := f.session
-	var kept []topology.NodeID
-	for _, have := range s.Receivers {
-		if have != r {
-			kept = append(kept, have)
-		}
-	}
+	kept := slices.DeleteFunc(slices.Clone(s.Receivers), func(have topology.NodeID) bool { return have == r })
 	if len(kept) == len(s.Receivers) {
 		return fmt.Errorf("controller: session %d has no receiver %s", id, r)
 	}
@@ -455,20 +457,12 @@ func (c *Controller) resolveSessionLocked(s optimize.Session) error {
 func (c *Controller) ObserveBandwidth(dc topology.NodeID, inMbps, outMbps float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx := -1
-	for i := range c.cfg.Optimize.DataCenters {
-		if c.cfg.Optimize.DataCenters[i].ID == dc {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(c.cfg.Optimize.DataCenters, func(d optimize.DataCenter) bool { return d.ID == dc })
 	if idx < 0 {
 		return fmt.Errorf("controller: unknown data center %s", dc)
 	}
 	cur := c.cfg.Optimize.DataCenters[idx]
-	relIn := relChange(cur.BinMbps, inMbps)
-	relOut := relChange(cur.BoutMbps, outMbps)
-	if relIn <= c.cfg.Rho1 && relOut <= c.cfg.Rho1 {
+	if relChange(cur.BinMbps, inMbps) <= c.cfg.Rho1 && relChange(cur.BoutMbps, outMbps) <= c.cfg.Rho1 {
 		delete(c.pendingBW, dc)
 		return nil
 	}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -111,6 +112,41 @@ func TestAddSessionDuplicate(t *testing.T) {
 	}
 	if err := c.AddSession(butterflySession(1)); err == nil {
 		t.Fatal("duplicate session accepted")
+	}
+}
+
+// TestAddSessionBatchIsOneSolve pins joint admission: a batch is admitted
+// by one solve, and Plan reports it; an empty batch changes nothing, and a
+// batch repeating an ID or naming an admitted session is refused whole.
+func TestAddSessionBatchIsOneSolve(t *testing.T) {
+	c, _, _ := testEnv(1)
+	if err := c.AddSession(); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	if err := c.AddSession(butterflySession(1), butterflySession(1)); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("batch repeating an ID: %v", err)
+	}
+	if err := c.AddSession(butterflySession(2), butterflySession(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddSession(butterflySession(4), butterflySession(3)); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("batch naming an admitted session: %v", err)
+	}
+	sessions, plan := c.Plan()
+	if len(sessions) != 2 || sessions[0].ID != 2 || sessions[1].ID != 3 {
+		t.Fatalf("sessions = %v, want 2 and 3 in ID order", sessions)
+	}
+	if _, ok := plan.Rates[3]; !ok || plan.Rates[2]+plan.Rates[3] < 69 {
+		t.Fatalf("joint admission rates = %v; want both sessions within the 70 Mbps min-cut", plan.Rates)
+	}
+	if active, _ := c.VNFCounts(); plan.TotalVNFs() != active {
+		t.Fatalf("plan VNFs %v, pools hold %d active", plan.VNFs, active)
+	}
+	for _, id := range []ncproto.SessionID{2, 3} {
+		r, _ := sessionRate(c, id)
+		if r != plan.Rates[id] || (r > 0 && len(plan.LinkFlows[id]) == 0) {
+			t.Fatalf("session %d: plan says %v over %v, controller holds %v", id, plan.Rates[id], plan.LinkFlows[id], r)
+		}
 	}
 }
 
@@ -398,8 +434,8 @@ func TestAccessorsAndEffectiveThroughput(t *testing.T) {
 	if len(c.flows) != 1 || c.flows[1] == nil {
 		t.Fatalf("sessions = %v", c.flows)
 	}
-	if tp := c.TotalThroughput(); tp < 69 {
-		t.Fatalf("TotalThroughput = %v", tp)
+	if _, plan := c.Plan(); plan.TotalRate() < 69 {
+		t.Fatalf("total rate = %v", plan.TotalRate())
 	}
 	if inst := c.pools["T"].active; len(inst) != 1 {
 		t.Fatalf("instances at T = %v", inst)

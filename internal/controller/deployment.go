@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ncfn/internal/dataplane"
@@ -39,10 +40,6 @@ func BuildDeployFile(params rlnc.Params, redundancy int, sessions []optimize.Ses
 		rate := plan.Rates[s.ID]
 		if rate <= 0 || len(flows) == 0 {
 			continue
-		}
-		recvSet := make(map[topology.NodeID]bool, len(s.Receivers))
-		for _, r := range s.Receivers {
-			recvSet[r] = true
 		}
 		// Group edges by their tail node and compute quotas.
 		outEdges := make(map[topology.NodeID][][2]topology.NodeID)
@@ -89,7 +86,7 @@ func BuildDeployFile(params rlnc.Params, redundancy int, sessions []optimize.Ses
 			for _, e := range edges {
 				dst := e[1]
 				var addrs []string
-				if recvSet[dst] {
+				if slices.Contains(s.Receivers, dst) {
 					addrs = []string{string(dst)}
 				} else {
 					addrs = instancesOf(dst)
@@ -100,7 +97,7 @@ func BuildDeployFile(params rlnc.Params, redundancy int, sessions []optimize.Ses
 				hops = append(hops, DeployHopGroup{Addrs: addrs, PerGen: quota(e)})
 			}
 			ds.Tables[string(node)] = hops
-			if node == s.Source || recvSet[node] {
+			if node == s.Source || slices.Contains(s.Receivers, node) {
 				continue // the source encodes and receivers decode (below)
 			}
 			// A relay with a single incoming flow and no rate compression

@@ -56,20 +56,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // chaos schedules replay identically under a fixed seed.
 func (p RetryPolicy) Backoff(n int) time.Duration {
 	p = p.withDefaults()
-	if n < 1 {
-		n = 1
-	}
 	d := p.BaseDelay
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && d < p.MaxDelay; i++ {
 		d *= 2
-		if d >= p.MaxDelay {
-			return p.MaxDelay
-		}
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	return d
+	return min(d, p.MaxDelay)
 }
 
 // ErrRetriesExhausted wraps the last error after MaxAttempts failures.

@@ -1,21 +1,25 @@
 // Package core is the top-level orchestration API — the paper's primary
 // contribution assembled into one deployable service. A Service takes an
-// overlay graph of sources, candidate data centers, and receivers, solves
-// the coding-function deployment and routing program (Sec. IV), deploys
-// live coding VNFs onto a packet network (the in-process emulated network,
-// or real UDP sockets), wires up sources and receivers, and moves data with
+// overlay graph of sources, candidate data centers, and receivers; its
+// controller solves the coding-function deployment and routing program
+// (Sec. IV) as sessions and receivers come and go (Algorithm 3), and each
+// decision is applied to live coding VNFs on the in-process emulated
+// network, with sources and receivers wired up, moving data with
 // randomized network coding.
 //
-// The examples/ directory shows the intended usage: build a Service,
-// register sessions, Deploy, then Send.
+// The examples/ directory shows the intended usage: build a Service, add
+// sessions, then Send.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
+	"ncfn/internal/cloud"
 	"ncfn/internal/controller"
 	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
@@ -62,23 +66,29 @@ type Config struct {
 	Seed int64
 }
 
-// Service orchestrates sessions over deployed coding functions.
+// Service orchestrates sessions over deployed coding functions. Its
+// controller decides (program (2) and Algorithm 3 on every join and quit);
+// the Service renders each decision as a deploy file and reconciles the
+// running data plane with it.
 type Service struct {
-	cfg Config
+	cfg  Config
+	reg  *telemetry.Registry
+	net  *emunet.Network
+	ctrl *controller.Controller
 
-	reg *telemetry.Registry
-
-	mu        sync.Mutex
-	sessions  []optimize.Session
-	plan      *optimize.Plan
-	net       *emunet.Network
-	daemons   []*controller.Daemon
+	mu      sync.Mutex
+	file    *controller.DeployFile // the last file applied
+	daemons map[topology.NodeID]*controller.Daemon
+	// sources holds one Source per session ever routed. A removed
+	// session's Source is unrouted, not closed: closing it would close its
+	// node's emunet host for good, and the session may return.
 	sources   map[ncproto.SessionID]*dataplane.Source
 	endpoints map[topology.NodeID]*dataplane.MultiReceiver
 	closed    bool
 }
 
-// NewService builds an (undeployed) service.
+// NewService builds a service with no sessions over the emulated network
+// of the overlay graph.
 func NewService(cfg Config) (*Service, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("core: nil graph")
@@ -89,65 +99,85 @@ func NewService(cfg Config) (*Service, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	regions := make([]cloud.Region, len(cfg.DataCenters))
+	for i, dc := range cfg.DataCenters {
+		regions[i] = cloud.Region{ID: dc.ID}
+	}
+	reg := telemetry.NewRegistry()
 	return &Service{
-		cfg:       cfg,
-		reg:       telemetry.NewRegistry(),
+		cfg: cfg,
+		reg: reg,
+		net: buildNetwork(cfg.Graph, reg),
+		ctrl: controller.New(controller.Config{
+			Optimize: optimize.Config{
+				Graph:       cfg.Graph,
+				DataCenters: slices.Clone(cfg.DataCenters),
+				Alpha:       cfg.Alpha,
+				MaxPathHops: maxPathHops,
+			},
+			// The pools' launches are bookkeeping: each data center runs
+			// one in-process VNF whatever its pool holds.
+			Cloud: cloud.New(nil, cfg.Seed, regions...),
+		}),
+		file:      &controller.DeployFile{},
+		daemons:   make(map[topology.NodeID]*controller.Daemon),
 		sources:   make(map[ncproto.SessionID]*dataplane.Source),
 		endpoints: make(map[topology.NodeID]*dataplane.MultiReceiver),
 	}, nil
 }
 
-// AddSession registers a session before deployment.
-func (s *Service) AddSession(sess optimize.Session) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.plan != nil {
-		return errors.New("core: cannot add sessions after Deploy")
-	}
-	for _, have := range s.sessions {
-		if have.ID == sess.ID {
-			return fmt.Errorf("core: duplicate session %d", sess.ID)
-		}
-	}
-	s.sessions = append(s.sessions, sess)
-	return nil
+// AddSession admits sessions jointly — one solve of program (2) over them,
+// with the flows of sessions already admitted pinned — and brings them up
+// on the running deployment.
+func (s *Service) AddSession(ss ...optimize.Session) error {
+	return s.apply(func() error { return s.ctrl.AddSession(ss...) })
 }
 
-// Plan returns the solved deployment plan (after Deploy).
+// RemoveSession ends a session; the controller may re-plan the rest.
+func (s *Service) RemoveSession(id ncproto.SessionID) error {
+	return s.apply(func() error { return s.ctrl.RemoveSession(id) })
+}
+
+// AddReceiver joins a receiver node to a session.
+func (s *Service) AddReceiver(id ncproto.SessionID, r topology.NodeID) error {
+	return s.apply(func() error { return s.ctrl.AddReceiver(id, r) })
+}
+
+// RemoveReceiver takes a receiver node out of a session; removing the last
+// one ends the session.
+func (s *Service) RemoveReceiver(id ncproto.SessionID, r topology.NodeID) error {
+	return s.apply(func() error { return s.ctrl.RemoveReceiver(id, r) })
+}
+
+// Plan returns the controller's adopted plan.
 func (s *Service) Plan() *optimize.Plan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plan
+	_, plan := s.ctrl.Plan()
+	return plan
 }
 
-// Deploy solves program (2) for the registered sessions, renders the plan
-// as a controller.DeployFile, and instantiates the data plane from it: one
-// daemon-managed coding VNF per data center the file gives a role, cold-
-// started with the control messages ncctl would send, a Source per session
-// fed its table entry, and a receiving endpoint per destination.
-func (s *Service) Deploy() error {
+// apply runs one controller decision and reconciles the data plane with
+// the plan it leaves.
+func (s *Service) apply(decide func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrAlreadyClosed
 	}
-	if s.plan != nil {
-		return errors.New("core: already deployed")
+	if err := decide(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	if len(s.sessions) == 0 {
-		return errors.New("core: no sessions registered")
-	}
-	ocfg := optimize.Config{
-		Graph:       s.cfg.Graph,
-		DataCenters: s.cfg.DataCenters,
-		Alpha:       s.cfg.Alpha,
-		MaxPathHops: maxPathHops,
-	}
-	plan, err := optimize.Solve(ocfg, s.sessions)
-	if err != nil {
-		return fmt.Errorf("core: solve deployment: %w", err)
-	}
-	f, err := controller.BuildDeployFile(s.cfg.Params, s.cfg.Redundancy, s.sessions, plan, func(dc topology.NodeID) []string {
+	return s.applyLocked()
+}
+
+// applyLocked renders the controller's plan as the next version of the
+// deploy file and brings the data plane to it: every data center's daemon
+// reloads the file (one that gains its first role gets a daemon,
+// cold-started), every routed session gets a Source fed its table entry,
+// each receiver node a shared endpoint decoding its sessions, and what the
+// file dropped is retired.
+func (s *Service) applyLocked() error {
+	sessions, plan := s.ctrl.Plan()
+	f, err := controller.BuildDeployFile(s.cfg.Params, s.cfg.Redundancy, sessions, plan, func(dc topology.NodeID) []string {
 		// Live mode runs one VNF instance per data center; generation
 		// dispatch across multiple instances is exercised by the
 		// dataplane unit tests.
@@ -165,75 +195,108 @@ func (s *Service) Deploy() error {
 			}
 		}
 	}
+	prev := s.file
+	f.Version = prev.Version + 1
+	s.file = f
 
-	s.net = buildNetwork(s.cfg.Graph, s.reg)
-
-	// Reverse paths for generation ACKs: receiver → source.
-	for _, sess := range s.sessions {
-		for _, r := range sess.Receivers {
-			s.net.SetLink(string(r), string(sess.Source), emunet.LinkConfig{})
-		}
-	}
-
-	// Cold-start a daemon at every data center the file gives a role,
-	// with the NC_SETTINGS → NC_FORWARD_TAB → NC_START sequence ncctl
-	// sends to ncd.
 	for _, dc := range s.cfg.DataCenters {
-		msgs, err := f.NodeMessages(string(dc.ID))
-		if err != nil {
-			return fmt.Errorf("core: messages for %s: %w", dc.ID, err)
-		}
-		if msgs == nil {
-			continue
-		}
-		opts := []dataplane.VNFOption{
-			dataplane.WithSeed(s.cfg.Seed + int64(len(s.daemons)) + 100),
-			dataplane.WithTelemetry(s.reg),
-		}
-		if s.cfg.BufferGenerations > 0 {
-			opts = append(opts, dataplane.WithBufferCapacity(s.cfg.BufferGenerations))
-		}
-		d := controller.NewDaemon(s.net.Host(string(dc.ID)), nil, opts...)
-		s.daemons = append(s.daemons, d)
-		for _, m := range msgs {
-			if err := d.Apply(m); err != nil {
-				return fmt.Errorf("core: deploy %s: %w", dc.ID, err)
+		d, ok := s.daemons[dc.ID]
+		if !ok {
+			// A data center has a role exactly where it forwards.
+			if len(f.NodeTable(string(dc.ID))) == 0 {
+				continue
 			}
+			opts := []dataplane.VNFOption{
+				dataplane.WithSeed(s.cfg.Seed + int64(len(s.daemons)) + 100),
+				dataplane.WithTelemetry(s.reg),
+			}
+			if s.cfg.BufferGenerations > 0 {
+				opts = append(opts, dataplane.WithBufferCapacity(s.cfg.BufferGenerations))
+			}
+			d = controller.NewDaemon(s.net.Host(string(dc.ID)), nil, opts...)
+			s.daemons[dc.ID] = d
+		}
+		_, err := d.Reload(f, string(dc.ID))
+		if err == nil && !ok {
+			err = d.Apply(&controller.Message{Signal: controller.NCStart})
+		}
+		if err != nil {
+			return fmt.Errorf("core: apply deploy file at %s: %w", dc.ID, err)
 		}
 	}
 
-	// Sources and receivers.
-	for _, sess := range s.sessions {
-		rate := plan.Rates[sess.ID]
-		src, err := dataplane.NewSource(s.net.Host(string(sess.Source)), dataplane.SourceConfig{
-			Session:    sess.ID,
-			Params:     s.cfg.Params,
-			RateMbps:   rate,
-			Redundancy: s.cfg.Redundancy,
-			Systematic: true,
-			Seed:       s.cfg.Seed + int64(sess.ID),
-		})
-		if err != nil {
-			return fmt.Errorf("core: source for session %d: %w", sess.ID, err)
+	for _, sess := range sessions {
+		recv := receivers(f, sess.ID)
+		if recv == nil {
+			continue // unrouted
+		}
+		src, ok := s.sources[sess.ID]
+		if !ok {
+			src, err = dataplane.NewSource(s.net.Host(string(sess.Source)), dataplane.SourceConfig{
+				Session:    sess.ID,
+				Params:     s.cfg.Params,
+				RateMbps:   plan.Rates[sess.ID],
+				Redundancy: s.cfg.Redundancy,
+				Systematic: true,
+				Seed:       s.cfg.Seed + int64(sess.ID),
+			})
+			if err != nil {
+				return fmt.Errorf("core: source for session %d: %w", sess.ID, err)
+			}
+			s.sources[sess.ID] = src
 		}
 		src.SetHops(f.NodeTable(string(sess.Source))[sess.ID])
-		s.sources[sess.ID] = src
 
 		// One receiving endpoint per node, shared by every session that
 		// terminates there (a node may subscribe to several sessions).
-		for _, r := range sess.Receivers {
-			ep, ok := s.endpoints[r]
+		had := receivers(prev, sess.ID)
+		for _, r := range recv {
+			if slices.Contains(had, r) {
+				continue
+			}
+			// The reverse path for generation ACKs: receiver → source.
+			s.net.SetLink(r, string(sess.Source), emunet.LinkConfig{})
+			ep, ok := s.endpoints[topology.NodeID(r)]
 			if !ok {
-				ep = dataplane.NewMultiReceiver(s.net.Host(string(r)), dataplane.WithTelemetry(s.reg))
-				s.endpoints[r] = ep
+				ep = dataplane.NewMultiReceiver(s.net.Host(r), dataplane.WithTelemetry(s.reg))
+				s.endpoints[topology.NodeID(r)] = ep
 			}
 			if err := ep.AddSession(sess.ID, s.cfg.Params, string(sess.Source)); err != nil {
 				return fmt.Errorf("core: receiver %s for session %d: %w", r, sess.ID, err)
 			}
 		}
 	}
-	s.plan = plan
+	for _, ds := range prev.Sessions {
+		id := ncproto.SessionID(ds.ID)
+		recv := receivers(f, id)
+		for _, r := range receivers(prev, id) {
+			if !slices.Contains(recv, r) {
+				s.endpoints[topology.NodeID(r)].RemoveSession(id)
+			}
+		}
+		if recv == nil {
+			s.sources[id].SetHops(nil)
+		}
+	}
 	return nil
+}
+
+// receivers lists, sorted, the nodes the file has decode a session; nil
+// when the file does not route it.
+func receivers(f *controller.DeployFile, id ncproto.SessionID) []string {
+	var out []string
+	for i := range f.Sessions {
+		if f.Sessions[i].ID != int(id) {
+			continue
+		}
+		for node, role := range f.Sessions[i].Roles {
+			if role == dataplane.RoleDecoder.String() {
+				out = append(out, node)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // buildNetwork materializes the overlay graph as an emulated network.
@@ -255,27 +318,20 @@ func buildNetwork(g *topology.Graph, reg *telemetry.Registry) *emunet.Network {
 // Telemetry returns the deployment-wide registry: every VNF, receiver
 // endpoint, and the network report into it, so one Snapshot covers the
 // whole data plane.
-func (s *Service) Telemetry() *telemetry.Registry {
-	return s.reg
-}
+func (s *Service) Telemetry() *telemetry.Registry { return s.reg }
 
-// Network exposes the underlying packet network (for tests that add
-// impairments after deployment).
-func (s *Service) Network() *emunet.Network {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.net
-}
+// Network exposes the underlying packet network (for tests and
+// experiments that add impairments to its links).
+func (s *Service) Network() *emunet.Network { return s.net }
 
-// Source returns the sender handle of a session.
+// Source returns the sender handle of a routed session.
 func (s *Service) Source(id ncproto.SessionID) (*dataplane.Source, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	src, ok := s.sources[id]
-	if !ok {
+	if receivers(s.file, id) == nil {
 		return nil, fmt.Errorf("%w: session %d", ErrNotDeployed, id)
 	}
-	return src, nil
+	return s.sources[id], nil
 }
 
 // Receiver returns the receiving endpoint at a node; read a session's
@@ -295,24 +351,12 @@ func (s *Service) Receiver(node topology.NodeID) (*dataplane.MultiReceiver, erro
 // receiver has acknowledged every generation (or reliability gives up).
 func (s *Service) Send(id ncproto.SessionID, data []byte, timeout time.Duration) (transfer.MulticastStats, error) {
 	s.mu.Lock()
-	src, ok := s.sources[id]
-	var receiverAddrs []string
-	var sess *optimize.Session
-	for i := range s.sessions {
-		if s.sessions[i].ID == id {
-			sess = &s.sessions[i]
-		}
-	}
-	if sess != nil {
-		for _, r := range sess.Receivers {
-			receiverAddrs = append(receiverAddrs, string(r))
-		}
-	}
+	src, recv := s.sources[id], receivers(s.file, id)
 	s.mu.Unlock()
-	if !ok || sess == nil {
+	if recv == nil {
 		return transfer.MulticastStats{}, fmt.Errorf("%w: session %d", ErrNotDeployed, id)
 	}
-	cfg := transfer.MulticastConfig{Receivers: receiverAddrs}
+	cfg := transfer.MulticastConfig{Receivers: recv}
 	if timeout > 0 {
 		cfg.AckTimeout = timeout
 	}
@@ -337,8 +381,5 @@ func (s *Service) Close() error {
 	for _, d := range s.daemons {
 		d.Close()
 	}
-	if s.net != nil {
-		return s.net.Close()
-	}
-	return nil
+	return s.net.Close()
 }

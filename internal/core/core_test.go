@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,21 +15,24 @@ import (
 	"ncfn/internal/topology"
 )
 
+// butterflyDCs are the butterfly's four relay sites.
+var butterflyDCs = []optimize.DataCenter{
+	{ID: "O1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
+	{ID: "C1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
+	{ID: "T", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
+	{ID: "V2", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
+}
+
 func butterflyService(t *testing.T, redundancy int) *Service {
 	t.Helper()
 	g, src, dsts := topology.Butterfly()
 	svc, err := NewService(Config{
-		Graph: g,
-		DataCenters: []optimize.DataCenter{
-			{ID: "O1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "C1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "T", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "V2", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-		},
-		Alpha:      0.1,
-		Params:     rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
-		Redundancy: redundancy,
-		Seed:       1,
+		Graph:       g,
+		DataCenters: butterflyDCs,
+		Alpha:       0.1,
+		Params:      rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
+		Redundancy:  redundancy,
+		Seed:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,39 +75,43 @@ func TestServiceLifecycleErrors(t *testing.T) {
 	if err := svc.AddSession(optimize.Session{ID: 1}); err == nil {
 		t.Fatal("duplicate session accepted")
 	}
-	if _, err := svc.Source(1); err == nil {
-		t.Fatal("source before deploy")
+	if _, err := svc.Source(2); err == nil {
+		t.Fatal("source of an unknown session")
 	}
-	if _, err := svc.Receiver("O2"); err == nil {
-		t.Fatal("receiver before deploy")
+	if _, err := svc.Receiver("C1"); err == nil {
+		t.Fatal("receiver at a relay")
 	}
-	if _, err := svc.Send(1, []byte{1}, 0); err == nil {
-		t.Fatal("send before deploy")
+	if _, err := svc.Send(2, []byte{1}, 0); err == nil {
+		t.Fatal("send on an unknown session")
 	}
-	if err := svc.Deploy(); err != nil {
+	if err := svc.RemoveSession(2); err == nil {
+		t.Fatal("unknown session removed")
+	}
+	if err := svc.RemoveSession(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Deploy(); err == nil {
-		t.Fatal("double deploy accepted")
+	if _, err := svc.Source(1); err == nil {
+		t.Fatal("source of a removed session")
 	}
-	if err := svc.AddSession(optimize.Session{ID: 2}); err == nil {
-		t.Fatal("session added after deploy")
+	if _, err := svc.Send(1, []byte{1}, 0); err == nil {
+		t.Fatal("send on a removed session")
 	}
 }
 
 func TestServiceDeployNoSessions(t *testing.T) {
 	g, _, _ := topology.Butterfly()
 	svc, _ := NewService(Config{Graph: g})
-	if err := svc.Deploy(); err == nil {
-		t.Fatal("deploy with no sessions accepted")
+	defer svc.Close()
+	if err := svc.AddSession(); err != nil {
+		t.Fatal(err)
+	}
+	if plan := svc.Plan(); plan.TotalVNFs() != 0 || len(plan.Rates) != 0 || len(svc.daemons) != 0 {
+		t.Fatalf("admitting no sessions deployed %+v on %d daemons", plan, len(svc.daemons))
 	}
 }
 
 func TestServiceButterflyDelivery(t *testing.T) {
 	svc := butterflyService(t, 1)
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
 	plan := svc.Plan()
 	if plan == nil || plan.Rates[1] < 69 {
 		t.Fatalf("plan rate = %v", plan.Rates)
@@ -137,9 +145,6 @@ func TestServiceButterflyDelivery(t *testing.T) {
 
 func TestServiceSendAfterClose(t *testing.T) {
 	svc := butterflyService(t, 0)
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +154,21 @@ func TestServiceSendAfterClose(t *testing.T) {
 }
 
 func TestServiceCloseBeforeDeploy(t *testing.T) {
-	svc := butterflyService(t, 0)
+	g, src, dsts := topology.Butterfly()
+	svc, err := NewService(Config{Graph: g, DataCenters: butterflyDCs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Deploy(); err == nil {
-		t.Fatal("deploy after close accepted")
+	if err := svc.AddSession(optimize.Session{ID: 1, Source: src, Receivers: dsts, MaxDelay: 150 * time.Millisecond}); !errors.Is(err, ErrAlreadyClosed) {
+		t.Fatalf("session admitted after close: %v", err)
 	}
 }
 
 func TestServiceUnknownReceiver(t *testing.T) {
 	svc := butterflyService(t, 0)
-	if err := svc.Deploy(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := svc.Receiver("nope"); err == nil {
 		t.Fatal("unknown receiver returned")
 	}
@@ -199,18 +205,17 @@ func TestSharedReceiverNodeAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	var sessions []optimize.Session
 	for i, src := range []topology.NodeID{"s1", "s2"} {
-		if err := svc.AddSession(optimize.Session{
+		sessions = append(sessions, optimize.Session{
 			ID:        ncproto.SessionID(i + 1),
 			Source:    src,
 			Receivers: []topology.NodeID{"sink"},
 			MaxDelay:  100 * time.Millisecond,
 			RateCap:   30, // both sessions must get a share of the 100 Mbps sink link
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
-	if err := svc.Deploy(); err != nil {
+	if err := svc.AddSession(sessions...); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
@@ -241,25 +246,17 @@ func TestSharedReceiverNodeAcrossSessions(t *testing.T) {
 func TestServiceTelemetrySharedRegistry(t *testing.T) {
 	g, src, dsts := topology.Butterfly()
 	svc, err := NewService(Config{
-		Graph: g,
-		DataCenters: []optimize.DataCenter{
-			{ID: "O1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "C1", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "T", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-			{ID: "V2", BinMbps: 1000, BoutMbps: 1000, CodeMbps: 500},
-		},
-		Alpha:  0.1,
-		Params: rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
-		Seed:   1,
+		Graph:       g,
+		DataCenters: butterflyDCs,
+		Alpha:       0.1,
+		Params:      rlnc.Params{GenerationBlocks: 4, BlockSize: 256},
+		Seed:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	if err := svc.AddSession(optimize.Session{ID: 1, Source: src, Receivers: dsts, MaxDelay: 150 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Deploy(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Send(1, make([]byte, 16*1024), 300*time.Millisecond); err != nil {

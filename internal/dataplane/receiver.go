@@ -67,6 +67,14 @@ func (m *MultiReceiver) AddSession(id ncproto.SessionID, params rlnc.Params, src
 	return nil
 }
 
+// RemoveSession stops decoding a session and drops what it reassembled.
+func (m *MultiReceiver) RemoveSession(id ncproto.SessionID) {
+	m.vnf.EndSession(id)
+	m.mu.Lock()
+	delete(m.sessions, id)
+	m.mu.Unlock()
+}
+
 // collect drains decoded generations from the VNF into session state.
 func (m *MultiReceiver) collect() {
 	defer m.wg.Done()

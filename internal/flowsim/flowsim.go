@@ -70,7 +70,8 @@ func Run(ctrl *controller.Controller, clk *simclock.Virtual, events []Event, cfg
 		}
 		ctrl.Tick()
 		active, idle := ctrl.VNFCounts()
-		throughput := ctrl.TotalThroughput()
+		_, plan := ctrl.Plan()
+		throughput := plan.TotalRate()
 		if cfg.Throughput != nil {
 			throughput = cfg.Throughput(ctrl)
 		}
@@ -300,26 +301,18 @@ func (d *Deployment) Fig10Events() []Event {
 	leave(min(50), d.Sessions[1].ID)
 	leave(min(60), d.Sessions[2].ID)
 
-	// Receiver churn on a surviving session (session 4).
+	// Receiver churn on a surviving session (session 4): the i-th joiner
+	// comes at minute 70+10i and leaves at 100+10i. Joiners are existing
+	// receiver nodes of other sessions, already wired into the graph.
 	target := d.Sessions[3]
-	extra := make([]topology.NodeID, 3)
-	for i := range extra {
-		// Reuse existing receiver nodes of other sessions as joiners:
-		// they are already wired into the graph.
-		extra[i] = d.Sessions[(4+i)%6].Receivers[0]
-	}
-	for i, at := range []time.Duration{min(70), min(80), min(90)} {
-		r := extra[i]
+	for i := 0; i < 3; i++ {
+		r := d.Sessions[(4+i)%6].Receivers[0]
 		events = append(events, Event{
-			At:   at,
+			At:   min(70 + 10*i),
 			Name: fmt.Sprintf("receiver %s joins session %d", r, target.ID),
 			Do:   func(c *controller.Controller) error { return c.AddReceiver(target.ID, r) },
-		})
-	}
-	for i, at := range []time.Duration{min(100), min(110), min(120)} {
-		r := extra[i]
-		events = append(events, Event{
-			At:   at,
+		}, Event{
+			At:   min(100 + 10*i),
 			Name: fmt.Sprintf("receiver %s leaves session %d", r, target.ID),
 			Do:   func(c *controller.Controller) error { return c.RemoveReceiver(target.ID, r) },
 		})
@@ -343,11 +336,10 @@ func (d *Deployment) EffectiveThroughput() func(c *controller.Controller) float6
 }
 
 // Fig11Events builds the Sec. V-C2 timeline: all six sessions start at
-// t=0; every 20 minutes (starting at minute 10) a random in-use region's
-// per-VNF bandwidth is cut in half, and the controller's periodic
+// t=0; every 20 minutes (starting at minute 10) the most loaded in-use
+// region's per-VNF bandwidth is cut in half, and the controller's periodic
 // bandwidth probes observe it.
-func (d *Deployment) Fig11Events(seed int64) []Event {
-	_ = seed // the cut choice is load-driven; seed kept for API stability
+func (d *Deployment) Fig11Events() []Event {
 	min := func(m int) time.Duration { return time.Duration(m) * time.Minute }
 	var events []Event
 	for _, s := range d.Sessions {
@@ -399,7 +391,7 @@ func (d *Deployment) Fig11Events(seed int64) []Event {
 				if len(candidates) == 0 {
 					candidates = d.Regions
 				}
-				// Pick the most-loaded candidate, breaking ties randomly.
+				// Pick the most-loaded candidate; ties go to the earlier region.
 				best := candidates[0]
 				for _, region := range candidates[1:] {
 					if in[region]+out[region] > in[best]+out[best] {

@@ -1,11 +1,14 @@
 package flowsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"ncfn/internal/controller"
+	"ncfn/internal/rlnc"
+	"ncfn/internal/topology"
 )
 
 func TestNewDeploymentDefaults(t *testing.T) {
@@ -83,7 +86,7 @@ func TestFig11BandwidthCutsRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := Run(d.Controller, d.Clock, d.Fig11Events(3), RunConfig{
+	samples, err := Run(d.Controller, d.Clock, d.Fig11Events(), RunConfig{
 		Duration: 70 * time.Minute,
 		Interval: 10 * time.Minute,
 	})
@@ -106,6 +109,56 @@ func TestFig11BandwidthCutsRecover(t *testing.T) {
 		}
 		if s.VNFs == 0 {
 			t.Fatalf("zero VNFs at %v", s.At)
+		}
+	}
+}
+
+// TestTimelinesRenderDeployFiles replays the Fig 10 and Fig 11 timelines
+// and, after every event, renders the controller's adopted plan as the
+// deploy file a live deployment would apply: each must render and validate
+// at small and large generation sizes.
+func TestTimelinesRenderDeployFiles(t *testing.T) {
+	timelines := []struct {
+		events   func(*Deployment) []Event
+		duration time.Duration
+	}{
+		{(*Deployment).Fig10Events, 120 * time.Minute},
+		{(*Deployment).Fig11Events, 70 * time.Minute},
+	}
+	for _, k := range []int{4, 64} {
+		params := rlnc.Params{GenerationBlocks: k, BlockSize: rlnc.DefaultBlockSize}
+		for seed := int64(1); seed <= 5; seed++ {
+			rendered := 0
+			for _, tl := range timelines {
+				d, err := NewDeployment(ScenarioConfig{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				events := tl.events(d)
+				for i := range events {
+					do, name := events[i].Do, events[i].Name
+					events[i].Do = func(c *controller.Controller) error {
+						if err := do(c); err != nil {
+							return err
+						}
+						sessions, plan := c.Plan()
+						f, err := controller.BuildDeployFile(params, 0, sessions, plan, func(dc topology.NodeID) []string {
+							return []string{string(dc)}
+						})
+						if err != nil {
+							return fmt.Errorf("render after %q: %w", name, err)
+						}
+						rendered++
+						return f.Validate()
+					}
+				}
+				if _, err := Run(d.Controller, d.Clock, events, RunConfig{Duration: tl.duration, Interval: 10 * time.Minute}); err != nil {
+					t.Fatalf("k=%d seed %d: %v", k, seed, err)
+				}
+			}
+			if rendered != 31 {
+				t.Fatalf("k=%d seed %d: rendered %d deploy files, want one per event (31)", k, seed, rendered)
+			}
 		}
 	}
 }

@@ -86,25 +86,6 @@ func (d *Deployment) PoissonEvents(cfg TraceConfig) ([]Event, error) {
 	return events, nil
 }
 
-// ActiveSessionsAt replays a trace's joins/leaves arithmetically, returning
-// the number of concurrently active sessions at the given instant (used by
-// tests to validate samples against the trace).
-func ActiveSessionsAt(events []Event, at time.Duration) int {
-	n := 0
-	for _, e := range events {
-		if e.At > at {
-			continue
-		}
-		switch {
-		case len(e.Name) >= 12 && e.Name[:12] == "poisson join":
-			n++
-		case len(e.Name) >= 13 && e.Name[:13] == "poisson leave":
-			n--
-		}
-	}
-	return n
-}
-
 // Soak runs a Poisson trace against a fresh deployment and returns the
 // samples plus the peak concurrent session count — a convenience for load
 // tests and capacity studies.
@@ -117,18 +98,15 @@ func Soak(scenario ScenarioConfig, trace TraceConfig, interval time.Duration) ([
 	if err != nil {
 		return nil, 0, err
 	}
+	peak := 0
 	samples, err := Run(d.Controller, d.Clock, events, RunConfig{
 		Duration: trace.Duration,
 		Interval: interval,
+		Throughput: func(c *controller.Controller) float64 {
+			sessions, plan := c.Plan()
+			peak = max(peak, len(sessions))
+			return plan.TotalRate()
+		},
 	})
-	if err != nil {
-		return samples, 0, err
-	}
-	peak := 0
-	for at := time.Duration(0); at <= trace.Duration; at += interval {
-		if n := ActiveSessionsAt(events, at); n > peak {
-			peak = n
-		}
-	}
-	return samples, peak, nil
+	return samples, peak, err
 }

@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,34 +82,40 @@ func TestPoissonDeterministic(t *testing.T) {
 	}
 }
 
-func TestActiveSessionsAt(t *testing.T) {
-	d, _ := NewDeployment(ScenarioConfig{Seed: 2})
-	events, err := d.PoissonEvents(TraceConfig{ArrivalsPerHour: 30, MeanHold: 30 * time.Minute, Duration: 2 * time.Hour, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := ActiveSessionsAt(events, 0); n != 0 {
-		t.Fatalf("active at t=0: %d", n)
-	}
-	if n := ActiveSessionsAt(events, time.Hour); n < 0 {
-		t.Fatalf("negative active count: %d", n)
-	}
-}
-
 func TestSoakControllerSurvivesChurn(t *testing.T) {
-	samples, peak, err := Soak(
-		ScenarioConfig{Seed: 4},
-		TraceConfig{ArrivalsPerHour: 8, MeanHold: 25 * time.Minute, Duration: 2 * time.Hour, Seed: 6},
-		10*time.Minute,
-	)
+	scenario := ScenarioConfig{Seed: 4}
+	trace := TraceConfig{ArrivalsPerHour: 8, MeanHold: 25 * time.Minute, Duration: 2 * time.Hour, Seed: 6}
+	samples, peak, err := Soak(scenario, trace, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 13 {
 		t.Fatalf("samples = %d", len(samples))
 	}
-	if peak == 0 {
-		t.Fatal("trace admitted no sessions")
+	// The peak the controller held must be the trace's own: count the
+	// joins and leaves due at each sample instant.
+	d, err := NewDeployment(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := d.PoissonEvents(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for at := time.Duration(0); at <= trace.Duration; at += 10 * time.Minute {
+		n := 0
+		for _, e := range events {
+			if e.At <= at && strings.HasPrefix(e.Name, "poisson join") {
+				n++
+			} else if e.At <= at && strings.HasPrefix(e.Name, "poisson leave") {
+				n--
+			}
+		}
+		want = max(want, n)
+	}
+	if peak == 0 || peak != want {
+		t.Fatalf("peak concurrent sessions = %d, the trace's is %d", peak, want)
 	}
 	// Whenever sessions are active the controller must report throughput
 	// and VNFs; when none are active both must be able to drain to zero.
