@@ -86,13 +86,15 @@ examples:
 	done
 
 # fuzz-smoke runs each parser of outside input under the fuzzer for
-# FUZZTIME: the deploy file (ncctl, ncd's /reload, the planner's output) and
+# FUZZTIME: the deploy file (ncctl, ncd's /reload, the planner's output),
+# the deploy-file differ over two parsed files (cold start vs reload), and
 # the data-plane packet and ACK decoders. The checked-in seed corpora under
 # each package's testdata/fuzz already run in plain `go test`; this mutates
 # past them.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDeployFile$$' -fuzztime $(FUZZTIME) ./internal/controller/
+	$(GO) test -run '^$$' -fuzz '^FuzzReloadDiffer$$' -fuzztime $(FUZZTIME) ./internal/controller/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAck$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
 

@@ -12,7 +12,7 @@
 //	ncctl -config deploy.json stats            # per-node /stats snapshots
 //	ncctl -config deploy.json drain            # POST /drain to every node
 //	ncctl -config deploy.json reload           # POST the file to every /reload
-//	ncctl -config deploy.json rolling-restart  # drain→restart→reconfigure, one node at a time
+//	ncctl -config deploy.json rolling-restart  # drain→restart→cold start, one node at a time
 //
 // -nodes restricts drain/reload/rolling-restart to a comma-separated node
 // subset (e.g. only the relays, never the decoders).
@@ -235,10 +235,11 @@ func adminAddr(f *controller.DeployFile, node string) (string, error) {
 	return addr, nil
 }
 
-// start pushes settings, peers, tables, and NC_START to every daemon.
+// start cold-starts every daemon: settings (the first carrying the peer
+// bindings), one table push, and NC_START.
 func start(f *controller.DeployFile, w io.Writer) error {
 	for _, node := range f.Nodes() {
-		msgs, err := f.NodeMessages(node)
+		msgs, err := f.ColdStart(node)
 		if err != nil {
 			return err
 		}
@@ -354,39 +355,12 @@ func waitHealthy(client *http.Client, addr string, deadline time.Time) error {
 	}
 }
 
-// upstreamsOf lists the nodes (other than node itself) whose forwarding
-// tables reference node by name — the ones whose tables must be re-pushed
-// after node restarts.
-func upstreamsOf(f *controller.DeployFile, node string) []string {
-	set := map[string]bool{}
-	for i := range f.Sessions {
-		for owner, groups := range f.Sessions[i].Tables {
-			if owner == node {
-				continue
-			}
-			for _, g := range groups {
-				for _, a := range g.Addrs {
-					if a == node {
-						set[owner] = true
-					}
-				}
-			}
-		}
-	}
-	ups := make([]string, 0, len(set))
-	for n := range set {
-		ups = append(ups, n)
-	}
-	sort.Strings(ups)
-	return ups
-}
-
 // rollingRestart walks the selected nodes one at a time: trigger /restart
 // (drain, then exec handoff onto the same addresses), wait for the
-// replacement to come back healthy, reconfigure it over its control port,
-// and re-push the forwarding tables of every upstream that references it —
-// only then move to the next node. One node is down at any moment, so a
-// redundancy-1 session keeps decoding throughout.
+// replacement to come back healthy, and cold-start it over its control
+// port — only then move to the next node. The handoff re-binds the same
+// addresses, so upstream tables that name the node stay valid. One node is
+// down at any moment, so a redundancy-1 session keeps decoding throughout.
 func rollingRestart(f *controller.DeployFile, nodes []string, drainDeadline, wait time.Duration, w io.Writer) error {
 	client := &http.Client{Timeout: pushTimeout}
 	for _, node := range nodes {
@@ -405,30 +379,15 @@ func rollingRestart(f *controller.DeployFile, nodes []string, drainDeadline, wai
 		if err := waitHealthy(client, addr, deadline); err != nil {
 			return fmt.Errorf("node %s: replacement never came back: %w", node, err)
 		}
-		// The replacement starts blank: push its full control sequence
-		// (settings, peers, tables, start) with dial retries while its
-		// control listener finishes coming up.
-		msgs, err := f.NodeMessages(node)
+		// The replacement starts blank: cold-start it with dial retries
+		// while its control listener finishes coming up.
+		msgs, err := f.ColdStart(node)
 		if err != nil {
 			return err
 		}
 		if len(msgs) > 0 {
 			if err := pushRetry(f.Daemons[node], msgs, deadline); err != nil {
 				return fmt.Errorf("node %s: reconfigure: %w", node, err)
-			}
-		}
-		// Re-push upstream tables that point at the restarted node. Its
-		// addresses are pinned across the exec handoff, so this is a
-		// correctness no-op but re-arms name→address bindings and covers
-		// supervisors that restart onto new ports.
-		for _, up := range upstreamsOf(f, node) {
-			m := &controller.Message{
-				Signal: controller.NCForwardTab,
-				Peers:  f.Peers,
-				Table:  f.NodeTable(up),
-			}
-			if err := pushRetry(f.Daemons[up], []*controller.Message{m}, deadline); err != nil {
-				return fmt.Errorf("node %s: re-push upstream %s: %w", node, up, err)
 			}
 		}
 		fmt.Fprintf(w, "restarted %s\n", node)

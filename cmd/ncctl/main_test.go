@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -8,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,26 +79,73 @@ func adminTestServer(t *testing.T, d *controller.Daemon) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
+// teeConn copies everything read from a control connection into log.
+type teeConn struct {
+	net.Conn
+	log *bytes.Buffer
+}
+
+func (c teeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.log.Write(p[:n])
+	return n, err
+}
+
+// TestStartAgainstLiveDaemon pins what `ncctl start` sends a live daemon for
+// a one-session node: NC_SETTINGS carrying the peer bindings, one
+// NC_FORWARD_TAB, NC_START — and that the daemon applies all three.
 func TestStartAgainstLiveDaemon(t *testing.T) {
-	addr, d := startTestDaemon(t, "relay1")
+	n := emunet.NewNetwork(emunet.AllowDefault())
+	defer n.Close()
+	d := controller.NewDaemon(n.Host("relay1"), nil)
+	defer d.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var wire bytes.Buffer
+	served := make(chan error, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer c.Close()
+		served <- controller.ServeControlStream(teeConn{c, &wire}, d, nil)
+	}()
+
 	f := testDeploy()
-	f.Daemons = map[string]string{"relay1": addr}
+	f.Daemons = map[string]string{"relay1": ln.Addr().String()}
 	var out strings.Builder
 	if err := start(f, &out); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	applied := d.VNF().Telemetry().Histogram(controller.MetricApplyNs)
-	for applied.Count() < 3 { // settings + table + start
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon applied %d messages", applied.Count())
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	var got []controller.Signal
+	for wire.Len() > 0 {
+		m, err := controller.DecodeMessage(&wire)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		got = append(got, m.Signal)
+		if wantPeers := len(got) == 1; wantPeers != reflect.DeepEqual(m.Peers, f.Peers) {
+			t.Fatalf("message %d (%v) peers = %v", len(got), m.Signal, m.Peers)
+		}
+	}
+	if want := []controller.Signal{controller.NCSettings, controller.NCForwardTab, controller.NCStart}; !slices.Equal(got, want) {
+		t.Fatalf("start sent %v, want %v", got, want)
 	}
 	if d.VNF().Table().AppendNextHops(nil, 1, 0)[0] != "recv1" {
 		t.Fatal("table not pushed")
 	}
-	if !strings.Contains(out.String(), "started relay1") {
+	if _, ok := d.VNF().SessionConfigFor(1); !ok {
+		t.Fatal("session not configured")
+	}
+	if !strings.Contains(out.String(), "started relay1 (3 messages)") {
 		t.Fatalf("output: %q", out.String())
 	}
 }
@@ -295,16 +345,6 @@ func TestReloadCommand(t *testing.T) {
 	// Stale replay surfaces the 409.
 	if err := reload(f, raw, []string{"relay1"}, &out); err == nil {
 		t.Fatal("stale reload did not error")
-	}
-}
-
-func TestUpstreamsOf(t *testing.T) {
-	f := testDeploy()
-	if ups := upstreamsOf(f, "recv1"); len(ups) != 1 || ups[0] != "relay1" {
-		t.Fatalf("upstreams of recv1 = %v", ups)
-	}
-	if ups := upstreamsOf(f, "relay1"); len(ups) != 0 {
-		t.Fatalf("upstreams of relay1 = %v", ups)
 	}
 }
 

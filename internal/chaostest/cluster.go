@@ -175,7 +175,7 @@ func NewButterfly(seed int64) (*Cluster, error) {
 		c.sinks[s] = r
 	}
 
-	// Supervision: cloud-level health checks, redeploy re-pushes tables.
+	// Supervision: cloud-level health checks, redeploy reloads the file.
 	c.Sup = controller.NewSupervisor(controller.SupervisorConfig{
 		Cloud:         cl,
 		Clock:         clk,
@@ -197,9 +197,6 @@ func NewButterfly(seed int64) (*Cluster, error) {
 // cloud and supervisor layers.
 func topologyID(n string) topology.NodeID { return topology.NodeID(n) }
 
-// Params returns the session's coding parameters.
-func (c *Cluster) Params() rlnc.Params { return c.params }
-
 // Addr returns a logical node's current data-plane address.
 func (c *Cluster) Addr(node string) string {
 	c.mu.Lock()
@@ -207,16 +204,13 @@ func (c *Cluster) Addr(node string) string {
 	return c.addrLocked(node)
 }
 
+// addrLocked resolves a relay to its current address; the source and the
+// sinks never move, so their names are their addresses.
 func (c *Cluster) addrLocked(node string) string {
-	for _, s := range sinkNodes {
-		if node == s {
-			return s
-		}
+	if a, ok := c.addr[node]; ok {
+		return a
 	}
-	if node == "V1" {
-		return "V1"
-	}
-	return c.addr[node]
+	return node
 }
 
 // renderLocked resolves the butterfly file's logical next hops to the
@@ -239,68 +233,46 @@ func (c *Cluster) renderLocked() *controller.DeployFile {
 	return &controller.DeployFile{Sessions: []controller.DeploySession{sess}}
 }
 
-// routesTo reports whether a node's butterfly table names the target.
-func routesTo(node, target string) bool {
-	for _, g := range butterfly.Sessions[0].Tables[node] {
-		for _, a := range g.Addrs {
-			if a == target {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // deployLocked starts a daemon+VNF for the node at its current address and
-// applies the node's cold-start messages from the rendered file — settings,
-// table, and start, the sequence ncctl sends to ncd.
+// brings it up the way every daemon reaches a file: Reload of the rendered
+// file, then NC_START.
 func (c *Cluster) deployLocked(node string) error {
-	msgs, err := c.renderLocked().NodeMessages(node)
-	if err != nil {
-		return fmt.Errorf("chaostest: deploy %s: %w", node, err)
-	}
 	d := controller.NewDaemon(c.Net.Host(c.addr[node]), c.Clock,
 		dataplane.WithSeed(c.seed+int64(c.epoch[node])),
 		dataplane.WithTelemetry(c.Reg),
 		dataplane.WithClock(c.Clock))
-	for _, m := range msgs {
-		if err := d.Apply(m); err != nil {
-			return fmt.Errorf("chaostest: deploy %s: %w", node, err)
-		}
-	}
 	c.daemons[node] = d
+	_, err := d.Reload(c.renderLocked(), node)
+	if err == nil {
+		err = d.Apply(&controller.Message{Signal: controller.NCStart})
+	}
+	if err != nil {
+		return fmt.Errorf("chaostest: deploy %s: %w", node, err)
+	}
 	return nil
 }
 
 // redeploy is the supervisor's recovery callback: bring the replacement
-// instance into service at a fresh address (a new VM gets a new IP) and
-// re-push every forwarding table that referenced the dead one.
+// instance into service at a fresh address (a new VM gets a new IP), then
+// Reload every other live daemon from the re-rendered file and re-set the
+// source's hops, so whatever named the dead address names the new one.
 func (c *Cluster) redeploy(node, newInstance string) error {
 	c.mu.Lock()
 	c.instances[node] = newInstance
 	c.epoch[node]++
 	c.addr[node] = fmt.Sprintf("%s#%d", node, c.epoch[node])
-	if err := c.deployLocked(node); err != nil {
-		c.mu.Unlock()
-		return err
-	}
+	err := c.deployLocked(node)
 	f := c.renderLocked()
-	// Re-push tables of upstream relays that point at this node.
 	for _, m := range RelayNodes() {
-		if m == node || !routesTo(m, node) {
-			continue
-		}
-		if d := c.daemons[m]; d != nil {
-			if err := d.Apply(&controller.Message{Signal: controller.NCForwardTab, Table: f.NodeTable(m)}); err != nil {
-				c.mu.Unlock()
-				return err
-			}
+		if d := c.daemons[m]; err == nil && m != node && d != nil {
+			_, err = d.Reload(f, m)
 		}
 	}
 	c.mu.Unlock()
-	if routesTo("V1", node) {
-		c.src.SetHops(f.NodeTable("V1")[Session])
+	if err != nil {
+		return err
 	}
+	c.src.SetHops(f.NodeTable("V1")[Session])
 	return nil
 }
 
@@ -334,8 +306,8 @@ func (c *Cluster) DeployFileFor(node string, version int, extraSession bool) *co
 }
 
 // RollingRestart drains one relay to quiescence, closes it, and brings a
-// replacement into service at a fresh address with upstream tables re-pushed
-// — the in-process twin of one step of `ncctl rolling-restart`. The drain
+// replacement into service at a fresh address through redeploy — the
+// in-process twin of one step of `ncctl rolling-restart`. The drain
 // waiter runs on the cluster's virtual clock; realTimeout bounds, in real
 // time, how long the harness keeps advancing the clock toward quiescence.
 func (c *Cluster) RollingRestart(node string, realTimeout time.Duration) error {
@@ -449,11 +421,6 @@ func (c *Cluster) Sent() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.gens)
-}
-
-// SinkGenerations returns a sink's decoded-generation count.
-func (c *Cluster) SinkGenerations(sink string) int {
-	return c.sinks[sink].Generations(Session)
 }
 
 // SinkData reassembles a sink's decoded stream over all sent generations.

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"ncfn/internal/dataplane"
@@ -158,11 +159,16 @@ func statusOf(d *Daemon) drainStatus {
 	}
 }
 
-// writeJSON writes v with the given status code.
+// writeJSON writes v with the given status code and a Content-Length, so
+// the response is complete on the wire once flushed: a chunked body would
+// end with a terminator net/http writes only after the handler returns.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	raw, _ := json.Marshal(v) // the admin documents are plain structs
+	raw = append(raw, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(raw)
 }
 
 // lifecycleStatus maps drain/reload errors onto HTTP statuses: lifecycle
@@ -234,15 +240,9 @@ func handleReload(cfg AdminConfig, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if cfg.Peers != nil {
-		for peer, addr := range f.Peers {
-			udpAddr, err := net.ResolveUDPAddr("udp", addr)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("resolve peer %s=%s: %v", peer, addr, err), http.StatusBadRequest)
-				return
-			}
-			cfg.Peers.Register(peer, udpAddr)
-		}
+	if err := registerPeers(cfg.Peers, f.Peers); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	sum, err := cfg.Daemon.Reload(f, cfg.Node)
 	if err != nil {
@@ -270,7 +270,9 @@ func handleRestart(cfg AdminConfig, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// An idle daemon quiesces at once, and the hook replaces the process:
-	// hold it until the answer is on the wire, or the caller reads EOF.
+	// hold it until the whole answer is on the wire — writeJSON's
+	// Content-Length and the flush below put it there before the handler
+	// returns — or the caller reads EOF.
 	answered := make(chan struct{})
 	defer close(answered)
 	if err := cfg.Daemon.startDrain(deadline, func() { <-answered; cfg.Restart() }); err != nil {

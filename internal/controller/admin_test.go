@@ -250,3 +250,31 @@ func TestAdminRestartEndpoint(t *testing.T) {
 		t.Fatalf("restart after close = %d: %s", code, body)
 	}
 }
+
+// TestAdminRestartAnswersBeforeHook pins that /restart's whole answer is on
+// the wire before the restart hook runs. The hook here force-closes every
+// client connection, as an exec handoff does, and the caller must still read
+// a complete 200 body; -count=200 shakes the race out if it comes back.
+func TestAdminRestartAnswersBeforeHook(t *testing.T) {
+	d, _, _ := testDaemon(t)
+	mustApply(t, d, &Message{Signal: NCStart})
+	hooked := make(chan struct{})
+	srv := httptest.NewUnstartedServer(nil)
+	srv.Config.Handler = NewAdminMux(AdminConfig{
+		Daemon:   d,
+		Registry: d.VNF().Telemetry(),
+		Restart:  func() { srv.CloseClientConnections(); close(hooked) },
+	})
+	srv.Start()
+	defer srv.Close()
+	code, body := do(t, http.MethodPost, srv.URL+"/restart?deadline=5s", "")
+	var st drainStatus
+	if err := json.Unmarshal([]byte(body), &st); code != http.StatusOK || err != nil || !st.Draining {
+		t.Fatalf("POST /restart = %d: %q (%v)", code, body, err)
+	}
+	select {
+	case <-hooked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("restart hook never ran")
+	}
+}

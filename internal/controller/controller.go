@@ -1,12 +1,12 @@
 package controller
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -124,9 +124,31 @@ func (c *Controller) Events() []SignalEvent {
 	return append([]SignalEvent(nil), c.events...)
 }
 
+// flowsLocked lists the adopted flows in session-ID order. The controller
+// walks flows and pools only in fixed orders (pools in the configured
+// data-center order), so one seed gives one run: float sums, solve inputs,
+// cloud calls and the jitter they draw from the cloud's one rng all repeat.
+func (c *Controller) flowsLocked() []*sessionFlows {
+	out := make([]*sessionFlows, 0, len(c.flows))
+	for _, f := range c.flows {
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b *sessionFlows) int { return cmp.Compare(a.session.ID, b.session.ID) })
+	return out
+}
+
+// sessionsLocked lists the adopted sessions in ID order.
+func (c *Controller) sessionsLocked() []optimize.Session {
+	var out []optimize.Session
+	for _, f := range c.flowsLocked() {
+		out = append(out, f.session)
+	}
+	return out
+}
+
 func (c *Controller) totalRateLocked() float64 {
 	total := 0.0
-	for _, f := range c.flows {
+	for _, f := range c.flowsLocked() {
 		total += f.rate
 	}
 	return total
@@ -150,13 +172,13 @@ func (c *Controller) EffectiveThroughput(actual func(dc topology.NodeID) (inMbps
 		return max(0, min(1, capacity/used))
 	}
 	factor := make(map[topology.NodeID]float64, len(c.pools))
-	for dc, p := range c.pools {
-		active, _ := p.counts()
-		in, out := actual(dc)
-		factor[dc] = min(ratio(in*float64(active), load.DCInMbps[dc]), ratio(out*float64(active), load.DCOutMbps[dc]))
+	for _, dc := range c.cfg.Optimize.DataCenters {
+		active, _ := c.pools[dc.ID].counts()
+		in, out := actual(dc.ID)
+		factor[dc.ID] = min(ratio(in*float64(active), load.DCInMbps[dc.ID]), ratio(out*float64(active), load.DCOutMbps[dc.ID]))
 	}
 	total := 0.0
-	for _, sf := range c.flows {
+	for _, sf := range c.flowsLocked() {
 		f := 1.0
 		for e, mbps := range sf.links {
 			for _, end := range e {
@@ -201,9 +223,9 @@ func (c *Controller) vnfCountsLocked() (active, idle int) {
 func (c *Controller) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for dc, p := range c.pools {
-		if n := p.reap(); n > 0 {
-			c.record(NCVNFEnd, dc, fmt.Sprintf("terminated %d idle VNFs after tau", n))
+	for _, dc := range c.cfg.Optimize.DataCenters {
+		if n := c.pools[dc.ID].reap(); n > 0 {
+			c.record(NCVNFEnd, dc.ID, fmt.Sprintf("terminated %d idle VNFs after tau", n))
 		}
 	}
 }
@@ -227,11 +249,19 @@ func (c *Controller) baseVNFsLocked() map[topology.NodeID]int {
 // loadLocked aggregates adopted flows, excluding the given sessions.
 func (c *Controller) loadLocked(exclude map[ncproto.SessionID]bool) *optimize.Load {
 	load := optimize.NewLoad()
-	for id, f := range c.flows {
-		if exclude[id] {
+	for _, f := range c.flowsLocked() {
+		if exclude[f.session.ID] {
 			continue
 		}
-		for e, mbps := range f.links {
+		edges := make([][2]topology.NodeID, 0, len(f.links))
+		for e := range f.links {
+			edges = append(edges, e)
+		}
+		slices.SortFunc(edges, func(a, b [2]topology.NodeID) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		for _, e := range edges {
+			mbps := f.links[e]
 			if mbps <= 0 {
 				continue
 			}
@@ -268,7 +298,8 @@ func (c *Controller) adoptPlanLocked(plan *optimize.Plan, sessions []optimize.Se
 
 // scalePoolsLocked sets each pool's active size, emitting signals.
 func (c *Controller) scalePoolsLocked(target map[topology.NodeID]int) error {
-	for dc, p := range c.pools {
+	for _, d := range c.cfg.Optimize.DataCenters {
+		dc, p := d.ID, c.pools[d.ID]
 		want := target[dc]
 		a, _ := p.counts()
 		if want == a {
@@ -328,11 +359,7 @@ func (c *Controller) AddSession(ss ...optimize.Session) error {
 func (c *Controller) Plan() ([]optimize.Session, *optimize.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sessions := make([]optimize.Session, 0, len(c.flows))
-	for _, f := range c.flows {
-		sessions = append(sessions, f.session)
-	}
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
+	sessions := c.sessionsLocked()
 	plan := &optimize.Plan{
 		VNFs:      c.baseVNFsLocked(),
 		Rates:     make(map[ncproto.SessionID]float64, len(sessions)),
@@ -364,10 +391,7 @@ func (c *Controller) RemoveSession(id ncproto.SessionID) error {
 
 // afterDepartureLocked implements the g1-vs-g2 comparison of Alg. 3.
 func (c *Controller) afterDepartureLocked() error {
-	remaining := make([]optimize.Session, 0, len(c.flows))
-	for _, f := range c.flows {
-		remaining = append(remaining, f.session)
-	}
+	remaining := c.sessionsLocked()
 	if len(remaining) == 0 {
 		return c.scalePoolsLocked(nil)
 	}
@@ -488,10 +512,7 @@ func (c *Controller) ObserveBandwidth(dc topology.NodeID, inMbps, outMbps float6
 // objective improves — the "if g > current objective value then scale out"
 // comparison of Alg. 1.
 func (c *Controller) reactToChangeLocked(forced bool, why string) error {
-	sessions := make([]optimize.Session, 0, len(c.flows))
-	for _, f := range c.flows {
-		sessions = append(sessions, f.session)
-	}
+	sessions := c.sessionsLocked()
 	if len(sessions) == 0 {
 		return nil
 	}

@@ -254,7 +254,7 @@ func TestDeployFileUnknownNode(t *testing.T) {
 	if hops := f.NodeTable("x")[1]; hops != nil {
 		t.Fatal("unknown node returned hops")
 	}
-	if msgs, err := f.NodeMessages("x"); err != nil || msgs != nil {
+	if msgs, err := f.ColdStart("x"); err != nil || msgs != nil {
 		t.Fatalf("unknown node messages = %v, %v", msgs, err)
 	}
 }
@@ -325,12 +325,12 @@ func TestBuildDeployFileSharedReceiver(t *testing.T) {
 			t.Fatalf("session %d roles = %v", s.ID, s.Roles)
 		}
 	}
-	msgs, err := f.NodeMessages("dc")
+	msgs, err := f.ColdStart("dc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per session NC_SETTINGS then NC_FORWARD_TAB, then one NC_START.
-	if len(msgs) != 5 || msgs[4].Signal != NCStart {
+	// Per session NC_SETTINGS, one NC_FORWARD_TAB for both, then NC_START.
+	if len(msgs) != 4 || len(msgs[2].Table) != 2 || msgs[3].Signal != NCStart {
 		t.Fatalf("dc cold start = %d messages", len(msgs))
 	}
 }

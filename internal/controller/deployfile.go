@@ -3,7 +3,8 @@ package controller
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"ncfn/internal/dataplane"
 	"ncfn/internal/gf"
@@ -146,6 +147,9 @@ func (f *DeployFile) Validate() error {
 			return fmt.Errorf("controller: deploy file: duplicate session %d", s.ID)
 		}
 		seen[s.ID] = true
+		if s.ID < 0 || s.ID > math.MaxUint16 {
+			return fmt.Errorf("controller: deploy file: session %d: id outside the wire's 16 bits", s.ID)
+		}
 		if _, err := s.Params(); err != nil {
 			return fmt.Errorf("controller: deploy file: %w", err)
 		}
@@ -164,24 +168,8 @@ func (f *DeployFile) Nodes() []string {
 	for n := range f.Daemons {
 		nodes = append(nodes, n)
 	}
-	sort.Strings(nodes)
+	slices.Sort(nodes)
 	return nodes
-}
-
-// NodeSessions builds the desired session configurations for one node, in
-// deploy-file order.
-func (f *DeployFile) NodeSessions(node string) ([]dataplane.SessionConfig, error) {
-	var out []dataplane.SessionConfig
-	for i := range f.Sessions {
-		cfg, err := f.Sessions[i].Config(node)
-		if err != nil {
-			return nil, err
-		}
-		if cfg != nil {
-			out = append(out, *cfg)
-		}
-	}
-	return out, nil
 }
 
 // NodeTable builds the desired forwarding table for one node: one entry per
@@ -190,49 +178,35 @@ func (f *DeployFile) NodeTable(node string) map[ncproto.SessionID][]dataplane.Ho
 	table := make(map[ncproto.SessionID][]dataplane.HopGroup)
 	for i := range f.Sessions {
 		s := &f.Sessions[i]
-		groups, ok := s.Tables[node]
-		if !ok {
-			continue
+		if groups, ok := s.Tables[node]; ok {
+			table[ncproto.SessionID(s.ID)] = hopGroups(groups)
 		}
-		hops := make([]dataplane.HopGroup, 0, len(groups))
-		for _, g := range groups {
-			hops = append(hops, dataplane.HopGroup{Addrs: g.Addrs, PerGen: g.PerGen})
-		}
-		table[ncproto.SessionID(s.ID)] = hops
 	}
 	return table
 }
 
-// NodeMessages builds the cold-start control sequence for one node: one
-// NC_SETTINGS per session it plays a role in (carrying the peer bindings),
-// one NC_FORWARD_TAB per session with a table entry, then NC_START. A node
-// with no role in any session yields nil.
-func (f *DeployFile) NodeMessages(node string) ([]*Message, error) {
-	var msgs []*Message
-	for i := range f.Sessions {
-		s := &f.Sessions[i]
-		cfg, err := s.Config(node)
-		if err != nil {
-			return nil, err
-		}
-		if cfg == nil {
-			continue
-		}
-		msgs = append(msgs, &Message{Signal: NCSettings, Peers: f.Peers, Settings: cfg})
-		if groups, ok := s.Tables[node]; ok {
-			hops := make([]dataplane.HopGroup, 0, len(groups))
-			for _, g := range groups {
-				hops = append(hops, dataplane.HopGroup{Addrs: g.Addrs, PerGen: g.PerGen})
-			}
-			msgs = append(msgs, &Message{
-				Signal: NCForwardTab,
-				Table:  map[ncproto.SessionID][]dataplane.HopGroup{cfg.ID: hops},
-			})
-		}
+// hopGroups converts a table entry's hop groups; an entry with none is nil.
+func hopGroups(groups []DeployHopGroup) []dataplane.HopGroup {
+	if len(groups) == 0 {
+		return nil
 	}
-	if len(msgs) == 0 {
-		return nil, nil
+	hops := make([]dataplane.HopGroup, len(groups))
+	for i, g := range groups {
+		hops[i] = dataplane.HopGroup{Addrs: g.Addrs, PerGen: g.PerGen}
 	}
+	return hops
+}
+
+// ColdStart builds the control sequence that brings a blank daemon up as
+// the file's node: the file's diff against an empty node, with the peer
+// bindings on its first message, then NC_START. A node with no role in any
+// session yields nil.
+func (f *DeployFile) ColdStart(node string) ([]*Message, error) {
+	msgs, _, err := f.diff(node, nil, nil)
+	if err != nil || len(msgs) == 0 {
+		return nil, err
+	}
+	msgs[0].Peers = f.Peers
 	return append(msgs, &Message{Signal: NCStart}), nil
 }
 
@@ -250,20 +224,75 @@ func (s ReloadSummary) changes() int {
 	return s.SessionsAdded + s.SessionsUpdated + s.SessionsRemoved + s.TableEntriesChanged
 }
 
-// Reload diffs the deploy file's view of one node against the daemon's live
-// VNF state and hot-applies the difference:
+// diff is the one deploy-file differ: given a node's live sessions and
+// forwarding table, the control messages that bring it to the file's view of
+// the node, and a summary of what they change. In order:
 //
-//   - sessions the file adds (or whose settings changed) get NC_SETTINGS —
-//     note a settings change replaces the session's coding state wholesale,
-//     so an unchanged session is never touched;
-//   - forwarding-table differences are applied as ONE NC_FORWARD_TAB batch,
-//     i.e. one RCU snapshot swap, with no pause events;
-//   - sessions the file no longer names on this node get NC_SESSION_END.
+//   - NC_SETTINGS for each session the file adds on the node or whose
+//     settings differ, in file order — a settings change replaces the
+//     session's coding state wholesale, so an unchanged session is never
+//     touched;
+//   - ONE NC_FORWARD_TAB carrying every changed table entry, i.e. one RCU
+//     snapshot swap with no pause events; an entry whose session stays but
+//     loses its table is deleted (nil hops), and the entries of sessions the
+//     file drops go with their NC_SESSION_END;
+//   - NC_SESSION_END for each live session the file no longer names on the
+//     node, in ID order.
 //
-// Peer bindings in the file are NOT registered here (the transport layer
-// owns name resolution); the admin endpoint registers them before calling
-// Reload. Reload refuses to run on a draining or closed daemon and, for
-// versioned files, enforces version monotonicity.
+// A table entry counts only where the node plays a role in its session (the
+// source's entry is not a daemon's), and an entry with no hop groups is no
+// entry. Against an empty node (nil, nil) the messages are the cold start.
+func (f *DeployFile) diff(node string, live map[ncproto.SessionID]dataplane.SessionConfig,
+	table map[ncproto.SessionID][]dataplane.HopGroup) ([]*Message, ReloadSummary, error) {
+	var msgs []*Message
+	var sum ReloadSummary
+	desired := make(map[ncproto.SessionID]bool)
+	batch := make(map[ncproto.SessionID][]dataplane.HopGroup)
+	for i := range f.Sessions {
+		s := &f.Sessions[i]
+		cfg, err := s.Config(node)
+		if err != nil {
+			return nil, sum, err
+		}
+		if cfg == nil {
+			continue
+		}
+		desired[cfg.ID] = true
+		if have, ok := live[cfg.ID]; !ok || have != *cfg {
+			msgs = append(msgs, &Message{Signal: NCSettings, Settings: cfg})
+			if ok {
+				sum.SessionsUpdated++
+			} else {
+				sum.SessionsAdded++
+			}
+		}
+		if hops := hopGroups(s.Tables[node]); !equalHopGroups(table[cfg.ID], hops) {
+			batch[cfg.ID] = hops
+		}
+	}
+	if len(batch) > 0 {
+		msgs = append(msgs, &Message{Signal: NCForwardTab, Table: batch})
+		sum.TableEntriesChanged = len(batch)
+	}
+	var ended []ncproto.SessionID
+	for id := range live {
+		if !desired[id] {
+			ended = append(ended, id)
+		}
+	}
+	slices.Sort(ended)
+	for _, id := range ended {
+		msgs = append(msgs, &Message{Signal: NCSessionEnd, Session: id})
+	}
+	sum.SessionsRemoved = len(ended)
+	return msgs, sum, nil
+}
+
+// Reload brings the daemon's live VNF to the deploy file's view of one node
+// by applying diff's messages. Peer bindings in the file are NOT registered
+// here (the transport layer owns name resolution); the admin endpoint
+// registers them before calling Reload. Reload refuses to run on a draining
+// or closed daemon and, for versioned files, enforces version monotonicity.
 func (d *Daemon) Reload(f *DeployFile, node string) (ReloadSummary, error) {
 	if err := f.Validate(); err != nil {
 		return ReloadSummary{}, err
@@ -271,73 +300,23 @@ func (d *Daemon) Reload(f *DeployFile, node string) (ReloadSummary, error) {
 	if err := d.checkReloadable(f.Version); err != nil {
 		return ReloadSummary{}, err
 	}
-	sum := ReloadSummary{Version: f.Version}
-
-	desired, err := f.NodeSessions(node)
+	vnf := d.VNF()
+	live := make(map[ncproto.SessionID]dataplane.SessionConfig)
+	for _, id := range vnf.SessionIDs() {
+		if cfg, ok := vnf.SessionConfigFor(id); ok {
+			live[id] = cfg
+		}
+	}
+	msgs, sum, err := f.diff(node, live, vnf.Table().Snapshot())
+	sum.Version = f.Version
 	if err != nil {
 		return sum, err
 	}
-	desiredByID := make(map[ncproto.SessionID]dataplane.SessionConfig, len(desired))
-	for _, cfg := range desired {
-		desiredByID[cfg.ID] = cfg
-	}
-
-	// Session adds and updates first, so new table entries never point at
-	// unconfigured sessions.
-	vnf := d.VNF()
-	for _, cfg := range desired {
-		live, ok := vnf.SessionConfigFor(cfg.ID)
-		if ok && live == cfg {
-			continue
-		}
-		if err := d.Apply(&Message{Signal: NCSettings, Settings: &cfg}); err != nil {
+	for _, m := range msgs {
+		if err := d.Apply(m); err != nil {
 			return sum, err
 		}
-		if ok {
-			sum.SessionsUpdated++
-		} else {
-			sum.SessionsAdded++
-		}
 	}
-
-	// Forwarding-table diff: every changed entry lands in one ApplyBatch —
-	// one snapshot publish, one grace period, zero pauses. Entries whose
-	// session survives but loses its table are deleted (nil hops); entries
-	// of removed sessions are cleaned up by NC_SESSION_END below.
-	desiredTable := f.NodeTable(node)
-	liveTable := vnf.Table().Snapshot()
-	batch := make(map[ncproto.SessionID][]dataplane.HopGroup)
-	for sid, hops := range desiredTable {
-		if !equalHopGroups(liveTable[sid], hops) {
-			batch[sid] = hops
-		}
-	}
-	for sid := range liveTable {
-		if _, keep := desiredTable[sid]; keep {
-			continue
-		}
-		if _, sessionStays := desiredByID[sid]; sessionStays {
-			batch[sid] = nil
-		}
-	}
-	if len(batch) > 0 {
-		if err := d.Apply(&Message{Signal: NCForwardTab, Table: batch}); err != nil {
-			return sum, err
-		}
-		sum.TableEntriesChanged = len(batch)
-	}
-
-	// Retire sessions the file no longer names on this node.
-	for _, id := range vnf.SessionIDs() {
-		if _, keep := desiredByID[id]; keep {
-			continue
-		}
-		if err := d.Apply(&Message{Signal: NCSessionEnd, Session: id}); err != nil {
-			return sum, err
-		}
-		sum.SessionsRemoved++
-	}
-
 	vnf.Telemetry().Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity).
 		Record(d.clock.Now().UnixNano(), telemetry.EventReload, node, 0, 0, int64(sum.changes()))
 	return sum, nil

@@ -18,8 +18,8 @@ import (
 // coding VNFs the control plane deployed and, when one dies, relaunches a
 // replacement VM through the cloud API (bounded retries, exponential
 // backoff), waits out the ~35 s launch latency, and invokes a redeploy
-// callback that reconfigures the new VNF and re-pushes forwarding tables so
-// the session heals. Downstream decoders ride out the gap on RLNC
+// callback that cold-starts the new VNF and reloads the deploy file into the
+// daemons whose tables named the old one, so the session heals. Downstream decoders ride out the gap on RLNC
 // redundancy and resends; the supervisor's job is to make the gap bounded.
 //
 // The supervisor is tick-driven: Tick advances every managed VNF's state
@@ -86,7 +86,7 @@ type FailoverEvent struct {
 	OldInstance, NewInstance string
 	// DetectedAt is when the fail threshold was crossed; LaunchedAt when
 	// the replacement VM launch was accepted; ReadyAt when it reached
-	// Running; RecoveredAt when redeploy (table re-push) completed.
+	// Running; RecoveredAt when the redeploy callback completed.
 	DetectedAt, LaunchedAt, ReadyAt, RecoveredAt time.Time
 	// LaunchAttempts counts LaunchInstance calls, including failures.
 	LaunchAttempts int
@@ -115,8 +115,8 @@ func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 
 // Manage registers a VNF for supervision. check is the health probe for the
 // current instance (see InstanceCheck); redeploy must bring a
-// replacement instance into service — reconfigure the VNF and re-push every
-// forwarding table that referenced the old one. region is the cloud region
+// replacement instance into service — cold-start the VNF and reload every
+// daemon whose forwarding table referenced the old one. region is the cloud region
 // replacements launch in (usually the node itself).
 func (s *Supervisor) Manage(node, region topology.NodeID, instance string,
 	check func(instance string) error,

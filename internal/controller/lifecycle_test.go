@@ -72,7 +72,7 @@ func deployV2() *DeployFile {
 // applyDeploy cold-starts a daemon from a deploy file's control sequence.
 func applyDeploy(t *testing.T, d *Daemon, f *DeployFile, node string) {
 	t.Helper()
-	msgs, err := f.NodeMessages(node)
+	msgs, err := f.ColdStart(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +286,9 @@ func TestParseDeployFile(t *testing.T) {
 		{"bad role", `{"sessions":[{"id":1,"roles":{"n":"oracle"}}]}`, false},
 		{"bad field", `{"sessions":[{"id":1,"field":17}]}`, false},
 		{"bad params", `{"sessions":[{"id":1,"blocks":-3}]}`, false},
+		// 65537 would be session 1 on the wire.
+		{"id past 16 bits", `{"sessions":[{"id":1},{"id":65537}]}`, false},
+		{"negative id", `{"sessions":[{"id":-1}]}`, false},
 		{"minimal", `{"sessions":[{"id":1,"roles":{"n":"decoder"}}]}`, true},
 	}
 	for _, tc := range cases {
@@ -298,15 +301,17 @@ func TestParseDeployFile(t *testing.T) {
 	}
 }
 
-func TestDeployFileNodeMessages(t *testing.T) {
+func TestDeployFileColdStart(t *testing.T) {
 	f := deployV1()
-	msgs, err := f.NodeMessages("node")
+	f.Peers = map[string]string{"a": "127.0.0.1:7001"}
+	msgs, err := f.ColdStart("node")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three NC_SETTINGS (interleaved with each session's table push) and a
-	// trailing NC_START.
-	var wantOrder = []Signal{NCSettings, NCForwardTab, NCSettings, NCForwardTab, NCSettings, NCStart}
+	// The diff against an empty node — one NC_SETTINGS per session, then
+	// one NC_FORWARD_TAB with both routed sessions — and a trailing
+	// NC_START; the peer bindings ride the first message only.
+	var wantOrder = []Signal{NCSettings, NCSettings, NCSettings, NCForwardTab, NCStart}
 	if len(msgs) != len(wantOrder) {
 		t.Fatalf("message count = %d, want %d", len(msgs), len(wantOrder))
 	}
@@ -314,13 +319,18 @@ func TestDeployFileNodeMessages(t *testing.T) {
 		if m.Signal != wantOrder[i] {
 			t.Fatalf("msgs[%d] = %v, want %v", i, m.Signal, wantOrder[i])
 		}
+		if (m.Peers != nil) != (i == 0) {
+			t.Fatalf("msgs[%d] peers = %v", i, m.Peers)
+		}
 	}
-	if msgs[len(msgs)-1].Signal != NCStart {
-		t.Fatal("NC_START not last")
+	if len(msgs[3].Table) != 2 {
+		t.Fatalf("cold-start table = %v, want entries for sessions 1 and 2", msgs[3].Table)
 	}
 
-	// A node with no role gets no control sequence.
-	none, err := f.NodeMessages("stranger")
+	// A node with no role gets no control sequence, even where the file
+	// gives it a table entry (a source's).
+	f.Sessions[0].Tables["stranger"] = []DeployHopGroup{{Addrs: []string{"node"}}}
+	none, err := f.ColdStart("stranger")
 	if err != nil || none != nil {
 		t.Fatalf("stranger messages = %v, %v", none, err)
 	}

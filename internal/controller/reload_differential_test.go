@@ -115,7 +115,7 @@ func TestReloadDifferentialColdRestart(t *testing.T) {
 	boot := func(conn *recordConn, f *DeployFile, reg *telemetry.Registry) *Daemon {
 		t.Helper()
 		d := NewDaemon(conn, simclock.NewVirtual(epoch), dataplane.WithTelemetry(reg))
-		msgs, err := f.NodeMessages("relay")
+		msgs, err := f.ColdStart("relay")
 		if err != nil {
 			t.Fatal(err)
 		}

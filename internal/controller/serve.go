@@ -67,14 +67,8 @@ func ServeControlStream(c net.Conn, d *Daemon, registry *emunet.Registry) error 
 			}
 			return err
 		}
-		if registry != nil {
-			for peer, addr := range msg.Peers {
-				udpAddr, err := net.ResolveUDPAddr("udp", addr)
-				if err != nil {
-					return fmt.Errorf("controller: resolve peer %s=%s: %w", peer, addr, err)
-				}
-				registry.Register(peer, udpAddr)
-			}
+		if err := registerPeers(registry, msg.Peers); err != nil {
+			return err
 		}
 		if err := d.Apply(msg); err != nil {
 			return err
@@ -86,4 +80,20 @@ func ServeControlStream(c net.Conn, d *Daemon, registry *emunet.Registry) error 
 			return nil
 		}
 	}
+}
+
+// registerPeers binds each peer name to its resolved UDP address in the
+// registry (nil ignores the bindings).
+func registerPeers(registry *emunet.Registry, peers map[string]string) error {
+	if registry == nil {
+		return nil
+	}
+	for peer, addr := range peers {
+		udpAddr, err := net.ResolveUDPAddr("udp", addr)
+		if err != nil {
+			return fmt.Errorf("controller: resolve peer %s=%s: %w", peer, addr, err)
+		}
+		registry.Register(peer, udpAddr)
+	}
+	return nil
 }

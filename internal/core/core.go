@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -82,7 +83,10 @@ type Service struct {
 	// sources holds one Source per session ever routed. A removed
 	// session's Source is unrouted, not closed: closing it would close its
 	// node's emunet host for good, and the session may return.
-	sources   map[ncproto.SessionID]*dataplane.Source
+	sources map[ncproto.SessionID]*dataplane.Source
+	// sourceAt names the one session each node sources, live or parked:
+	// two Sources on one emunet host would read each other's traffic.
+	sourceAt  map[topology.NodeID]ncproto.SessionID
 	endpoints map[topology.NodeID]*dataplane.MultiReceiver
 	closed    bool
 }
@@ -122,15 +126,31 @@ func NewService(cfg Config) (*Service, error) {
 		file:      &controller.DeployFile{},
 		daemons:   make(map[topology.NodeID]*controller.Daemon),
 		sources:   make(map[ncproto.SessionID]*dataplane.Source),
+		sourceAt:  make(map[topology.NodeID]ncproto.SessionID),
 		endpoints: make(map[topology.NodeID]*dataplane.MultiReceiver),
 	}, nil
 }
 
 // AddSession admits sessions jointly — one solve of program (2) over them,
 // with the flows of sessions already admitted pinned — and brings them up
-// on the running deployment.
+// on the running deployment. A node sources one session: a session whose
+// source already sources another, live or removed, is refused before the
+// solve.
 func (s *Service) AddSession(ss ...optimize.Session) error {
-	return s.apply(func() error { return s.ctrl.AddSession(ss...) })
+	return s.apply(func() error {
+		claimed := maps.Clone(s.sourceAt)
+		for _, sess := range ss {
+			if id, ok := claimed[sess.Source]; ok && id != sess.ID {
+				return fmt.Errorf("session %d: node %s already sources session %d", sess.ID, sess.Source, id)
+			}
+			claimed[sess.Source] = sess.ID
+		}
+		if err := s.ctrl.AddSession(ss...); err != nil {
+			return err
+		}
+		s.sourceAt = claimed
+		return nil
+	})
 }
 
 // RemoveSession ends a session; the controller may re-plan the rest.

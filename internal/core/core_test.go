@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -272,5 +273,42 @@ func TestServiceTelemetrySharedRegistry(t *testing.T) {
 	}
 	if snap.Counters[emunet.MetricNetTxPackets] == 0 {
 		t.Fatal("network not instrumented")
+	}
+}
+
+// TestSourceNodeSourcesOneSession: a second session from V1 is refused
+// before the controller solves, so the plan does not move, and session 1
+// keeps delivering verified bytes. The claim outlives a removal, because a
+// removed session's Source stays parked on the node.
+func TestSourceNodeSourcesOneSession(t *testing.T) {
+	svc := butterflyService(t, 1)
+	before := svc.Plan()
+	second := optimize.Session{ID: 2, Source: "V1", Receivers: []topology.NodeID{"O2"}, MaxDelay: 150 * time.Millisecond}
+	if err := svc.AddSession(second); err == nil {
+		t.Fatal("second session from V1 admitted")
+	}
+	if !reflect.DeepEqual(svc.Plan(), before) {
+		t.Fatalf("refused admission moved the plan: %+v -> %+v", before, svc.Plan())
+	}
+	data := make([]byte, 16*1024)
+	rand.New(rand.NewSource(5)).Read(data)
+	stats, err := svc.Send(1, data, 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []topology.NodeID{"O2", "C2"} {
+		recv, err := svc.Receiver(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := recv.Data(1, stats.Generations); !ok || !bytes.Equal(got[:len(data)], data) {
+			t.Fatalf("%s did not deliver session 1's bytes after the refusal", dst)
+		}
+	}
+	if err := svc.RemoveSession(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.AddSession(second); err == nil {
+		t.Fatal("session from V1 admitted while session 1's Source is parked there")
 	}
 }

@@ -187,7 +187,7 @@ func (s *Source) noteAck(from string, g ncproto.GenerationID) {
 // Params returns the source's coding parameters.
 func (s *Source) Params() rlnc.Params { return s.cfg.Params }
 
-// recvLoop collects ACK control packets.
+// recvLoop collects the session's ACK control packets.
 func (s *Source) recvLoop() {
 	defer s.wg.Done()
 	for {
@@ -205,7 +205,9 @@ func (s *Source) recvLoop() {
 		}
 		ack, err := ncproto.DecodeAck(pkt)
 		buffer.PutPacket(pkt) // the ACK is fully parsed; recycle the datagram
-		if err == nil {
+		// Another session's ACK says nothing about this session's
+		// generations: it must neither move the watermark nor reach Acks().
+		if err == nil && ack.Session == s.cfg.Session {
 			// Before the lossy send: a slow Acks() reader must not stall it.
 			s.noteAck(src, ack.Generation)
 			select {

@@ -563,3 +563,38 @@ func TestSinkPrunesBehindReorderWindow(t *testing.T) {
 		t.Fatalf("index holds %d generations / %d bytes after the prune", n, b)
 	}
 }
+
+// TestSourceDropsForeignSessionAcks: an ACK for another session's generation
+// (two sessions sourced behind one address) neither moves this session's
+// watermark nor reaches Acks().
+func TestSourceDropsForeignSessionAcks(t *testing.T) {
+	n := emunet.NewNetwork(emunet.AllowDefault())
+	defer n.Close()
+	src, err := NewSource(n.Host("V1"), SourceConfig{Session: 1, Params: smallParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.mu.Lock()
+	src.nextGen = 8
+	src.mu.Unlock()
+	sink := n.Host("O2")
+	// In link order: the foreign ACK would complete generation 0, the own
+	// one is for generation 5 and moves nothing on its own.
+	for _, a := range []ncproto.Ack{{Session: 2, Generation: 0}, {Session: 1, Generation: 5}} {
+		if err := sink.Send("V1", ncproto.EncodeAck(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case got := <-src.Acks():
+		if got.Session != 1 || got.Generation != 5 {
+			t.Fatalf("first ACK on Acks() = %+v, want session 1 generation 5", got.Ack)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("own-session ACK never reached Acks()")
+	}
+	if got := src.watermark(); got != 0 {
+		t.Fatalf("watermark %d after a foreign ACK for generation 0, want 0", got)
+	}
+}

@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,33 @@ func TestDeterministicScenario(t *testing.T) {
 		}
 		if len(a.Sessions[i].Receivers) != len(b.Sessions[i].Receivers) {
 			t.Fatal("scenario not deterministic")
+		}
+	}
+}
+
+// TestFig11Deterministic replays Fig 11 five times with one seed and wants
+// the same samples each time: the measured bandwidths draw their jitter from
+// the cloud's one rng, so the controller must visit data centers in the same
+// order every run.
+func TestFig11Deterministic(t *testing.T) {
+	var first []Sample
+	for run := 0; run < 5; run++ {
+		d, err := NewDeployment(ScenarioConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := Run(d.Controller, d.Clock, d.Fig11Events(), RunConfig{
+			Duration:   70 * time.Minute,
+			Interval:   10 * time.Minute,
+			Throughput: d.EffectiveThroughput(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = samples
+		} else if !reflect.DeepEqual(samples, first) {
+			t.Fatalf("run %d samples differ from run 0:\n%v\n%v", run, samples, first)
 		}
 	}
 }
