@@ -49,7 +49,7 @@ test-race:
 # resilience tests. Same seeds, same fault schedules, every run.
 test-chaos:
 	$(GO) test -count=1 -v -run 'TestGenerateSchedule|TestButterfly|TestSeededChaos' ./internal/chaostest/
-	$(GO) test -count=1 -run 'TestFault|TestPartition|TestCloseCancelsInFlight|TestBurstLoss|TestCrash|TestRestart|TestFailLaunches|TestSupervisor|TestPush|TestPoolLaunch' \
+	$(GO) test -count=1 -run 'TestFault|TestPartition|TestCloseCancelsInFlight|TestBurstLoss|TestCrash|TestRestart|TestFailLaunches|TestSupervisor|TestPoolLaunch' \
 		./internal/emunet/ ./internal/cloud/ ./internal/controller/
 
 # test-e2e runs the multi-process deployment smoke test: the butterfly as
@@ -87,14 +87,16 @@ examples:
 
 # fuzz-smoke runs each parser of outside input under the fuzzer for
 # FUZZTIME: the deploy file (ncctl, ncd's /reload, the planner's output),
-# the deploy-file differ over two parsed files (cold start vs reload), and
-# the data-plane packet and ACK decoders. The checked-in seed corpora under
+# the deploy-file differ over two parsed files (cold start vs reload), the
+# admin endpoint's POST /reload on a live daemon (ncd's only control
+# surface), and the data-plane packet and ACK decoders. The checked-in seed corpora under
 # each package's testdata/fuzz already run in plain `go test`; this mutates
 # past them.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDeployFile$$' -fuzztime $(FUZZTIME) ./internal/controller/
 	$(GO) test -run '^$$' -fuzz '^FuzzReloadDiffer$$' -fuzztime $(FUZZTIME) ./internal/controller/
+	$(GO) test -run '^$$' -fuzz '^FuzzAdminReload$$' -fuzztime $(FUZZTIME) ./internal/controller/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAck$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -10,13 +9,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ncfn/internal/controller"
+	"ncfn/internal/dataplane"
 	"ncfn/internal/emunet"
+	"ncfn/internal/gf"
+	"ncfn/internal/ncproto"
+	"ncfn/internal/rlnc"
 	"ncfn/internal/telemetry"
 )
 
@@ -32,129 +34,99 @@ func testDeploy() *controller.DeployFile {
 				"relay1": {{Addrs: []string{"recv1"}, PerGen: 4}},
 			},
 		}},
-		Peers:   map[string]string{"relay1": "127.0.0.1:7001", "recv1": "127.0.0.1:7002"},
-		Daemons: map[string]string{"relay1": "127.0.0.1:8001", "recv1": "127.0.0.1:8002"},
-		Admin:   map[string]string{"relay1": "127.0.0.1:9001", "recv1": "127.0.0.1:9002"},
+		Peers: map[string]string{"relay1": "127.0.0.1:7001", "recv1": "127.0.0.1:7002"},
+		Admin: map[string]string{"relay1": "127.0.0.1:9001", "recv1": "127.0.0.1:9002"},
 	}
 }
 
-// startTestDaemon runs a real daemon behind a TCP control listener, the
-// way cmd/ncd does, and returns its control address.
-func startTestDaemon(t *testing.T, name string) (string, *controller.Daemon) {
+// testDaemon is a blank in-process daemon behind its admin endpoint, the
+// way cmd/ncd serves one.
+type testDaemon struct {
+	*controller.Daemon
+	addr  string           // admin host:port
+	peers *emunet.Registry // where /reload registers peer bindings
+	net   *emunet.Network  // the daemon's data plane
+}
+
+// startTestDaemon serves a blank daemon named name over httptest.
+func startTestDaemon(t *testing.T, name string) testDaemon {
 	t.Helper()
 	n := emunet.NewNetwork(emunet.AllowDefault())
 	t.Cleanup(func() { n.Close() })
 	d := controller.NewDaemon(n.Host(name), nil)
 	t.Cleanup(func() { d.Close() })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				_ = controller.ServeControlStream(c, d, nil)
-			}()
-		}
-	}()
-	return ln.Addr().String(), d
-}
-
-// adminTestServer serves a daemon's admin endpoint over httptest and
-// returns its host:port.
-func adminTestServer(t *testing.T, d *controller.Daemon) string {
-	t.Helper()
+	peers := emunet.NewRegistry()
 	srv := httptest.NewServer(controller.NewAdminMux(controller.AdminConfig{
 		Daemon:   d,
 		Registry: d.VNF().Telemetry(),
-		Node:     "relay1",
+		Node:     name,
+		Peers:    peers,
 	}))
 	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://")
+	return testDaemon{Daemon: d, addr: strings.TrimPrefix(srv.URL, "http://"), peers: peers, net: n}
 }
 
-// teeConn copies everything read from a control connection into log.
-type teeConn struct {
-	net.Conn
-	log *bytes.Buffer
-}
+// client is the admin client the tests drive ncctl's commands with.
+var client = controller.AdminClient{Timeout: 5 * time.Second}
 
-func (c teeConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.log.Write(p[:n])
-	return n, err
-}
-
-// TestStartAgainstLiveDaemon pins what `ncctl start` sends a live daemon for
-// a one-session node: NC_SETTINGS carrying the peer bindings, one
-// NC_FORWARD_TAB, NC_START — and that the daemon applies all three.
+// TestStartAgainstLiveDaemon runs `ncctl start` on a one-session file
+// against a blank daemon: it must end up started, holding exactly the
+// session config, table and peer bindings the file describes.
 func TestStartAgainstLiveDaemon(t *testing.T) {
-	n := emunet.NewNetwork(emunet.AllowDefault())
-	defer n.Close()
-	d := controller.NewDaemon(n.Host("relay1"), nil)
-	defer d.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d := startTestDaemon(t, "relay1")
+	f := testDeploy()
+	f.Admin = map[string]string{"relay1": d.addr}
+	raw, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	var wire bytes.Buffer
-	served := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			served <- err
-			return
-		}
-		defer c.Close()
-		served <- controller.ServeControlStream(teeConn{c, &wire}, d, nil)
-	}()
-
-	f := testDeploy()
-	f.Daemons = map[string]string{"relay1": ln.Addr().String()}
 	var out strings.Builder
-	if err := start(f, &out); err != nil {
+	if err := start(client, f, raw, f.Nodes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-	var got []controller.Signal
-	for wire.Len() > 0 {
-		m, err := controller.DecodeMessage(&wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, m.Signal)
-		if wantPeers := len(got) == 1; wantPeers != reflect.DeepEqual(m.Peers, f.Peers) {
-			t.Fatalf("message %d (%v) peers = %v", len(got), m.Signal, m.Peers)
-		}
-	}
-	if want := []controller.Signal{controller.NCSettings, controller.NCForwardTab, controller.NCStart}; !slices.Equal(got, want) {
-		t.Fatalf("start sent %v, want %v", got, want)
-	}
-	if d.VNF().Table().AppendNextHops(nil, 1, 0)[0] != "recv1" {
-		t.Fatal("table not pushed")
-	}
-	if _, ok := d.VNF().SessionConfigFor(1); !ok {
-		t.Fatal("session not configured")
-	}
-	if !strings.Contains(out.String(), "started relay1 (3 messages)") {
+	if !strings.Contains(out.String(), `configured relay1: {"version":1,"sessionsAdded":1,"sessionsUpdated":0,"sessionsRemoved":0,"tableEntriesChanged":1}`) {
 		t.Fatalf("output: %q", out.String())
+	}
+
+	vnf := d.VNF()
+	want := dataplane.SessionConfig{
+		ID: 1, Params: rlnc.Params{GenerationBlocks: 4, BlockSize: 64, Field: gf.GF256}, Role: dataplane.RoleRecoder,
+		Redundancy: 1, InPerGen: 4,
+	}
+	if ids := vnf.SessionIDs(); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("sessions = %v", ids)
+	}
+	if got, ok := vnf.SessionConfigFor(1); !ok || got != want {
+		t.Fatalf("session config = %+v, want %+v", got, want)
+	}
+	wantTable := map[ncproto.SessionID][]dataplane.HopGroup{1: {{Addrs: []string{"recv1"}, PerGen: 4}}}
+	if got := vnf.Table().Snapshot(); !reflect.DeepEqual(got, wantTable) {
+		t.Fatalf("table = %v, want %v", got, wantTable)
+	}
+	for name, addr := range f.Peers {
+		if got, ok := d.peers.Lookup(name); !ok || got.String() != addr {
+			t.Fatalf("peer %s = %v, want %s", name, got, addr)
+		}
+	}
+	// Started: the VNF reads what arrives at its socket.
+	if err := d.net.Host("src").Send("relay1", []byte("not a coded packet")); err != nil {
+		t.Fatal(err)
+	}
+	rx := vnf.Telemetry().Counter(dataplane.MetricRxPackets, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for rx.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never started: nothing read from its socket")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestStopAgainstLiveDaemon(t *testing.T) {
-	addr, d := startTestDaemon(t, "relay1")
-	f := &controller.DeployFile{Daemons: map[string]string{"relay1": addr}}
+	d := startTestDaemon(t, "relay1")
+	f := &controller.DeployFile{Admin: map[string]string{"relay1": d.addr}}
 	const tau = 2 * time.Second
-	if err := stop(f, tau, &strings.Builder{}); err != nil {
+	if err := stop(client, f, f.Nodes(), tau, &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Closed() {
@@ -196,8 +168,8 @@ func TestRunArgsValidation(t *testing.T) {
 	if err := run([]string{"-config", path, "start"}); err == nil {
 		t.Fatal("invalid role accepted")
 	}
-	// -nodes must name daemons from the file.
-	os.WriteFile(path, []byte(`{"sessions":[],"daemons":{"a":"127.0.0.1:1"}}`), 0o644)
+	// -nodes must name nodes with an admin address.
+	os.WriteFile(path, []byte(`{"sessions":[],"admin":{"a":"127.0.0.1:1"}}`), 0o644)
 	if err := run([]string{"-config", path, "-nodes", "ghost", "drain"}); err == nil {
 		t.Fatal("unknown -nodes entry accepted")
 	}
@@ -244,7 +216,7 @@ func TestStatsFetchesSnapshots(t *testing.T) {
 
 	f := &controller.DeployFile{Admin: map[string]string{"relay1": addr}}
 	var out strings.Builder
-	if err := stats(f, &out); err != nil {
+	if err := stats(client, f, f.Nodes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -272,13 +244,9 @@ func TestStatsReportsUnreachableNodes(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
-	old := pushTimeout
-	pushTimeout = 2 * time.Second
-	defer func() { pushTimeout = old }()
-
 	f := &controller.DeployFile{Admin: map[string]string{"up": addr, "down": deadAddr}}
 	var out strings.Builder
-	if err := stats(f, &out); err == nil {
+	if err := stats(controller.AdminClient{Timeout: 2 * time.Second}, f, f.Nodes(), &out); err == nil {
 		t.Fatal("unreachable node should surface an error")
 	}
 	got := out.String()
@@ -291,19 +259,20 @@ func TestStatsReportsUnreachableNodes(t *testing.T) {
 }
 
 func TestStatsRequiresAdminSection(t *testing.T) {
-	if err := stats(&controller.DeployFile{}, &strings.Builder{}); err == nil {
-		t.Fatal("config without admin section accepted")
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	os.WriteFile(path, []byte(`{"sessions":[]}`), 0o644)
+	if err := run([]string{"-config", path, "stats"}); err == nil || !strings.Contains(err.Error(), `"admin"`) {
+		t.Fatalf("config without admin section: %v", err)
 	}
 }
 
 func TestDrainCommand(t *testing.T) {
-	_, d := startTestDaemon(t, "relay1")
-	addr := adminTestServer(t, d)
+	d := startTestDaemon(t, "relay1")
 	f := testDeploy()
-	f.Admin = map[string]string{"relay1": addr}
+	f.Admin = map[string]string{"relay1": d.addr}
 
 	var out strings.Builder
-	if err := drain(f, []string{"relay1"}, 5*time.Second, &out); err != nil {
+	if err := drain(client, f, []string{"relay1"}, 5*time.Second, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Draining() {
@@ -313,27 +282,26 @@ func TestDrainCommand(t *testing.T) {
 		t.Fatalf("output: %q", out.String())
 	}
 	// Second drain surfaces the 409 as an error.
-	if err := drain(f, []string{"relay1"}, 5*time.Second, &out); err == nil {
-		t.Fatal("double drain did not error")
+	if err := drain(client, f, []string{"relay1"}, 5*time.Second, &out); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("double drain: %v", err)
 	}
 	// A node missing its admin address errors too.
-	if err := drain(f, []string{"recv1"}, 5*time.Second, &out); err == nil {
+	if _, err := selectNodes(f, "recv1"); err == nil {
 		t.Fatal("node without admin address accepted")
 	}
 }
 
 func TestReloadCommand(t *testing.T) {
-	_, d := startTestDaemon(t, "relay1")
-	addr := adminTestServer(t, d)
+	d := startTestDaemon(t, "relay1")
 	f := testDeploy()
-	f.Admin = map[string]string{"relay1": addr}
+	f.Admin = map[string]string{"relay1": d.addr}
 	raw, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var out strings.Builder
-	if err := reload(f, raw, []string{"relay1"}, &out); err != nil {
+	if err := start(client, f, raw, []string{"relay1"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if d.DeployVersion() != 1 {
@@ -343,19 +311,18 @@ func TestReloadCommand(t *testing.T) {
 		t.Fatalf("output: %q", out.String())
 	}
 	// Stale replay surfaces the 409.
-	if err := reload(f, raw, []string{"relay1"}, &out); err == nil {
-		t.Fatal("stale reload did not error")
+	if err := start(client, f, raw, []string{"relay1"}, &out); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("stale reload: %v", err)
 	}
 }
 
 func TestRollingRestartUnsupported(t *testing.T) {
 	// The admin endpoint without a restart hook answers 501; the walker must
 	// stop rather than silently skipping the node.
-	_, d := startTestDaemon(t, "relay1")
-	addr := adminTestServer(t, d)
+	d := startTestDaemon(t, "relay1")
 	f := testDeploy()
-	f.Admin = map[string]string{"relay1": addr}
-	err := rollingRestart(f, []string{"relay1"}, time.Second, 2*time.Second, &strings.Builder{})
+	f.Admin = map[string]string{"relay1": d.addr}
+	err := rollingRestart(client, f, nil, []string{"relay1"}, time.Second, 2*time.Second, &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "501") {
 		t.Fatalf("rolling restart against hookless daemon: %v", err)
 	}
@@ -381,9 +348,9 @@ func TestWaitHealthy(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	client := &http.Client{Timeout: time.Second}
+	c := controller.AdminClient{Timeout: time.Second}
 	addr := strings.TrimPrefix(srv.URL, "http://")
-	if err := waitHealthy(client, addr, time.Now().Add(5*time.Second)); err != nil {
+	if err := c.WaitHealthy(addr, time.Now().Add(5*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	// An endpoint that never turns healthy times out with the last error.
@@ -391,7 +358,7 @@ func TestWaitHealthy(t *testing.T) {
 		_, _ = io.WriteString(w, `{"state":"quiesced","draining":true}`)
 	}))
 	defer stuck.Close()
-	err := waitHealthy(client, strings.TrimPrefix(stuck.URL, "http://"), time.Now().Add(200*time.Millisecond))
+	err := c.WaitHealthy(strings.TrimPrefix(stuck.URL, "http://"), time.Now().Add(200*time.Millisecond))
 	if err == nil {
 		t.Fatal("stuck drain reported healthy")
 	}
@@ -406,7 +373,7 @@ func TestExampleConfigParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("example config invalid: %v", err)
 	}
-	if len(f.Sessions) != 1 || len(f.Daemons) != 3 || len(f.Peers) != 3 || len(f.Admin) != 3 {
+	if len(f.Sessions) != 1 || len(f.Peers) != 3 || len(f.Admin) != 3 || f.Daemons != nil {
 		t.Fatalf("example config unexpected shape: %+v", f)
 	}
 }

@@ -1,20 +1,21 @@
 // Command ncd is the network coding daemon: it runs one coding VNF over a
-// real UDP socket and accepts control messages (NC_SETTINGS, NC_START,
-// NC_FORWARD_TAB, NC_VNF_END) on a TCP control port, mirroring the
-// per-node daemon of Sec. III-A.
+// real UDP socket, mirroring the per-node daemon of Sec. III-A, and takes
+// every control request on one HTTP admin endpoint.
 //
-//	ncd -name relay1 -data 127.0.0.1:7001 -control 127.0.0.1:8001
+//	ncd -name relay1 -data 127.0.0.1:7001 -admin 127.0.0.1:8001
 //
-// The controller (cmd/ncctl) connects to the control port and streams
-// length-prefixed JSON messages. Peer name→address bindings arrive in the
-// same stream (the "peers" map), so forwarding tables can reference nodes
-// by name.
+// The controller (cmd/ncctl) configures it by POSTing a deploy file to
+// /reload: the daemon applies the file's diff against its live state
+// (NC_SETTINGS, NC_FORWARD_TAB, NC_SESSION_END), registers the file's peer
+// name→address bindings so forwarding tables can name nodes, and starts
+// the VNF (NC_START) once the file gives this node a role. POST /stop?tau=
+// applies NC_VNF_END. See PROTOCOL.md §4.
 //
 // Lifecycle: SIGTERM/SIGINT starts a graceful drain (stop admitting new
 // sessions and generations, flush in-flight ones, then close) bounded by
 // -drain-deadline; a second signal exits immediately. The admin endpoint
-// adds POST /drain, /reload (hot-apply a deploy-file diff) and /restart
-// (drain, then exec a fresh ncd on the same bound addresses).
+// adds POST /drain and /restart (drain, then exec a fresh ncd on the same
+// bound addresses). The process exits once the daemon closes.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -46,17 +46,19 @@ func main() {
 }
 
 func run(args []string) error {
+	// First, before anything binds: a restart's exec handoff that never
+	// reaches this line shows in the log as its absence.
+	log.Printf("ncd: pid %d argv %q", os.Getpid(), args)
 	fs := flag.NewFlagSet("ncd", flag.ContinueOnError)
 	name := fs.String("name", "", "this node's logical name (required)")
 	dataAddr := fs.String("data", "127.0.0.1:0", "UDP address for coded traffic")
-	controlAddr := fs.String("control", "127.0.0.1:0", "TCP address for control messages")
-	adminAddr := fs.String("admin", "", "HTTP address for the admin endpoint (/stats, /drain, /reload, /restart, /debug/pprof); empty disables it")
+	adminAddr := fs.String("admin", "127.0.0.1:0", "HTTP address for the admin endpoint (/reload, /stop, /drain, /restart, /stats, /debug/pprof)")
 	batch := fs.Int("batch", emunet.DefaultRxBatch,
 		"datagram I/O batch depth: recvmmsg ring size and per-destination tx coalescing depth (1 = one syscall per packet)")
 	drainDeadline := fs.Duration("drain-deadline", controller.DefaultDrainDeadline,
 		"how long a graceful drain (SIGTERM, /drain, /restart) waits for in-flight generations before closing anyway")
 	readyFile := fs.String("readyfile", "",
-		"write a JSON {\"data\",\"control\",\"admin\"} address file once all listeners are up (for process harnesses); empty disables it")
+		"write a JSON {\"data\",\"admin\"} address file once both sockets are up (for process harnesses); empty disables it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -64,7 +66,7 @@ func run(args []string) error {
 		return errors.New("-name is required")
 	}
 
-	// Register for shutdown signals before any listener opens, so a SIGTERM
+	// Register for shutdown signals before any socket opens, so a SIGTERM
 	// arriving during startup is queued rather than killing the process
 	// mid-bind; the handler goroutine starts once the daemon exists.
 	sigc := make(chan os.Signal, 2)
@@ -85,42 +87,21 @@ func run(args []string) error {
 		dataplane.WithTelemetry(reg), dataplane.WithTxCoalesce(*batch))
 	defer daemon.Close()
 
-	ln, err := net.Listen("tcp", *controlAddr)
+	ln, err := net.Listen("tcp", *adminAddr)
 	if err != nil {
-		return fmt.Errorf("control listen: %w", err)
+		return fmt.Errorf("admin listen: %w", err)
 	}
 	defer ln.Close()
-	log.Printf("ncd %s: data %s control %s gf kernel %s", *name, conn.UDPAddr(), ln.Addr(), gf.KernelName())
-
-	adminBound := ""
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			return fmt.Errorf("admin listen: %w", err)
-		}
-		defer adminLn.Close()
-		reg.PublishExpvar("ncd_" + *name)
-		adminBound = adminLn.Addr().String()
-		go controller.ServeAdmin(adminLn, controller.AdminConfig{
-			Daemon:        daemon,
-			Registry:      reg,
-			Node:          *name,
-			Peers:         registry,
-			DrainDeadline: *drainDeadline,
-			Restart: execHandoff(*name, conn.UDPAddr().String(), ln.Addr().String(),
-				adminBound, *batch, *drainDeadline, *readyFile),
-		})
-		log.Printf("ncd %s: admin http://%s/stats", *name, adminBound)
-	}
+	reg.PublishExpvar("ncd_" + *name)
+	log.Printf("ncd %s: data %s admin http://%s gf kernel %s", *name, conn.UDPAddr(), ln.Addr(), gf.KernelName())
 
 	if *readyFile != "" {
-		// Every listener is up: publish the bound addresses so a launching
+		// Both sockets are up: publish the bound addresses so a launching
 		// harness can stop guessing ports. Write-then-rename keeps readers
 		// from seeing a partial file.
 		if err := writeReadyFile(*readyFile, readyInfo{
-			Data:    conn.UDPAddr().String(),
-			Control: ln.Addr().String(),
-			Admin:   adminBound,
+			Data:  conn.UDPAddr().String(),
+			Admin: ln.Addr().String(),
 		}); err != nil {
 			return fmt.Errorf("readyfile: %w", err)
 		}
@@ -155,8 +136,8 @@ func run(args []string) error {
 		}
 	}()
 
-	// When the daemon closes — τ shutdown (NC_VNF_END), drain completion,
-	// or /restart — unblock Accept so the process exits.
+	// When the daemon closes — τ shutdown (/stop), drain completion, or
+	// /restart — close the admin listener so the server below returns.
 	go func() {
 		ticker := time.NewTicker(200 * time.Millisecond)
 		defer ticker.Stop()
@@ -173,30 +154,26 @@ func run(args []string) error {
 		}
 	}()
 
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if daemon.Closed() {
-				return nil
-			}
-			return fmt.Errorf("control accept: %w", err)
-		}
-		err = controller.ServeControlStream(c, daemon, registry)
-		c.Close()
-		if err != nil && !errors.Is(err, io.EOF) {
-			log.Printf("ncd %s: control session: %v", *name, err)
-		}
-		if daemon.Closed() {
-			return nil
-		}
+	err = controller.ServeAdmin(ln, controller.AdminConfig{
+		Daemon:        daemon,
+		Registry:      reg,
+		Node:          *name,
+		Peers:         registry,
+		DrainDeadline: *drainDeadline,
+		Restart: execHandoff(*name, conn.UDPAddr().String(), ln.Addr().String(),
+			*batch, *drainDeadline, *readyFile),
+	})
+	if daemon.Closed() {
+		return nil
 	}
+	return fmt.Errorf("admin serve: %w", err)
 }
 
 // execHandoff builds the /restart hook: replace this process with a fresh
 // ncd pinned to the same bound addresses. The exec closes every inherited
 // socket (Go sets CLOEXEC), freeing the ports for the replacement, and
 // preserves the PID so a supervising harness's Wait keeps working.
-func execHandoff(name, data, control, admin string, batch int, drainDeadline time.Duration, readyFile string) func() {
+func execHandoff(name, data, admin string, batch int, drainDeadline time.Duration, readyFile string) func() {
 	return func() {
 		exe, err := os.Executable()
 		if err != nil {
@@ -206,7 +183,6 @@ func execHandoff(name, data, control, admin string, batch int, drainDeadline tim
 		argv := []string{exe,
 			"-name", name,
 			"-data", data,
-			"-control", control,
 			"-admin", admin,
 			"-batch", strconv.Itoa(batch),
 			"-drain-deadline", drainDeadline.String(),
@@ -222,12 +198,11 @@ func execHandoff(name, data, control, admin string, batch int, drainDeadline tim
 	}
 }
 
-// readyInfo is the address set a daemon advertises once its listeners are
+// readyInfo is the address set a daemon advertises once its sockets are
 // bound (the -readyfile contents).
 type readyInfo struct {
-	Data    string `json:"data"`
-	Control string `json:"control"`
-	Admin   string `json:"admin,omitempty"`
+	Data  string `json:"data"`
+	Admin string `json:"admin"`
 }
 
 // writeReadyFile atomically publishes the daemon's bound addresses.

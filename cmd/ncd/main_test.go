@@ -2,11 +2,11 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -14,7 +14,6 @@ import (
 
 	"ncfn/internal/controller"
 	"ncfn/internal/dataplane"
-	"ncfn/internal/rlnc"
 	"ncfn/internal/telemetry"
 )
 
@@ -25,78 +24,87 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-name", "x", "-data", "999.999.999.999:0"}); err == nil {
 		t.Fatal("bad data address accepted")
 	}
-	if err := run([]string{"-name", "x", "-control", "not-an-address"}); err == nil {
-		t.Fatal("bad control address accepted")
+	if err := run([]string{"-name", "x", "-admin", "not-an-address"}); err == nil {
+		t.Fatal("bad admin address accepted")
 	}
 }
 
-// TestDaemonLifecycleOverTCP boots a full ncd (UDP data socket + TCP
-// control port) in-process, drives it through settings → table → start →
-// shutdown over the control connection, and waits for the process loop to
-// exit.
-func TestDaemonLifecycleOverTCP(t *testing.T) {
-	// Find a control port by listening and closing (run opens its own).
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	controlAddr := probe.Addr().String()
-	probe.Close()
-
+// startNcd runs a full ncd (UDP data socket + admin endpoint) in-process
+// and returns its admin address, read from the readyfile, and the channel
+// run's result arrives on.
+func startNcd(t *testing.T, name string, extra ...string) (string, chan error) {
+	t.Helper()
+	ready := filepath.Join(t.TempDir(), name+".ready")
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-name", "testnode", "-data", "127.0.0.1:0", "-control", controlAddr})
+		done <- run(append([]string{"-name", name, "-data", "127.0.0.1:0", "-readyfile", ready}, extra...))
 	}()
-
-	// Connect to the control port (retry while the listener comes up).
-	var conn net.Conn
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		conn, err = net.Dial("tcp", controlAddr)
+		raw, err := os.ReadFile(ready)
 		if err == nil {
-			break
+			var info readyInfo
+			if err := json.Unmarshal(raw, &info); err != nil {
+				t.Fatal(err)
+			}
+			return info.Admin, done
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("ncd %s exited before it was ready: %v", name, err)
+		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("control port never opened: %v", err)
+			t.Fatalf("ncd %s never wrote its readyfile", name)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	defer conn.Close()
+}
 
-	send := func(m *controller.Message) {
-		t.Helper()
-		if err := m.Encode(conn); err != nil {
-			t.Fatal(err)
-		}
-		ack := make([]byte, 1)
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(ack); err != nil || ack[0] != 0x06 {
-			t.Fatalf("ack: %v %v", ack, err)
-		}
-	}
-	send(&controller.Message{
-		Signal: controller.NCSettings,
-		Peers:  map[string]string{"peer1": "127.0.0.1:19999"},
-		Settings: &dataplane.SessionConfig{
-			ID:     1,
-			Params: rlnc.Params{GenerationBlocks: 4, BlockSize: 64},
-			Role:   dataplane.RoleRecoder,
-		},
-	})
-	send(&controller.Message{Signal: controller.NCStart})
-	// Shut down with a tiny τ; run() must return once the control stream
-	// ends and the shutdown watcher notices the closed daemon.
-	send(&controller.Message{Signal: controller.NCVNFEnd, ShutdownAfter: 10 * time.Millisecond})
-	conn.Close()
-
+// waitExit waits for run to return, cleanly.
+func waitExit(t *testing.T, done chan error, why string) {
+	t.Helper()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("run returned %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("ncd did not exit after NC_VNF_END")
+		t.Fatalf("ncd did not exit after %s", why)
 	}
+}
+
+// oneSession is a deploy file giving node a forwarder role in session 1.
+func oneSession(t *testing.T, node string) []byte {
+	t.Helper()
+	raw, err := json.Marshal(controller.DeployFile{
+		Sessions: []controller.DeploySession{{
+			ID: 1, Blocks: 4, BlockSize: 64, Roles: map[string]string{node: "forwarder"},
+		}},
+		Peers: map[string]string{"peer1": "127.0.0.1:19999"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+var admin = controller.AdminClient{Timeout: 5 * time.Second}
+
+// TestDaemonLifecycleOverTCP boots a full ncd in-process, configures it
+// through POST /reload on its admin endpoint, shuts it down with POST
+// /stop, and waits for the process loop to exit.
+func TestDaemonLifecycleOverTCP(t *testing.T) {
+	addr, done := startNcd(t, "testnode")
+	if _, err := admin.Post(addr, "/reload", oneSession(t, "testnode")); err != nil {
+		t.Fatal(err)
+	}
+	// Shut down with a tiny τ; run() must return once the watcher notices
+	// the closed daemon and closes the admin listener.
+	if _, err := admin.Post(addr, "/stop?tau=10ms", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitExit(t, done, "/stop")
 }
 
 // TestSigtermDrains boots an ncd in-process, configures a session, and
@@ -104,67 +112,14 @@ func TestDaemonLifecycleOverTCP(t *testing.T) {
 // sessions via its own signal handler, not dying on the default handler)
 // and run() must return cleanly once the drain quiesces.
 func TestSigtermDrains(t *testing.T) {
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	addr, done := startNcd(t, "sigterm-node", "-drain-deadline", "5s")
+	if _, err := admin.Post(addr, "/reload", oneSession(t, "sigterm-node")); err != nil {
 		t.Fatal(err)
 	}
-	controlAddr := probe.Addr().String()
-	probe.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-name", "sigterm-node", "-data", "127.0.0.1:0",
-			"-control", controlAddr, "-drain-deadline", "5s"})
-	}()
-
-	var conn net.Conn
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		conn, err = net.Dial("tcp", controlAddr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("control port never opened: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	defer conn.Close()
-	send := func(m *controller.Message) {
-		t.Helper()
-		if err := m.Encode(conn); err != nil {
-			t.Fatal(err)
-		}
-		ack := make([]byte, 1)
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Read(ack); err != nil || ack[0] != 0x06 {
-			t.Fatalf("ack: %v %v", ack, err)
-		}
-	}
-	send(&controller.Message{
-		Signal: controller.NCSettings,
-		Settings: &dataplane.SessionConfig{
-			ID:     1,
-			Params: rlnc.Params{GenerationBlocks: 4, BlockSize: 64},
-			Role:   dataplane.RoleForwarder,
-		},
-	})
-	send(&controller.Message{Signal: controller.NCStart})
-
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	// Release the control stream: run() serves it until the client hangs
-	// up, and the drain must finish without any client action beyond that.
-	conn.Close()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("ncd did not exit after SIGTERM drain")
-	}
+	waitExit(t, done, "SIGTERM drain")
 }
 
 // TestAdminEndpoint exercises the admin mux directly: /stats must return
@@ -225,78 +180,35 @@ func TestAdminEndpoint(t *testing.T) {
 	}
 }
 
-// TestTwoDaemonsEndToEnd wires two ncd processes (in-process) into a relay
-// chain via ncctl-style control pushes and verifies the TCP control path
-// composes: the first daemon learns the second's UDP address via peers.
+// TestTwoDaemonsEndToEnd runs two ncds in-process, configures both the way
+// ncctl does — POST /reload with a deploy file naming them — and stops
+// both with a τ of 1 ms: each process loop must exit.
 func TestTwoDaemonsEndToEnd(t *testing.T) {
-	type node struct {
-		control string
-		done    chan error
+	addrA, doneA := startNcd(t, "relayA")
+	addrB, doneB := startNcd(t, "relayB")
+	raw, err := json.Marshal(controller.DeployFile{
+		Sessions: []controller.DeploySession{{
+			ID: 1, Blocks: 4, BlockSize: 64,
+			Roles:  map[string]string{"relayA": "forwarder", "relayB": "forwarder"},
+			Tables: map[string][]controller.DeployHopGroup{"relayA": {{Addrs: []string{"relayB"}}}},
+		}},
+		Peers: map[string]string{"relayA": "127.0.0.1:19998", "relayB": "127.0.0.1:19999"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mk := func(name string) node {
-		probe, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+	for _, addr := range []string{addrA, addrB} {
+		if _, err := admin.Post(addr, "/reload", raw); err != nil {
 			t.Fatal(err)
 		}
-		addr := probe.Addr().String()
-		probe.Close()
-		n := node{control: addr, done: make(chan error, 1)}
-		go func() {
-			n.done <- run([]string{"-name", name, "-data", "127.0.0.1:0", "-control", addr})
-		}()
-		return n
 	}
-	a := mk("relayA")
-	b := mk("relayB")
-
-	push := func(n node, msgs ...*controller.Message) {
-		t.Helper()
-		var conn net.Conn
-		var err error
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			conn, err = net.Dial("tcp", n.control)
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("dial %s: %v", n.control, err)
-			}
-			time.Sleep(10 * time.Millisecond)
+	for _, n := range []struct {
+		addr string
+		done chan error
+	}{{addrA, doneA}, {addrB, doneB}} {
+		if _, err := admin.Post(n.addr, "/stop?tau=1ms", nil); err != nil {
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		ack := make([]byte, 1)
-		for _, m := range msgs {
-			if err := m.Encode(conn); err != nil {
-				t.Fatal(err)
-			}
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, err := conn.Read(ack); err != nil {
-				t.Fatalf("ack: %v", err)
-			}
-		}
-	}
-
-	params := rlnc.Params{GenerationBlocks: 4, BlockSize: 64}
-	for _, n := range []node{a, b} {
-		push(n,
-			&controller.Message{
-				Signal:   controller.NCSettings,
-				Settings: &dataplane.SessionConfig{ID: 1, Params: params, Role: dataplane.RoleForwarder},
-			},
-			&controller.Message{Signal: controller.NCStart},
-		)
-	}
-	// Tear both down.
-	for _, n := range []node{a, b} {
-		push(n, &controller.Message{Signal: controller.NCVNFEnd, ShutdownAfter: time.Millisecond})
-		select {
-		case err := <-n.done:
-			if err != nil && !strings.Contains(fmt.Sprint(err), "closed") {
-				t.Fatalf("daemon exit: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("daemon did not exit")
-		}
+		waitExit(t, n.done, "/stop")
 	}
 }

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -150,12 +150,12 @@ func measureTableUpdate(changed int, delay time.Duration) (time.Duration, error)
 				done <- err
 				return
 			}
-			msg, err := controller.DecodeMessage(bytes.NewReader(pkt))
-			if err != nil {
+			var msg controller.Message
+			if err := json.Unmarshal(pkt, &msg); err != nil {
 				done <- err
 				return
 			}
-			if err := d.Apply(msg); err != nil {
+			if err := d.Apply(&msg); err != nil {
 				done <- err
 				return
 			}
@@ -175,11 +175,11 @@ func measureTableUpdate(changed int, delay time.Duration) (time.Duration, error)
 				ncproto.SessionID(i + 1): {{Addrs: []string{fmt.Sprintf("next-%d", i)}}},
 			},
 		}
-		var buf bytes.Buffer
-		if err := msg.Encode(&buf); err != nil {
+		raw, err := json.Marshal(msg)
+		if err != nil {
 			return 0, err
 		}
-		if err := ctrlConn.Send("daemon", buf.Bytes()); err != nil {
+		if err := ctrlConn.Send("daemon", raw); err != nil {
 			return 0, err
 		}
 		// Wait for the per-entry acknowledgement before the next push.

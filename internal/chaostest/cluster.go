@@ -235,18 +235,14 @@ func (c *Cluster) renderLocked() *controller.DeployFile {
 
 // deployLocked starts a daemon+VNF for the node at its current address and
 // brings it up the way every daemon reaches a file: Reload of the rendered
-// file, then NC_START.
+// file, which starts a blank daemon it gives a role.
 func (c *Cluster) deployLocked(node string) error {
 	d := controller.NewDaemon(c.Net.Host(c.addr[node]), c.Clock,
 		dataplane.WithSeed(c.seed+int64(c.epoch[node])),
 		dataplane.WithTelemetry(c.Reg),
 		dataplane.WithClock(c.Clock))
 	c.daemons[node] = d
-	_, err := d.Reload(c.renderLocked(), node)
-	if err == nil {
-		err = d.Apply(&controller.Message{Signal: controller.NCStart})
-	}
-	if err != nil {
+	if _, err := d.Reload(c.renderLocked(), node); err != nil {
 		return fmt.Errorf("chaostest: deploy %s: %w", node, err)
 	}
 	return nil
@@ -365,8 +361,7 @@ func (c *Cluster) HealNode(node string) {
 }
 
 // RunTicks advances virtual time by n supervision intervals, ticking the
-// failover supervisor at each step — the deterministic stand-in for
-// Supervisor.Run.
+// failover supervisor once at each step.
 func (c *Cluster) RunTicks(n int) {
 	for i := 0; i < n; i++ {
 		c.Clock.Advance(Tick)

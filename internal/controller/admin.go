@@ -26,8 +26,8 @@ const DefaultDrainDeadline = 30 * time.Second
 
 // AdminConfig wires a daemon's admin HTTP endpoint.
 type AdminConfig struct {
-	// Daemon is the node's control agent; required for /drain, /reload and
-	// /restart (nil serves /stats only).
+	// Daemon is the node's control agent; required for /drain, /reload,
+	// /restart and /stop (nil serves /stats only).
 	Daemon *Daemon
 	// Registry backs /stats (required).
 	Registry *telemetry.Registry
@@ -35,8 +35,8 @@ type AdminConfig struct {
 	// view of this node against the live VNF.
 	Node string
 	// Peers, when non-nil, receives the peer bindings of reloaded deploy
-	// files, exactly as ServeControlStream registers the bindings of
-	// control messages.
+	// files: the names their forwarding tables use, resolved to UDP
+	// addresses.
 	Peers *emunet.Registry
 	// DrainDeadline is the drain deadline when a request names none;
 	// zero selects DefaultDrainDeadline.
@@ -47,11 +47,12 @@ type AdminConfig struct {
 	Restart func()
 }
 
-// NewAdminMux builds the admin endpoint: the observability routes (/stats,
-// /debug/vars, /debug/pprof) plus the operational lifecycle routes —
-// /drain (POST to start a graceful drain, GET for drain status), /reload
-// (POST a deploy file to hot-apply its diff), and /restart (POST to drain
-// and then hand off to a fresh process). See PROTOCOL.md §5.
+// NewAdminMux builds the admin endpoint, a daemon's only control surface:
+// the observability routes (/stats, /debug/vars, /debug/pprof) plus the
+// lifecycle routes — /drain (POST to start a graceful drain, GET for drain
+// status), /reload (POST a deploy file to apply its diff; a blank daemon's
+// cold start), /restart (POST to drain and then hand off to a fresh
+// process), and /stop (POST NC_VNF_END with ?tau=). See PROTOCOL.md §4.
 func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 	if cfg.DrainDeadline <= 0 {
 		cfg.DrainDeadline = DefaultDrainDeadline
@@ -70,6 +71,7 @@ func NewAdminMux(cfg AdminConfig) *http.ServeMux {
 		mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) { handleDrain(cfg, w, r) })
 		mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) { handleReload(cfg, w, r) })
 		mux.HandleFunc("/restart", func(w http.ResponseWriter, r *http.Request) { handleRestart(cfg, w, r) })
+		mux.HandleFunc("/stop", func(w http.ResponseWriter, r *http.Request) { handleStop(cfg, w, r) })
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -121,13 +123,16 @@ func statsOf(cfg AdminConfig) statsDoc {
 	return doc
 }
 
-// ServeAdmin serves the admin endpoint on ln until the listener closes.
-func ServeAdmin(ln net.Listener, cfg AdminConfig) {
+// ServeAdmin serves the admin endpoint on ln until the listener closes, and
+// returns the error that ended it.
+func ServeAdmin(ln net.Listener, cfg AdminConfig) error {
 	srv := &http.Server{Handler: NewAdminMux(cfg), ReadHeaderTimeout: 5 * time.Second}
-	_ = srv.Serve(ln)
+	return srv.Serve(ln)
 }
 
-// drainStatus is the GET /drain (and POST /drain response) document.
+// drainStatus is the GET /drain document, and the answer to every POST
+// that changes a daemon's lifecycle (/drain, /restart, /stop). The admin
+// client reads it too.
 type drainStatus struct {
 	// State is the drain state machine position: running | draining |
 	// quiesced.
@@ -283,4 +288,45 @@ func handleRestart(cfg AdminConfig, w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// handleStop serves POST /stop?tau=<duration>: NC_VNF_END, so the daemon
+// closes once τ passes unless a reload that gives it a role comes first.
+// The answer is on the wire before the τ timer is armed: a short τ closes
+// the daemon, and cmd/ncd exits with it.
+func handleStop(cfg AdminConfig, w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "stop: POST", http.StatusMethodNotAllowed)
+		return
+	}
+	tau, err := time.ParseDuration(r.URL.Query().Get("tau"))
+	if err != nil || tau < 0 {
+		http.Error(w, fmt.Sprintf("stop: bad tau %q", r.URL.Query().Get("tau")), http.StatusBadRequest)
+		return
+	}
+	if cfg.Daemon.Closed() {
+		http.Error(w, ErrDaemonClosed.Error(), http.StatusConflict)
+		return
+	}
+	writeJSON(w, http.StatusOK, statusOf(cfg.Daemon))
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	_ = cfg.Daemon.Apply(&Message{Signal: NCVNFEnd, ShutdownAfter: tau}) // fails only once closed
+}
+
+// registerPeers binds each peer name to its resolved UDP address in the
+// registry (nil ignores the bindings).
+func registerPeers(registry *emunet.Registry, peers map[string]string) error {
+	if registry == nil {
+		return nil
+	}
+	for peer, addr := range peers {
+		udpAddr, err := net.ResolveUDPAddr("udp", addr)
+		if err != nil {
+			return fmt.Errorf("controller: resolve peer %s=%s: %w", peer, addr, err)
+		}
+		registry.Register(peer, udpAddr)
+	}
+	return nil
 }

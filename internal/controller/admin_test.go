@@ -13,6 +13,7 @@ import (
 	"ncfn/internal/emunet"
 	"ncfn/internal/gf"
 	"ncfn/internal/ncproto"
+	"ncfn/internal/simclock"
 	"ncfn/internal/telemetry"
 )
 
@@ -276,5 +277,136 @@ func TestAdminRestartAnswersBeforeHook(t *testing.T) {
 	case <-hooked:
 	case <-time.After(5 * time.Second):
 		t.Fatal("restart hook never ran")
+	}
+}
+
+// TestAdminReloadStartsBlankDaemon drives a blank daemon through the one path a
+// deploy file takes into it: POST /reload registers the peer bindings,
+// applies the settings and the forwarding table, and starts the VNF; POST
+// /stop then applies NC_VNF_END.
+func TestAdminReloadStartsBlankDaemon(t *testing.T) {
+	reg := emunet.NewRegistry()
+	d, srv := adminServer(t, func(cfg *AdminConfig) { cfg.Peers = reg })
+	clk := d.clock.(*simclock.Virtual)
+	f := DeployFile{
+		Sessions: []DeploySession{{
+			ID: 5, Blocks: 4, BlockSize: 64,
+			Roles:  map[string]string{"node": "recoder"},
+			Tables: map[string][]DeployHopGroup{"node": {{Addrs: []string{"next-hop"}}}},
+		}},
+		Peers: map[string]string{"next-hop": "127.0.0.1:9999"},
+	}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := do(t, http.MethodPost, srv.URL+"/reload", string(raw)); code != http.StatusOK {
+		t.Fatalf("POST /reload = %d: %s", code, body)
+	}
+	if _, ok := reg.Lookup("next-hop"); !ok {
+		t.Fatal("peer binding not registered")
+	}
+	if _, ok := d.VNF().SessionConfigFor(5); !ok {
+		t.Fatal("session not configured")
+	}
+	if hops := d.VNF().Table().AppendNextHops(nil, 5, 0); len(hops) != 1 || hops[0] != "next-hop" {
+		t.Fatalf("table = %v", hops)
+	}
+	if !started(d) || applied(d) != 3 {
+		t.Fatalf("started %v after %d applied messages, want NC_SETTINGS, NC_FORWARD_TAB, NC_START", started(d), applied(d))
+	}
+
+	if code, body := do(t, http.MethodPost, srv.URL+"/stop?tau=1s", ""); code != http.StatusOK {
+		t.Fatalf("POST /stop = %d: %s", code, body)
+	}
+	waitArmed(t, clk)
+	clk.Advance(time.Second)
+	waitClosed(t, d)
+}
+
+// TestAdminStopEndpoint pins /stop's answers and τ: the daemon closes once
+// τ passes, unless a reload that gives the node a role comes first.
+func TestAdminStopEndpoint(t *testing.T) {
+	d, srv := adminServer(t, nil)
+	clk := d.clock.(*simclock.Virtual)
+	for _, tc := range []struct {
+		method, query string
+		want          int
+	}{
+		{http.MethodGet, "?tau=1s", http.StatusMethodNotAllowed},
+		{http.MethodPost, "", http.StatusBadRequest},
+		{http.MethodPost, "?tau=soon", http.StatusBadRequest},
+		{http.MethodPost, "?tau=-1s", http.StatusBadRequest},
+	} {
+		if code, body := do(t, tc.method, srv.URL+"/stop"+tc.query, ""); code != tc.want {
+			t.Fatalf("%s /stop%s = %d: %s", tc.method, tc.query, code, body)
+		}
+	}
+
+	// A reload that gives the node a role within τ cancels the shutdown.
+	applyDeploy(t, d, deployV1(), "node")
+	if code, body := do(t, http.MethodPost, srv.URL+"/stop?tau=1m", ""); code != http.StatusOK {
+		t.Fatalf("POST /stop = %d: %s", code, body)
+	}
+	waitArmed(t, clk)
+	if _, err := d.Reload(deployV2(), "node"); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Minute)
+	if d.Closed() {
+		t.Fatal("reload within τ did not cancel the shutdown")
+	}
+
+	if code, body := do(t, http.MethodPost, srv.URL+"/stop?tau=1m", ""); code != http.StatusOK {
+		t.Fatalf("POST /stop = %d: %s", code, body)
+	}
+	waitArmed(t, clk)
+	clk.Advance(time.Minute)
+	waitClosed(t, d)
+	if code, body := do(t, http.MethodPost, srv.URL+"/stop?tau=1m", ""); code != http.StatusConflict {
+		t.Fatalf("stop of a closed daemon = %d: %s", code, body)
+	}
+}
+
+// waitArmed waits for /stop's τ timer on the daemon's virtual clock: the
+// handler answers first and arms the timer after.
+func waitArmed(t *testing.T, clk *simclock.Virtual) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for clk.Pending() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("τ timer never armed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitClosed waits for a daemon's τ shutdown, which fires on the timer's
+// own goroutine.
+func waitClosed(t *testing.T, d *Daemon) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !d.Closed() {
+		if time.Now().After(deadline) {
+			t.Fatal("daemon still open after τ")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdminClientTimesOutOnWedgedDaemon pins that a daemon which accepts a
+// request and never answers costs the client one timeout, not forever.
+func TestAdminClientTimesOutOnWedgedDaemon(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer srv.Close()
+	defer close(release)
+	c := AdminClient{Timeout: 50 * time.Millisecond}
+	start := time.Now()
+	if _, err := c.Post(strings.TrimPrefix(srv.URL, "http://"), "/reload", []byte("{}")); err == nil {
+		t.Fatal("request to a wedged daemon succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("request took %v, the timeout did not bound it", elapsed)
 	}
 }

@@ -1,12 +1,14 @@
 package controller
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"ncfn/internal/cloud"
+	"ncfn/internal/dataplane"
 	"ncfn/internal/ncproto"
 	"ncfn/internal/optimize"
 	"ncfn/internal/simclock"
@@ -389,37 +391,26 @@ func TestSignalStrings(t *testing.T) {
 	}
 }
 
+// TestMessageEncodeDecode pins the Message JSON round trip Table III's
+// control channel carries.
 func TestMessageEncodeDecode(t *testing.T) {
 	m := &Message{
-		Signal:  NCForwardTab,
-		Session: 4,
-		NumVNFs: 2,
+		Signal:        NCForwardTab,
+		Session:       4,
+		NumVNFs:       2,
+		ShutdownAfter: time.Minute,
+		Table:         map[ncproto.SessionID][]dataplane.HopGroup{3: {{Addrs: []string{"a", "b"}, PerGen: 2}}},
 	}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMessage(&buf)
+	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Signal != m.Signal || got.Session != m.Session || got.NumVNFs != m.NumVNFs {
+	var got Message
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, m) {
 		t.Fatalf("round trip: %+v", got)
-	}
-}
-
-func TestDecodeMessageTruncated(t *testing.T) {
-	if _, err := DecodeMessage(bytes.NewReader([]byte{0, 0})); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-	if _, err := DecodeMessage(bytes.NewReader([]byte{0, 0, 0, 10, 1})); err == nil {
-		t.Fatal("truncated body accepted")
-	}
-}
-
-func TestDecodeMessageOversized(t *testing.T) {
-	if _, err := DecodeMessage(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
-		t.Fatal("oversized frame accepted")
 	}
 }
 

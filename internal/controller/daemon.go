@@ -27,9 +27,11 @@ type Daemon struct {
 
 	// Lifecycle state (see lifecycle.go): draining marks an in-progress
 	// graceful drain; deployVersion tracks the last versioned deploy file
-	// applied by Reload, enforcing reload monotonicity.
+	// applied by Reload, enforcing reload monotonicity; hookDone, set when a
+	// drain has a post-close hook, closes once that hook returns.
 	draining      bool
 	deployVersion int
+	hookDone      chan struct{}
 }
 
 // NewDaemon builds a daemon managing a VNF on the given conn.
@@ -123,6 +125,14 @@ func (d *Daemon) scheduleShutdownLocked(tau time.Duration) {
 	}()
 }
 
+// needsStart reports whether NC_START would change anything: the VNF has
+// not started, or a τ shutdown is pending.
+func (d *Daemon) needsStart() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return !d.started || d.stopCancel != nil
+}
+
 func (d *Daemon) cancelShutdownLocked() {
 	if d.stopCancel != nil {
 		close(d.stopCancel)
@@ -130,11 +140,18 @@ func (d *Daemon) cancelShutdownLocked() {
 	}
 }
 
-// Closed reports whether the daemon shut its VNF down.
+// Closed reports whether the daemon shut its VNF down. A daemon closed by a
+// drain with a post-close hook (the /restart exec handoff) answers only once
+// the hook has returned, so a process that exits when its daemon closes —
+// cmd/ncd — cannot exit under its own handoff.
 func (d *Daemon) Closed() bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.closed
+	closed, hookDone := d.closed, d.hookDone
+	d.mu.Unlock()
+	if closed && hookDone != nil {
+		<-hookDone
+	}
+	return closed
 }
 
 // Close shuts the daemon and its VNF down immediately.

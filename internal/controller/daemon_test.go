@@ -44,6 +44,13 @@ func applied(d *Daemon) uint64 {
 	return d.VNF().Telemetry().Histogram(MetricApplyNs).Count()
 }
 
+// started reports whether NC_START has started the daemon's VNF.
+func started(d *Daemon) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.started
+}
+
 // tableSwaps counts the forwarding-table swaps the daemon's VNF has made.
 func tableSwaps(d *Daemon) uint64 {
 	return d.VNF().Telemetry().Counter(dataplane.MetricTableSwaps, 1).Value()
@@ -254,8 +261,10 @@ func TestDeployFileUnknownNode(t *testing.T) {
 	if hops := f.NodeTable("x")[1]; hops != nil {
 		t.Fatal("unknown node returned hops")
 	}
-	if msgs, err := f.ColdStart("x"); err != nil || msgs != nil {
-		t.Fatalf("unknown node messages = %v, %v", msgs, err)
+	d, _, _ := testDaemon(t)
+	applyDeploy(t, d, f, "x")
+	if applied(d) != 0 || started(d) {
+		t.Fatalf("unknown node: %d messages applied, started %v", applied(d), started(d))
 	}
 }
 
@@ -325,12 +334,10 @@ func TestBuildDeployFileSharedReceiver(t *testing.T) {
 			t.Fatalf("session %d roles = %v", s.ID, s.Roles)
 		}
 	}
-	msgs, err := f.ColdStart("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, _, _ := testDaemon(t)
+	applyDeploy(t, d, f, "dc")
 	// Per session NC_SETTINGS, one NC_FORWARD_TAB for both, then NC_START.
-	if len(msgs) != 4 || len(msgs[2].Table) != 2 || msgs[3].Signal != NCStart {
-		t.Fatalf("dc cold start = %d messages", len(msgs))
+	if applied(d) != 4 || tableSwaps(d) != 1 || len(d.VNF().Table().Snapshot()) != 2 || !started(d) {
+		t.Fatalf("dc cold start: %d messages, %d table swaps, started %v", applied(d), tableSwaps(d), started(d))
 	}
 }

@@ -17,18 +17,20 @@ import (
 // tables, and peer address bindings as one document (see cmd/ncctl for an
 // example). ncctl reads it to drive start/stop/reload/rolling-restart, the
 // procnet harness writes it for the multi-process tiers, and a daemon's
-// admin /reload endpoint diffs one against its live state to hot-apply
-// changes without a restart. Version, when nonzero, makes reloads
-// monotonic: a daemon refuses a reload whose version is not newer than the
-// one it last applied.
+// admin /reload endpoint diffs one against its live state and applies the
+// change — a blank daemon's cold start included. Version, when nonzero,
+// makes reloads monotonic: a daemon refuses a reload whose version is not
+// newer than the one it last applied.
 type DeployFile struct {
 	Version  int             `json:"version,omitempty"`
 	Sessions []DeploySession `json:"sessions"`
 	// Peers maps logical node names to UDP data-plane addresses.
 	Peers map[string]string `json:"peers,omitempty"`
-	// Daemons maps node names to TCP control addresses.
+	// Daemons is read by nothing; it is kept only because
+	// benchmark/deploy.go writes it.
 	Daemons map[string]string `json:"daemons,omitempty"`
-	// Admin maps node names to HTTP admin addresses.
+	// Admin maps daemon node names to HTTP admin addresses: every command
+	// ncctl runs reaches a daemon there.
 	Admin map[string]string `json:"admin,omitempty"`
 }
 
@@ -162,10 +164,11 @@ func (f *DeployFile) Validate() error {
 	return nil
 }
 
-// Nodes lists the daemon nodes in deterministic (sorted) order.
+// Nodes lists the daemon nodes — those with an admin address — in sorted
+// order.
 func (f *DeployFile) Nodes() []string {
-	nodes := make([]string, 0, len(f.Daemons))
-	for n := range f.Daemons {
+	nodes := make([]string, 0, len(f.Admin))
+	for n := range f.Admin {
 		nodes = append(nodes, n)
 	}
 	slices.Sort(nodes)
@@ -195,19 +198,6 @@ func hopGroups(groups []DeployHopGroup) []dataplane.HopGroup {
 		hops[i] = dataplane.HopGroup{Addrs: g.Addrs, PerGen: g.PerGen}
 	}
 	return hops
-}
-
-// ColdStart builds the control sequence that brings a blank daemon up as
-// the file's node: the file's diff against an empty node, with the peer
-// bindings on its first message, then NC_START. A node with no role in any
-// session yields nil.
-func (f *DeployFile) ColdStart(node string) ([]*Message, error) {
-	msgs, _, err := f.diff(node, nil, nil)
-	if err != nil || len(msgs) == 0 {
-		return nil, err
-	}
-	msgs[0].Peers = f.Peers
-	return append(msgs, &Message{Signal: NCStart}), nil
 }
 
 // ReloadSummary reports what a hot-reload changed.
@@ -241,7 +231,8 @@ func (s ReloadSummary) changes() int {
 //
 // A table entry counts only where the node plays a role in its session (the
 // source's entry is not a daemon's), and an entry with no hop groups is no
-// entry. Against an empty node (nil, nil) the messages are the cold start.
+// entry. Against an empty node (nil, nil) the messages configure a blank
+// daemon.
 func (f *DeployFile) diff(node string, live map[ncproto.SessionID]dataplane.SessionConfig,
 	table map[ncproto.SessionID][]dataplane.HopGroup) ([]*Message, ReloadSummary, error) {
 	var msgs []*Message
@@ -289,10 +280,14 @@ func (f *DeployFile) diff(node string, live map[ncproto.SessionID]dataplane.Sess
 }
 
 // Reload brings the daemon's live VNF to the deploy file's view of one node
-// by applying diff's messages. Peer bindings in the file are NOT registered
-// here (the transport layer owns name resolution); the admin endpoint
-// registers them before calling Reload. Reload refuses to run on a draining
-// or closed daemon and, for versioned files, enforces version monotonicity.
+// by applying diff's messages, and then, when the file gives the node a
+// role in any session, NC_START wherever it changes something: a VNF that
+// has not started starts, and a pending τ shutdown is cancelled. A cold
+// start is a Reload of a blank daemon; a reload that changes nothing applies
+// nothing. Peer bindings in the file are NOT registered here (the transport
+// layer owns name resolution); the admin endpoint registers them before
+// calling Reload. Reload refuses to run on a draining or closed daemon and,
+// for versioned files, enforces version monotonicity.
 func (d *Daemon) Reload(f *DeployFile, node string) (ReloadSummary, error) {
 	if err := f.Validate(); err != nil {
 		return ReloadSummary{}, err
@@ -312,6 +307,9 @@ func (d *Daemon) Reload(f *DeployFile, node string) (ReloadSummary, error) {
 	if err != nil {
 		return sum, err
 	}
+	if f.hasRole(node) && d.needsStart() {
+		msgs = append(msgs, &Message{Signal: NCStart})
+	}
 	for _, m := range msgs {
 		if err := d.Apply(m); err != nil {
 			return sum, err
@@ -320,6 +318,16 @@ func (d *Daemon) Reload(f *DeployFile, node string) (ReloadSummary, error) {
 	vnf.Telemetry().Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity).
 		Record(d.clock.Now().UnixNano(), telemetry.EventReload, node, 0, 0, int64(sum.changes()))
 	return sum, nil
+}
+
+// hasRole reports whether the file gives node a role in any session.
+func (f *DeployFile) hasRole(node string) bool {
+	for i := range f.Sessions {
+		if _, ok := f.Sessions[i].Roles[node]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // equalHopGroups reports whether two hop-group lists are identical.

@@ -25,8 +25,8 @@ import (
 // The supervisor is tick-driven: Tick advances every managed VNF's state
 // machine exactly once, with all timing read from the configured clock.
 // Under a simclock.Virtual this makes fault handling fully deterministic —
-// the chaos harness calls Tick at fixed virtual intervals. Run wraps Tick
-// in a periodic loop for real deployments.
+// the chaos harness calls Tick at fixed virtual intervals. The supervisor
+// has no loop of its own: whoever owns it calls Tick on its own schedule.
 type Supervisor struct {
 	cfg SupervisorConfig
 	tel supTelemetry

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"maps"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -47,9 +49,10 @@ func FuzzParseDeployFile(f *testing.F) {
 }
 
 // FuzzReloadDiffer checks the differ over two accepted files A and B, for
-// every node either names: a daemon cold-started from A and then reloaded
-// to B holds exactly the sessions and forwarding table of a daemon
-// cold-started from B, and reloading B once more changes nothing.
+// every node either names: a daemon cold-started from A (a Reload of A on a
+// blank daemon) and then reloaded to B holds exactly the sessions and
+// forwarding table of a blank daemon reloaded with B, and reloading B once
+// more changes nothing.
 func FuzzReloadDiffer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a, errA := ParseDeployFile(rawA)
@@ -71,21 +74,7 @@ func FuzzReloadDiffer(f *testing.F) {
 				t.Fatalf("node %q: reload A→B: %v", n, err)
 			}
 			cold := coldStarted(t, b, n)
-			hv, cv := hot.VNF(), cold.VNF()
-			if !slices.Equal(hv.SessionIDs(), cv.SessionIDs()) {
-				t.Fatalf("node %q: sessions after reload %v, cold start %v", n, hv.SessionIDs(), cv.SessionIDs())
-			}
-			for _, id := range hv.SessionIDs() {
-				h, _ := hv.SessionConfigFor(id)
-				c, _ := cv.SessionConfigFor(id)
-				if h != c {
-					t.Fatalf("node %q session %d: config after reload %+v, cold start %+v", n, id, h, c)
-				}
-			}
-			ht, ct := hv.Table().Snapshot(), cv.Table().Snapshot()
-			if !maps.EqualFunc(ht, ct, equalHopGroups) {
-				t.Fatalf("node %q: table after reload %v, cold start %v", n, ht, ct)
-			}
+			requireSameState(t, n, hot, cold)
 			sum, err := hot.Reload(b, n)
 			if err != nil || sum.changes() != 0 {
 				t.Fatalf("node %q: second reload of B = %+v, %v; want no change", n, sum, err)
@@ -94,6 +83,59 @@ func FuzzReloadDiffer(f *testing.F) {
 			cold.Close()
 		}
 	})
+}
+
+// FuzzAdminReload sends arbitrary bodies to POST /reload on one live
+// daemon — the only way a deploy file enters ncd — through the admin mux
+// itself. The endpoint must never panic and must answer 200, 400 or 409;
+// after a 200 the daemon holds exactly the sessions and forwarding table of
+// a blank daemon reloaded with the same file, whatever earlier inputs left
+// behind. Its seeds are FuzzParseDeployFile's, whose files all give node T
+// a role. Peer bindings are not registered (nil registry): resolving a
+// fuzzed host name would go to the network.
+func FuzzAdminReload(f *testing.F) {
+	const node = "T"
+	d := NewDaemon(newRecordConn(node), simclock.NewVirtual(epoch))
+	f.Cleanup(func() { d.Close() })
+	mux := NewAdminMux(AdminConfig{Daemon: d, Registry: d.VNF().Telemetry(), Node: node})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusConflict:
+			return
+		default:
+			t.Fatalf("POST /reload = %d: %s", rec.Code, rec.Body)
+		}
+		file, err := ParseDeployFile(body)
+		if err != nil {
+			t.Fatalf("200 for a file that does not parse: %v", err)
+		}
+		blank := coldStarted(t, file, node)
+		defer blank.Close()
+		requireSameState(t, node, d, blank)
+	})
+}
+
+// requireSameState fails unless two daemons hold the same sessions, with
+// the same configs, and the same forwarding table.
+func requireSameState(t *testing.T, node string, got, want *Daemon) {
+	t.Helper()
+	gv, wv := got.VNF(), want.VNF()
+	if !slices.Equal(gv.SessionIDs(), wv.SessionIDs()) {
+		t.Fatalf("node %q: sessions %v, want %v", node, gv.SessionIDs(), wv.SessionIDs())
+	}
+	for _, id := range gv.SessionIDs() {
+		g, _ := gv.SessionConfigFor(id)
+		w, _ := wv.SessionConfigFor(id)
+		if g != w {
+			t.Fatalf("node %q session %d: config %+v, want %+v", node, id, g, w)
+		}
+	}
+	if gt, wt := gv.Table().Snapshot(), wv.Table().Snapshot(); !maps.EqualFunc(gt, wt, equalHopGroups) {
+		t.Fatalf("node %q: table %v, want %v", node, gt, wt)
+	}
 }
 
 // fileNodes lists, sorted, every node a file gives a role or a table entry.
@@ -115,18 +157,12 @@ func fileNodes(f *DeployFile) []string {
 	return out
 }
 
-// coldStarted builds a daemon and applies a file's cold start for node.
+// coldStarted builds a blank daemon and reloads the file into it as node.
 func coldStarted(t *testing.T, f *DeployFile, node string) *Daemon {
 	t.Helper()
 	d := NewDaemon(newRecordConn(node), simclock.NewVirtual(epoch))
-	msgs, err := f.ColdStart(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		if err := d.Apply(m); err != nil {
-			t.Fatalf("cold start of %q: %v", node, err)
-		}
+	if _, err := d.Reload(f, node); err != nil {
+		t.Fatalf("cold start of %q: %v", node, err)
 	}
 	return d
 }

@@ -33,7 +33,8 @@ func (d *Daemon) StartDrain(deadline time.Duration) error {
 }
 
 // startDrain is StartDrain with an optional hook that runs after the drain
-// completed and the daemon closed (the /restart exec handoff).
+// completed and the daemon closed (the /restart exec handoff); Closed waits
+// for it.
 func (d *Daemon) startDrain(deadline time.Duration, onClosed func()) error {
 	d.mu.Lock()
 	if d.closed {
@@ -45,6 +46,11 @@ func (d *Daemon) startDrain(deadline time.Duration, onClosed func()) error {
 		return ErrAlreadyDraining
 	}
 	d.draining = true
+	var hookDone chan struct{}
+	if onClosed != nil {
+		hookDone = make(chan struct{})
+		d.hookDone = hookDone
+	}
 	d.mu.Unlock()
 	d.vnf.Drain()
 	go func() {
@@ -52,6 +58,7 @@ func (d *Daemon) startDrain(deadline time.Duration, onClosed func()) error {
 		_ = d.Close()
 		if onClosed != nil {
 			onClosed()
+			close(hookDone)
 		}
 	}()
 	return nil

@@ -40,7 +40,6 @@ func deployV1() *DeployFile {
 				Roles: map[string]string{"node": "forwarder"},
 			},
 		},
-		Daemons: map[string]string{"node": "127.0.0.1:0"},
 	}
 }
 
@@ -65,19 +64,17 @@ func deployV2() *DeployFile {
 				Roles: map[string]string{"node": "decoder"},
 			},
 		},
-		Daemons: map[string]string{"node": "127.0.0.1:0"},
 	}
 }
 
-// applyDeploy cold-starts a daemon from a deploy file's control sequence.
+// applyDeploy cold-starts a blank daemon from a deploy file: a Reload of
+// an unversioned copy, so the daemon's version stays where it was.
 func applyDeploy(t *testing.T, d *Daemon, f *DeployFile, node string) {
 	t.Helper()
-	msgs, err := f.ColdStart(node)
-	if err != nil {
+	unversioned := *f
+	unversioned.Version = 0
+	if _, err := d.Reload(&unversioned, node); err != nil {
 		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		mustApply(t, d, m)
 	}
 }
 
@@ -118,6 +115,40 @@ func TestStartDrainRunsOnClosedHook(t *testing.T) {
 	}
 	if !d.Closed() {
 		t.Fatal("hook ran before the daemon closed")
+	}
+}
+
+// TestClosedWaitsForCloseHook pins what keeps ncd alive under its own exec
+// handoff: ncd exits once Closed reports true, so after a drain with a
+// post-close hook has closed the daemon, Closed must not answer until the
+// hook returns. Without it, a handoff delayed between close and exec lost
+// the process to its own exit.
+func TestClosedWaitsForCloseHook(t *testing.T) {
+	d, _, _ := testDaemon(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	if err := d.startDrain(time.Second, func() { close(entered); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("onClosed hook never ran")
+	}
+	answered := make(chan bool, 1)
+	go func() { answered <- d.Closed() }()
+	select {
+	case <-answered:
+		t.Fatal("Closed answered while the post-close hook was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case closed := <-answered:
+		if !closed {
+			t.Fatal("Closed = false after the drain closed the daemon")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Closed never answered after the hook returned")
 	}
 }
 
@@ -199,13 +230,14 @@ func TestReloadDiff(t *testing.T) {
 		t.Fatalf("session 2 config = %+v ok=%v", cfg, ok)
 	}
 
+	// The cold start was the first reload; this one is the second.
 	rec := vnf.Telemetry().Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
 	evs := eventsOf(rec, telemetry.EventReload)
-	if len(evs) != 1 {
-		t.Fatalf("EventReload count = %d", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("EventReload count = %d, want the cold start's and this one", len(evs))
 	}
-	if evs[0].Value != int64(sum.changes()) || evs[0].Value != 5 {
-		t.Fatalf("EventReload value = %d, want 5", evs[0].Value)
+	if evs[1].Value != int64(sum.changes()) || evs[1].Value != 5 {
+		t.Fatalf("EventReload value = %d, want 5", evs[1].Value)
 	}
 }
 
@@ -301,40 +333,39 @@ func TestParseDeployFile(t *testing.T) {
 	}
 }
 
-func TestDeployFileColdStart(t *testing.T) {
+// TestReloadBlankDaemon pins what a blank daemon applies when a file first
+// reaches it: one NC_SETTINGS per session, one NC_FORWARD_TAB with both
+// routed sessions, then NC_START.
+func TestReloadBlankDaemon(t *testing.T) {
 	f := deployV1()
-	f.Peers = map[string]string{"a": "127.0.0.1:7001"}
-	msgs, err := f.ColdStart("node")
+	d, _, _ := testDaemon(t)
+	sum, err := d.Reload(f, "node")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The diff against an empty node — one NC_SETTINGS per session, then
-	// one NC_FORWARD_TAB with both routed sessions — and a trailing
-	// NC_START; the peer bindings ride the first message only.
-	var wantOrder = []Signal{NCSettings, NCSettings, NCSettings, NCForwardTab, NCStart}
-	if len(msgs) != len(wantOrder) {
-		t.Fatalf("message count = %d, want %d", len(msgs), len(wantOrder))
+	if sum.SessionsAdded != 3 || sum.TableEntriesChanged != 2 || sum.changes() != 5 {
+		t.Fatalf("cold start summary = %+v", sum)
 	}
-	for i, m := range msgs {
-		if m.Signal != wantOrder[i] {
-			t.Fatalf("msgs[%d] = %v, want %v", i, m.Signal, wantOrder[i])
-		}
-		if (m.Peers != nil) != (i == 0) {
-			t.Fatalf("msgs[%d] peers = %v", i, m.Peers)
-		}
+	if applied(d) != 5 || tableSwaps(d) != 1 || !started(d) {
+		t.Fatalf("cold start: %d messages, %d table swaps, started %v", applied(d), tableSwaps(d), started(d))
 	}
-	if len(msgs[3].Table) != 2 {
-		t.Fatalf("cold-start table = %v, want entries for sessions 1 and 2", msgs[3].Table)
+	if ids := d.VNF().SessionIDs(); len(ids) != 3 {
+		t.Fatalf("sessions = %v", ids)
 	}
 
-	// A node with no role gets no control sequence, even where the file
-	// gives it a table entry (a source's).
+	// A node with no role gets nothing, not even NC_START, even where the
+	// file gives it a table entry (a source's).
 	f.Sessions[0].Tables["stranger"] = []DeployHopGroup{{Addrs: []string{"node"}}}
-	none, err := f.ColdStart("stranger")
-	if err != nil || none != nil {
-		t.Fatalf("stranger messages = %v, %v", none, err)
+	f.Version = 0
+	stranger, _, _ := testDaemon(t)
+	if _, err := stranger.Reload(f, "stranger"); err != nil {
+		t.Fatal(err)
+	}
+	if applied(stranger) != 0 || started(stranger) {
+		t.Fatalf("stranger: %d messages applied, started %v", applied(stranger), started(stranger))
 	}
 
+	f.Admin = map[string]string{"node": "127.0.0.1:1"}
 	if nodes := f.Nodes(); len(nodes) != 1 || nodes[0] != "node" {
 		t.Fatalf("Nodes = %v", nodes)
 	}

@@ -66,7 +66,6 @@ func diffDeploy(sink string, version int) *DeployFile {
 			Roles:  map[string]string{"relay": "forwarder"},
 			Tables: map[string][]DeployHopGroup{"relay": {{Addrs: []string{sink}}}},
 		}},
-		Daemons: map[string]string{"relay": "relay:1"},
 	}
 }
 
@@ -115,12 +114,8 @@ func TestReloadDifferentialColdRestart(t *testing.T) {
 	boot := func(conn *recordConn, f *DeployFile, reg *telemetry.Registry) *Daemon {
 		t.Helper()
 		d := NewDaemon(conn, simclock.NewVirtual(epoch), dataplane.WithTelemetry(reg))
-		msgs, err := f.ColdStart("relay")
-		if err != nil {
+		if _, err := d.Reload(f, "relay"); err != nil {
 			t.Fatal(err)
-		}
-		for _, m := range msgs {
-			mustApply(t, d, m)
 		}
 		return d
 	}
@@ -189,9 +184,10 @@ func TestReloadDifferentialColdRestart(t *testing.T) {
 		t.Fatalf("trace never crossed the flip: first %q last %q", hotDst[0], hotDst[len(hotDst)-1])
 	}
 
-	// The hot reload recorded exactly one reload flight event.
+	// The hot reload recorded exactly one reload flight event beside the
+	// cold start's.
 	rec := hotReg.Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
-	if evs := eventsOf(rec, telemetry.EventReload); len(evs) != 1 {
-		t.Fatalf("reload flight events = %d, want 1", len(evs))
+	if evs := eventsOf(rec, telemetry.EventReload); len(evs) != 2 {
+		t.Fatalf("reload flight events = %d, want 2", len(evs))
 	}
 }

@@ -3,7 +3,6 @@ package controller
 import (
 	"context"
 	"errors"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,72 +33,6 @@ func TestBackoffSchedule(t *testing.T) {
 	// Determinism: no jitter, same inputs, same outputs.
 	if p.Backoff(3) != p.Backoff(3) {
 		t.Error("Backoff is not deterministic")
-	}
-}
-
-func TestPushMessagesRoundTrip(t *testing.T) {
-	leakcheck.Check(t)
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go func() {
-		for {
-			if _, err := DecodeMessage(server); err != nil {
-				return
-			}
-			if _, err := server.Write([]byte{0x06}); err != nil {
-				return
-			}
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	msgs := []*Message{
-		{Signal: NCStart},
-		{Signal: NCVNFEnd, ShutdownAfter: time.Minute},
-	}
-	if err := PushMessages(ctx, client, msgs...); err != nil {
-		t.Fatalf("PushMessages = %v", err)
-	}
-}
-
-func TestPushMessagesTimesOutOnDeadDaemon(t *testing.T) {
-	leakcheck.Check(t)
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	// The "daemon" reads the message but never acks — a wedged peer.
-	go func() { _, _ = DecodeMessage(server) }()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := PushMessages(ctx, client, &Message{Signal: NCStart})
-	if err == nil {
-		t.Fatal("PushMessages succeeded against a daemon that never acks")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("push took %v, deadline did not bound it", elapsed)
-	}
-}
-
-func TestPushMessagesCancelAborts(t *testing.T) {
-	leakcheck.Check(t)
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go func() { _, _ = DecodeMessage(server) }() // wedged peer again
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- PushMessages(ctx, client, &Message{Signal: NCStart}) }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled push reported success")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancel did not abort the push")
 	}
 }
 

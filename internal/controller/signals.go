@@ -11,10 +11,6 @@
 package controller
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"ncfn/internal/dataplane"
@@ -65,7 +61,9 @@ func (s Signal) String() string {
 	}
 }
 
-// Message is one controller→daemon control message.
+// Message is one controller→daemon control message: the signal vocabulary
+// Daemon.Apply runs. A deploy file reaches a daemon as the messages of its
+// diff, applied in process by Daemon.Reload.
 type Message struct {
 	Signal Signal `json:"signal"`
 	// Session applies to NCStart and session-scoped settings.
@@ -78,49 +76,4 @@ type Message struct {
 	NumVNFs int `json:"numVNFs,omitempty"`
 	// ShutdownAfter is τ for NCVNFEnd.
 	ShutdownAfter time.Duration `json:"shutdownAfterNs,omitempty"`
-	// Peers carries logical-name → UDP-address bindings for deployments
-	// over real sockets (cmd/ncd resolves forwarding-table names through
-	// them).
-	Peers map[string]string `json:"peers,omitempty"`
-}
-
-// Encode frames the message as length-prefixed JSON for a control stream.
-func (m *Message) Encode(w io.Writer) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("controller: encode message: %w", err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("controller: write frame: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("controller: write frame: %w", err)
-	}
-	return nil
-}
-
-// maxFrame bounds control message size (forwarding tables are tiny).
-const maxFrame = 16 << 20
-
-// DecodeMessage reads one length-prefixed message from a control stream.
-func DecodeMessage(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("controller: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("controller: read frame: %w", err)
-	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("controller: decode message: %w", err)
-	}
-	return &m, nil
 }

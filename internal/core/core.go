@@ -236,11 +236,7 @@ func (s *Service) applyLocked() error {
 			d = controller.NewDaemon(s.net.Host(string(dc.ID)), nil, opts...)
 			s.daemons[dc.ID] = d
 		}
-		_, err := d.Reload(f, string(dc.ID))
-		if err == nil && !ok {
-			err = d.Apply(&controller.Message{Signal: controller.NCStart})
-		}
-		if err != nil {
+		if _, err := d.Reload(f, string(dc.ID)); err != nil {
 			return fmt.Errorf("core: apply deploy file at %s: %w", dc.ID, err)
 		}
 	}

@@ -59,6 +59,9 @@ type Source struct {
 	hops   []HopGroup
 	emCB   rlnc.CodedBlock
 	wire   []byte
+	// resends counts ResendGeneration calls; each folds it into its seed so
+	// that no two resends repeat the same draw.
+	resends int64
 	// txc, when non-nil (SourceConfig.TxBatch over a BatchPacketConn),
 	// rings emissions per destination and flushes at ring depth and at
 	// every generation boundary.
@@ -281,11 +284,15 @@ func (s *Source) SendGeneration(data []byte, last bool) (ncproto.GenerationID, e
 
 // ResendGeneration re-encodes and re-sends an already-sent generation with
 // fresh random combinations (the reliability path when a generation times
-// out without an ACK).
+// out without an ACK). Every call draws anew, deterministically for a given
+// seed and call sequence: a relay that has lost its first-pass record can
+// complete a generation from resends alone only if they are not copies.
 func (s *Source) ResendGeneration(gid ncproto.GenerationID, data []byte, extra int) error {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if err := s.beginGeneration(data, s.cfg.Seed+int64(gid)+77); err != nil {
+	seed := s.cfg.Seed + int64(gid) + 77 + s.resends<<32
+	s.resends++
+	if err := s.beginGeneration(data, seed); err != nil {
 		return err
 	}
 	for _, h := range s.hops {

@@ -103,7 +103,6 @@ type VNF struct {
 	node  string
 
 	deliveries chan Delivery
-	acks       chan ncproto.Ack
 
 	// Drain lifecycle (see drain.go). draining flips once on Drain and
 	// gates admission of new coding state; quiesced latches when a
@@ -266,7 +265,6 @@ func NewVNF(conn emunet.PacketConn, opts ...VNFOption) *VNF {
 		seed:       1,
 		sessions:   make(map[ncproto.SessionID]*sessionState),
 		deliveries: make(chan Delivery, 1024),
-		acks:       make(chan ncproto.Ack, 1024),
 		done:       make(chan struct{}),
 		reg:        telemetry.NewRegistry(),
 		clock:      simclock.Real{},
@@ -632,8 +630,8 @@ func (v *VNF) processRun(sh *vnfShard, jobs []pktJob) {
 }
 
 // classify does the receive-side share of packet handling: count the
-// arrival, peek the fixed header, and surface control ACKs. It reports
-// whether the packet needs shard processing.
+// arrival and peek the fixed header. It reports whether the packet needs
+// shard processing.
 func (v *VNF) classify(pkt []byte) (ncproto.Header, bool) {
 	v.tel.rx.Inc(0)
 	hdr, err := ncproto.PeekHeader(pkt)
@@ -641,15 +639,9 @@ func (v *VNF) classify(pkt []byte) (ncproto.Header, bool) {
 		v.dropPkt(0, 0, 0, 1)
 		return hdr, false
 	}
-	// Control packets (generation ACKs) surface to the application.
-	if hdr.Control() {
-		select {
-		case v.acks <- ncproto.Ack{Session: hdr.Session, Generation: hdr.Generation}:
-		default:
-		}
-		return hdr, false
-	}
-	return hdr, true
+	// Control packets (generation ACKs) are the source's to read; a VNF
+	// drops them.
+	return hdr, !hdr.Control()
 }
 
 // handlePacket processes one datagram synchronously on the caller's

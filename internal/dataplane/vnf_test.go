@@ -390,6 +390,63 @@ func TestResendGeneration(t *testing.T) {
 	}
 }
 
+// TestResendGenerationDrawsFresh sends three resends of k packets for each
+// of 2000 generations and ranks what arrives per generation: the resends
+// must be independent draws, so over GF(2^8) none stays below full rank
+// (copies of one draw leave about 0.4 % of generations short forever).
+func TestResendGenerationDrawsFresh(t *testing.T) {
+	const gens, calls = 2000, 3
+	for _, tc := range []struct {
+		field gf.Field
+		max   int
+	}{{gf.GF256, 0}, {gf.GF2, 20}} {
+		n := emunet.NewNetwork(emunet.AllowDefault())
+		params := rlnc.Params{GenerationBlocks: 4, BlockSize: 8, Field: tc.field}
+		src, err := NewSource(n.Host("s"), SourceConfig{Session: 1, Params: params, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.SetHops([]HopGroup{{Addrs: []string{"r"}}})
+		r := n.Host("r")
+		data := randomBytes(7, params.GenerationBytes())
+		short := 0
+		for g := 0; g < gens; g++ {
+			gid := ncproto.GenerationID(g)
+			for c := 0; c < calls; c++ {
+				if err := src.ResendGeneration(gid, data, params.GenerationBlocks); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dec, err := rlnc.NewDecoder(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < calls*params.GenerationBlocks; i++ {
+				raw, _, err := r.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := ncproto.Decode(raw, params.GenerationBlocks)
+				if err != nil || p.Generation != gid {
+					t.Fatalf("generation %d: packet %+v, %v", g, p, err)
+				}
+				if _, err := dec.Add(rlnc.CodedBlock{Coeffs: p.Coeffs, Payload: p.Payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !dec.Complete() {
+				short++
+			}
+		}
+		src.Close()
+		n.Close()
+		t.Logf("%v: %d of %d generations below full rank after %d resends", tc.field, short, gens, calls)
+		if short > tc.max {
+			t.Fatalf("%v: %d of %d generations below full rank, want at most %d", tc.field, short, gens, tc.max)
+		}
+	}
+}
+
 func TestReceiverReassemblesInOrder(t *testing.T) {
 	recv, data, ngen := runPipeline(t, RoleRecoder, 8, 0)
 	if !waitFor(t, 5*time.Second, func() bool { return recv.Generations(1) == ngen }) {

@@ -3,7 +3,8 @@
 // decoding sinks), configured through the real ncctl binary, fed by an
 // in-process source over real UDP sockets. It is the closest the test
 // suite gets to the system of Sec. III-A actually running — separate
-// address spaces, kernel sockets, control TCP, admin HTTP.
+// address spaces, kernel sockets, and each daemon's admin HTTP endpoint as
+// its one control surface.
 //
 // `make test-e2e` runs it alone; it also rides along in `go test ./...`.
 package e2e
@@ -22,8 +23,8 @@ import (
 )
 
 // TestE2EButterflyProcesses deploys the butterfly as six ncd processes,
-// pushes tables via ncctl, streams generations from an in-process source,
-// and asserts both sinks decode everything.
+// configures them via ncctl, streams generations from an in-process source,
+// asserts both sinks decode everything, and stops every daemon with ncctl.
 func TestE2EButterflyProcesses(t *testing.T) {
 	params := rlnc.Params{GenerationBlocks: 4, BlockSize: 1024}
 	ngen := 16
@@ -171,5 +172,10 @@ func TestE2EButterflyProcesses(t *testing.T) {
 
 	if out, err := procnet.RunCtl(bins.Ncctl, cfgPath, "stop", "-tau", "1ms"); err != nil {
 		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, name := range procnet.ButterflyNodes {
+		if err := daemons[name].WaitExit(10 * time.Second); err != nil {
+			t.Fatalf("%s after ncctl stop: %v", name, err)
+		}
 	}
 }

@@ -62,12 +62,10 @@ func Butterfly(daemons map[string]*Daemon, sourceAddr string, s Session) (Deploy
 	d := Deploy{
 		Sessions: []Session{s},
 		Peers:    map[string]string{"V1": sourceAddr},
-		Daemons:  map[string]string{},
 		Admin:    map[string]string{},
 	}
 	for _, n := range ButterflyNodes {
 		d.Peers[n] = daemons[n].Data
-		d.Daemons[n] = daemons[n].Control
 		d.Admin[n] = daemons[n].Admin
 	}
 	return d, nil

@@ -1,99 +1,21 @@
 package procnet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"time"
 
+	"ncfn/internal/controller"
 	"ncfn/internal/dataplane"
 )
 
-// lifecycleClient bounds every admin lifecycle RPC.
-var lifecycleClient = &http.Client{Timeout: 5 * time.Second}
-
-// DrainStatus mirrors ncd's admin /drain document.
-type DrainStatus struct {
-	State    string `json:"state"` // running | draining | quiesced
-	Draining bool   `json:"draining"`
-	Version  int    `json:"version"`
-}
-
-// GetDrainStatus fetches one daemon's lifecycle position.
-func GetDrainStatus(adminAddr string) (DrainStatus, error) {
-	resp, err := lifecycleClient.Get("http://" + adminAddr + "/drain")
-	if err != nil {
-		return DrainStatus{}, err
-	}
-	defer resp.Body.Close()
-	var st DrainStatus
-	if err := decodeOK(resp, &st); err != nil {
-		return DrainStatus{}, fmt.Errorf("procnet: drain status %s: %w", adminAddr, err)
-	}
-	return st, nil
-}
-
-// PostDrain starts a graceful drain on one daemon: it stops admitting new
-// sessions and generations, flushes what is in flight, and exits at
-// quiescence or after the deadline.
-func PostDrain(adminAddr string, deadline time.Duration) error {
-	return postLifecycle(adminAddr, "/drain", deadline)
-}
-
-// PostRestart triggers one daemon's drain-then-exec-handoff restart.
-func PostRestart(adminAddr string, deadline time.Duration) error {
-	return postLifecycle(adminAddr, "/restart", deadline)
-}
-
-// PostReload POSTs a deploy file to one daemon's /reload and returns the
-// reload summary JSON.
-func PostReload(adminAddr string, deploy []byte) ([]byte, error) {
-	resp, err := lifecycleClient.Post("http://"+adminAddr+"/reload", "application/json", bytes.NewReader(deploy))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("procnet: reload %s: %s %s", adminAddr, resp.Status, bytes.TrimSpace(raw))
-	}
-	return raw, nil
-}
-
-func postLifecycle(adminAddr, path string, deadline time.Duration) error {
-	url := "http://" + adminAddr + path + "?deadline=" + deadline.String()
-	resp, err := lifecycleClient.Post(url, "application/json", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("procnet: %s %s: %s %s", path, adminAddr, resp.Status, bytes.TrimSpace(raw))
-	}
-	return nil
-}
-
-func decodeOK(resp *http.Response, v any) error {
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s", resp.Status, bytes.TrimSpace(raw))
-	}
-	return json.Unmarshal(raw, v)
-}
+// admin is the harness's client for every daemon's admin endpoint.
+var admin = controller.AdminClient{Timeout: 5 * time.Second}
 
 // Drain starts a graceful drain on this daemon.
 func (d *Daemon) Drain(deadline time.Duration) error {
-	return PostDrain(d.Admin, deadline)
+	_, err := admin.Post(d.Admin, "/drain?deadline="+deadline.String(), nil)
+	return err
 }
 
 // WaitQuiesced waits until the daemon's drained pipeline reports quiescence
@@ -143,39 +65,16 @@ func (d *Daemon) Signal(sig os.Signal) error {
 	return d.cmd.Process.Signal(sig)
 }
 
-// WaitHealthy polls one admin endpoint until a running (not draining)
-// daemon answers — i.e. until a restarted replacement process is serving —
-// or the timeout passes.
-func WaitHealthy(adminAddr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var last error
-	for {
-		st, err := GetDrainStatus(adminAddr)
-		switch {
-		case err != nil:
-			last = err
-		case st.Draining || st.State != "running":
-			last = fmt.Errorf("state %s", st.State)
-		default:
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("procnet: %s never became healthy: %w", adminAddr, last)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // Restart drives one daemon through a drain-and-exec-handoff restart and
 // waits for the replacement to come back healthy on the same (pinned)
 // addresses. The PID is preserved across the handoff, so Stop/WaitExit keep
 // working afterwards. The replacement starts blank: reconfigure it (ncctl
 // start, or a reload) before sending traffic.
 func (d *Daemon) Restart(drainDeadline, wait time.Duration) error {
-	if err := PostRestart(d.Admin, drainDeadline); err != nil {
+	if _, err := admin.Post(d.Admin, "/restart?deadline="+drainDeadline.String(), nil); err != nil {
 		return fmt.Errorf("procnet: restart %s: %w", d.Name, err)
 	}
-	if err := WaitHealthy(d.Admin, wait); err != nil {
+	if err := admin.WaitHealthy(d.Admin, time.Now().Add(wait)); err != nil {
 		return fmt.Errorf("procnet: restart %s: %w", d.Name, err)
 	}
 	return nil

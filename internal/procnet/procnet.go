@@ -2,8 +2,8 @@
 // and the ncctl controller CLI — as separate OS processes on loopback, so
 // tests and experiments can exercise the true multi-process deployment of
 // Sec. III-A: one process per network node, coded traffic on real UDP
-// sockets, control messages over real TCP, telemetry over the admin HTTP
-// endpoint.
+// sockets, deploy files, lifecycle requests and telemetry over each
+// daemon's admin HTTP endpoint.
 //
 // The harness builds the binaries with `go build` (cached by the go build
 // cache, so repeated runs relink at most), starts each daemon with
@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -74,17 +73,18 @@ func Build(dir string) (Binaries, error) {
 
 // readyInfo mirrors ncd's -readyfile JSON document.
 type readyInfo struct {
-	Data    string `json:"data"`
-	Control string `json:"control"`
-	Admin   string `json:"admin"`
+	Data  string `json:"data"`
+	Admin string `json:"admin"`
 }
 
 // Daemon is one running ncd process with its bound addresses.
 type Daemon struct {
-	Name    string
-	Data    string // UDP data-plane address
-	Control string // TCP control address
-	Admin   string // HTTP admin address
+	Name  string
+	Data  string // UDP data-plane address
+	Admin string // HTTP admin address: the daemon's only control surface
+	// Control repeats Admin. It is kept only because benchmark/deploy.go
+	// reads it.
+	Control string
 
 	cmd *exec.Cmd
 	log *bytes.Buffer
@@ -119,7 +119,6 @@ func StartDaemon(bin, name, dir string, batch int) (*Daemon, error) {
 	d.cmd = exec.Command(bin,
 		"-name", name,
 		"-data", "127.0.0.1:0",
-		"-control", "127.0.0.1:0",
 		"-admin", "127.0.0.1:0",
 		"-batch", strconv.Itoa(batch),
 		"-readyfile", ready,
@@ -142,7 +141,7 @@ func StartDaemon(bin, name, dir string, batch int) (*Daemon, error) {
 				d.Stop()
 				return nil, fmt.Errorf("procnet: %s readyfile: %w", name, err)
 			}
-			d.Data, d.Control, d.Admin = info.Data, info.Control, info.Admin
+			d.Data, d.Admin, d.Control = info.Data, info.Admin, info.Admin
 			return d, nil
 		}
 		if d.exited() || time.Now().After(deadline) {
@@ -167,21 +166,9 @@ func (d *Daemon) Stop() {
 func (d *Daemon) Output() string { return d.log.String() }
 
 // Stats fetches and parses one daemon's /stats telemetry snapshot.
-func Stats(adminAddr string) (telemetry.Snapshot, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + adminAddr + "/stats")
-	if err != nil {
-		return telemetry.Snapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return telemetry.Snapshot{}, fmt.Errorf("procnet: stats %s: %s", adminAddr, resp.Status)
-	}
-	var snap telemetry.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return telemetry.Snapshot{}, fmt.Errorf("procnet: stats %s: %w", adminAddr, err)
-	}
-	return snap, nil
+func Stats(adminAddr string) (snap telemetry.Snapshot, err error) {
+	err = admin.Get(adminAddr, "/stats", &snap)
+	return snap, err
 }
 
 // RunCtl invokes the ncctl binary with a deployment config: `ncctl -config

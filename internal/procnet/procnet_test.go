@@ -35,12 +35,8 @@ func TestDrainExitsProcess(t *testing.T) {
 	bins := buildOnce(t)
 	d := startOne(t, bins, "drainee")
 
-	st, err := GetDrainStatus(d.Admin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "running" || st.Draining {
-		t.Fatalf("fresh daemon drain status = %+v", st)
+	if err := admin.WaitHealthy(d.Admin, time.Now()); err != nil {
+		t.Fatalf("fresh daemon: %v", err)
 	}
 	if err := d.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -70,12 +66,12 @@ func TestSigtermDrainsProcess(t *testing.T) {
 }
 
 // TestRestartHandoff exercises the exec-handoff restart: the replacement
-// process must come back healthy on the same data/control/admin addresses
+// process must come back healthy on the same data and admin addresses
 // without the harness's Wait firing.
 func TestRestartHandoff(t *testing.T) {
 	bins := buildOnce(t)
 	d := startOne(t, bins, "phoenix")
-	data, control, admin := d.Data, d.Control, d.Admin
+	data, adminAddr := d.Data, d.Admin
 
 	if err := d.Restart(5*time.Second, 30*time.Second); err != nil {
 		t.Fatalf("%v\n%s", err, d.Output())
@@ -83,7 +79,7 @@ func TestRestartHandoff(t *testing.T) {
 	if d.exited() {
 		t.Fatal("exec handoff reaped the process")
 	}
-	if d.Data != data || d.Control != control || d.Admin != admin {
+	if d.Data != data || d.Admin != adminAddr {
 		t.Fatal("restart changed addresses")
 	}
 	// The replacement serves stats on the same admin address and reports a
@@ -95,9 +91,8 @@ func TestRestartHandoff(t *testing.T) {
 	if len(snap.Counters) == 0 && len(snap.Gauges) == 0 {
 		t.Fatal("replacement serves an empty registry")
 	}
-	st, err := GetDrainStatus(d.Admin)
-	if err != nil || st.State != "running" {
-		t.Fatalf("replacement drain status = %+v, %v", st, err)
+	if err := admin.WaitHealthy(d.Admin, time.Now()); err != nil {
+		t.Fatalf("replacement: %v", err)
 	}
 	// A second restart proves the handoff rearms itself.
 	if err := d.Restart(5*time.Second, 30*time.Second); err != nil {

@@ -34,9 +34,6 @@ type MulticastConfig struct {
 	AckTimeout time.Duration
 	// MaxRounds bounds resend rounds (default 50).
 	MaxRounds int
-	// ResendExtra is how many fresh coded packets to emit per missing
-	// generation and hop group per round (default: generation size).
-	ResendExtra int
 	// Clock defaults to the real clock.
 	Clock simclock.Clock
 }
@@ -70,9 +67,6 @@ func Multicast(src *dataplane.Source, data []byte, cfg MulticastConfig) (Multica
 	}
 
 	gens := rlnc.SplitGenerations(src.Params(), data)
-	if cfg.ResendExtra <= 0 {
-		cfg.ResendExtra = src.Params().GenerationBlocks
-	}
 	start := cfg.Clock.Now()
 	first, n, err := src.SendData(data)
 	if err != nil {
@@ -126,13 +120,14 @@ func Multicast(src *dataplane.Source, data []byte, cfg MulticastConfig) (Multica
 		if round == cfg.MaxRounds {
 			break
 		}
-		// Resend every generation missing at least one receiver.
+		// Resend every generation missing at least one receiver: one fresh
+		// generation's worth of coded packets per hop group.
 		for i := 0; i < n; i++ {
 			gid := first + ncproto.GenerationID(i)
 			if len(acked[gid]) == len(cfg.Receivers) {
 				continue
 			}
-			if err := src.ResendGeneration(gid, gens[i], cfg.ResendExtra); err != nil {
+			if err := src.ResendGeneration(gid, gens[i], src.Params().GenerationBlocks); err != nil {
 				return stats, fmt.Errorf("transfer: resend generation %d: %w", gid, err)
 			}
 			stats.Resent++

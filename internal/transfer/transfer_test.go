@@ -95,6 +95,30 @@ func TestMulticastReliableDelivery(t *testing.T) {
 	}
 }
 
+// TestMulticastLongTransferCompletes sends more generations than a relay
+// keeps records of (its buffer retires the oldest at capacity), so some
+// generations can only complete from resends. Each resend round must draw
+// fresh combinations: a rank-deficient first resend repeated every round
+// left a few generations undeliverable.
+func TestMulticastLongTransferCompletes(t *testing.T) {
+	src, recvs := multicastEnv(t, false)
+	const gens = 1900
+	data := randomBytes(4, gens*smallParams().GenerationBytes())
+	if _, err := Multicast(src, data, MulticastConfig{
+		Receivers:  []string{"r1", "r2"},
+		AckTimeout: 200 * time.Millisecond,
+		MaxRounds:  5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recvs {
+		got, ok := r.Data(1, gens)
+		if !ok || !bytes.Equal(got, data) {
+			t.Fatal("receiver data mismatch")
+		}
+	}
+}
+
 func TestMulticastSurvivesLoss(t *testing.T) {
 	src, recvs := multicastEnv(t, true)
 	data := randomBytes(2, 8*smallParams().GenerationBytes())
