@@ -45,10 +45,12 @@ test-race:
 	$(GO) test -race ./...
 
 # test-chaos runs the seeded fault-injection suites: the deterministic
-# end-to-end butterfly harness plus the emunet, cloud, and controller
+# end-to-end butterfly harness (its failover logs pinned to goldens), the
+# Service's own failover tests, plus the emunet, cloud, and controller
 # resilience tests. Same seeds, same fault schedules, every run.
 test-chaos:
-	$(GO) test -count=1 -v -run 'TestGenerateSchedule|TestButterfly|TestSeededChaos' ./internal/chaostest/
+	$(GO) test -count=1 -v -run 'TestGenerateSchedule|TestButterfly|TestSeededChaos|TestFailoverLogsGolden' ./internal/chaostest/
+	$(GO) test -count=1 -v -run 'TestButterflyDeployFile|TestServiceHealsRelayCrash|TestDecisionDuringOutageConverges' ./internal/core/
 	$(GO) test -count=1 -run 'TestFault|TestPartition|TestCloseCancelsInFlight|TestBurstLoss|TestCrash|TestRestart|TestFailLaunches|TestSupervisor|TestPoolLaunch' \
 		./internal/emunet/ ./internal/cloud/ ./internal/controller/
 
@@ -67,8 +69,8 @@ test-e2e:
 # simclock twin then drains and hot-reloads relays under churn and fault
 # injection with -race, leak checking, and pool double-put accounting on;
 # finally the procnet lifecycle harness exercises /drain, SIGTERM, and the
-# /restart handoff against real processes. CI runs the -short variant next
-# to the e2e-linux job.
+# /restart handoff against real processes. CI runs the -short variant as
+# its own `rolling` job.
 test-rolling:
 	$(GO) test -count=1 -v -run 'TestRollingRestartButterfly' ./internal/e2e/
 	$(GO) test -count=1 -race -v -run 'TestRollingRestartUnderTraffic|TestReloadChurnSoak' ./internal/chaostest/

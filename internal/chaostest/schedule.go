@@ -1,9 +1,9 @@
-// Package chaostest is the deterministic end-to-end chaos harness: it wires
-// the full stack — emunet substrate, cloud simulator, controller failover
-// supervisor, and the coding data plane — into the paper's butterfly
-// topology, injects scripted faults (VM crashes, network partitions), and
-// asserts the sessions still decode and the control plane recovers within
-// the simulated relaunch latency (Sec. V-C5's 35 s).
+// Package chaostest is the deterministic end-to-end chaos harness: it runs
+// the paper's butterfly on one core.Service — emunet substrate, cloud
+// simulator, controller, failover supervisor and coding data plane —
+// injects scripted faults (VM crashes, network partitions), and asserts the
+// sessions still decode and the control plane recovers within the simulated
+// relaunch latency (Sec. V-C5's 35 s).
 //
 // Every schedule is derived from a seed, all control-plane timing runs on a
 // simclock.Virtual, and supervisor ticks are driven explicitly, so the same
@@ -17,30 +17,18 @@ import (
 )
 
 // Kind is a fault type in a chaos schedule.
-type Kind int
+type Kind string
 
 // Fault kinds.
 const (
 	// KindCrash kills the node's VM (cloud crash + VNF process death); the
 	// supervisor must detect it and fail over to a fresh instance.
-	KindCrash Kind = iota + 1
+	KindCrash Kind = "crash"
 	// KindPartition isolates the node's host at the network layer for Dur —
 	// the VM stays up (the cloud API still reports Running), traffic is
 	// blackholed, and the fault heals on its own.
-	KindPartition
+	KindPartition Kind = "partition"
 )
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindCrash:
-		return "crash"
-	case KindPartition:
-		return "partition"
-	default:
-		return "unknown"
-	}
-}
 
 // Event is one scheduled fault.
 type Event struct {

@@ -218,6 +218,28 @@ func (c *Controller) vnfCountsLocked() (active, idle int) {
 	return active, idle
 }
 
+// Instances lists a data center's active VNF instances.
+func (c *Controller) Instances(dc topology.NodeID) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.pools[dc]; p != nil {
+		return slices.Clone(p.active)
+	}
+	return nil
+}
+
+// ReplaceInstance puts a relaunched instance in a failed one's place in its
+// data center's pool, so a later scale-in idles and reaps the live VM.
+func (c *Controller) ReplaceInstance(dc topology.NodeID, failed, relaunched string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.pools[dc]; p != nil {
+		if i := slices.Index(p.active, failed); i >= 0 {
+			p.active[i] = relaunched
+		}
+	}
+}
+
 // Tick reaps idle VNFs whose τ deadline has passed. Call it periodically
 // (the experiments call it at every measurement interval).
 func (c *Controller) Tick() {

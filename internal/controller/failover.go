@@ -19,14 +19,12 @@ import (
 // replacement VM through the cloud API (bounded retries, exponential
 // backoff), waits out the ~35 s launch latency, and invokes a redeploy
 // callback that cold-starts the new VNF and reloads the deploy file into the
-// daemons whose tables named the old one, so the session heals. Downstream decoders ride out the gap on RLNC
-// redundancy and resends; the supervisor's job is to make the gap bounded.
+// daemons whose tables named the old one; decoders ride out the gap.
 //
-// The supervisor is tick-driven: Tick advances every managed VNF's state
-// machine exactly once, with all timing read from the configured clock.
-// Under a simclock.Virtual this makes fault handling fully deterministic —
-// the chaos harness calls Tick at fixed virtual intervals. The supervisor
-// has no loop of its own: whoever owns it calls Tick on its own schedule.
+// The supervisor is tick-driven and has no loop of its own: Tick advances
+// every managed VNF's state machine exactly once, with all timing read from
+// the configured clock, and the Service's owner calls core.Service.Tick on
+// its own schedule — under a simclock.Virtual, deterministically.
 type Supervisor struct {
 	cfg SupervisorConfig
 	tel supTelemetry

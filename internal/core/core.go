@@ -5,13 +5,15 @@
 // (Sec. IV) as sessions and receivers come and go (Algorithm 3), and each
 // decision is applied to live coding VNFs on the in-process emulated
 // network, with sources and receivers wired up, moving data with
-// randomized network coding.
+// randomized network coding. Ticked, the Service also heals: a dead VNF is
+// relaunched and the controller's file re-applied (Sec. V-C5).
 //
 // The examples/ directory shows the intended usage: build a Service, add
 // sessions, then Send.
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -27,6 +29,7 @@ import (
 	"ncfn/internal/ncproto"
 	"ncfn/internal/optimize"
 	"ncfn/internal/rlnc"
+	"ncfn/internal/simclock"
 	"ncfn/internal/telemetry"
 	"ncfn/internal/topology"
 	"ncfn/internal/transfer"
@@ -65,6 +68,9 @@ type Config struct {
 	ForceForwarding bool
 	// Seed fixes coding randomness.
 	Seed int64
+	// Clock drives the cloud, the controller, the supervisor and the VNFs'
+	// lifecycle (nil: the real clock). Links and Send run in real time.
+	Clock simclock.Clock
 }
 
 // Service orchestrates sessions over deployed coding functions. Its
@@ -72,14 +78,20 @@ type Config struct {
 // the Service renders each decision as a deploy file and reconciles the
 // running data plane with it.
 type Service struct {
-	cfg  Config
-	reg  *telemetry.Registry
-	net  *emunet.Network
-	ctrl *controller.Controller
+	cfg   Config
+	reg   *telemetry.Registry
+	net   *emunet.Network
+	cloud *cloud.Cloud
+	ctrl  *controller.Controller
+	sup   *controller.Supervisor
 
 	mu      sync.Mutex
-	file    *controller.DeployFile // the last file applied
+	file    *controller.DeployFile // the last file every live daemon took
 	daemons map[topology.NodeID]*controller.Daemon
+	// moves counts each data center's redeploys (see addrLocked); started
+	// counts the VNFs ever started, which seeds the next.
+	moves   map[topology.NodeID]int
+	started int
 	// sources holds one Source per session ever routed. A removed
 	// session's Source is unrouted, not closed: closing it would close its
 	// node's emunet host for good, and the session may return.
@@ -107,11 +119,17 @@ func NewService(cfg Config) (*Service, error) {
 	for i, dc := range cfg.DataCenters {
 		regions[i] = cloud.Region{ID: dc.ID}
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = simclock.Real{}
+	}
 	reg := telemetry.NewRegistry()
+	cl := cloud.New(cfg.Clock, cfg.Seed, regions...)
+	cl.AttachTelemetry(reg)
 	return &Service{
-		cfg: cfg,
-		reg: reg,
-		net: buildNetwork(cfg.Graph, reg),
+		cfg:   cfg,
+		reg:   reg,
+		net:   buildNetwork(cfg.Graph, reg),
+		cloud: cl,
 		ctrl: controller.New(controller.Config{
 			Optimize: optimize.Config{
 				Graph:       cfg.Graph,
@@ -119,12 +137,13 @@ func NewService(cfg Config) (*Service, error) {
 				Alpha:       cfg.Alpha,
 				MaxPathHops: maxPathHops,
 			},
-			// The pools' launches are bookkeeping: each data center runs
-			// one in-process VNF whatever its pool holds.
-			Cloud: cloud.New(nil, cfg.Seed, regions...),
+			Cloud: cl,
+			Clock: cfg.Clock,
 		}),
+		sup:       controller.NewSupervisor(controller.SupervisorConfig{Cloud: cl, Clock: cfg.Clock, Telemetry: reg}),
 		file:      &controller.DeployFile{},
 		daemons:   make(map[topology.NodeID]*controller.Daemon),
+		moves:     make(map[topology.NodeID]int),
 		sources:   make(map[ncproto.SessionID]*dataplane.Source),
 		sourceAt:  make(map[topology.NodeID]ncproto.SessionID),
 		endpoints: make(map[topology.NodeID]*dataplane.MultiReceiver),
@@ -175,33 +194,113 @@ func (s *Service) Plan() *optimize.Plan {
 	return plan
 }
 
-// apply runs one controller decision and reconciles the data plane with
-// the plan it leaves.
+// apply runs one controller decision, reconciles the data plane with the
+// plan it leaves, and supervises each VNF that started — outside s.mu,
+// which a redeploy takes under the supervisor's lock.
 func (s *Service) apply(decide func() error) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrAlreadyClosed
+	}
+	had := maps.Clone(s.daemons)
+	err := decide()
+	if err != nil {
+		err = fmt.Errorf("core: %w", err)
+	} else {
+		err = s.applyLocked()
+	}
+	var fresh []topology.NodeID
+	for dc := range s.daemons {
+		if had[dc] == nil {
+			fresh = append(fresh, dc)
+		}
+	}
+	s.mu.Unlock()
+	check := controller.InstanceCheck(s.cloud)
+	for _, dc := range fresh {
+		_, _, inst := s.Relay(dc)
+		s.sup.Manage(dc, dc, inst, func(string) error {
+			// Check the instance the pool runs the VNF on now: one the
+			// controller idled and reaped is no failure to heal.
+			if _, _, inst := s.Relay(dc); inst != "" {
+				return check(inst)
+			}
+			return nil
+		}, func(_ context.Context, relaunched string) error { return s.Redeploy(dc, relaunched) })
+	}
+	return err
+}
+
+// Redeploy brings a data center's VNF back into service on a cloud
+// instance, which takes the pool's place of the one that served: the old
+// daemon is closed, a fresh one starts at a new address with the data
+// center's graph links cloned onto it, and every live daemon reloads the
+// re-rendered file. It is the supervisor's redeploy callback, and a
+// rolling restart's last step.
+func (s *Service) Redeploy(dc topology.NodeID, instance string) error {
+	_, _, cur := s.Relay(dc)
+	s.ctrl.ReplaceInstance(dc, cur, instance)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrAlreadyClosed
 	}
-	if err := decide(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if s.daemons[dc] == nil {
+		return fmt.Errorf("%w: data center %s", ErrNotDeployed, dc)
 	}
+	s.daemons[dc].Close()
+	s.moves[dc]++
+	for _, l := range s.cfg.Graph.Links() {
+		if l.From == dc || l.To == dc {
+			s.net.SetLink(s.addrLocked(l.From), s.addrLocked(l.To), linkConfig(l))
+		}
+	}
+	s.startLocked(dc)
 	return s.applyLocked()
 }
 
-// applyLocked renders the controller's plan as the next version of the
-// deploy file and brings the data plane to it: every data center's daemon
-// reloads the file (one that gains its first role gets a daemon,
-// cold-started), every routed session gets a Source fed its table entry,
+// Tick advances the failover supervisor once on the Service's clock: each
+// VNF's instance is health-checked on the cloud API, and a dead one is
+// relaunched and, once running, redeployed. Only the Service's owner ticks.
+func (s *Service) Tick() { s.sup.Tick() }
+
+// addrLocked is a node's data-plane address: a data center's VNF serves at
+// its ID, then at dc#2, dc#3, ... after redeploys (a new VM gets a new IP).
+func (s *Service) addrLocked(node topology.NodeID) string {
+	if n := s.moves[node]; n > 0 {
+		return fmt.Sprintf("%s#%d", node, n+1)
+	}
+	return string(node)
+}
+
+// startLocked starts a data center's VNF at its current address.
+func (s *Service) startLocked(dc topology.NodeID) *controller.Daemon {
+	opts := []dataplane.VNFOption{
+		dataplane.WithSeed(s.cfg.Seed + int64(s.started) + 100),
+		dataplane.WithTelemetry(s.reg),
+		dataplane.WithClock(s.cfg.Clock),
+	}
+	if s.cfg.BufferGenerations > 0 {
+		opts = append(opts, dataplane.WithBufferCapacity(s.cfg.BufferGenerations))
+	}
+	s.started++
+	s.daemons[dc] = controller.NewDaemon(s.net.Host(s.addrLocked(dc)), s.cfg.Clock, opts...)
+	return s.daemons[dc]
+}
+
+// applyLocked renders the controller's plan as a deploy file and brings the
+// data plane to it: every live daemon reloads the file (a data center that
+// gains its first role gets a daemon, cold-started; a crashed one waits for
+// its redeploy), every routed session gets a Source fed its table entry,
 // each receiver node a shared endpoint decoding its sessions, and what the
-// file dropped is retired.
+// file dropped is retired. The file is recorded last, so a failed apply is
+// retried against the file every daemon last took. Files are unversioned:
+// s.mu orders them, and a retry re-sends the same content.
 func (s *Service) applyLocked() error {
 	sessions, plan := s.ctrl.Plan()
 	f, err := controller.BuildDeployFile(s.cfg.Params, s.cfg.Redundancy, sessions, plan, func(dc topology.NodeID) []string {
-		// Live mode runs one VNF instance per data center; generation
-		// dispatch across multiple instances is exercised by the
-		// dataplane unit tests.
-		return []string{string(dc)}
+		return []string{s.addrLocked(dc)}
 	})
 	if err != nil {
 		return fmt.Errorf("core: build deploy file: %w", err)
@@ -215,26 +314,13 @@ func (s *Service) applyLocked() error {
 			}
 		}
 	}
-	prev := s.file
-	f.Version = prev.Version + 1
-	s.file = f
-
 	for _, dc := range s.cfg.DataCenters {
 		d, ok := s.daemons[dc.ID]
-		if !ok {
-			// A data center has a role exactly where it forwards.
-			if len(f.NodeTable(string(dc.ID))) == 0 {
-				continue
-			}
-			opts := []dataplane.VNFOption{
-				dataplane.WithSeed(s.cfg.Seed + int64(len(s.daemons)) + 100),
-				dataplane.WithTelemetry(s.reg),
-			}
-			if s.cfg.BufferGenerations > 0 {
-				opts = append(opts, dataplane.WithBufferCapacity(s.cfg.BufferGenerations))
-			}
-			d = controller.NewDaemon(s.net.Host(string(dc.ID)), nil, opts...)
-			s.daemons[dc.ID] = d
+		if !ok && len(f.NodeTable(string(dc.ID))) > 0 { // a role exactly where it forwards
+			d = s.startLocked(dc.ID)
+		}
+		if d == nil || d.Closed() {
+			continue
 		}
 		if _, err := d.Reload(f, string(dc.ID)); err != nil {
 			return fmt.Errorf("core: apply deploy file at %s: %w", dc.ID, err)
@@ -265,7 +351,7 @@ func (s *Service) applyLocked() error {
 
 		// One receiving endpoint per node, shared by every session that
 		// terminates there (a node may subscribe to several sessions).
-		had := receivers(prev, sess.ID)
+		had := receivers(s.file, sess.ID)
 		for _, r := range recv {
 			if slices.Contains(had, r) {
 				continue
@@ -282,10 +368,10 @@ func (s *Service) applyLocked() error {
 			}
 		}
 	}
-	for _, ds := range prev.Sessions {
+	for _, ds := range s.file.Sessions {
 		id := ncproto.SessionID(ds.ID)
 		recv := receivers(f, id)
-		for _, r := range receivers(prev, id) {
+		for _, r := range receivers(s.file, id) {
 			if !slices.Contains(recv, r) {
 				s.endpoints[topology.NodeID(r)].RemoveSession(id)
 			}
@@ -294,6 +380,7 @@ func (s *Service) applyLocked() error {
 			s.sources[id].SetHops(nil)
 		}
 	}
+	s.file = f
 	return nil
 }
 
@@ -322,23 +409,57 @@ func buildNetwork(g *topology.Graph, reg *telemetry.Registry) *emunet.Network {
 		n.Host(string(node.ID))
 	}
 	for _, l := range g.Links() {
-		cfg := emunet.LinkConfig{Delay: l.Delay, QueuePackets: 512}
-		if l.CapacityMbps > 0 {
-			cfg.RateBps = l.CapacityMbps * 1e6
-		}
-		n.SetLink(string(l.From), string(l.To), cfg)
+		n.SetLink(string(l.From), string(l.To), linkConfig(l))
 	}
 	return n
 }
 
+// linkConfig shapes an overlay link.
+func linkConfig(l topology.Link) emunet.LinkConfig {
+	cfg := emunet.LinkConfig{Delay: l.Delay, QueuePackets: 512}
+	if l.CapacityMbps > 0 {
+		cfg.RateBps = l.CapacityMbps * 1e6
+	}
+	return cfg
+}
+
 // Telemetry returns the deployment-wide registry: every VNF, receiver
-// endpoint, and the network report into it, so one Snapshot covers the
-// whole data plane.
+// endpoint, the network, the cloud and the supervisor report into it, so
+// one Snapshot covers the whole deployment.
 func (s *Service) Telemetry() *telemetry.Registry { return s.reg }
 
 // Network exposes the underlying packet network (for tests and
 // experiments that add impairments to its links).
 func (s *Service) Network() *emunet.Network { return s.net }
+
+// Cloud exposes the VM provider the controller launches VNFs on.
+func (s *Service) Cloud() *cloud.Cloud { return s.cloud }
+
+// Supervisor exposes the failover supervisor; its Events are the log.
+func (s *Service) Supervisor() *controller.Supervisor { return s.sup }
+
+// Relay returns a data center's VNF as it runs now: its daemon (nil before
+// the file gives it a role, closed while it is down), its address, and the
+// instance it runs on — whatever its pool holds, each data center runs one
+// in-process VNF, on the pool's first active instance.
+func (s *Service) Relay(dc topology.NodeID) (d *controller.Daemon, addr, instance string) {
+	if inst := s.ctrl.Instances(dc); len(inst) > 0 {
+		instance = inst[0]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.daemons[dc], s.addrLocked(dc), instance
+}
+
+// DeployFile returns a copy of the last deploy file every live daemon took;
+// its sessions share their maps with the Service's file, read-only.
+func (s *Service) DeployFile() *controller.DeployFile {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := *s.file
+	f.Sessions = slices.Clone(f.Sessions)
+	return &f
+}
 
 // Source returns the sender handle of a routed session.
 func (s *Service) Source(id ncproto.SessionID) (*dataplane.Source, error) {

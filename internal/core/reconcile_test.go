@@ -86,7 +86,9 @@ func conferenceConfig(t *testing.T) (Config, []optimize.Session) {
 // TestAdmissionMatchesSolveOnce is the differential oracle for the single
 // control plane: admitting sessions into an empty Service through its
 // controller renders the same deploy file, byte for byte, and the same
-// rates as one optimize.Solve over those sessions rendered directly.
+// rates as one optimize.Solve over those sessions rendered directly. The
+// Service's files are unversioned: its mutex orders them, and a retried
+// apply re-sends the same content.
 func TestAdmissionMatchesSolveOnce(t *testing.T) {
 	butterfly, sess := benchButterflyConfig(7)
 	conference, sessions := conferenceConfig(t)
@@ -111,7 +113,6 @@ func TestAdmissionMatchesSolveOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.Version = 1
 
 			svc, err := NewService(tc.cfg)
 			if err != nil {
@@ -201,27 +202,33 @@ func TestDaemonSeedsFollowCreationOrder(t *testing.T) {
 	}
 }
 
-// twoSourceButterfly is the butterfly with a second source, W1, feeding the
-// two first-level relays; session 1 (V1 → O2, C2) is capped so the relays
-// have room for a second session (W1 → O2, later also C2).
-func twoSourceButterfly(t *testing.T) *Service {
+// twoSourceGraph is the butterfly with a second source, W1, feeding the
+// two first-level relays.
+func twoSourceGraph(t *testing.T) *topology.Graph {
 	t.Helper()
-	g, src, dsts := topology.Butterfly()
+	g, _, _ := topology.Butterfly()
 	g.AddNode("W1", topology.Source)
 	for _, dc := range []topology.NodeID{"O1", "C1"} {
 		if err := g.AddLink(topology.Link{From: "W1", To: dc, CapacityMbps: 35, Delay: 18 * time.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return g
+}
+
+// twoSourceButterfly runs session 1 (V1 → O2, C2) on twoSourceGraph, capped
+// so the relays have room for a second session (W1 → O2, later also C2).
+func twoSourceButterfly(t *testing.T) *Service {
+	t.Helper()
 	svc, err := NewService(Config{
-		Graph: g, DataCenters: butterflyDCs, Alpha: 0.1,
+		Graph: twoSourceGraph(t), DataCenters: butterflyDCs, Alpha: 0.1,
 		Params: rlnc.Params{GenerationBlocks: 4, BlockSize: 512}, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	if err := svc.AddSession(optimize.Session{ID: 1, Source: src, Receivers: dsts, MaxDelay: 150 * time.Millisecond, RateCap: 12}); err != nil {
+	if err := svc.AddSession(optimize.Session{ID: 1, Source: "V1", Receivers: []topology.NodeID{"O2", "C2"}, MaxDelay: 150 * time.Millisecond, RateCap: 12}); err != nil {
 		t.Fatal(err)
 	}
 	return svc
