@@ -91,9 +91,11 @@ examples:
 # FUZZTIME: the deploy file (ncctl, ncd's /reload, the planner's output),
 # the deploy-file differ over two parsed files (cold start vs reload), the
 # admin endpoint's POST /reload on a live daemon (ncd's only control
-# surface), and the data-plane packet and ACK decoders. The checked-in seed corpora under
-# each package's testdata/fuzz already run in plain `go test`; this mutates
-# past them.
+# surface), and the data-plane packet and ACK decoders — plus the generation
+# index's session lifecycle (traffic past the capacity, end, revive) under
+# its accounting invariants. The checked-in seed corpora under each
+# package's testdata/fuzz already run in plain `go test`; this mutates past
+# them.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDeployFile$$' -fuzztime $(FUZZTIME) ./internal/controller/
@@ -101,11 +103,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdminReload$$' -fuzztime $(FUZZTIME) ./internal/controller/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAck$$' -fuzztime $(FUZZTIME) ./internal/ncproto/
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionLifecycle$$' -fuzztime $(FUZZTIME) ./internal/dataplane/
 
 # test-soak runs the full many-session churn soak under the race detector:
-# thousands of concurrent sessions cycling through create / starve / evict /
-# revive / teardown against concurrent RCU table pushes, with leak and
-# double-put accounting on. CI runs the -short variant; this is the full one.
+# thousands of concurrent decoder sessions starved against the buffer
+# capacity (every retirement counted), then revived and torn down, against
+# concurrent RCU table pushes, with leak and double-put accounting on. CI
+# runs the -short variant; this is the full one.
 test-soak:
 	$(GO) test -count=1 -race -v -run 'TestSessionChurnSoak' ./internal/chaostest/
 
@@ -129,7 +133,7 @@ bench-hotpath:
 # instrumented VNF pipeline, the relay in steady state (fresh generations
 # past the buffer capacity, which the pipeline benchmark's 64-generation
 # ring never reaches), the lock-free forwarding-table read, and the
-# many-session pipeline over the bounded store — and fails if the best of three runs
+# many-session pipeline at a capacity of two generations per session — and fails if the best of three runs
 # regresses more than 10% against the benchguard-baseline lines in
 # bench_results.txt. The real-socket benchmarks (batched UDP send, the
 # loopback source->relay->receiver pipeline, the registry reverse lookup)
@@ -168,8 +172,8 @@ bench-e2e:
 # cover enforces the coverage floors: telemetry >= 90%, the GF kernel
 # package >= 85%, each new concurrency/lifecycle analyzer
 # package >= 80% (their golden suites must actually exercise the rules),
-# repo-wide >= 70%, and per-file floors on the session-store eviction
-# machinery and the batched UDP wire path.
+# repo-wide >= 70%, and per-file floors on the generation index
+# (sessionstore.go) and the batched UDP wire path.
 cover:
 	$(GO) build -o bin/covercheck ./cmd/covercheck
 	$(GO) test -coverprofile=cover.out ./...

@@ -98,7 +98,6 @@ var testOnlyAllow = map[string]string{
 
 	// Seams: tests in other packages read them to check behaviour that
 	// stays, so an in-package export_test.go cannot hold them.
-	"ncfn/internal/dataplane.VNF.SweepSessions":     "chaostest's churn soak expires TTLs on demand",
 	"ncfn/internal/dataplane.VNF.SessionStoreStats": "chaostest and buffer's differential test read the store's size",
 	"ncfn/internal/emunet.HasBatchIO":               "e2e gates its batched-wire telemetry check on it",
 }

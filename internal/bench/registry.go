@@ -37,7 +37,7 @@ var registry = []Experiment{
 	{Name: "ablation-tau", What: "Ablation: tau-delayed shutdown vs immediate", Run: AblationTauReuse, Order: 16},
 	{Name: "ablation-pipeline", What: "Ablation: pipelined vs store-and-recode", Run: AblationPipelined, Order: 17},
 	{Name: "soak", What: "Extension: controller under Poisson churn (beyond the paper)", Run: Soak, Order: 18},
-	{Name: "sessionsoak", What: "Extension: massive multi-tenancy — throughput vs sessions and decode p99 vs churn under the bounded session store", Run: SessionSoak, Order: 19},
+	{Name: "sessionsoak", What: "Extension: massive multi-tenancy — throughput vs sessions and decode p99 vs churn with a buffer capacity of half the sessions", Run: SessionSoak, Order: 19},
 	{Name: "udpsweep", What: "Extension: real kernel sockets — multi-process butterfly goodput and syscalls/packet, per-packet vs batched wire path", Run: UDPSweep, Order: 20},
 }
 

@@ -3,6 +3,7 @@ package chaostest
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,11 +46,10 @@ func churnWire(t testing.TB, params rlnc.Params, sess ncproto.SessionID, gen ncp
 // decoder sessions cycle through create → traffic → evict → revive on one
 // VNF under a virtual clock, with concurrent injectors (disjoint session
 // ranges) and a concurrent stream of RCU table pushes. The harness asserts
-// the bounded-state contract end to end: the store's generation count stays
-// at its cap (modulo in-flight injectors), TTL sweeps reclaim idle state,
-// late packets for evicted generations are dropped and counted — never
-// resurrected — revived sessions decode cleanly, table pushes record zero
-// pauses, and teardown returns every accounted byte.
+// the bounded-state contract end to end: the live generation count never
+// exceeds the buffer capacity, every retirement at the capacity is counted
+// and recorded, revived sessions decode cleanly, and teardown returns every
+// accounted byte.
 func TestSessionChurnSoak(t *testing.T) {
 	defer leakcheck.Check(t)
 	buffer.SetAccounting(true)
@@ -62,8 +62,7 @@ func TestSessionChurnSoak(t *testing.T) {
 	const injectors = 8
 	params := churnParams()
 	stateBytes := int64(params.StateBytes())
-	ttl := 30 * time.Second
-	maxGens := sessions / 2
+	capacity := sessions / 2
 
 	n := emunet.NewNetwork(emunet.AllowDefault())
 	defer n.Close()
@@ -73,10 +72,7 @@ func TestSessionChurnSoak(t *testing.T) {
 		dataplane.WithSeed(99),
 		dataplane.WithTelemetry(reg),
 		dataplane.WithClock(clk),
-		dataplane.WithSessionStore(dataplane.SessionStoreConfig{
-			MaxGenerations: maxGens,
-			TTLNanos:       ttl.Nanoseconds(),
-		}))
+		dataplane.WithBufferCapacity(capacity))
 	defer v.Close()
 
 	params0 := params
@@ -114,9 +110,10 @@ func TestSessionChurnSoak(t *testing.T) {
 
 	// Phase 1 — create + traffic: each injector owns a disjoint session range
 	// and leaves every generation one packet short of decoding, so live
-	// coding state piles up against the store's cap.
+	// coding state piles up against the capacity.
 	k := params.GenerationBlocks
 	perInjector := sessions / injectors
+	var admitted atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < injectors; w++ {
 		wg.Add(1)
@@ -126,6 +123,7 @@ func TestSessionChurnSoak(t *testing.T) {
 			lo := w*perInjector + 1
 			for s := lo; s < lo+perInjector; s++ {
 				gens := 1 + rng.Intn(3) // heavy-ish tail: 1–3 live generations
+				admitted.Add(int64(gens))
 				for g := 0; g < gens; g++ {
 					wires := churnWire(t, params, ncproto.SessionID(s), ncproto.GenerationID(g), int64(s*8+g), k-1)
 					for _, pkt := range wires {
@@ -138,53 +136,25 @@ func TestSessionChurnSoak(t *testing.T) {
 	wg.Wait()
 
 	gens, bytes := v.SessionStoreStats()
-	if gens > maxGens+injectors {
-		t.Fatalf("phase 1: %d live generations, want <= cap %d (+%d in-flight slack)", gens, maxGens, injectors)
+	if gens != capacity {
+		t.Fatalf("phase 1: %d live generations, want the capacity %d", gens, capacity)
 	}
 	if bytes < int64(gens)*stateBytes {
 		t.Fatalf("phase 1: %d bytes accounted for %d generations (state is %d each)", bytes, gens, stateBytes)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters[dataplane.MetricGenerationsEvicted] == 0 {
-		t.Fatal("phase 1: cap pressure evicted nothing")
+	// A generation retired between two of its own packets is admitted
+	// again, and retired again: at least every admission past the capacity.
+	evicted := reg.Snapshot().Counters[dataplane.MetricGenerationsEvicted]
+	if want := uint64(admitted.Load()) - uint64(capacity); evicted < want {
+		t.Fatalf("phase 1: %d retirements counted for %d generations at capacity %d, want at least %d",
+			evicted, admitted.Load(), capacity, want)
 	}
-
-	// Phase 2 — idle expiry: advance virtual time past the TTL and sweep.
-	// Every remaining live generation is stale and must go.
-	clk.Advance(2 * ttl)
-	v.SweepSessions()
-	if gens, _ := v.SessionStoreStats(); gens != 0 {
-		t.Fatalf("phase 2: %d generations survived a full TTL sweep", gens)
-	}
-	// Check the recorder now, before later phases overwrite the ring.
 	rec := reg.Recorder(dataplane.FlightRecorderName, telemetry.DefaultRecorderCapacity)
 	if evs := eventsOf(rec, telemetry.EventGenerationEvict); len(evs) == 0 {
 		t.Fatal("no eviction events in the flight recorder")
 	}
 
-	// Phase 3 — late packets: traffic for evicted generations must be
-	// counted and dropped, never resurrect state.
-	dropsBefore := reg.Snapshot().Counters[dataplane.MetricEvictedDrops]
-	for w := 0; w < injectors; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := w*perInjector + 1
-			for s := lo; s < lo+perInjector; s += 7 {
-				pkt := churnWire(t, params, ncproto.SessionID(s), 0, int64(s*8), 1)[0]
-				v.InjectPacket(pkt)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := reg.Snapshot().Counters[dataplane.MetricEvictedDrops]; got == dropsBefore {
-		t.Fatal("phase 3: late packets for evicted generations were not counted")
-	}
-	if gens, _ := v.SessionStoreStats(); gens != 0 {
-		t.Fatalf("phase 3: late packets resurrected %d generations", gens)
-	}
-
-	// Phase 4 — revive: reconfigure every session and run fresh generations
+	// Phase 2 — revive: reconfigure every session and run fresh generations
 	// to completion; recycled arenas must decode correctly at scale.
 	decodedBefore := reg.Snapshot().Counters[dataplane.MetricGenerationsDone]
 	for w := 0; w < injectors; w++ {
@@ -204,7 +174,7 @@ func TestSessionChurnSoak(t *testing.T) {
 	wg.Wait()
 	decoded := reg.Snapshot().Counters[dataplane.MetricGenerationsDone] - decodedBefore
 	if decoded != uint64(sessions) {
-		t.Fatalf("phase 4: revived sessions decoded %d generations, want %d", decoded, sessions)
+		t.Fatalf("phase 2: revived sessions decoded %d generations, want %d", decoded, sessions)
 	}
 
 	// Teardown — every accounted byte comes back.

@@ -49,15 +49,17 @@ func NewMultiReceiver(conn emunet.PacketConn, opts ...VNFOption) *MultiReceiver 
 }
 
 // AddSession registers a session to decode. srcAddr, when non-empty, is
-// where generation ACKs for the session are sent.
+// where generation ACKs for the session are sent. A session already
+// registered is refused before it reaches the VNF, whose Configure would
+// replace the live session's decoders.
 func (m *MultiReceiver) AddSession(id ncproto.SessionID, params rlnc.Params, srcAddr string) error {
-	if err := m.vnf.Configure(SessionConfig{ID: id, Params: params, Role: RoleDecoder}); err != nil {
-		return err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, dup := m.sessions[id]; dup {
 		return fmt.Errorf("dataplane: receiver already has session %d", id)
+	}
+	if err := m.vnf.Configure(SessionConfig{ID: id, Params: params, Role: RoleDecoder}); err != nil {
+		return err
 	}
 	m.sessions[id] = &recvSession{
 		params:  params,

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,39 +34,36 @@ func codedWire(t testing.TB, params rlnc.Params, sess ncproto.SessionID, gen ncp
 }
 
 // storeVNF builds an unstarted VNF (serial InjectPacket driving) with a
-// session store (none for the zero config), shared registry, and virtual
-// clock.
-func storeVNF(t testing.TB, cfg SessionStoreConfig, opts ...VNFOption) (*VNF, *telemetry.Registry, *simclock.Virtual) {
+// shared registry and a virtual clock.
+func storeVNF(t testing.TB, opts ...VNFOption) (*VNF, *telemetry.Registry, *simclock.Virtual) {
 	t.Helper()
 	n := emunet.NewNetwork(emunet.AllowDefault())
 	t.Cleanup(func() { n.Close() })
 	reg := telemetry.NewRegistry()
 	clk := simclock.NewVirtual(time.Unix(0, 0))
-	opts = append([]VNFOption{WithSeed(7), WithTelemetry(reg), WithClock(clk), WithSessionStore(cfg)}, opts...)
+	opts = append([]VNFOption{WithSeed(7), WithTelemetry(reg), WithClock(clk)}, opts...)
 	v := NewVNF(n.Host("v"), opts...)
 	t.Cleanup(func() { v.Close() })
 	return v, reg, clk
 }
 
 // TestSessionBytesGaugeSumsVNFs pins the shared gauge: a relay and a
-// receiving endpoint that report into one registry, each with a bounded
-// session store, leave dataplane_session_bytes at the sum of what their
-// stores account.
+// receiving endpoint that report into one registry leave
+// dataplane_session_bytes at the sum of what their indexes account.
 func TestSessionBytesGaugeSumsVNFs(t *testing.T) {
 	n := emunet.NewNetwork(emunet.AllowDefault())
 	t.Cleanup(func() { n.Close() })
 	reg := telemetry.NewRegistry()
 	params := smallParams()
-	cfg := SessionStoreConfig{MaxGenerations: 256, TTLNanos: time.Minute.Nanoseconds()}
 	var sum int64
 	for i, role := range []Role{RoleRecoder, RoleDecoder} {
-		v := NewVNF(n.Host(fmt.Sprintf("v%d", i)), WithSeed(7), WithTelemetry(reg), WithSessionStore(cfg))
+		v := NewVNF(n.Host(fmt.Sprintf("v%d", i)), WithSeed(7), WithTelemetry(reg), WithBufferCapacity(256))
 		t.Cleanup(func() { v.Close() })
 		if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: role}); err != nil {
 			t.Fatal(err)
 		}
 		// One packet per generation: no generation completes, so each
-		// stays live in the store.
+		// stays live in the index.
 		for g := 0; g < 2+i; g++ {
 			for _, w := range codedWire(t, params, 1, ncproto.GenerationID(g), int64(60+g), 1) {
 				v.InjectPacket(w)
@@ -73,80 +71,77 @@ func TestSessionBytesGaugeSumsVNFs(t *testing.T) {
 		}
 		gens, b := v.SessionStoreStats()
 		if gens != 2+i || b == 0 {
-			t.Fatalf("%v store: %d generations / %d bytes, want %d / > 0", role, gens, b, 2+i)
+			t.Fatalf("%v index: %d generations / %d bytes, want %d / > 0", role, gens, b, 2+i)
 		}
 		sum += b
 	}
 	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != sum {
-		t.Fatalf("shared gauge = %d, the VNFs' stores account %d", got, sum)
+		t.Fatalf("shared gauge = %d, the VNFs' indexes account %d", got, sum)
 	}
 }
 
-// TestSessionStoreTTLEviction pins TTL-driven reclamation and its full
-// accounting trail: idle generations are evicted on sweep, the session-bytes
-// gauge drops back to the pooled-arena baseline, the eviction counter and
-// flight recorder carry the events, and ending the session returns the gauge
-// to zero.
-func TestSessionStoreTTLEviction(t *testing.T) {
-	ttl := time.Second
-	v, reg, clk := storeVNF(t, SessionStoreConfig{TTLNanos: ttl.Nanoseconds()})
+// TestCapacityRetirementAccounting pins the accounting trail of the one
+// bound: every generation an admission at capacity retires — the admitting
+// session's own, recycled in place, or another session's, torn down before
+// InjectPacket returns — bumps dataplane_generations_evicted and leaves an
+// EventGenerationEvict naming it, the gauges follow the index, and ending
+// the sessions returns them to zero.
+func TestCapacityRetirementAccounting(t *testing.T) {
+	const capacity = 3
+	v, reg, _ := storeVNF(t, WithBufferCapacity(capacity))
 	params := smallParams()
-	if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: RoleDecoder}); err != nil {
-		t.Fatal(err)
-	}
-	stateBytes := int64(params.StateBytes())
-
-	const gens = 5
-	for g := 0; g < gens; g++ {
-		// One packet per generation: decoders stay live, never complete.
-		for _, w := range codedWire(t, params, 1, ncproto.GenerationID(g), int64(50+g), 1) {
-			v.InjectPacket(w)
+	for id := ncproto.SessionID(1); id <= 2; id++ {
+		if err := v.Configure(SessionConfig{ID: id, Params: params, Role: RoleDecoder}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n, b := v.SessionStoreStats(); n != gens || b != int64(gens)*stateBytes {
-		t.Fatalf("before sweep: %d generations / %d bytes, want %d / %d", n, b, gens, gens*int(stateBytes))
+	stateBytes := int64(params.StateBytes())
+	evicted := reg.Counter(MetricGenerationsEvicted, 1)
+
+	// One packet per generation: decoders stay live, never complete.
+	const gens = 5
+	for g := 0; g < gens; g++ {
+		v.InjectPacket(codedWire(t, params, 1, ncproto.GenerationID(g), int64(50+g), 1)[0])
 	}
-	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != int64(gens)*stateBytes {
-		t.Fatalf("session-bytes gauge = %d, want %d", got, gens*int(stateBytes))
+	if n, b := v.SessionStoreStats(); n != capacity || b != capacity*stateBytes {
+		t.Fatalf("in-place recycling: %d generations / %d bytes, want %d / %d", n, b, capacity, capacity*stateBytes)
+	}
+	if got := evicted.Value(); got != gens-capacity {
+		t.Fatalf("evicted counter = %d after in-place recycling, want %d", got, gens-capacity)
 	}
 
-	if got := v.SweepSessions(); got != 0 {
-		t.Fatalf("sweep before TTL evicted %d generations, want 0", got)
+	// Session 2's first generation retires session 1's oldest (generation
+	// 2), which session 1 keeps as its one spare.
+	v.InjectPacket(codedWire(t, params, 2, 0, 70, 1)[0])
+	if n, b := v.SessionStoreStats(); n != capacity || b != (capacity+1)*stateBytes {
+		t.Fatalf("cross-session retirement: %d generations / %d bytes, want %d live + 1 spare (%d)",
+			n, b, capacity, (capacity+1)*stateBytes)
 	}
-	clk.Advance(2 * ttl)
-	if got := v.SweepSessions(); got != gens {
-		t.Fatalf("sweep after TTL evicted %d generations, want %d", got, gens)
+	if a, b := active(t, v, 1), active(t, v, 2); a != 2 || b != 1 {
+		t.Fatalf("sessions hold %d + %d generations, want 2 + 1", a, b)
 	}
-
-	// All live state gone; exactly one decoder arena is pooled for reuse.
-	if n, b := v.SessionStoreStats(); n != 0 || b != stateBytes {
-		t.Fatalf("after sweep: %d generations / %d bytes, want 0 / %d (pooled arena)", n, b, stateBytes)
+	if got := evicted.Value(); got != gens-capacity+1 {
+		t.Fatalf("evicted counter = %d, want %d", got, gens-capacity+1)
 	}
-	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != stateBytes {
-		t.Fatalf("session-bytes gauge = %d after sweep, want %d", got, stateBytes)
+	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != (capacity+1)*stateBytes {
+		t.Fatalf("session-bytes gauge = %d, want %d", got, (capacity+1)*stateBytes)
 	}
-	if got := reg.Gauge(MetricLiveGenerations, 1).Value(); got != 0 {
-		t.Fatalf("live-generations gauge = %d after sweep, want 0", got)
-	}
-	if got := reg.Counter(MetricGenerationsEvicted, 1).Value(); got != gens {
-		t.Fatalf("evicted counter = %d, want %d", got, gens)
+	if got := reg.Gauge(MetricLiveGenerations, 1).Value(); got != capacity {
+		t.Fatalf("live-generations gauge = %d, want %d", got, capacity)
 	}
 	rec := reg.Recorder(FlightRecorderName, telemetry.DefaultRecorderCapacity)
 	evs := eventsOf(rec, telemetry.EventGenerationEvict)
-	if len(evs) != gens {
-		t.Fatalf("generation-evict events = %d, want %d", len(evs), gens)
+	if len(evs) != gens-capacity+1 {
+		t.Fatalf("generation-evict events = %d, want %d", len(evs), gens-capacity+1)
 	}
-	for _, e := range evs {
-		if e.Value != stateBytes {
-			t.Fatalf("evict event released %d bytes, want %d", e.Value, stateBytes)
-		}
-		if e.Session != 1 {
-			t.Fatalf("evict event session = %d, want 1", e.Session)
+	for i, e := range evs {
+		if e.Session != 1 || e.Gen != uint64(i) || e.Value != stateBytes {
+			t.Fatalf("evict event %d = %+v, want session 1, generation %d, %d bytes", i, e, i, stateBytes)
 		}
 	}
 
-	// Ending the session releases the pooled free lists too: zero baseline.
 	v.EndSession(1)
+	v.EndSession(2)
 	if n, b := v.SessionStoreStats(); n != 0 || b != 0 {
 		t.Fatalf("after EndSession: %d generations / %d bytes, want 0 / 0", n, b)
 	}
@@ -155,80 +150,125 @@ func TestSessionStoreTTLEviction(t *testing.T) {
 	}
 }
 
-// TestSessionStoreLRUCap pins the generation cap: the least recently touched
-// generations are evicted first, late packets for them are counted as
-// evicted drops, and eviction never resurrects state.
-func TestSessionStoreLRUCap(t *testing.T) {
-	const cap = 3
-	v, reg, _ := storeVNF(t, SessionStoreConfig{MaxGenerations: cap})
+// TestSessionStoreDecoderCap pins decoders on the capacity: the oldest by
+// first arrival is retired and counted, and a late packet for a retired
+// generation starts a fresh record — on a reset decoder, so enough of them
+// still decode the generation exactly.
+func TestSessionStoreDecoderCap(t *testing.T) {
+	const capacity = 3
+	v, reg, _ := storeVNF(t, WithBufferCapacity(capacity))
 	params := smallParams()
 	if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: RoleDecoder}); err != nil {
 		t.Fatal(err)
 	}
-
+	k := params.GenerationBlocks
 	const gens = 8
+	want := make([][]byte, gens)
 	wires := make([][][]byte, gens)
 	for g := 0; g < gens; g++ {
-		wires[g] = codedWire(t, params, 1, ncproto.GenerationID(g), int64(90+g), 2)
+		seed := int64(90 + g)
+		want[g] = randomBytes(seed, params.GenerationBytes())
+		wires[g] = codedWire(t, params, 1, ncproto.GenerationID(g), seed, k+2)
 		v.InjectPacket(wires[g][0])
 	}
-	if n, _ := v.SessionStoreStats(); n != cap {
-		t.Fatalf("tracked generations = %d, want %d (the cap)", n, cap)
+	if n, _ := v.SessionStoreStats(); n != capacity {
+		t.Fatalf("tracked generations = %d, want %d (the capacity)", n, capacity)
 	}
-	if got := reg.Counter(MetricGenerationsEvicted, 1).Value(); got != gens-cap {
-		t.Fatalf("evicted counter = %d, want %d", got, gens-cap)
-	}
-
-	// Generation 0 was the LRU victim; its late packet must be dropped and
-	// counted, never resurrected.
-	drops := reg.Counter(MetricEvictedDrops, v.workers+1)
-	before := drops.Value()
-	v.InjectPacket(wires[0][1])
-	if got := drops.Value(); got != before+1 {
-		t.Fatalf("evicted-drops counter = %d, want %d", got, before+1)
-	}
-	if n, _ := v.SessionStoreStats(); n != cap {
-		t.Fatalf("late packet resurrected state: %d generations tracked, want %d", n, cap)
+	evicted := reg.Counter(MetricGenerationsEvicted, 1)
+	if got := evicted.Value(); got != gens-capacity {
+		t.Fatalf("evicted counter = %d, want %d", got, gens-capacity)
 	}
 
-	// The most recently touched generation is still live: its second packet
-	// must be accepted (no evicted-drop).
-	v.InjectPacket(wires[gens-1][1])
-	if got := drops.Value(); got != before+1 {
-		t.Fatalf("live generation miscounted as evicted: drops = %d, want %d", got, before+1)
+	// Generation 0 went first. Its late packets are admitted, not dropped:
+	// the first retires generation 5, the oldest live one, and the rest
+	// complete the generation from scratch.
+	drops := v.Stats().PacketsDropped
+	for _, w := range wires[0][1:] {
+		v.InjectPacket(w)
+	}
+	if got := v.Stats().PacketsDropped; got != drops {
+		t.Fatalf("late packets for a retired generation dropped %d, want 0", got-drops)
+	}
+	if got := evicted.Value(); got != gens-capacity+1 {
+		t.Fatalf("evicted counter = %d after the late admission, want %d", got, gens-capacity+1)
+	}
+	select {
+	case d := <-v.Deliveries():
+		if d.Generation != 0 || !bytes.Equal(d.Data, want[0]) {
+			t.Fatalf("delivered generation %d, want generation 0's bytes", d.Generation)
+		}
+	default:
+		t.Fatal("the retired generation never decoded from its late packets")
+	}
+	if n, _ := v.SessionStoreStats(); n != capacity-1 {
+		t.Fatalf("tracked generations = %d after the delivery, want %d", n, capacity-1)
 	}
 }
 
-// TestSessionStoreMaxBytes pins the byte cap: live coding state is bounded
-// by MaxBytes (plus at most one pooled arena per kind), and the store's own
-// accounting agrees with the telemetry gauge.
-func TestSessionStoreMaxBytes(t *testing.T) {
+// TestSinkMemoryBounded is the hostile-peer case for a sink built with no
+// options: a stream of generations that never complete — one packet each —
+// must not grow its coding state past the buffer capacity, however long it
+// runs.
+func TestSinkMemoryBounded(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	v := NewVNF(newCaptureConn("sink"), WithTelemetry(reg))
+	defer v.Close()
 	params := smallParams()
-	stateBytes := int64(params.StateBytes())
-	maxBytes := 3 * stateBytes
-	v, reg, _ := storeVNF(t, SessionStoreConfig{MaxBytes: maxBytes})
 	if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: RoleDecoder}); err != nil {
 		t.Fatal(err)
 	}
-
-	const gens = 7
+	bound := int64(buffer.DefaultCapacity+finishedSpares) * int64(params.StateBytes())
+	gauge := reg.Gauge(MetricSessionBytes, 1)
+	pkt := codedWire(t, params, 1, 0, 130, 1)[0]
+	const gens = 5000
 	for g := 0; g < gens; g++ {
-		for _, w := range codedWire(t, params, 1, ncproto.GenerationID(g), int64(130+g), 1) {
-			v.InjectPacket(w)
+		readdress(pkt, 1, ncproto.GenerationID(g))
+		v.InjectPacket(pkt)
+		n, _ := v.SessionStoreStats()
+		if n > buffer.DefaultCapacity {
+			t.Fatalf("after %d generations the sink holds %d live, want at most the capacity %d", g+1, n, buffer.DefaultCapacity)
+		}
+		if b := gauge.Value(); b > bound {
+			t.Fatalf("after %d generations %s = %d, want at most (capacity + %d spares) x %d = %d",
+				g+1, MetricSessionBytes, b, finishedSpares, params.StateBytes(), bound)
 		}
 	}
-	n, b := v.SessionStoreStats()
-	if b > maxBytes+stateBytes {
-		t.Fatalf("store bytes = %d, want <= %d (cap + one pooled arena)", b, maxBytes+stateBytes)
+	if got := reg.Counter(MetricGenerationsEvicted, 1).Value(); got != gens-buffer.DefaultCapacity {
+		t.Fatalf("evicted counter = %d, want %d", got, gens-buffer.DefaultCapacity)
 	}
-	if n >= gens {
-		t.Fatal("byte cap evicted nothing")
-	}
-	if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != b {
-		t.Fatalf("gauge (%d) disagrees with store accounting (%d)", got, b)
-	}
-	if reg.Counter(MetricGenerationsEvicted, 1).Value() == 0 {
-		t.Fatal("evicted counter never advanced")
+}
+
+// countingClock counts the reads of a virtual clock.
+type countingClock struct {
+	*simclock.Virtual
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Virtual.Now()
+}
+
+// TestRecodeReadsClockPerAdmission pins the relay's clock reads to one per
+// admitted generation, at and below the capacity: the packets that join a
+// live generation read no clock.
+func TestRecodeReadsClockPerAdmission(t *testing.T) {
+	params := smallParams()
+	k := params.GenerationBlocks
+	for _, capacity := range []int{2, buffer.DefaultCapacity} {
+		clk := &countingClock{Virtual: simclock.NewVirtual(time.Unix(0, 0))}
+		v, _ := relayVNF(t, 1, WithBufferCapacity(capacity), WithClock(clk))
+		clk.reads.Store(0)
+		const gens = 6
+		for g := 0; g < gens; g++ {
+			for _, w := range codedWire(t, params, 1, ncproto.GenerationID(g), int64(400+g), k+1) {
+				v.InjectPacket(w)
+			}
+		}
+		if got := clk.reads.Load(); got != gens {
+			t.Fatalf("capacity %d: %d clock reads for %d generations of %d packets, want one per admission",
+				capacity, got, gens, k+1)
+		}
 	}
 }
 
@@ -242,7 +282,7 @@ func TestSessionStoreGaugeBaselineAfterChurn(t *testing.T) {
 	defer buffer.SetAccounting(false)
 	doubleBefore := buffer.DoublePuts()
 
-	v, reg, _ := storeVNF(t, SessionStoreConfig{MaxGenerations: 64})
+	v, reg, _ := storeVNF(t, WithBufferCapacity(64))
 	params := smallParams()
 	const sessions = 8
 	for s := 1; s <= sessions; s++ {
@@ -296,7 +336,7 @@ func TestSessionStoreGaugeBaselineAfterChurn(t *testing.T) {
 // on the decode path: a generation decoded by a recycled decoder must
 // deliver exactly the original data.
 func TestSessionStoreDecoderReuseDecodesIdentically(t *testing.T) {
-	v, _, _ := storeVNF(t, SessionStoreConfig{MaxGenerations: 64})
+	v, _, _ := storeVNF(t, WithBufferCapacity(64))
 	params := smallParams()
 	if err := v.Configure(SessionConfig{ID: 1, Params: params, Role: RoleDecoder}); err != nil {
 		t.Fatal(err)
@@ -330,22 +370,18 @@ func TestSessionStoreDecoderReuseDecodesIdentically(t *testing.T) {
 	}
 }
 
-// TestSessionStoreRecoderReuseEmitsIdentically pins that the session store
-// is only a policy on the one generation index: the same packet trace
-// through a VNF with the store and one without must emit byte-identical
-// packets at every buffer capacity, as FIFO rollover recycles live recoder
-// records mid-trace. (The differential against the seed's Track + Contains
-// bookkeeping, on random multi-session traces, is
+// TestSessionStoreRecoderReuseEmitsIdentically pins that recycling never
+// changes an emitted byte: the same packet trace through a relay whose
+// capacity recycles live recoder records mid-trace — in place and across
+// sessions — and through one that never reaches its capacity must emit
+// byte-identical packets. (The differential against the seed's Track +
+// Contains bookkeeping, on random multi-session traces, is
 // internal/buffer.TestRelayMatchesReferenceBookkeeping.)
 func TestSessionStoreRecoderReuseEmitsIdentically(t *testing.T) {
 	params := smallParams()
-	trace := func(capacity int, withStore bool) ([]string, [][]byte) {
+	trace := func(capacity int) ([]string, [][]byte) {
 		conn := newCaptureConn("relay")
-		opts := []VNFOption{WithSeed(21), WithBufferCapacity(capacity)}
-		if withStore {
-			opts = append(opts, WithSessionStore(SessionStoreConfig{MaxGenerations: 1024}))
-		}
-		v := NewVNF(conn, opts...)
+		v := NewVNF(conn, WithSeed(21), WithBufferCapacity(capacity))
 		defer v.Close()
 		for s := 1; s <= 2; s++ {
 			id := ncproto.SessionID(s)
@@ -365,42 +401,41 @@ func TestSessionStoreRecoderReuseEmitsIdentically(t *testing.T) {
 		}
 		return conn.dsts, conn.pkts
 	}
+	freshDst, freshPkt := trace(buffer.DefaultCapacity)
+	if len(freshDst) == 0 {
+		t.Fatal("trace produced no emissions")
+	}
 	for _, capacity := range []int{2, 3, 8} {
-		plainDst, plainPkt := trace(capacity, false)
-		storeDst, storePkt := trace(capacity, true)
-		if len(plainDst) == 0 {
-			t.Fatal("trace produced no emissions")
+		dst, pkt := trace(capacity)
+		if len(dst) != len(freshDst) {
+			t.Fatalf("capacity %d: %d emissions, %d without recycling", capacity, len(dst), len(freshDst))
 		}
-		if len(plainDst) != len(storeDst) {
-			t.Fatalf("capacity %d: emission count differs: plain %d, store %d", capacity, len(plainDst), len(storeDst))
-		}
-		for i := range plainDst {
-			if plainDst[i] != storeDst[i] || !bytes.Equal(plainPkt[i], storePkt[i]) {
-				t.Fatalf("capacity %d: emission %d differs between plain and store runs", capacity, i)
+		for i := range dst {
+			if dst[i] != freshDst[i] || !bytes.Equal(pkt[i], freshPkt[i]) {
+				t.Fatalf("capacity %d: emission %d differs from the run without recycling", capacity, i)
 			}
 		}
 	}
 }
 
 // TestSessionStoreReviveAfterEviction pins the revive path: a session whose
-// generations were evicted can be reconfigured and decode fresh generations
-// (including IDs that were tombstoned before the revive).
+// generation was retired at the capacity can be reconfigured and decode
+// fresh generations, the retired one included.
 func TestSessionStoreReviveAfterEviction(t *testing.T) {
-	ttl := time.Second
-	v, reg, clk := storeVNF(t, SessionStoreConfig{TTLNanos: ttl.Nanoseconds()})
+	v, reg, _ := storeVNF(t, WithBufferCapacity(1))
 	params := smallParams()
 	cfg := SessionConfig{ID: 1, Params: params, Role: RoleDecoder}
 	if err := v.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
 	v.InjectPacket(codedWire(t, params, 1, 0, 41, 1)[0])
-	clk.Advance(2 * ttl)
-	if got := v.SweepSessions(); got != 1 {
+	v.InjectPacket(codedWire(t, params, 1, 1, 43, 1)[0])
+	if got := reg.Counter(MetricGenerationsEvicted, 1).Value(); got != 1 {
 		t.Fatalf("evicted %d generations, want 1", got)
 	}
 
-	// Revive: reconfiguration replaces the state wholesale — tombstones
-	// included — so generation 0 decodes cleanly afterwards.
+	// Revive: reconfiguration replaces the state wholesale, so generation 0
+	// decodes cleanly afterwards.
 	if err := v.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +457,10 @@ func TestSessionStoreReviveAfterEviction(t *testing.T) {
 }
 
 // FuzzSessionLifecycle drives random interleavings of the session lifecycle
-// — traffic, clock advances, sweeps, session end, revive — and requires the
-// store's invariants at every step: no panic, non-negative accounting, gauge
-// consistent with the store, and a zero baseline after final teardown.
+// — traffic past the capacity, session end, revive — and requires the
+// index's invariants at every step: no panic, live records within the
+// capacity, non-negative accounting, gauges consistent with the index, and
+// a zero baseline after final teardown.
 func FuzzSessionLifecycle(f *testing.F) {
 	params := smallParams()
 	k := params.GenerationBlocks
@@ -444,24 +480,16 @@ func FuzzSessionLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 4, 5, 0, 0, 3, 4})
 	f.Add(bytes.Repeat([]byte{2, 3, 4}, 40))
 
-	// The invariants belong to the index, not to the store option: every
-	// input runs against a bounded store and against the defaults.
-	bounded := SessionStoreConfig{
-		MaxGenerations: 6,
-		TTLNanos:       (2 * time.Second).Nanoseconds(),
-		MaxBytes:       12 * int64(params.StateBytes()),
-	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		for _, cfg := range []SessionStoreConfig{bounded, {}} {
-			sessionLifecycle(t, cfg, rings, ops)
-		}
+		sessionLifecycle(t, rings, ops)
 	})
 }
 
-func sessionLifecycle(t *testing.T, cfg SessionStoreConfig, rings [][][][]byte, ops []byte) {
+func sessionLifecycle(t *testing.T, rings [][][][]byte, ops []byte) {
+	const capacity = 6
 	params := smallParams()
 	nSessions, nGens := len(rings), len(rings[0])
-	v, reg, clk := storeVNF(t, cfg)
+	v, reg, _ := storeVNF(t, WithBufferCapacity(capacity))
 	for s := 0; s < nSessions; s++ {
 		if err := v.Configure(SessionConfig{ID: ncproto.SessionID(s + 1), Params: params, Role: RoleDecoder}); err != nil {
 			t.Fatal(err)
@@ -471,17 +499,12 @@ func sessionLifecycle(t *testing.T, cfg SessionStoreConfig, rings [][][][]byte, 
 	for i, op := range ops {
 		s := i % nSessions
 		g := int(op>>4) % nGens
-		switch op % 6 {
-		case 0, 1, 2: // inject the next packet of (s, g) — may be late for an evicted gen
+		if op%4 != 3 { // inject the next packet of (s, g) — may be late for a retired gen
 			ring := rings[s][g]
 			idx := pktIdx[s*nGens+g] % len(ring)
 			pktIdx[s*nGens+g]++
 			v.InjectPacket(ring[idx])
-		case 3:
-			clk.Advance(time.Second)
-		case 4:
-			v.SweepSessions()
-		case 5: // end, and on odd rounds revive
+		} else { // end, and on odd rounds revive
 			id := ncproto.SessionID(s + 1)
 			v.EndSession(id)
 			if op&0x40 != 0 {
@@ -491,14 +514,14 @@ func sessionLifecycle(t *testing.T, cfg SessionStoreConfig, rings [][][][]byte, 
 			}
 		}
 		n, b := v.SessionStoreStats()
-		if n < 0 || b < 0 {
-			t.Fatalf("op %d: negative accounting: %d generations / %d bytes", i, n, b)
+		if n < 0 || n > capacity || b < 0 {
+			t.Fatalf("op %d: %d generations / %d bytes, capacity %d", i, n, b, capacity)
 		}
 		if got := reg.Gauge(MetricSessionBytes, 1).Value(); got != b {
-			t.Fatalf("op %d: gauge (%d) diverged from store accounting (%d)", i, got, b)
+			t.Fatalf("op %d: gauge (%d) diverged from index accounting (%d)", i, got, b)
 		}
 		if got := reg.Gauge(MetricLiveGenerations, 1).Value(); got != int64(n) {
-			t.Fatalf("op %d: live-generations gauge (%d) diverged from store (%d)", i, got, n)
+			t.Fatalf("op %d: live-generations gauge (%d) diverged from index (%d)", i, got, n)
 		}
 		live := 0
 		for s := 0; s < nSessions; s++ {
@@ -522,8 +545,8 @@ func sessionLifecycle(t *testing.T, cfg SessionStoreConfig, rings [][][][]byte, 
 }
 
 // BenchmarkManySessionPipeline measures the serial packet path with the
-// session store enforcing bounds across many concurrent recoder sessions —
-// the massive-multi-tenancy configuration the store exists for. The ring
+// buffer capacity bounding many concurrent recoder sessions — the
+// massive-multi-tenancy configuration. The ring
 // interleaves sessions so consecutive packets hit different coding states,
 // and wraps across generations so retired recoders recycle through the
 // free lists continuously.
@@ -532,10 +555,7 @@ func BenchmarkManySessionPipeline(b *testing.B) {
 	const sessions = 1024
 	ring := benchRing(b, params, sessions, 4)
 	conn := newBenchConn(nil, 0)
-	v := NewVNF(conn, WithSeed(77), WithSessionStore(SessionStoreConfig{
-		MaxGenerations: 2 * sessions,
-		MaxBytes:       int64(4*sessions) * int64(params.StateBytes()),
-	}))
+	v := NewVNF(conn, WithSeed(77), WithBufferCapacity(2*sessions))
 	defer v.Close()
 	for s := 1; s <= sessions; s++ {
 		id := ncproto.SessionID(s)

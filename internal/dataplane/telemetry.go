@@ -35,20 +35,18 @@ const (
 	// They are also counted in MetricGenerationsDone: the decode happened.
 	MetricDeliveryOverflow = "dataplane_delivery_overflow"
 
-	// Generation-index accounting (always on). SessionBytes gauges the
-	// estimated coding-state bytes retained across live generations and
-	// pooled spare records; LiveGenerations gauges tracked (session,
-	// generation) states; GenerationsEvicted counts LRU/TTL/byte-cap
-	// evictions (WithSessionStore; FIFO retirement at the buffer capacity is
-	// not an eviction); EvictedDrops counts late packets that arrived for an
-	// already-evicted generation (dropped, never resurrected).
+	// Generation-index accounting. SessionBytes gauges the estimated
+	// coding-state bytes retained across live generations and pooled spare
+	// records; LiveGenerations gauges tracked (session, generation) states;
+	// GenerationsEvicted counts generations retired as the oldest by an
+	// admission at the buffer capacity, recoders and decoders alike (a late
+	// packet for one starts a fresh record).
 	MetricSessionBytes       = "dataplane_session_bytes"
 	MetricLiveGenerations    = "dataplane_live_generations"
 	MetricGenerationsEvicted = "dataplane_generations_evicted"
-	MetricEvictedDrops       = "dataplane_evicted_packet_drops"
 
 	// GenerationsRetired counts records a relay released as the session's
-	// watermark rose past them (FIFO retirement and eviction count elsewhere);
+	// watermark rose past them (capacity retirements count as evictions);
 	// LateForwarded counts arrivals below it, forwarded without coding state.
 	MetricGenerationsRetired = "dataplane_generations_retired"
 	MetricLateForwarded      = "dataplane_late_forwarded_packets"
@@ -99,8 +97,7 @@ type vnfTelemetry struct {
 	// moves them once per accounting change, so striping would buy nothing.
 	sessBytes    *telemetry.Gauge
 	liveGens     *telemetry.Gauge
-	evicted      *telemetry.Counter
-	evictedDrops *telemetry.Counter
+	evicted      *telemetry.Counter // retired at the buffer capacity
 	tableSwaps   *telemetry.Counter
 	retired      *telemetry.Counter // released by the watermark
 	lateForwards *telemetry.Counter // arrivals below it
@@ -136,7 +133,6 @@ func newVNFTelemetry(reg *telemetry.Registry, workers int) vnfTelemetry {
 		sessBytes:    reg.Gauge(MetricSessionBytes, 1),
 		liveGens:     reg.Gauge(MetricLiveGenerations, 1),
 		evicted:      reg.Counter(MetricGenerationsEvicted, 1),
-		evictedDrops: reg.Counter(MetricEvictedDrops, cells),
 		tableSwaps:   reg.Counter(MetricTableSwaps, 1),
 		retired:      reg.Counter(MetricGenerationsRetired, cells),
 		lateForwards: reg.Counter(MetricLateForwarded, cells),

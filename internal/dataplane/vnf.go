@@ -85,9 +85,8 @@ type VNF struct {
 	sessions map[ncproto.SessionID]*sessionState
 
 	// store is the generation index: the one owner of which generations are
-	// live. It retires recoder generations FIFO at the buffer capacity,
-	// recycles their records and accounts retained memory; WithSessionStore
-	// adds LRU/TTL/byte-cap eviction on top.
+	// live. It retires the oldest generation at the buffer capacity, recycles
+	// records and accounts retained memory.
 	store sessionStore
 
 	workers int
@@ -190,16 +189,11 @@ type sessionState struct {
 	delivered map[ncproto.GenerationID]bool
 	nextSeed  int64
 
-	// evicted tombstones generations whose coding state the session store
-	// evicted: late packets for them are counted as drops and never
-	// resurrect state. maxGen tracks the newest generation seen, bounding
-	// the tombstone set to the reordering window. closed marks a session
-	// removed by EndSession (or replaced by Configure) so racing packet
-	// processing stops using it. spares are unlinked records kept for the
-	// next generations (see sessionStore.pool); stateBytes is the
-	// per-generation footprint estimate (rlnc.Params.StateBytes).
-	evicted    map[ncproto.GenerationID]bool
-	maxGen     ncproto.GenerationID
+	// closed marks a session removed by EndSession (or replaced by
+	// Configure) so racing packet processing stops using it. spares are
+	// unlinked records kept for the next generations (see
+	// sessionStore.pool); stateBytes is the per-generation footprint
+	// estimate (rlnc.Params.StateBytes).
 	closed     bool
 	stateBytes int64
 	spares     []*genState
@@ -213,19 +207,18 @@ type sessionState struct {
 	hopsVer uint64
 }
 
-// reorderWindow is how far behind a session's newest generation its
-// delivered marks, eviction tombstones and stale decoders are kept. Of the
-// three, the watermark covers the tombstones at relays: those below doneBelow
-// go as it rises (an arrival there is forwarded before any lookup).
+// reorderWindow is how far behind the generation a sink session last
+// delivered its delivered marks are kept.
 const reorderWindow = 4096
 
 // Option configures a VNF.
 type VNFOption func(*VNF)
 
 // WithBufferCapacity overrides the generation buffer capacity (Fig. 5's
-// sweep parameter): how many recoder generations the VNF keeps live, across
-// all sessions, before the oldest by first arrival is retired. The default —
-// also selected by a non-positive value — is buffer.DefaultCapacity (1024).
+// sweep parameter): how many generations the VNF keeps live, across all
+// sessions and roles, before the oldest by first arrival is retired. The
+// default — also selected by a non-positive value — is
+// buffer.DefaultCapacity (1024).
 func WithBufferCapacity(generations int) VNFOption {
 	return func(v *VNF) {
 		if generations <= 0 {
@@ -261,7 +254,7 @@ func NewVNF(conn emunet.PacketConn, opts ...VNFOption) *VNF {
 	v := &VNF{
 		conn:       conn,
 		table:      NewForwardingTable(),
-		store:      sessionStore{capacity: buffer.DefaultCapacity, fifo: genList{i: fifoLinks}, lru: genList{i: lruLinks}},
+		store:      sessionStore{capacity: buffer.DefaultCapacity},
 		seed:       1,
 		sessions:   make(map[ncproto.SessionID]*sessionState),
 		deliveries: make(chan Delivery, 1024),
@@ -574,9 +567,8 @@ func (v *VNF) worker(sh *vnfShard) {
 			buffer.PutPacket(sh.jobs[i].pkt)
 			sh.jobs[i] = pktJob{}
 		}
-		// Index eviction and queued teardowns run here, between runs, when
-		// this goroutine holds no session or shard lock: victims' st.mu can
-		// be taken freely.
+		// Queued teardowns run here, between runs, when this goroutine holds
+		// no session or shard lock: victims' st.mu can be taken freely.
 		v.enforceStore()
 	}
 }
@@ -740,38 +732,25 @@ func (v *VNF) sendCoded(sh *vnfShard, dst string, wire []byte) bool {
 	return v.conn.Send(dst, wire) == nil
 }
 
-// liveGen resolves gen's live record, refreshing its place in the index. It
-// reports evicted for a tombstoned generation — or one an eviction has
-// already unlinked and queued for teardown — and a nil record for a
-// generation that has none, including one FIFO retirement has queued: its
-// late packet starts a fresh record. Callers hold st.mu.
-func (v *VNF) liveGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) (g *genState, evicted bool) {
-	if st.evicted[gen] {
-		return nil, true
+// liveGen returns gen's live record, or nil when it has none — including one
+// another session's admission has retired and queued for teardown: its late
+// packet starts a fresh record. Callers hold st.mu.
+func liveGen(st *sessionState, gen ncproto.GenerationID) *genState {
+	if g := st.gens[gen]; g != nil && g.linked.Load() {
+		return g
 	}
-	if gen > st.maxGen {
-		st.maxGen = gen
-	}
-	if g = st.gens[gen]; g == nil {
-		return nil, false
-	}
-	switch v.store.touch(g, nowNs) {
-	case genLinked:
-		return g, false
-	case genEvicted:
-		return nil, true
-	}
-	return nil, false
+	return nil
 }
 
 // admitGen starts gen's record: linked into the index (retiring the oldest
-// recoder generation at capacity) with a codec that is fresh, the session's
-// reset spare, or — recycled in place — the retired generation's own.
-// Callers hold st.mu.
+// generation at capacity) with a codec that is fresh, the session's reset
+// spare, or — recycled in place — the retired generation's own. Callers hold
+// st.mu.
 func (v *VNF) admitGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) (*genState, error) {
-	g, inPlace := v.store.admit(st, nowNs)
+	g, inPlace := v.store.admit(st)
 	if inPlace {
 		delete(st.gens, g.gen)
+		v.countRetirement(nowNs, st, g.gen)
 	}
 	g.gen, g.received, g.started = gen, 0, nowNs
 	var err error
@@ -779,6 +758,8 @@ func (v *VNF) admitGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) 
 	case st.cfg.Role == RoleDecoder:
 		if g.dec == nil {
 			g.dec, err = rlnc.NewDecoder(st.cfg.Params)
+		} else if inPlace {
+			g.dec.Reset()
 		}
 	case g.rec == nil:
 		g.rec, err = rlnc.NewRecoder(st.cfg.Params, st.nextSeed)
@@ -799,11 +780,11 @@ func (v *VNF) admitGen(st *sessionState, gen ncproto.GenerationID, nowNs int64) 
 	return g, nil
 }
 
-// releaseBelow releases every live record of st below floor (pooled, not
-// freed) with the tombstones and delivered marks down there, and returns how
-// many records the session still owned. It walks the ids up from doneBelow,
-// under which a relay holds nothing, unless the live set is the shorter walk:
-// a watermark mostly rises by one, a forged one by 2^32. Callers hold st.mu.
+// releaseBelow releases every live record of a relay session below floor
+// (pooled, not freed), and returns how many records the session still owned.
+// It walks the ids up from doneBelow, under which a relay holds nothing,
+// unless the live set is the shorter walk: a watermark mostly rises by one, a
+// forged one by 2^32. Callers hold st.mu.
 func (v *VNF) releaseBelow(st *sessionState, floor ncproto.GenerationID) (n uint64) {
 	if uint64(floor-st.doneBelow) <= uint64(len(st.gens)) {
 		for gen := st.doneBelow; gen < floor; gen++ {
@@ -816,16 +797,6 @@ func (v *VNF) releaseBelow(st *sessionState, floor ncproto.GenerationID) (n uint
 			if gen < floor && v.store.release(g) {
 				n++
 			}
-		}
-	}
-	for gen := range st.evicted {
-		if gen < floor {
-			delete(st.evicted, gen)
-		}
-	}
-	for gen := range st.delivered {
-		if gen < floor {
-			delete(st.delivered, gen)
 		}
 	}
 	return n
@@ -848,7 +819,6 @@ func (v *VNF) hopGroups(st *sessionState) []HopGroup {
 // the retirement watermark stamped on the arrival, zero for none.
 func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncproto.GenerationID) {
 	cb := rlnc.CodedBlock{Coeffs: p.Coeffs, Payload: p.Payload}
-	nowNs := v.clock.Now().UnixNano()
 
 	st.mu.Lock()
 	if st.closed {
@@ -870,15 +840,7 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncp
 		v.forward(sh, p)
 		return
 	}
-	g, evicted := v.liveGen(st, p.Generation, nowNs)
-	if evicted {
-		// Late packet for an evicted generation: count it and drop it; the
-		// state machine never resurrects evicted coding state.
-		st.mu.Unlock()
-		v.tel.evictedDrops.Inc(sh.idx + 1)
-		v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
-		return
-	}
+	g := liveGen(st, p.Generation)
 	if g == nil {
 		if v.draining.Load() {
 			// Drain admission gate: recoding this packet would create
@@ -889,7 +851,8 @@ func (v *VNF) recode(sh *vnfShard, st *sessionState, p *ncproto.Packet, done ncp
 			return
 		}
 		var err error
-		if g, err = v.admitGen(st, p.Generation, nowNs); err != nil {
+		// The clock is read per admitted generation, not per packet.
+		if g, err = v.admitGen(st, p.Generation, v.clock.Now().UnixNano()); err != nil {
 			st.mu.Unlock()
 			v.dropPkt(sh.idx+1, p.Session, p.Generation, 1)
 			return
@@ -1021,15 +984,7 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 		v.dropPkt(cell, sess, gen, len(batch))
 		return
 	}
-	g, evicted := v.liveGen(st, gen, nowNs)
-	if evicted {
-		// Late packets for an evicted generation: counted as drops, never
-		// resurrected.
-		st.mu.Unlock()
-		v.tel.evictedDrops.Add(cell, uint64(len(batch)))
-		v.dropPkt(cell, sess, gen, len(batch))
-		return
-	}
+	g := liveGen(st, gen)
 	if g == nil {
 		if v.draining.Load() {
 			// Drain admission gate (see recode): no new per-generation
@@ -1071,11 +1026,14 @@ func (v *VNF) decodeBatch(cell int, st *sessionState, sess ncproto.SessionID, ge
 	st.delivered[gen] = true
 	startNs := g.started
 	v.store.release(g)
-	// Prune stale decoder state: generations far behind the newest one
-	// will never complete (their packets are gone), and the delivered set
-	// only needs to cover the reordering window.
-	if (len(st.delivered) > 2*reorderWindow || len(st.gens) > 2*reorderWindow) && gen > reorderWindow {
-		v.releaseBelow(st, gen-reorderWindow)
+	// The delivered marks only need to cover the reordering window; the
+	// buffer capacity bounds undelivered decoders.
+	if len(st.delivered) > 2*reorderWindow && gen > reorderWindow {
+		for d := range st.delivered {
+			if d < gen-reorderWindow {
+				delete(st.delivered, d)
+			}
+		}
 	}
 	st.mu.Unlock()
 

@@ -859,6 +859,30 @@ func TestSessionStatsFor(t *testing.T) {
 	}
 }
 
+// TestAddSessionDuplicateKeepsLiveSession: a refused duplicate AddSession
+// must leave the live session's decoders as they were, so a generation one
+// packet short before it completes with the next packet.
+func TestAddSessionDuplicateKeepsLiveSession(t *testing.T) {
+	params := smallParams()
+	sink, err := newSink(newCaptureConn("sink"), 1, params, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	k := params.GenerationBlocks
+	pkts := codedWire(t, params, 1, 0, 95, k)
+	for _, p := range pkts[:k-1] {
+		sink.vnf.InjectPacket(p)
+	}
+	if err := sink.AddSession(1, params, ""); err == nil {
+		t.Fatal("duplicate AddSession accepted")
+	}
+	sink.vnf.InjectPacket(pkts[k-1])
+	if !waitFor(t, 5*time.Second, func() bool { return sink.Generations(1) == 1 }) {
+		t.Fatalf("decoded %d generations, want 1: the refused duplicate reset the live session", sink.Generations(1))
+	}
+}
+
 func TestDecoderAbsorbsDuplicates(t *testing.T) {
 	// Full duplication on the last hop: every packet arrives twice; the
 	// decoder must treat copies as non-innovative and deliver correctly.

@@ -96,7 +96,7 @@ func TestWatermarkRetiresAndForwards(t *testing.T) {
 // jump backwards, to 2^32-1, or land on a session no source ever fed — at a
 // bounded relay and at a sink. The relay's watermark must follow exactly the
 // highest stamp seen and never decrease, the index must stay inside its
-// configured bounds, every data packet below the watermark must leave on every
+// capacity, every data packet below the watermark must leave on every
 // next hop unchanged, and the sink, which ignores stamps, must keep every
 // generation it has not delivered.
 func FuzzWatermark(f *testing.F) {
@@ -118,10 +118,7 @@ func FuzzWatermark(f *testing.F) {
 		if len(ops) > 6*512 {
 			ops = ops[:6*512]
 		}
-		// Against FIFO retirement (no tombstones) and against LRU eviction
-		// (tombstones the watermark has to clear), both at a bound of four.
 		watermarkOps(t, ring, ops, WithBufferCapacity(4))
-		watermarkOps(t, ring, ops, WithSessionStore(SessionStoreConfig{MaxGenerations: 4}))
 	})
 }
 
@@ -531,9 +528,10 @@ func TestRelayLiveSetTracksWindow(t *testing.T) {
 	t.Logf("peak live generations per relay: %d (window %d)", peak, window)
 }
 
-// TestSinkPrunesBehindReorderWindow covers the other caller of releaseBelow: a
-// sink that ignores stamps still sheds decoders that can never complete, once
-// they are a reordering window behind the generation it just delivered.
+// TestSinkPrunesBehindReorderWindow pins the sink's one prune: delivered
+// marks a reordering window behind the generation just delivered go, so a
+// late packet for one of those starts a fresh record, while one inside the
+// window is still recognised as delivered and ignored.
 func TestSinkPrunesBehindReorderWindow(t *testing.T) {
 	sink := NewVNF(newCaptureConn("sink"), WithWorkers(1))
 	defer sink.Close()
@@ -542,25 +540,35 @@ func TestSinkPrunesBehindReorderWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := codedWire(t, params, 1, 0, 90, params.GenerationBlocks)
-	const stale = 2*reorderWindow + 9
-	for g := ncproto.GenerationID(0); g < stale; g++ {
-		readdress(pkts[0], 1, g)
-		sink.InjectPacket(pkts[0]) // one packet each: none of these completes
+	const newest = 2 * reorderWindow
+	for g := ncproto.GenerationID(0); g <= newest; g++ {
+		for _, p := range pkts {
+			readdress(p, 1, g)
+			sink.InjectPacket(p)
+		}
+		for len(sink.Deliveries()) > 0 {
+			<-sink.Deliveries()
+		}
 	}
-	if got := active(t, sink, 1); got != stale {
-		t.Fatalf("sink holds %d incomplete generations, want %d", got, stale)
+	sink.mu.RLock()
+	st := sink.sessions[1]
+	sink.mu.RUnlock()
+	st.mu.Lock()
+	marks := len(st.delivered)
+	st.mu.Unlock()
+	if want := reorderWindow + 1; marks != want {
+		t.Fatalf("after delivering generations 0..%d the sink keeps %d delivered marks, want %d (%d..%d)",
+			newest, marks, want, newest-reorderWindow, newest)
 	}
-	const newest = stale + 100
-	for _, p := range pkts {
-		readdress(p, 1, newest)
-		sink.InjectPacket(p)
-	}
-	if want := stale - (newest - reorderWindow); active(t, sink, 1) != want {
-		t.Fatalf("after delivering generation %d the sink holds %d generations, want %d: everything below %d released",
-			newest, active(t, sink, 1), want, newest-reorderWindow)
-	}
-	if n, b := sink.SessionStoreStats(); n != stale-(newest-reorderWindow) || b != int64(n+finishedSpares)*int64(params.StateBytes()) {
-		t.Fatalf("index holds %d generations / %d bytes after the prune", n, b)
+	for _, c := range []struct {
+		gen  ncproto.GenerationID
+		live int
+	}{{newest - reorderWindow, 0}, {newest - reorderWindow - 1, 1}} {
+		readdress(pkts[0], 1, c.gen)
+		sink.InjectPacket(pkts[0])
+		if got := active(t, sink, 1); got != c.live {
+			t.Fatalf("late packet for delivered generation %d left %d live generations, want %d", c.gen, got, c.live)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package rlnc
 // This file implements generation-state reuse: Reset methods that return a
 // Decoder or Recoder to its freshly-constructed state while keeping every
 // arena allocation, plus the StateBytes footprint model the data plane's
-// session store uses for memory accounting. Under massive multi-tenancy a
+// generation index uses for memory accounting. Under massive multi-tenancy a
 // VNF churns through far more generations than it holds concurrently, so
 // recycling a finished generation's arenas instead of allocating new ones
 // keeps the steady-state allocation rate independent of generation turnover.
@@ -12,7 +12,7 @@ package rlnc
 // the larger of what a decoder and a recoder of these parameters allocate,
 // arena for arena (TestStateBytesMatchesArenas). It depends only on the
 // parameters, not on how many packets arrived, and is the same in both
-// fields. The session store multiplies it by live generations to feed the
+// fields. The generation index multiplies it by live generations to feed the
 // dataplane_session_bytes gauge, so it over-counts the smaller role and a
 // low-rank generation rather than under-counting a full one.
 func (p Params) StateBytes() int {

@@ -13,7 +13,7 @@ type EventType uint8
 // Event types. The set covers the state transitions the chaos harness and
 // the admin endpoint need to reconstruct a run: data-plane packet drops and
 // decode progress, the pause/resume cycle of forwarding-table swaps,
-// session-store evictions, and the control plane's retry/failover/
+// generation evictions, and the control plane's retry/failover/
 // fault-injection history.
 const (
 	EventNone EventType = iota
@@ -41,8 +41,8 @@ const (
 	// EventFault: a fault was injected (crash, partition, link fault).
 	// Value is implementation-defined.
 	EventFault
-	// EventGenerationEvict: the session store evicted a stale generation's
-	// coding state (LRU/TTL/byte-cap pressure). Value is the estimated bytes
+	// EventGenerationEvict: an admission at the buffer capacity retired the
+	// oldest live generation's coding state. Value is the estimated bytes
 	// released.
 	EventGenerationEvict
 	// EventDrainStart: the data plane entered drain — no new coding state
